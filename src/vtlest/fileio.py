@@ -233,6 +233,34 @@ def _axis_from_meta(meta: dict):
     return FrequencyAxis(kind, channels, f_lo, f_hi), compression
 
 
+def _value_rows(handle, path) -> np.ndarray:
+    """The values (third cell onwards) of the data rows after the header line.
+
+    Every row must have as many cells as the header and finite values; blank
+    rows are skipped.
+    Returns shape ``(rows, header cells - 2)``.
+    """
+    reader = csv.reader(handle)
+    header = next(reader, [])
+    width = len(header) - 2
+    if width < 1:
+        raise InputError(f"{path}:2: header needs channel, center_freq_hz and value columns")
+    rows = []
+    for line, row in enumerate(reader, start=3):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise InputError(f"{path}:{line}: expected {len(header)} cells, got {len(row)}")
+        try:
+            values = [float(v) for v in row[2:]]
+        except ValueError as exc:
+            raise InputError(f"{path}:{line}: {exc}") from exc
+        if not np.isfinite(values).all():
+            raise InputError(f"{path}:{line}: values must be finite, got NaN or inf")
+        rows.append(values)
+    return np.array(rows, dtype=float).reshape(len(rows), width)
+
+
 def write_spectrum_csv(path, spectrum: Spectrum):
     with atomic_write(path) as handle:
         handle.write(_axis_meta(spectrum) + "\n")
@@ -246,10 +274,10 @@ def read_spectrum_csv(path) -> Spectrum:
     with open(path, newline="") as handle:
         meta = _parse_meta(handle.readline())
         axis, compression = _axis_from_meta(meta)
-        reader = csv.reader(handle)
-        next(reader)  # header
-        values = [float(row[2]) for row in reader if row]
-    return Spectrum(np.asarray(values), axis, compression)
+        rows = _value_rows(handle, path)
+    if rows.shape[1] != 1:
+        raise InputError(f"{path}: expected one value column, got {rows.shape[1]}")
+    return Spectrum(rows[:, 0], axis, compression)
 
 
 def write_spectrogram_csv(path, sg: Spectrogram):
@@ -271,7 +299,5 @@ def read_spectrogram_csv(path) -> Spectrogram:
             t0 = float(meta["t0"])
         except (KeyError, ValueError) as exc:
             raise InputError(f"{path}: spectrogram metadata lacks frame timing: {exc}") from exc
-        reader = csv.reader(handle)
-        next(reader)  # header
-        rows = [[float(v) for v in row[2:]] for row in reader if row]
-    return Spectrogram(np.asarray(rows).T, frame_period, axis, compression, t0=t0)
+        rows = _value_rows(handle, path)
+    return Spectrogram(rows.T, frame_period, axis, compression, t0=t0)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import butter, lfilter
+from scipy.signal import butter, lfilter, sosfilt
 
 from .axes import AxisKind, FrequencyAxis, erb_bandwidth, hz_to_mel, make_axis
 from .errors import ConfigurationError, InputError
@@ -17,7 +17,7 @@ from .spectral import NO_COMPRESSION, Spectrogram
 
 #: Gammatone bandwidth scale factor relative to the auditory-filter ERB.
 GAMMATONE_BW_FACTOR = 1.019
-#: Order of the gammatone filters (number of cascaded one-pole stages).
+#: Order of the gammatone filters (number of repeated pole pairs).
 GAMMATONE_ORDER = 4
 #: Cutoff of the envelope smoothing lowpass, Hz.
 ENVELOPE_LP_HZ = 1000.0
@@ -28,22 +28,50 @@ def _envelope_lowpass(fs: float):
     return butter(2, ENVELOPE_LP_HZ / (fs / 2.0))
 
 
-def _gammatone_envelope(signal: np.ndarray, fs: float, fc: float) -> np.ndarray:
+@lru_cache(maxsize=8)
+def _gammatone_sos(fs: float, axis: FrequencyAxis) -> np.ndarray:
+    """Second-order sections of every channel's gammatone, shape ``(channels, 4, 6)``.
+
+    The gammatone is the real part of ``g / (1 - p z^-1)^4`` with the
+    impulse-invariance pole ``p`` and the gain ``g = 2 (1 - |p|)^4``, which
+    normalizes the gain at ``fc`` to unity.  As a real filter that is
+    ``g N(z) / D(z)`` with ``D = (1 - 2 Re(p) z^-1 + |p|^2 z^-2)^4``, so every
+    section shares one denominator, and ``N`` has the four real zeros
+    ``Re[(p - w p*) / (1 - w)]`` for the four roots ``w`` of ``w^4 = -1``.
+    Two sections carry the zeros in pairs and the gain sits in the first.
+    The closed form stands in for ``tf2sos``, whose root finding on the
+    fourfold pole is ill-conditioned.
+    """
+    fc = axis.center_freqs
+    bw = GAMMATONE_BW_FACTOR * erb_bandwidth(fc)
+    radius = np.exp(-2.0 * np.pi * bw / fs)
+    pole = radius * np.exp(2j * np.pi * fc / fs)
+    w = np.exp(1j * np.pi * (2 * np.arange(GAMMATONE_ORDER) + 1) / GAMMATONE_ORDER)
+    zeros = ((pole[:, None] - w * pole.conj()[:, None]) / (1.0 - w)).real
+    sos = np.zeros((axis.channels, GAMMATONE_ORDER, 6))
+    sos[:, :, 0] = 1.0
+    sos[:, :, 3] = 1.0
+    sos[:, :, 4] = -2.0 * pole.real[:, None]
+    sos[:, :, 5] = radius[:, None] ** 2
+    for k in range(GAMMATONE_ORDER // 2):
+        pair = zeros[:, 2 * k: 2 * k + 2]
+        sos[:, k, 1] = -pair.sum(axis=1)
+        sos[:, k, 2] = pair.prod(axis=1)
+    sos[:, 0, :3] *= (2.0 * (1.0 - radius) ** GAMMATONE_ORDER)[:, None]
+    return sos
+
+
+def _gammatone_envelope(signal: np.ndarray, fs: float, sos: np.ndarray) -> np.ndarray:
     """Envelope of one gammatone channel: bandpass, half-wave rectify, smooth.
 
-    The bandpass is a 4th-order gammatone realized as four cascaded complex
-    one-pole stages (impulse-invariance poles), which stays numerically stable
-    down to low center frequencies where a direct-form 8-pole filter does not.
-    Gain is normalized to unity at ``fc``.
+    The bandpass runs as a cascade of real second-order sections (see
+    :func:`_gammatone_sos`) rather than as one direct-form 8-pole filter, which
+    is numerically unstable at low center frequencies where the poles crowd
+    ``z = 1``.  Each section places only one conjugate pole pair, so its
+    coefficients stay well conditioned down to the lowest channel.
     """
-    bw = GAMMATONE_BW_FACTOR * erb_bandwidth(fc)
-    pole = np.exp(-2.0 * np.pi * bw / fs) * np.exp(2j * np.pi * fc / fs)
-    y = signal.astype(complex)
-    for _ in range(GAMMATONE_ORDER):
-        y = lfilter([1.0], [1.0, -pole], y)
-    bandpassed = 2.0 * y.real * (1.0 - abs(pole)) ** GAMMATONE_ORDER
     b, a = _envelope_lowpass(fs)
-    env = lfilter(b, a, np.maximum(bandpassed, 0.0))
+    env = lfilter(b, a, np.maximum(sosfilt(sos, signal), 0.0))
     return np.maximum(env, 0.0)
 
 
@@ -84,8 +112,8 @@ def gammatone_ep(signal, fs: float, axis: FrequencyAxis, frame_period: float = 0
         raise InputError(f"signal shorter than one {frame_period*1e3:g} ms frame")
     n_frames = x.size // frame
     ep = np.empty((n_frames, axis.channels))
-    for c, fc in enumerate(axis.center_freqs):
-        env = _gammatone_envelope(x, fs, fc)
+    for c, sos in enumerate(_gammatone_sos(fs, axis)):
+        env = _gammatone_envelope(x, fs, sos)
         ep[:, c] = env[: n_frames * frame].reshape(n_frames, frame).mean(axis=1)
     return Spectrogram(ep, frame_period, axis, NO_COMPRESSION, t0=frame_period / 2.0)
 

@@ -16,6 +16,7 @@ resolved harmonics) to the correlator.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,7 +145,13 @@ DEFAULT_PARAMS = AnalysisParams()
 
 
 class UtteranceAnalyzer:
-    """Computes and caches the spectral representations of one utterance."""
+    """Computes and caches the spectral representations of one utterance.
+
+    The excitation pattern reads the input only up to the end of the
+    averaging window: the gammatone bank is causal, so later samples cannot
+    change the frames that are averaged.  Only its centre-averaged dB
+    spectrum is cached, not the spectrogram.
+    """
 
     def __init__(self, samples, fs, params: AnalysisParams = DEFAULT_PARAMS,
                  f0_override: float | None = None, external_sg=None):
@@ -171,9 +178,7 @@ class UtteranceAnalyzer:
         key = ("sg", base)
         if key not in self._cache:
             p = self.params
-            if base == "Ep":
-                sg = gammatone_ep(self.samples, self.fs, p.axis_for("Ep"), p.ep_frame_period)
-            elif base in ("F", "W"):
+            if base in ("F", "W"):
                 if base == "W":
                     if self._external_sg is None:
                         raise InputError("no external spectrogram was supplied for a W representation")
@@ -197,7 +202,12 @@ class UtteranceAnalyzer:
         if key not in self._cache:
             p = self.params
             if rep.base == "Ep":
-                ep = self._source_spectrogram("Ep")
+                # whole frames up to the window end; the span check of
+                # center_average needs the last one to end at or after it
+                frame = int(round(p.ep_frame_period * self.fs))
+                n_frames = math.ceil((self.center + p.avg_half_width) / p.ep_frame_period)
+                stop = min(n_frames * frame, self.samples.size)
+                ep = gammatone_ep(self.samples[:stop], self.fs, p.axis_for("Ep"), p.ep_frame_period)
                 avg = center_average(ep, self.center, p.avg_half_width)
                 spec = compress(avg, rep.compression)
             else:

@@ -155,7 +155,6 @@ def fit_q(shifts, measured_cm, mean_length_cm: float, search=Q_SEARCH_RANGE, tol
 
     grid = np.linspace(search[0], search[1], 401)
     best = int(np.argmin([err(q) for q in grid]))
-    step = grid[1] - grid[0]
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, grid.size - 1)]
     return _golden_min(err, lo, hi, tol)

@@ -63,7 +63,12 @@ def _check_values(values, axis, compression):
             f"got {values.shape[-1] if values.ndim else 0} channels of data "
             f"for a {axis.channels}-channel axis"
         )
-    if compression.mode in ("none", "power") and values.size and values.min() < 0:
+    if not values.size:
+        return
+    lo, hi = values.min(), values.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):  # NaN propagates into the min
+        raise InputError("values must be finite, got NaN or inf")
+    if compression.mode in ("none", "power") and lo < 0:
         raise InputError("uncompressed amplitude values must be nonnegative")
 
 

@@ -86,6 +86,21 @@ class TestEstimateCommand:
             rows = list(csv.DictReader(handle))
         assert all(float(r["S_channels"]) == 0.0 for r in rows)
 
+    def test_bad_external_spectrogram_is_one_error_line(self, pair_corpus_dir, tmp_path, capsys):
+        ext = tmp_path / "external"
+        for rec in fileio.read_manifest(pair_corpus_dir / "manifest.csv"):
+            samples, fs = v.read_audio(rec.path)
+            fileio.write_spectrogram_csv(ext / f"{rec.utterance_id}.csv", v.stft_spectrum(samples, fs))
+        bad = sorted(ext.glob("*.csv"))[0]
+        lines = bad.read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",n/a"
+        bad.write_text("\n".join(lines) + "\n")
+        code = run_cli("estimate", pair_corpus_dir / "manifest.csv", "--rep", "W_log",
+                       "--external-dir", ext, "--out", tmp_path / "out")
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: ") and f"{bad.name}:3:" in err[0]
+
     def test_default_corpus_row_count_and_matrices(self, default_corpus_dir, tmp_path):
         out = tmp_path / "est"
         assert run_cli("estimate", default_corpus_dir / "manifest.csv",

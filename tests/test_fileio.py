@@ -113,6 +113,26 @@ class TestSpectrumCsv:
             fileio.read_spectrum_csv(tmp_path / "x.csv")
 
 
+    @pytest.mark.parametrize("cell", ["loud", "nan", "-inf"])
+    def test_bad_cell_names_line(self, tmp_path, cell):
+        axis = v.make_axis("erb", 4, 100.0, 8000.0)
+        fileio.write_spectrum_csv(tmp_path / "s.csv", v.Spectrum([1.0, 2.0, 3.0, 4.0], axis))
+        lines = (tmp_path / "s.csv").read_text().splitlines()
+        lines[4] = lines[4].rsplit(",", 1)[0] + "," + cell
+        (tmp_path / "s.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputError, match=r"s\.csv:5:"):
+            fileio.read_spectrum_csv(tmp_path / "s.csv")
+
+    def test_ragged_spectrogram_row_names_line(self, tmp_path):
+        axis = v.make_axis("mel", 4, 100.0, 8000.0)
+        fileio.write_spectrogram_csv(tmp_path / "sg.csv", v.Spectrogram(np.ones((3, 4)), 0.005, axis))
+        lines = (tmp_path / "sg.csv").read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0]
+        (tmp_path / "sg.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputError, match=r"sg\.csv:4: expected 5 cells, got 4"):
+            fileio.read_spectrogram_csv(tmp_path / "sg.csv")
+
+
 class TestF0Csv:
     def test_read(self, tmp_path):
         (tmp_path / "f0.csv").write_text("utterance_id,f0_hz\ns01_a,182\ns02_a,101.5\n")

@@ -1,10 +1,12 @@
 """Gammatone excitation patterns, STFT, and mel filterbank front ends."""
 import numpy as np
 import pytest
+from scipy.signal import butter, lfilter
 
 import vtlest as v
-from vtlest.axes import AxisKind
+from vtlest.axes import AxisKind, erb_bandwidth
 from vtlest.errors import ConfigurationError, InputError
+from vtlest.frontends import _gammatone_envelope, _gammatone_sos
 
 FS = 48000.0
 
@@ -69,6 +71,32 @@ class TestGammatoneEp:
     def test_empty_signal_rejected(self, erb_axis):
         with pytest.raises(InputError):
             v.gammatone_ep(np.array([]), FS, erb_axis)
+
+
+def complex_cascade_envelope(signal, fs, fc):
+    """Reference gammatone envelope: four complex one-pole stages, real part."""
+    bw = 1.019 * erb_bandwidth(fc)
+    pole = np.exp(-2.0 * np.pi * bw / fs) * np.exp(2j * np.pi * fc / fs)
+    y = signal.astype(complex)
+    for _ in range(4):
+        y = lfilter([1.0], [1.0, -pole], y)
+    bandpassed = 2.0 * y.real * (1.0 - abs(pole)) ** 4
+    b, a = butter(2, 1000.0 / (fs / 2.0))
+    env = lfilter(b, a, np.maximum(bandpassed, 0.0))
+    return np.maximum(env, 0.0)
+
+
+class TestGammatoneSections:
+    @pytest.mark.parametrize("fs", [16000.0, 44100.0, 48000.0, 96000.0])
+    def test_matches_complex_cascade_on_whole_axis(self, erb_axis, fs):
+        x = pulse_train(140.0, 0.1, fs)
+        x += np.random.default_rng(3).normal(size=x.size)
+        sos = _gammatone_sos(fs, erb_axis)
+        assert sos.shape == (erb_axis.channels, 4, 6)
+        for c, fc in enumerate(erb_axis.center_freqs):
+            ref = complex_cascade_envelope(x, fs, fc)
+            got = _gammatone_envelope(x, fs, sos[c])
+            assert np.abs(got - ref).max() <= 1e-10 * ref.max(), f"channel {c} ({fc:.1f} Hz)"
 
 
 class TestStft:

@@ -108,6 +108,36 @@ class TestUtteranceAnalyzer:
             analyzer.base_spectrum(v.parse_representation("W_log"))
 
 
+class TestEpWindowCut:
+    """Ep filters the input only up to the averaging window end."""
+
+    @pytest.mark.parametrize(
+        "n_samples",
+        [
+            24000,  # window end 275 ms, on a frame boundary
+            24007,  # window end between frame boundaries
+            2400,   # window end at the last sample
+        ],
+    )
+    def test_identical_to_full_signal_average(self, n_samples):
+        samples = v.synth_vowel(v.vowel_spec("e", 150.0, duration=0.6))[:n_samples]
+        p = DEFAULT_PARAMS
+        full = v.gammatone_ep(samples, p.fs, p.axis_for("Ep"), p.ep_frame_period)
+        center = n_samples / p.fs / 2.0
+        expected = v.compress(v.center_average(full, center, p.avg_half_width), "log")
+        got = v.UtteranceAnalyzer(samples, p.fs).base_spectrum(v.parse_representation("Ep"))
+        assert got.values.tobytes() == expected.values.tobytes()
+
+    def test_samples_after_window_end_are_not_read(self):
+        samples = v.synth_vowel(v.vowel_spec("o", 120.0))
+        rep = v.parse_representation("Ep")
+        clean = v.UtteranceAnalyzer(samples, 48000.0).base_spectrum(rep)
+        tail = samples.copy()
+        tail[13200:] = np.nan  # the 0.5 s window ends at 275 ms
+        cut = v.UtteranceAnalyzer(tail, 48000.0).base_spectrum(rep)
+        assert cut.values.tobytes() == clean.values.tobytes()
+
+
 class TestAnalyzeWav:
     def test_spectrum_from_file(self, pair_corpus_dir):
         s = v.analyze_wav(pair_corpus_dir / "s01_a.wav", "Ep_SSI")

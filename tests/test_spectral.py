@@ -73,6 +73,14 @@ class TestContainers:
         with pytest.raises(InputError):
             v.Spectrum([1.0, -0.1, 1.0, 1.0], small_axis)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("compression", [v.NO_COMPRESSION, v.LOG_COMPRESSION], ids=str)
+    def test_non_finite_rejected(self, small_axis, bad, compression):
+        with pytest.raises(InputError, match="finite"):
+            v.Spectrum([1.0, bad, 1.0, 1.0], small_axis, compression)
+        with pytest.raises(InputError, match="finite"):
+            sg_of([[1.0] * 4, [1.0, 1.0, bad, 1.0]], small_axis, compression=compression)
+
     def test_negative_db_values_fine(self, small_axis):
         s = v.Spectrum([-10.0, -20.0, 0.0, 5.0], small_axis, v.LOG_COMPRESSION)
         assert s.values.min() == -20.0
