@@ -57,19 +57,18 @@ from .fileio import (
 )
 from .frontends import gammatone_ep, mel_spectrum, stft_spectrum
 from .pipeline import (
-    AnalysisParams,
     CorpusAnalyzer,
     EstimationResult,
     Representation,
     UtteranceAnalyzer,
     analyze_wav,
+    axis_for,
     load_corpus,
     parse_representation,
     representation_catalog,
 )
 from .shifts import (
     ShiftMatrix,
-    VtlEstimate,
     build_shift_matrix,
     channel_shift_to_ratio,
     estimate_vtl,

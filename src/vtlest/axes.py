@@ -25,6 +25,10 @@ _ERB_BW_MIN = 24.7
 _MEL_SCALE = 2595.0
 _MEL_BREAK = 700.0
 
+#: The canonical analysis grid: every representation is compared on
+#: ``CHANNELS`` channels spanning ``F_LO``-``F_HI`` Hz.
+CHANNELS, F_LO, F_HI = 100, 100.0, 8000.0
+
 
 def _apply(f, fn, what):
     x = np.asarray(f, dtype=float)
@@ -153,7 +157,7 @@ class FrequencyAxis:
 def make_axis(kind, channels: int, f_lo: float, f_hi: float) -> FrequencyAxis:
     """Build a :class:`FrequencyAxis`, accepting ``kind`` as enum or string.
 
-    The canonical analysis grid is ``make_axis("erb", 100, 100.0, 8000.0)``.
+    The canonical analysis grid is ``make_axis("erb", CHANNELS, F_LO, F_HI)``.
     """
     if isinstance(kind, str):
         try:

@@ -19,19 +19,10 @@ from pathlib import Path
 from . import fileio, synth
 from .errors import ConfigurationError, VtlestError
 from .evaluate import EvalConfig, report_from_estimation, run_evaluation, run_sweep
-from .pipeline import AnalysisParams, analyze_wav, load_corpus, parse_representation
+from .pipeline import analyze_wav, load_corpus, parse_representation
+from .ssi import DEFAULT_H_MAX
 
 DEFAULT_VOWELS = "a,i,u,e,o"
-
-
-def _parse_f0(value: str):
-    """``auto`` -> None, a number -> fixed override, anything else -> CSV path."""
-    if value == "auto":
-        return None
-    try:
-        return float(value)
-    except ValueError:
-        return fileio.read_f0_csv(value)
 
 
 def _parse_speakers(value: str):
@@ -64,17 +55,17 @@ def cmd_synth(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    f0 = _parse_f0(args.f0)
+    f0 = fileio.parse_f0_spec(args.f0)
     if isinstance(f0, dict):
         raise ConfigurationError("analyze takes --f0 auto or a number, not a CSV file")
-    spectrum = analyze_wav(args.wav, args.rep, AnalysisParams(), args.hmax, f0)
+    spectrum = analyze_wav(args.wav, args.rep, h_max=args.hmax, f0_override=f0)
     fileio.write_spectrum_csv(args.out, spectrum)
     print(f"wrote {spectrum.axis.channels}-channel {args.rep} spectrum to {args.out}")
     return 0
 
 
 def cmd_estimate(args) -> int:
-    corpus = load_corpus(args.manifest, f0_overrides=_parse_f0(args.f0),
+    corpus = load_corpus(args.manifest, f0_overrides=fileio.parse_f0_spec(args.f0),
                          external_dir=args.external_dir)
     rep = parse_representation(args.rep)
     result = corpus.estimate(rep, args.hmax)
@@ -115,10 +106,7 @@ def _config_from_args(args) -> EvalConfig:
     if args.exclude is not None:
         config.exclude = args.exclude
     if args.f0 is not None:
-        try:
-            config.f0 = float(args.f0)
-        except ValueError:
-            config.f0 = args.f0  # "auto" or an overrides CSV path
+        config.f0 = args.f0
     if args.out:
         config.out_dir = args.out
     if args.external_dir:
@@ -166,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="write one representation spectrum as CSV")
     p.add_argument("wav", help="input WAV file (mono)")
     p.add_argument("--rep", default="Ep_SSI", help="representation id (default Ep_SSI)")
-    p.add_argument("--hmax", type=float, default=None, help="weight taper knee (default 3.5)")
+    p.add_argument("--hmax", type=float, default=None, help=f"weight taper knee (default {DEFAULT_H_MAX:g})")
     p.add_argument("--f0", default="auto", help="'auto' or a fixed pitch in Hz")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_analyze)

@@ -16,12 +16,12 @@ import numpy as np
 from . import fileio
 from .errors import ConfigurationError, DegenerateInputError, InputError
 from .pipeline import (
-    AnalysisParams,
     CorpusAnalyzer,
     EstimationResult,
     load_corpus,
     parse_representation,
 )
+from .ssi import DEFAULT_H_MAX
 
 DEFAULT_HMAX_GRID = tuple(np.arange(0.0, 6.5, 0.5))
 
@@ -156,7 +156,7 @@ class EvalConfig:
 
     manifest: str
     representations: tuple[str, ...] = ("Ep", "Ep_SSI")
-    h_max: float = 3.5
+    h_max: float = DEFAULT_H_MAX
     hmax_grid: tuple[float, ...] = DEFAULT_HMAX_GRID
     trials: int = 10
     exclude: int = 3
@@ -179,19 +179,12 @@ class EvalConfig:
         return cls(**raw)
 
     def f0_overrides(self):
-        if self.f0 == "auto":
-            return None
-        if isinstance(self.f0, (int, float)):
-            return float(self.f0)
-        return fileio.read_f0_csv(self.f0)
+        return fileio.parse_f0_spec(self.f0)
 
 
-def open_corpus(config: EvalConfig, params: AnalysisParams = None) -> CorpusAnalyzer:
+def open_corpus(config: EvalConfig) -> CorpusAnalyzer:
     return load_corpus(
-        config.manifest,
-        params or AnalysisParams(),
-        f0_overrides=config.f0_overrides(),
-        external_dir=config.external_dir,
+        config.manifest, f0_overrides=config.f0_overrides(), external_dir=config.external_dir
     )
 
 
@@ -230,10 +223,10 @@ def write_trials_csv(path, all_trials: list[TrialsResult]):
     fileio.write_csv(path, header, rows)
 
 
-def run_evaluation(config: EvalConfig, params: AnalysisParams = None):
+def run_evaluation(config: EvalConfig):
     """Estimate every configured representation; write report, scatter, and
     trial CSVs to the output directory.  Returns the reports."""
-    corpus = open_corpus(config, params)
+    corpus = open_corpus(config)
     out = Path(config.out_dir)
     results = [corpus.estimate(rep, config.h_max) for rep in config.representations]
     reports = [report_from_estimation(res) for res in results]
@@ -248,10 +241,10 @@ def run_evaluation(config: EvalConfig, params: AnalysisParams = None):
     return reports
 
 
-def run_sweep(config: EvalConfig, params: AnalysisParams = None):
+def run_sweep(config: EvalConfig):
     """Sweep the taper knee for every configured representation; write
     sweep.csv.  Returns the per-representation report lists."""
-    corpus = open_corpus(config, params)
+    corpus = open_corpus(config)
     out = Path(config.out_dir)
     all_reports = []
     for rep in config.representations:

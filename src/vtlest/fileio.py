@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 from scipy.io import wavfile
 
-from .axes import AxisKind
+from .axes import AxisKind, FrequencyAxis
 from .errors import InputError
 from .spectral import Spectrogram, Spectrum, as_compression
 
@@ -192,6 +192,18 @@ def read_f0_csv(path) -> dict[str, float]:
     return out
 
 
+def parse_f0_spec(value):
+    """Pitch override spec: ``"auto"`` -> None (estimate from the audio), a
+    number or numeric string -> that pitch in Hz, anything else -> the
+    per-utterance overrides of :func:`read_f0_csv`."""
+    if value == "auto":
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return read_f0_csv(value)
+
+
 # --------------------------------------------------------------------------
 # spectra
 
@@ -209,9 +221,9 @@ def _axis_meta(sg) -> str:
     return meta
 
 
-def _parse_meta(line: str) -> dict:
+def _parse_meta(line: str, path) -> dict:
     if not line.startswith("#"):
-        raise InputError("spectrum CSV lacks the '# axis=...' metadata line")
+        raise InputError(f"{path}:1: spectrum CSV lacks the '# axis=...' metadata line")
     out = {}
     for token in line[1:].split():
         key, _, value = token.partition("=")
@@ -219,7 +231,7 @@ def _parse_meta(line: str) -> dict:
     return out
 
 
-def _axis_from_meta(meta: dict):
+def _axis_from_meta(meta: dict, path):
     try:
         kind = AxisKind(meta["axis"])
         channels = int(meta["channels"])
@@ -227,9 +239,7 @@ def _axis_from_meta(meta: dict):
         comp = meta.get("compression", "none")
         compression = as_compression(float(meta["exponent"]) if comp == "power" else comp)
     except (KeyError, ValueError) as exc:
-        raise InputError(f"bad spectrum metadata {meta!r}: {exc}") from exc
-    from .axes import FrequencyAxis
-
+        raise InputError(f"{path}:1: bad spectrum metadata {meta!r}: {exc}") from exc
     return FrequencyAxis(kind, channels, f_lo, f_hi), compression
 
 
@@ -272,8 +282,8 @@ def write_spectrum_csv(path, spectrum: Spectrum):
 
 def read_spectrum_csv(path) -> Spectrum:
     with open(path, newline="") as handle:
-        meta = _parse_meta(handle.readline())
-        axis, compression = _axis_from_meta(meta)
+        meta = _parse_meta(handle.readline(), path)
+        axis, compression = _axis_from_meta(meta, path)
         rows = _value_rows(handle, path)
     if rows.shape[1] != 1:
         raise InputError(f"{path}: expected one value column, got {rows.shape[1]}")
@@ -292,12 +302,12 @@ def write_spectrogram_csv(path, sg: Spectrogram):
 
 def read_spectrogram_csv(path) -> Spectrogram:
     with open(path, newline="") as handle:
-        meta = _parse_meta(handle.readline())
-        axis, compression = _axis_from_meta(meta)
+        meta = _parse_meta(handle.readline(), path)
+        axis, compression = _axis_from_meta(meta, path)
         try:
             frame_period = float(meta["frame_period"])
             t0 = float(meta["t0"])
         except (KeyError, ValueError) as exc:
-            raise InputError(f"{path}: spectrogram metadata lacks frame timing: {exc}") from exc
+            raise InputError(f"{path}:1: spectrogram metadata lacks frame timing: {exc}") from exc
         rows = _value_rows(handle, path)
     return Spectrogram(rows.T, frame_period, axis, compression, t0=t0)

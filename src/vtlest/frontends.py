@@ -11,7 +11,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.signal import butter, lfilter, sosfilt
 
-from .axes import AxisKind, FrequencyAxis, erb_bandwidth, hz_to_mel, make_axis
+from .axes import F_HI, F_LO, AxisKind, FrequencyAxis, erb_bandwidth, hz_to_mel, make_axis
 from .errors import ConfigurationError, InputError
 from .spectral import NO_COMPRESSION, Spectrogram
 
@@ -21,6 +21,8 @@ GAMMATONE_BW_FACTOR = 1.019
 GAMMATONE_ORDER = 4
 #: Cutoff of the envelope smoothing lowpass, Hz.
 ENVELOPE_LP_HZ = 1000.0
+#: Frame length of excitation-pattern spectrograms, s.
+EP_FRAME_PERIOD = 0.0005
 
 
 @lru_cache(maxsize=8)
@@ -75,7 +77,7 @@ def _gammatone_envelope(signal: np.ndarray, fs: float, sos: np.ndarray) -> np.nd
     return np.maximum(env, 0.0)
 
 
-def gammatone_ep(signal, fs: float, axis: FrequencyAxis, frame_period: float = 0.0005) -> Spectrogram:
+def gammatone_ep(signal, fs: float, axis: FrequencyAxis, frame_period: float = EP_FRAME_PERIOD) -> Spectrogram:
     """Excitation-pattern spectrogram from a gammatone filterbank.
 
     Each channel filters the signal with a 4th-order gammatone centered at the
@@ -91,7 +93,7 @@ def gammatone_ep(signal, fs: float, axis: FrequencyAxis, frame_period: float = 0
     axis : FrequencyAxis
         Channel grid; must be ERB-linear.
     frame_period : float
-        Frame length in seconds (default 0.5 ms).
+        Frame length in seconds (default :data:`EP_FRAME_PERIOD`).
 
     Returns
     -------
@@ -150,7 +152,7 @@ def mel_filterbank(bin_freqs: np.ndarray, n_filters: int, f_lo: float, f_hi: flo
     return np.clip(np.minimum(rising, falling), 0.0, None)
 
 
-def mel_spectrum(stft: Spectrogram, n_filters: int = 25, f_lo: float = 100.0, f_hi: float = 8000.0) -> Spectrogram:
+def mel_spectrum(stft: Spectrogram, n_filters: int = 25, f_lo: float = F_LO, f_hi: float = F_HI) -> Spectrogram:
     """Mel-filterbank spectrogram from a magnitude STFT.
 
     The input must be uncompressed and on the linear-Hz FFT-bin axis; the

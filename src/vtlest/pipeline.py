@@ -22,12 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fileio
-from .axes import AxisKind, FrequencyAxis, make_axis
-from .errors import ConfigurationError, InputError
-from .frontends import gammatone_ep, mel_spectrum, stft_spectrum
+from .axes import CHANNELS, F_HI, F_LO, AxisKind, FrequencyAxis, make_axis
+from .errors import ConfigurationError, DegenerateFitError, InputError
+from .frontends import EP_FRAME_PERIOD, gammatone_ep, mel_spectrum, stft_spectrum
 from .shifts import (
-    DEFAULT_INTERP,
-    DEFAULT_MAX_LAG,
     ShiftMatrix,
     build_shift_matrix,
     estimate_vtl,
@@ -35,6 +33,7 @@ from .shifts import (
     relative_shifts,
 )
 from .spectral import (
+    AVG_HALF_WIDTH,
     Compression,
     LOG_COMPRESSION,
     Spectrum,
@@ -43,9 +42,20 @@ from .spectral import (
     compress,
     resample_to_axis,
 )
-from .ssi import SsiParams, apply_weight, estimate_f0, ssi_weight
+from .ssi import DEFAULT_H_MAX, SsiParams, apply_weight, estimate_f0, ssi_weight
 
-_BASES = ("Ep", "F", "M", "W")
+_AXIS_KINDS = {
+    "Ep": AxisKind.ERB_LINEAR,
+    "F": AxisKind.LOG10_HZ,
+    "M": AxisKind.MEL_LINEAR,
+    "W": AxisKind.LOG10_HZ,
+}
+_BASES = tuple(_AXIS_KINDS)
+
+
+def axis_for(base: str) -> FrequencyAxis:
+    """The channel grid a representation base is compared on."""
+    return make_axis(_AXIS_KINDS[base], CHANNELS, F_LO, F_HI)
 
 
 @dataclass(frozen=True)
@@ -114,36 +124,6 @@ def representation_catalog(include_external: bool = False) -> list[str]:
     return ids
 
 
-@dataclass(frozen=True)
-class AnalysisParams:
-    """Analysis defaults shared by every front end."""
-
-    channels: int = 100
-    f_lo: float = 100.0
-    f_hi: float = 8000.0
-    fs: float = 48000.0
-    ep_frame_period: float = 0.0005
-    avg_half_width: float = 0.025
-    stft_window: float = 0.025
-    stft_hop: float = 0.005
-    mel_filters: int = 25
-    h_max: float = 3.5
-    interp: int = DEFAULT_INTERP
-    max_lag: int = DEFAULT_MAX_LAG
-
-    def axis_for(self, base: str) -> FrequencyAxis:
-        kind = {
-            "Ep": AxisKind.ERB_LINEAR,
-            "F": AxisKind.LOG10_HZ,
-            "M": AxisKind.MEL_LINEAR,
-            "W": AxisKind.LOG10_HZ,
-        }[base]
-        return make_axis(kind, self.channels, self.f_lo, self.f_hi)
-
-
-DEFAULT_PARAMS = AnalysisParams()
-
-
 class UtteranceAnalyzer:
     """Computes and caches the spectral representations of one utterance.
 
@@ -153,13 +133,8 @@ class UtteranceAnalyzer:
     spectrum is cached, not the spectrogram.
     """
 
-    def __init__(self, samples, fs, params: AnalysisParams = DEFAULT_PARAMS,
-                 f0_override: float | None = None, external_sg=None):
-        self.samples = np.asarray(samples, dtype=float)
-        if fs != params.fs:
-            self.samples, fs = fileio.ensure_rate(self.samples, fs, params.fs)
-        self.fs = fs
-        self.params = params
+    def __init__(self, samples, fs, *, f0_override: float | None = None, external_sg=None):
+        self.samples, self.fs = fileio.ensure_rate(samples, fs)
         self.center = self.samples.size / self.fs / 2.0
         self._f0_override = f0_override
         self._external_sg = external_sg
@@ -177,19 +152,16 @@ class UtteranceAnalyzer:
     def _source_spectrogram(self, base: str):
         key = ("sg", base)
         if key not in self._cache:
-            p = self.params
-            if base in ("F", "W"):
-                if base == "W":
-                    if self._external_sg is None:
-                        raise InputError("no external spectrogram was supplied for a W representation")
-                    sg = self._external_sg
-                    if sg.compression.mode != "none":
-                        raise InputError("external spectrograms must hold uncompressed amplitudes")
-                else:
-                    sg = stft_spectrum(self.samples, self.fs, p.stft_window, p.stft_hop)
+            if base == "F":
+                sg = stft_spectrum(self.samples, self.fs)
             elif base == "M":
-                stft = self._source_spectrogram("F")
-                sg = mel_spectrum(stft, p.mel_filters, p.f_lo, p.f_hi)
+                sg = mel_spectrum(self._source_spectrogram("F"))
+            elif base == "W":
+                sg = self._external_sg
+                if sg is None:
+                    raise InputError("no external spectrogram was supplied for a W representation")
+                if sg.compression.mode != "none":
+                    raise InputError("external spectrograms must hold uncompressed amplitudes")
             else:
                 raise ConfigurationError(f"unknown base {base!r}")
             self._cache[key] = sg
@@ -200,20 +172,17 @@ class UtteranceAnalyzer:
         before any weighting."""
         key = ("spec", rep.base, rep.compression)
         if key not in self._cache:
-            p = self.params
             if rep.base == "Ep":
-                # whole frames up to the window end; the span check of
-                # center_average needs the last one to end at or after it
-                frame = int(round(p.ep_frame_period * self.fs))
-                n_frames = math.ceil((self.center + p.avg_half_width) / p.ep_frame_period)
+                # whole frames up to the window end: the cut keeps every frame
+                # the window picks, and center_average needs none past it
+                frame = int(round(EP_FRAME_PERIOD * self.fs))
+                n_frames = math.ceil((self.center + AVG_HALF_WIDTH) / EP_FRAME_PERIOD)
                 stop = min(n_frames * frame, self.samples.size)
-                ep = gammatone_ep(self.samples[:stop], self.fs, p.axis_for("Ep"), p.ep_frame_period)
-                avg = center_average(ep, self.center, p.avg_half_width)
-                spec = compress(avg, rep.compression)
+                ep = gammatone_ep(self.samples[:stop], self.fs, axis_for("Ep"))
+                spec = compress(center_average(ep, self.center), rep.compression)
             else:
                 sg = compress(self._source_spectrogram(rep.base), rep.compression)
-                avg = center_average(sg, self.center, p.avg_half_width)
-                spec = resample_to_axis(avg, p.axis_for(rep.base))
+                spec = resample_to_axis(center_average(sg, self.center), axis_for(rep.base))
             self._cache[key] = spec
         return self._cache[key]
 
@@ -226,21 +195,20 @@ class UtteranceAnalyzer:
         spec = self.base_spectrum(rep)
         if not rep.ssi:
             return spec
-        h_max = self.params.h_max if h_max is None else h_max
+        h_max = DEFAULT_H_MAX if h_max is None else h_max
         if h_max == 0.0:
             return spec
         weights = ssi_weight(spec.axis, SsiParams(h_max=h_max, f0=self.f0))
         return apply_weight(spec, weights)
 
 
-def analyze_wav(path, rep, params: AnalysisParams = DEFAULT_PARAMS,
-                h_max: float | None = None, f0_override: float | None = None,
+def analyze_wav(path, rep, *, h_max: float | None = None, f0_override: float | None = None,
                 external_sg=None) -> Spectrum:
     """One-shot analysis of a WAV file into a representation spectrum."""
     if isinstance(rep, str):
         rep = parse_representation(rep)
-    samples, fs = fileio.read_audio(path, params.fs)
-    analyzer = UtteranceAnalyzer(samples, fs, params, f0_override, external_sg)
+    samples, fs = fileio.read_audio(path)
+    analyzer = UtteranceAnalyzer(samples, fs, f0_override=f0_override, external_sg=external_sg)
     return analyzer.spectrum(rep, h_max)
 
 
@@ -292,8 +260,7 @@ class CorpusAnalyzer:
     lags, which are independent of which other speakers are present.
     """
 
-    def __init__(self, records, params: AnalysisParams = DEFAULT_PARAMS,
-                 f0_overrides=None, external_dir=None):
+    def __init__(self, records, *, f0_overrides=None, external_dir=None):
         records = list(records)
         if not records:
             raise InputError("corpus manifest is empty")
@@ -304,7 +271,6 @@ class CorpusAnalyzer:
                 raise InputError(f"duplicate utterance for speaker {r.speaker_id}, vowel {r.vowel!r}")
             seen.add(key)
         self.records = records
-        self.params = params
         self.f0_overrides = f0_overrides
         self.external_dir = external_dir
         self.speakers = list(dict.fromkeys(r.speaker_id for r in records))
@@ -329,14 +295,14 @@ class CorpusAnalyzer:
     def analyzer(self, record) -> UtteranceAnalyzer:
         key = record.utterance_id
         if key not in self._analyzers:
-            samples, fs = fileio.read_audio(record.path, self.params.fs)
+            samples, fs = fileio.read_audio(record.path)
             external = None
             if self.external_dir is not None:
                 external = fileio.read_spectrogram_csv(
                     f"{self.external_dir}/{record.utterance_id}.csv"
                 )
             self._analyzers[key] = UtteranceAnalyzer(
-                samples, fs, self.params, self._f0_for(record), external
+                samples, fs, f0_override=self._f0_for(record), external_sg=external
             )
         return self._analyzers[key]
 
@@ -356,9 +322,7 @@ class CorpusAnalyzer:
             if len(speakers) < 2:
                 raise InputError(f"vowel {vowel!r} has fewer than 2 speakers")
             specs = [self.spectrum(s, vowel, rep, h_max) for s in speakers]
-            self._matrices[key] = build_shift_matrix(
-                specs, self.params.max_lag, self.params.interp
-            )
+            self._matrices[key] = build_shift_matrix(specs)
         return self._matrices[key]
 
     def estimate(self, rep, h_max: float | None = None, speakers=None) -> EstimationResult:
@@ -369,7 +333,7 @@ class CorpusAnalyzer:
         """
         if isinstance(rep, str):
             rep = parse_representation(rep)
-        h_max = self.params.h_max if h_max is None else h_max
+        h_max = DEFAULT_H_MAX if h_max is None else h_max
         included = self.speakers if speakers is None else [s for s in self.speakers if s in set(speakers)]
         if len(included) < 2:
             raise InputError(f"need at least 2 speakers, got {len(included)}")
@@ -387,9 +351,13 @@ class CorpusAnalyzer:
                 per_point.append((s_id, vowel, float(shift)))
         shift_vec = np.array([p[2] for p in per_point])
         meas_vec = np.array([self.measured_vtl[p[0]] for p in per_point])
-        # a corpus of identical spectra carries no scale information: every
-        # estimate collapses to the mean length rather than failing the fit
-        q = 0.0 if np.ptp(shift_vec) == 0.0 else fit_q(shift_vec, meas_vec, l_bar)
+        # shifts that cannot pin q down (all equal, or an optimum on the
+        # search bound) carry no scale information: every estimate collapses
+        # to the mean length rather than failing the fit
+        try:
+            q = fit_q(shift_vec, meas_vec, l_bar)
+        except DegenerateFitError:
+            q = 0.0
         est_vec = estimate_vtl(shift_vec, q, l_bar)
         rows = tuple(
             EstimateRow(s_id, vowel, shift, float(meas), float(est))
@@ -398,9 +366,8 @@ class CorpusAnalyzer:
         return EstimationResult(rep.id, h_max, rows, q, l_bar)
 
 
-def load_corpus(manifest_path, params: AnalysisParams = DEFAULT_PARAMS,
-                f0_overrides=None, external_dir=None) -> CorpusAnalyzer:
+def load_corpus(manifest_path, *, f0_overrides=None, external_dir=None) -> CorpusAnalyzer:
     """Read a manifest CSV and wrap it in a :class:`CorpusAnalyzer`."""
     return CorpusAnalyzer(
-        fileio.read_manifest(manifest_path), params, f0_overrides, external_dir
+        fileio.read_manifest(manifest_path), f0_overrides=f0_overrides, external_dir=external_dir
     )

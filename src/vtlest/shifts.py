@@ -9,7 +9,7 @@ shifts to lengths through an exponential with a fitted coefficient.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -139,7 +139,8 @@ def fit_q(shifts, measured_cm, mean_length_cm: float, search=Q_SEARCH_RANGE, tol
     """Coefficient ``q`` minimizing ``sum((L_bar * exp(q*S) - L_measured)^2)``.
 
     A coarse grid over ``search`` brackets the optimum, then golden-section
-    refines it to within ``tol``.
+    refines it to within ``tol``.  An optimum on an end of ``search`` is not
+    a fit but the bound, and raises :class:`DegenerateFitError`.
     """
     s = np.asarray(shifts, dtype=float)
     l_meas = np.asarray(measured_cm, dtype=float)
@@ -157,7 +158,10 @@ def fit_q(shifts, measured_cm, mean_length_cm: float, search=Q_SEARCH_RANGE, tol
     best = int(np.argmin([err(q) for q in grid]))
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, grid.size - 1)]
-    return _golden_min(err, lo, hi, tol)
+    q = _golden_min(err, lo, hi, tol)
+    if min(q - search[0], search[1] - q) < tol:
+        raise DegenerateFitError(f"q = {q:.9g} lies on the search bound {search}")
+    return q
 
 
 def estimate_vtl(shifts, q: float, mean_length_cm: float) -> np.ndarray:
@@ -165,22 +169,6 @@ def estimate_vtl(shifts, q: float, mean_length_cm: float) -> np.ndarray:
     if mean_length_cm <= 0:
         raise InputError(f"mean length must be positive, got {mean_length_cm}")
     return mean_length_cm * np.exp(q * np.asarray(shifts, dtype=float))
-
-
-@dataclass(frozen=True, eq=False)
-class VtlEstimate:
-    """Per-speaker relative shifts with their fitted length conversion."""
-
-    shifts: np.ndarray
-    q: float
-    mean_length_cm: float
-    lengths_cm: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "shifts", np.asarray(self.shifts, dtype=float))
-        object.__setattr__(
-            self, "lengths_cm", estimate_vtl(self.shifts, self.q, self.mean_length_cm)
-        )
 
 
 def channel_shift_to_ratio(axis: FrequencyAxis, shift: float, ref_freq: float) -> float:

@@ -11,6 +11,8 @@ from .errors import DegenerateInputError, ConfigurationError, InputError
 #: Relative floor applied before log compression so silent channels map to a
 #: finite level (-100 dB below the spectrogram maximum).
 LOG_FLOOR_RATIO = 1e-5
+#: Half-width of the averaging window around the utterance center, s.
+AVG_HALF_WIDTH = 0.025
 
 
 @dataclass(frozen=True)
@@ -116,12 +118,6 @@ class Spectrogram:
         """Center time of each frame in seconds."""
         return self.t0 + np.arange(self.frames.shape[0]) * self.frame_period
 
-    @property
-    def span(self) -> tuple[float, float]:
-        """Time interval covered by the frames, edge to edge."""
-        half = self.frame_period / 2.0
-        return self.t0 - half, float(self.frame_times[-1]) + half
-
 
 def compress(sg, mode):
     """Apply log (``20*log10``) or power compression element-wise.
@@ -148,16 +144,21 @@ def compress(sg, mode):
     return Spectrum(out, sg.axis, mode)
 
 
-def center_average(sg: Spectrogram, center: float, half_width: float = 0.025) -> Spectrum:
-    """Mean over the frames whose centers fall within ``center +- half_width``."""
+def center_average(sg: Spectrogram, center: float, half_width: float = AVG_HALF_WIDTH) -> Spectrum:
+    """Mean over the frames whose centers fall within ``center +- half_width``.
+
+    The window may overhang the first or last frame center by less than one
+    frame period; reaching a full period beyond either would need a frame
+    the spectrogram does not have.
+    """
     lo, hi = center - half_width, center + half_width
-    span_lo, span_hi = sg.span
-    if lo < span_lo - 1e-12 or hi > span_hi + 1e-12:
-        raise InputError(
-            f"averaging window [{lo:.4f}, {hi:.4f}] s falls outside the "
-            f"spectrogram span [{span_lo:.4f}, {span_hi:.4f}] s"
-        )
     t = sg.frame_times
+    before, after = t[0] - sg.frame_period, t[-1] + sg.frame_period
+    if lo <= before + 1e-12 or hi >= after - 1e-12:
+        raise InputError(
+            f"averaging window [{lo:.4f}, {hi:.4f}] s reaches a frame outside the "
+            f"spectrogram's frame centers [{t[0]:.4f}, {t[-1]:.4f}] s"
+        )
     picked = (t >= lo - 1e-12) & (t <= hi + 1e-12)
     if not picked.any():
         raise InputError("averaging window contains no frame centers")

@@ -18,6 +18,8 @@ from .spectral import Spectrum
 
 #: F0 value that encodes "unvoiced / unknown"; it yields an all-ones weight.
 UNVOICED = 0.0
+#: Taper knee, in harmonics of F0, used wherever none is given.
+DEFAULT_H_MAX = 3.5
 
 F0_SEARCH_LO_HZ = 60.0
 F0_SEARCH_HI_HZ = 400.0
@@ -29,7 +31,7 @@ VOICING_THRESHOLD = 0.3
 class SsiParams:
     """Weighting parameters: taper knee at ``h_max`` harmonics of ``f0``."""
 
-    h_max: float = 3.5
+    h_max: float = DEFAULT_H_MAX
     f0: float = UNVOICED
 
     def __post_init__(self):

@@ -101,6 +101,21 @@ class TestEstimateCommand:
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error: ") and f"{bad.name}:3:" in err[0]
 
+    def test_bad_external_metadata_names_the_file(self, pair_corpus_dir, tmp_path, capsys):
+        ext = tmp_path / "external"
+        for rec in fileio.read_manifest(pair_corpus_dir / "manifest.csv"):
+            samples, fs = v.read_audio(rec.path)
+            fileio.write_spectrogram_csv(ext / f"{rec.utterance_id}.csv", v.stft_spectrum(samples, fs))
+        bad = sorted(ext.glob("*.csv"))[0]
+        lines = bad.read_text().splitlines()
+        lines[0] = lines[0].replace("axis=hz ", "axis=erb_linear ")
+        bad.write_text("\n".join(lines) + "\n")
+        code = run_cli("estimate", pair_corpus_dir / "manifest.csv", "--rep", "W_log",
+                       "--external-dir", ext, "--out", tmp_path / "out")
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: ") and f"{bad.name}:1:" in err[0]
+
     def test_default_corpus_row_count_and_matrices(self, default_corpus_dir, tmp_path):
         out = tmp_path / "est"
         assert run_cli("estimate", default_corpus_dir / "manifest.csv",

@@ -109,9 +109,16 @@ class TestSpectrumCsv:
 
     def test_missing_metadata_rejected(self, tmp_path):
         (tmp_path / "x.csv").write_text("channel,center_freq_hz,value\n0,100,1\n")
-        with pytest.raises(InputError, match="metadata"):
+        with pytest.raises(InputError, match=r"x\.csv:1: .*metadata"):
             fileio.read_spectrum_csv(tmp_path / "x.csv")
 
+    def test_bad_axis_kind_names_file(self, tmp_path):
+        (tmp_path / "x.csv").write_text(
+            "# axis=erb_linear channels=1 f_lo=100 f_hi=8000 compression=none\n"
+            "channel,center_freq_hz,value\n0,100,1\n"
+        )
+        with pytest.raises(InputError, match=r"x\.csv:1: bad spectrum metadata .*erb_linear"):
+            fileio.read_spectrum_csv(tmp_path / "x.csv")
 
     @pytest.mark.parametrize("cell", ["loud", "nan", "-inf"])
     def test_bad_cell_names_line(self, tmp_path, cell):
@@ -147,6 +154,20 @@ class TestF0Csv:
         (tmp_path / "f0.csv").write_text("s01_a\n")
         with pytest.raises(InputError):
             fileio.read_f0_csv(tmp_path / "f0.csv")
+
+
+class TestF0Spec:
+    def test_auto_is_none(self):
+        assert fileio.parse_f0_spec("auto") is None
+
+    @pytest.mark.parametrize("value", [150, 150.0, "150", "150.0"], ids=["int", "float", "str", "decimal-str"])
+    def test_number_is_fixed_pitch(self, value):
+        assert fileio.parse_f0_spec(value) == 150.0
+
+    def test_anything_else_is_overrides_csv(self, tmp_path):
+        (tmp_path / "f0.csv").write_text("s01_a,182\n")
+        assert fileio.parse_f0_spec(str(tmp_path / "f0.csv")) == {"s01_a": 182.0}
+        assert fileio.parse_f0_spec(tmp_path / "f0.csv") == {"s01_a": 182.0}
 
 
 class TestAtomicWrite:

@@ -1,12 +1,13 @@
 """Representation vocabulary and the corpus estimation pipeline."""
+import inspect
+
 import numpy as np
 import pytest
 
 import vtlest as v
-from vtlest import fileio
+from vtlest import axes, fileio, frontends, shifts, spectral, ssi
 from vtlest.axes import AxisKind
 from vtlest.errors import ConfigurationError, InputError
-from vtlest.pipeline import DEFAULT_PARAMS
 
 
 class TestRepresentationIds:
@@ -117,16 +118,20 @@ class TestEpWindowCut:
             24000,  # window end 275 ms, on a frame boundary
             24007,  # window end between frame boundaries
             2400,   # window end at the last sample
+            2410,   # window end past the last whole frame, under a frame past its center
         ],
     )
     def test_identical_to_full_signal_average(self, n_samples):
         samples = v.synth_vowel(v.vowel_spec("e", 150.0, duration=0.6))[:n_samples]
-        p = DEFAULT_PARAMS
-        full = v.gammatone_ep(samples, p.fs, p.axis_for("Ep"), p.ep_frame_period)
-        center = n_samples / p.fs / 2.0
-        expected = v.compress(v.center_average(full, center, p.avg_half_width), "log")
-        got = v.UtteranceAnalyzer(samples, p.fs).base_spectrum(v.parse_representation("Ep"))
+        full = v.gammatone_ep(samples, 48000.0, v.axis_for("Ep"))
+        expected = v.compress(v.center_average(full, n_samples / 48000.0 / 2.0), "log")
+        got = v.UtteranceAnalyzer(samples, 48000.0).base_spectrum(v.parse_representation("Ep"))
         assert got.values.tobytes() == expected.values.tobytes()
+
+    def test_vowel_shorter_than_the_window_rejected(self):
+        samples = v.synth_vowel(v.vowel_spec("e", 150.0))[:2352]  # 49 ms
+        with pytest.raises(InputError, match="averaging window"):
+            v.UtteranceAnalyzer(samples, 48000.0).base_spectrum(v.parse_representation("Ep"))
 
     def test_samples_after_window_end_are_not_read(self):
         samples = v.synth_vowel(v.vowel_spec("o", 120.0))
@@ -204,6 +209,15 @@ class TestCorpusEstimation:
         with pytest.raises(InputError, match="inconsistent"):
             v.CorpusAnalyzer(records)
 
+    def test_degenerate_fit_collapses_to_mean_length(self, default_corpus, monkeypatch):
+        def on_bound(*args, **kwargs):
+            raise v.DegenerateFitError("q lies on the search bound")
+
+        monkeypatch.setattr(v.pipeline, "fit_q", on_bound)
+        result = default_corpus.estimate("F_log", 3.5)
+        assert result.q == 0.0
+        np.testing.assert_array_equal(result.estimated(), result.l_bar_cm)
+
     def test_single_speaker_rejected(self, default_corpus):
         with pytest.raises(InputError):
             default_corpus.estimate("Ep", speakers=default_corpus.speakers[:1])
@@ -238,14 +252,38 @@ class TestExternalSpectra:
             corpus.estimate("W_log", 3.5)
 
 
+def _default(func, name):
+    return inspect.signature(func).parameters[name].default
+
+
 def test_default_params_match_canonical_settings():
-    p = DEFAULT_PARAMS
-    assert (p.channels, p.f_lo, p.f_hi) == (100, 100.0, 8000.0)
-    assert p.fs == 48000.0
-    assert p.ep_frame_period == 0.0005
-    assert p.avg_half_width == 0.025
-    assert (p.stft_window, p.stft_hop) == (0.025, 0.005)
-    assert p.mel_filters == 25
-    assert p.h_max == 3.5
-    assert p.interp == 10
-    assert p.max_lag == 30
+    assert (axes.CHANNELS, axes.F_LO, axes.F_HI) == (100, 100.0, 8000.0)
+    for base in ("Ep", "F", "M", "W"):
+        axis = v.axis_for(base)
+        assert (axis.channels, axis.f_lo, axis.f_hi) == (100, 100.0, 8000.0)
+    assert fileio.CANONICAL_FS == 48000.0
+    assert frontends.EP_FRAME_PERIOD == 0.0005
+    assert _default(v.gammatone_ep, "frame_period") == 0.0005
+    assert spectral.AVG_HALF_WIDTH == 0.025
+    assert _default(v.center_average, "half_width") == 0.025
+    assert (_default(v.stft_spectrum, "window_len"), _default(v.stft_spectrum, "hop")) == (0.025, 0.005)
+    assert _default(v.mel_spectrum, "n_filters") == 25
+    assert (_default(v.mel_spectrum, "f_lo"), _default(v.mel_spectrum, "f_hi")) == (100.0, 8000.0)
+    assert ssi.DEFAULT_H_MAX == 3.5
+    assert v.SsiParams().h_max == 3.5
+    assert shifts.DEFAULT_INTERP == 10
+    assert shifts.DEFAULT_MAX_LAG == 30
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: v.UtteranceAnalyzer(np.zeros(4800), 48000.0, None),
+        lambda: v.CorpusAnalyzer([], None),
+        lambda: v.load_corpus("manifest.csv", None),
+        lambda: v.analyze_wav("in.wav", "Ep", None),
+    ],
+)
+def test_options_are_keyword_only(call):
+    with pytest.raises(TypeError):
+        call()

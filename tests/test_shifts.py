@@ -195,6 +195,12 @@ class TestFitQ:
         with pytest.raises(DegenerateFitError):
             v.fit_q(np.zeros(5), np.full(5, 16.0), 16.0)
 
+    def test_optimum_on_search_bound_rejected(self):
+        s = np.array([-0.1, 0.0, 0.0, 0.0, 0.1])
+        measured = np.array([16.0, 16.0, 16.0, 16.0, 40.0])
+        with pytest.raises(DegenerateFitError, match="search bound"):
+            v.fit_q(s, measured, float(measured.mean()))
+
     def test_nonpositive_lengths_rejected(self):
         with pytest.raises(InputError):
             v.fit_q(np.array([-1.0, 1.0]), np.array([16.0, -2.0]), 16.0)
@@ -217,10 +223,6 @@ class TestEstimateVtl:
     def test_formula(self):
         out = v.estimate_vtl([1.0, -1.0], 0.1, 10.0)
         np.testing.assert_allclose(out, [10.0 * np.exp(0.1), 10.0 * np.exp(-0.1)])
-
-    def test_vtl_estimate_container(self):
-        est = v.VtlEstimate(np.array([-1.0, 1.0]), -0.05, 16.0)
-        np.testing.assert_allclose(est.lengths_cm, 16.0 * np.exp(-0.05 * np.array([-1.0, 1.0])))
 
 
 class TestChannelShiftToRatio:

@@ -41,9 +41,8 @@ class TestScaleVtl:
         """Scaling every resonance (and the pitch, to keep the source
         congruent) translates the weighted spectrum on a log axis by
         (channels-1)*log10(alpha)/log10(f_hi/f_lo) channels."""
-        params = v.AnalysisParams()
-        log_axis = params.axis_for("F")
-        erb_axis = params.axis_for("Ep")
+        log_axis = v.axis_for("F")
+        erb_axis = v.axis_for("Ep")
 
         def weighted_log_spectrum(spec):
             samples = v.synth_vowel(spec)
