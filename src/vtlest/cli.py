@@ -13,6 +13,7 @@ Every numeric output is written at full precision; all writes are atomic.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -86,31 +87,24 @@ def cmd_estimate(args) -> int:
     return 0
 
 
+def _comma_list(value: str) -> tuple[str, ...]:
+    return tuple(value.split(","))
+
+
 def _config_from_args(args) -> EvalConfig:
+    """The ``--config`` file, or a default config, with every flag given on
+    the command line applied over it; flag dests are config field names."""
     if args.config:
         config = EvalConfig.from_json(args.config)
     elif args.manifest:
         config = EvalConfig(manifest=args.manifest)
     else:
         raise ConfigurationError("provide --config or --manifest")
-    if args.manifest:
-        config.manifest = args.manifest
-    if args.rep:
-        config.representations = tuple(args.rep.split(","))
-    if args.hmax is not None:
-        config.h_max = args.hmax
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.trials is not None:
-        config.trials = args.trials
-    if args.exclude is not None:
-        config.exclude = args.exclude
-    if args.f0 is not None:
-        config.f0 = args.f0
-    if args.out:
-        config.out_dir = args.out
-    if args.external_dir:
-        config.external_dir = args.external_dir
+    flags = {
+        name: value for name, value in vars(args).items()
+        if name in EvalConfig.__dataclass_fields__ and value is not None
+    }
+    config = dataclasses.replace(config, **flags)
     Path(config.out_dir).mkdir(parents=True, exist_ok=True)
     return config
 
@@ -176,15 +170,16 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=extra_help)
         p.add_argument("--config", help="JSON experiment config")
         p.add_argument("--manifest", help="corpus manifest CSV (overrides config)")
-        p.add_argument("--rep", help="comma-separated representation ids")
-        p.add_argument("--hmax", type=float, default=None)
+        p.add_argument("--rep", dest="representations", type=_comma_list,
+                       help="comma-separated representation ids")
+        p.add_argument("--hmax", dest="h_max", type=float, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--trials", type=int, default=None)
         p.add_argument("--exclude", type=int, default=None)
         p.add_argument("--f0", default=None)
         p.add_argument("--external-dir", dest="external_dir", default=None,
                        help="directory of external spectrogram CSVs for W representations")
-        p.add_argument("--out", help="output directory")
+        p.add_argument("--out", dest="out_dir", help="output directory")
         p.set_defaults(func=func)
 
     return parser

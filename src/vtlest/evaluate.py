@@ -168,7 +168,12 @@ class EvalConfig:
     @classmethod
     def from_json(cls, path) -> "EvalConfig":
         with open(path) as handle:
-            raw = json.load(handle)
+            try:
+                raw = json.load(handle)
+            except json.JSONDecodeError as exc:
+                raise ConfigurationError(f"{path}: malformed JSON: {exc}") from None
+        if not isinstance(raw, dict):
+            raise ConfigurationError(f"{path}: the config must be a JSON object")
         unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigurationError(f"{path}: unknown config keys {sorted(unknown)}")

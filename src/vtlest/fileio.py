@@ -82,6 +82,8 @@ def read_wav(path):
         samples = data.astype(float)
     else:
         raise InputError(f"{path}: unsupported sample format {data.dtype}")
+    if not np.isfinite(samples).all():
+        raise InputError(f"{path}: audio holds NaN or infinite samples")
     return samples, float(fs)
 
 

@@ -264,12 +264,18 @@ class CorpusAnalyzer:
         records = list(records)
         if not records:
             raise InputError("corpus manifest is empty")
-        seen = set()
+        # utterances are cached, and their external CSVs and F0 overrides
+        # looked up, by utterance_id, so it must be unique
+        seen = {}
         for r in records:
-            key = (r.speaker_id, r.vowel)
-            if key in seen:
-                raise InputError(f"duplicate utterance for speaker {r.speaker_id}, vowel {r.vowel!r}")
-            seen.add(key)
+            first = seen.get(r.utterance_id)
+            if first is not None:
+                raise InputError(
+                    f"duplicate utterance id {r.utterance_id!r}: speaker {first.speaker_id}, "
+                    f"vowel {first.vowel!r} ({first.path}) and speaker {r.speaker_id}, "
+                    f"vowel {r.vowel!r} ({r.path})"
+                )
+            seen[r.utterance_id] = r
         self.records = records
         self.f0_overrides = f0_overrides
         self.external_dir = external_dir

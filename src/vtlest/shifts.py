@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .axes import AxisKind, FrequencyAxis
 from .errors import (
@@ -113,34 +114,18 @@ def relative_shifts(matrix: ShiftMatrix) -> np.ndarray:
     return (v.sum(axis=0) - v.sum(axis=1)) / (2.0 * n)
 
 
-def _golden_min(f, lo: float, hi: float, tol: float) -> float:
-    """Golden-section minimum of a unimodal scalar function on [lo, hi]."""
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
-        if f1 < f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv_phi * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv_phi * (hi - lo)
-            f2 = f(x2)
-    return (lo + hi) / 2.0
-
-
 Q_SEARCH_RANGE = (-2.0, 2.0)
 Q_TOLERANCE = 1e-6
 
 
-def fit_q(shifts, measured_cm, mean_length_cm: float, search=Q_SEARCH_RANGE, tol: float = Q_TOLERANCE) -> float:
+def fit_q(shifts, measured_cm, mean_length_cm: float) -> float:
     """Coefficient ``q`` minimizing ``sum((L_bar * exp(q*S) - L_measured)^2)``.
 
-    A coarse grid over ``search`` brackets the optimum, then golden-section
-    refines it to within ``tol``.  An optimum on an end of ``search`` is not
-    a fit but the bound, and raises :class:`DegenerateFitError`.
+    The error need not be unimodal in ``q``, so a 401-point grid over
+    :data:`Q_SEARCH_RANGE` brackets the global optimum; Brent's bounded
+    method then refines it to within :data:`Q_TOLERANCE`.  An optimum on an
+    end of the range is not a fit but the bound, and raises
+    :class:`DegenerateFitError`.
     """
     s = np.asarray(shifts, dtype=float)
     l_meas = np.asarray(measured_cm, dtype=float)
@@ -151,16 +136,18 @@ def fit_q(shifts, measured_cm, mean_length_cm: float, search=Q_SEARCH_RANGE, tol
     if (l_meas <= 0).any() or mean_length_cm <= 0:
         raise InputError("measured lengths must be positive")
 
-    def err(q):
-        return float(np.sum((mean_length_cm * np.exp(q * s) - l_meas) ** 2))
+    def sq_err(q):
+        # q is a scalar or a 1-D grid
+        return np.sum((mean_length_cm * np.exp(np.multiply.outer(q, s)) - l_meas) ** 2, axis=-1)
 
-    grid = np.linspace(search[0], search[1], 401)
-    best = int(np.argmin([err(q) for q in grid]))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, grid.size - 1)]
-    q = _golden_min(err, lo, hi, tol)
-    if min(q - search[0], search[1] - q) < tol:
-        raise DegenerateFitError(f"q = {q:.9g} lies on the search bound {search}")
+    lo, hi = Q_SEARCH_RANGE
+    grid = np.linspace(lo, hi, 401)
+    best = int(np.argmin(sq_err(grid)))
+    bracket = (grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)])
+    q = float(minimize_scalar(sq_err, bounds=bracket, method="bounded",
+                              options={"xatol": Q_TOLERANCE}).x)
+    if min(q - lo, hi - q) < Q_TOLERANCE:
+        raise DegenerateFitError(f"q = {q:.9g} lies on the search bound {Q_SEARCH_RANGE}")
     return q
 
 

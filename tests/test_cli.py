@@ -189,6 +189,28 @@ class TestEvaluateAndSweep:
         assert (tmp_path / "report.csv").exists()
         assert not (tmp_path / "trials.csv").exists()
 
+    @pytest.mark.parametrize("text", ["{not json", "[]"])
+    def test_malformed_config_is_one_error_line(self, tmp_path, capsys, text):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text)
+        assert run_cli("evaluate", "--config", cfg) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "bad.json" in err[0]
+
+    def test_every_flag_sets_its_config_field(self, tmp_path):
+        from vtlest.cli import _config_from_args, build_parser
+
+        args = build_parser().parse_args([
+            "evaluate", "--manifest", "m.csv", "--rep", "Ep,F_log", "--hmax", "2.5",
+            "--seed", "4", "--trials", "6", "--exclude", "2", "--f0", "150",
+            "--external-dir", "ext", "--out", str(tmp_path / "o"),
+        ])
+        config = _config_from_args(args)
+        assert config == v.EvalConfig(
+            manifest="m.csv", representations=("Ep", "F_log"), h_max=2.5, seed=4, trials=6,
+            exclude=2, f0="150", external_dir="ext", out_dir=str(tmp_path / "o"),
+        )
+
     def test_missing_manifest_and_config_fails(self, tmp_path, capsys):
         assert run_cli("evaluate", "--out", tmp_path) != 0
         assert "error" in capsys.readouterr().err

@@ -131,6 +131,13 @@ class TestConfigRuns:
         assert config.representations == ("Ep", "Ep_SSI")
         assert config.h_max == 3.0 and config.seed == 7
 
+    @pytest.mark.parametrize("text", ['{"manifest": "m.csv",', '[]'])
+    def test_malformed_config_names_file(self, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ConfigurationError, match="cfg.json"):
+            v.EvalConfig.from_json(path)
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"manifest": "m.csv", "bogus": 1}))

@@ -23,6 +23,15 @@ class TestWav:
         y, fs = fileio.read_wav(tmp_path / "f.wav")
         np.testing.assert_allclose(y, x, atol=1e-7)
 
+    def test_non_finite_sample_names_file(self, tmp_path):
+        from scipy.io import wavfile
+
+        x = np.zeros(1000, dtype=np.float32)
+        x[500] = np.nan
+        wavfile.write(tmp_path / "nan.wav", 48000, x)
+        with pytest.raises(InputError, match="nan.wav"):
+            fileio.read_wav(tmp_path / "nan.wav")
+
     def test_stereo_rejected(self, tmp_path):
         from scipy.io import wavfile
 

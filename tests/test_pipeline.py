@@ -201,6 +201,16 @@ class TestCorpusEstimation:
         with pytest.raises(InputError, match="duplicate"):
             v.CorpusAnalyzer(records)
 
+    def test_colliding_utterance_ids_rejected(self):
+        # speaker "a_b" vowel "c" and speaker "a" vowel "b_c" are both "a_b_c"
+        records = [
+            fileio.UtteranceRecord("a_b", "c", 100.0, 1.0, 16.0, "x.wav"),
+            fileio.UtteranceRecord("a", "b_c", 100.0, 1.0, 17.0, "y.wav"),
+        ]
+        with pytest.raises(InputError, match="duplicate utterance id 'a_b_c'") as info:
+            v.CorpusAnalyzer(records)
+        assert "x.wav" in str(info.value) and "y.wav" in str(info.value)
+
     def test_inconsistent_speaker_length_rejected(self):
         records = [
             fileio.UtteranceRecord("s1", "a", 100.0, 1.0, 16.0, "x.wav"),

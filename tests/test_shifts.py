@@ -10,6 +10,7 @@ from vtlest.errors import (
     DegenerateInputError,
     InputError,
 )
+from vtlest.shifts import Q_SEARCH_RANGE
 
 AXIS = v.make_axis("erb", 100, 100.0, 8000.0)
 
@@ -207,10 +208,28 @@ class TestFitQ:
 
     @given(q_true=st.floats(min_value=-0.5, max_value=0.5))
     @settings(max_examples=25, deadline=None)
-    def test_golden_refinement_precision(self, q_true):
+    def test_refinement_precision(self, q_true):
         s = np.array([-4.0, -1.0, 1.0, 4.0])
         measured = 16.0 * np.exp(q_true * s)
         assert v.fit_q(s, measured, 16.0) == pytest.approx(q_true, abs=1e-4)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_off_model_matches_dense_grid_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        s = rng.uniform(-4.0, 4.0, 8)
+        q_true = rng.uniform(-0.3, 0.3)
+        measured = 16.0 * np.exp(q_true * s) + rng.normal(0.0, 0.8, s.size)
+        l_bar = float(measured.mean())
+
+        def sq_err(q):
+            return ((l_bar * np.exp(np.outer(q, s)) - measured) ** 2).sum(axis=1)
+
+        # the coarse grid brackets the global optimum; a 1e-7 grid locates it
+        coarse = np.linspace(*Q_SEARCH_RANGE, 401)
+        best = int(np.argmin(sq_err(coarse)))
+        dense = np.arange(coarse[best - 1], coarse[best + 1], 1e-7)
+        oracle = dense[np.argmin(sq_err(dense))]
+        assert abs(v.fit_q(s, measured, l_bar) - oracle) <= 1e-6
 
 
 class TestEstimateVtl:
