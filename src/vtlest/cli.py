@@ -13,7 +13,6 @@ Every numeric output is written at full precision; all writes are atomic.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 
@@ -92,19 +91,14 @@ def _comma_list(value: str) -> tuple[str, ...]:
 
 
 def _config_from_args(args) -> EvalConfig:
-    """The ``--config`` file, or a default config, with every flag given on
-    the command line applied over it; flag dests are config field names."""
-    if args.config:
-        config = EvalConfig.from_json(args.config)
-    elif args.manifest:
-        config = EvalConfig(manifest=args.manifest)
-    else:
-        raise ConfigurationError("provide --config or --manifest")
-    flags = {
-        name: value for name, value in vars(args).items()
-        if name in EvalConfig.__dataclass_fields__ and value is not None
-    }
-    config = dataclasses.replace(config, **flags)
+    """The ``--config`` file's fields with every flag given on the command
+    line applied over them; flag dests are config field names."""
+    fields = EvalConfig.fields_from_json(args.config) if args.config else {}
+    fields.update((name, value) for name, value in vars(args).items()
+                  if name in EvalConfig.__dataclass_fields__ and value is not None)
+    if "manifest" not in fields:
+        raise ConfigurationError("provide --manifest, or --config with a 'manifest' key")
+    config = EvalConfig(**fields)
     Path(config.out_dir).mkdir(parents=True, exist_ok=True)
     return config
 
@@ -128,6 +122,24 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _add_shared_flags(p, *, batch: bool, external: bool = True, f0_help=None, hmax_help=None,
+                      out_help="output directory") -> None:
+    """--rep, --hmax, --f0, --external-dir and --out.  For evaluate and sweep
+    (``batch``) they override the config file: their dests are config field
+    names and they default to None."""
+    if batch:
+        p.add_argument("--rep", dest="representations", type=_comma_list,
+                       help="comma-separated representation ids")
+    else:
+        p.add_argument("--rep", default="Ep_SSI", help="representation id (default Ep_SSI)")
+    p.add_argument("--hmax", dest="h_max" if batch else "hmax", type=float, default=None, help=hmax_help)
+    p.add_argument("--f0", default=None if batch else "auto", help=f0_help)
+    if external:
+        p.add_argument("--external-dir", dest="external_dir", default=None,
+                       help="directory of external spectrogram CSVs for W representations")
+    p.add_argument("--out", dest="out_dir" if batch else "out", required=not batch, help=out_help)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vtlest",
@@ -147,20 +159,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="write one representation spectrum as CSV")
     p.add_argument("wav", help="input WAV file (mono)")
-    p.add_argument("--rep", default="Ep_SSI", help="representation id (default Ep_SSI)")
-    p.add_argument("--hmax", type=float, default=None, help=f"weight taper knee (default {DEFAULT_H_MAX:g})")
-    p.add_argument("--f0", default="auto", help="'auto' or a fixed pitch in Hz")
-    p.add_argument("--out", required=True, help="output CSV path")
+    _add_shared_flags(p, batch=False, external=False, f0_help="'auto' or a fixed pitch in Hz",
+                      hmax_help=f"weight taper knee (default {DEFAULT_H_MAX:g})", out_help="output CSV path")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("estimate", help="estimate lengths for a corpus manifest")
     p.add_argument("manifest", help="corpus manifest CSV")
-    p.add_argument("--rep", default="Ep_SSI", help="representation id (default Ep_SSI)")
-    p.add_argument("--hmax", type=float, default=None)
-    p.add_argument("--f0", default="auto", help="'auto', a fixed Hz value, or an overrides CSV")
-    p.add_argument("--external-dir", dest="external_dir", default=None,
-                   help="directory of external spectrogram CSVs for W representations")
-    p.add_argument("--out", required=True, help="output directory")
+    _add_shared_flags(p, batch=False, f0_help="'auto', a fixed Hz value, or an overrides CSV")
     p.set_defaults(func=cmd_estimate)
 
     for name, func, extra_help in (
@@ -170,16 +175,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=extra_help)
         p.add_argument("--config", help="JSON experiment config")
         p.add_argument("--manifest", help="corpus manifest CSV (overrides config)")
-        p.add_argument("--rep", dest="representations", type=_comma_list,
-                       help="comma-separated representation ids")
-        p.add_argument("--hmax", dest="h_max", type=float, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--trials", type=int, default=None)
         p.add_argument("--exclude", type=int, default=None)
-        p.add_argument("--f0", default=None)
-        p.add_argument("--external-dir", dest="external_dir", default=None,
-                       help="directory of external spectrogram CSVs for W representations")
-        p.add_argument("--out", dest="out_dir", help="output directory")
+        _add_shared_flags(p, batch=True)
         p.set_defaults(func=func)
 
     return parser

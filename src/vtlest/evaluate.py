@@ -150,6 +150,25 @@ def hmax_sweep(corpus: CorpusAnalyzer, rep_id: str, grid=DEFAULT_HMAX_GRID) -> l
 # --------------------------------------------------------------------------
 # config-driven runs
 
+def _is_number(value) -> bool:
+    return type(value) in (int, float)  # a JSON bool is no number
+
+
+#: Per ``EvalConfig`` field type: the check of a JSON value, its wording, and
+#: the conversion to the field's type.
+_JSON_TYPES = {
+    "str": (lambda x: isinstance(x, str), "a string", None),
+    "str | None": (lambda x: x is None or isinstance(x, str), "a string or null", None),
+    "str | float": (lambda x: isinstance(x, str) or _is_number(x), "a string or a number", None),
+    "float": (_is_number, "a number", None),
+    "int": (lambda x: type(x) is int, "an integer", None),
+    "tuple[str, ...]": (lambda x: isinstance(x, list) and all(isinstance(i, str) for i in x),
+                        "a list of strings", tuple),
+    "tuple[float, ...]": (lambda x: isinstance(x, list) and all(map(_is_number, x)),
+                          "a list of numbers", lambda x: tuple(float(h) for h in x)),
+}
+
+
 @dataclass
 class EvalConfig:
     """Experiment description; serializable to/from JSON."""
@@ -166,7 +185,9 @@ class EvalConfig:
     external_dir: str | None = None
 
     @classmethod
-    def from_json(cls, path) -> "EvalConfig":
+    def fields_from_json(cls, path) -> dict:
+        """The fields a JSON config file sets, each checked against its type;
+        a bad file raises ``ConfigurationError`` naming it and the key."""
         with open(path) as handle:
             try:
                 raw = json.load(handle)
@@ -177,11 +198,20 @@ class EvalConfig:
         unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigurationError(f"{path}: unknown config keys {sorted(unknown)}")
-        if "representations" in raw:
-            raw["representations"] = tuple(raw["representations"])
-        if "hmax_grid" in raw:
-            raw["hmax_grid"] = tuple(float(h) for h in raw["hmax_grid"])
-        return cls(**raw)
+        fields = {}
+        for key, value in raw.items():
+            check, kind, convert = _JSON_TYPES[cls.__dataclass_fields__[key].type]
+            if not check(value):
+                raise ConfigurationError(f"{path}: {key!r} must be {kind}, got {value!r}")
+            fields[key] = convert(value) if convert else value
+        return fields
+
+    @classmethod
+    def from_json(cls, path) -> "EvalConfig":
+        fields = cls.fields_from_json(path)
+        if "manifest" not in fields:
+            raise ConfigurationError(f"{path}: the config has no 'manifest' key")
+        return cls(**fields)
 
     def f0_overrides(self):
         return fileio.parse_f0_spec(self.f0)

@@ -23,6 +23,9 @@ GAMMATONE_ORDER = 4
 ENVELOPE_LP_HZ = 1000.0
 #: Frame length of excitation-pattern spectrograms, s.
 EP_FRAME_PERIOD = 0.0005
+#: Hamming window length and hop of the STFT, s.
+STFT_WINDOW = 0.025
+STFT_HOP = 0.005
 
 
 @lru_cache(maxsize=8)
@@ -120,7 +123,7 @@ def gammatone_ep(signal, fs: float, axis: FrequencyAxis, frame_period: float = E
     return Spectrogram(ep, frame_period, axis, NO_COMPRESSION, t0=frame_period / 2.0)
 
 
-def stft_spectrum(signal, fs: float, window_len: float = 0.025, hop: float = 0.005) -> Spectrogram:
+def stft_spectrum(signal, fs: float, window_len: float = STFT_WINDOW, hop: float = STFT_HOP) -> Spectrogram:
     """Magnitude STFT with a Hamming window on the linear-Hz FFT-bin axis."""
     x = np.asarray(signal, dtype=float)
     win_n = int(round(window_len * fs))

@@ -17,14 +17,15 @@ resolved harmonics) to the correlator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import fileio
 from .axes import CHANNELS, F_HI, F_LO, AxisKind, FrequencyAxis, make_axis
 from .errors import ConfigurationError, DegenerateFitError, InputError
-from .frontends import EP_FRAME_PERIOD, gammatone_ep, mel_spectrum, stft_spectrum
+from .frontends import EP_FRAME_PERIOD, STFT_HOP, STFT_WINDOW, gammatone_ep, mel_spectrum, stft_spectrum
 from .shifts import (
     ShiftMatrix,
     build_shift_matrix,
@@ -36,11 +37,13 @@ from .spectral import (
     AVG_HALF_WIDTH,
     Compression,
     LOG_COMPRESSION,
+    Spectrogram,
     Spectrum,
     as_compression,
     center_average,
     compress,
     resample_to_axis,
+    window_frames,
 )
 from .ssi import DEFAULT_H_MAX, SsiParams, apply_weight, estimate_f0, ssi_weight
 
@@ -127,10 +130,12 @@ def representation_catalog(include_external: bool = False) -> list[str]:
 class UtteranceAnalyzer:
     """Computes and caches the spectral representations of one utterance.
 
-    The excitation pattern reads the input only up to the end of the
-    averaging window: the gammatone bank is causal, so later samples cannot
-    change the frames that are averaged.  Only its centre-averaged dB
-    spectrum is cached, not the spectrogram.
+    Each front end reads only the samples the +-25 ms averaging window needs,
+    and nothing cached grows with the duration.  The F, M and W frames the
+    window picks are cached uncompressed, once per base; F's are bit for bit
+    those of the whole-signal STFT, and log compression floors at their peak.
+    Ep filters only up to the window end (the gammatone bank is causal) and
+    averages its linear pattern before compressing it.
     """
 
     def __init__(self, samples, fs, *, f0_override: float | None = None, external_sg=None):
@@ -138,53 +143,57 @@ class UtteranceAnalyzer:
         self.center = self.samples.size / self.fs / 2.0
         self._f0_override = f0_override
         self._external_sg = external_sg
-        self._cache: dict = {}
+        self._windows: dict[str, Spectrogram] = {}
+        self._spectra: dict[tuple[str, Compression], Spectrum] = {}
 
-    @property
+    @cached_property
     def f0(self) -> float:
         """Pitch used for weighting: the override if given, else estimated."""
         if self._f0_override is not None:
             return self._f0_override
-        if "f0" not in self._cache:
-            self._cache["f0"] = estimate_f0(self.samples, self.fs)
-        return self._cache["f0"]
+        return estimate_f0(self.samples, self.fs)
 
-    def _source_spectrogram(self, base: str):
-        key = ("sg", base)
-        if key not in self._cache:
+    def _window(self, base: str) -> Spectrogram:
+        """The uncompressed F, M or W frames the averaging window picks."""
+        if base not in self._windows:
             if base == "F":
-                sg = stft_spectrum(self.samples, self.fs)
+                win_n, hop_n = int(round(STFT_WINDOW * self.fs)), int(round(STFT_HOP * self.fs))
+                n_frames = (self.samples.size - win_n) // hop_n + 1
+                picked = window_frames(win_n / (2.0 * self.fs), hop_n / self.fs, n_frames, self.center)
+                start = picked.start * hop_n
+                sg = stft_spectrum(self.samples[start:(picked.stop - 1) * hop_n + win_n], self.fs)
+                sg = replace(sg, t0=sg.t0 + start / self.fs)
             elif base == "M":
-                sg = mel_spectrum(self._source_spectrogram("F"))
-            elif base == "W":
+                sg = mel_spectrum(self._window("F"))
+            else:
                 sg = self._external_sg
                 if sg is None:
                     raise InputError("no external spectrogram was supplied for a W representation")
                 if sg.compression.mode != "none":
                     raise InputError("external spectrograms must hold uncompressed amplitudes")
-            else:
-                raise ConfigurationError(f"unknown base {base!r}")
-            self._cache[key] = sg
-        return self._cache[key]
+                picked = window_frames(sg.t0, sg.frame_period, sg.frames.shape[0], self.center)
+                sg = replace(sg, frames=sg.frames[picked].copy(), t0=sg.t0 + picked.start * sg.frame_period)
+                self._external_sg = None
+            self._windows[base] = sg
+        return self._windows[base]
 
     def base_spectrum(self, rep: Representation) -> Spectrum:
         """Compressed, time-averaged spectrum on the representation's grid,
         before any weighting."""
-        key = ("spec", rep.base, rep.compression)
-        if key not in self._cache:
+        key = (rep.base, rep.compression)
+        if key not in self._spectra:
             if rep.base == "Ep":
                 # whole frames up to the window end: the cut keeps every frame
                 # the window picks, and center_average needs none past it
                 frame = int(round(EP_FRAME_PERIOD * self.fs))
                 n_frames = math.ceil((self.center + AVG_HALF_WIDTH) / EP_FRAME_PERIOD)
-                stop = min(n_frames * frame, self.samples.size)
-                ep = gammatone_ep(self.samples[:stop], self.fs, axis_for("Ep"))
+                ep = gammatone_ep(self.samples[:n_frames * frame], self.fs, axis_for("Ep"))
                 spec = compress(center_average(ep, self.center), rep.compression)
             else:
-                sg = compress(self._source_spectrogram(rep.base), rep.compression)
+                sg = compress(self._window(rep.base), rep.compression)
                 spec = resample_to_axis(center_average(sg, self.center), axis_for(rep.base))
-            self._cache[key] = spec
-        return self._cache[key]
+            self._spectra[key] = spec
+        return self._spectra[key]
 
     def spectrum(self, rep: Representation, h_max: float | None = None) -> Spectrum:
         """The spectrum the estimator correlates; weighted when ``rep.ssi``.

@@ -9,7 +9,8 @@ from .axes import FrequencyAxis
 from .errors import DegenerateInputError, ConfigurationError, InputError
 
 #: Relative floor applied before log compression so silent channels map to a
-#: finite level (-100 dB below the spectrogram maximum).
+#: finite level: -100 dB below the peak of the data compressed, which the
+#: pipeline limits to the frames of the averaging window.
 LOG_FLOOR_RATIO = 1e-5
 #: Half-width of the averaging window around the utterance center, s.
 AVG_HALF_WIDTH = 0.025
@@ -124,7 +125,7 @@ def compress(sg, mode):
 
     Accepts a :class:`Spectrogram` or :class:`Spectrum` whose compression is
     ``none``.  Log compression floors values at ``LOG_FLOOR_RATIO`` times the
-    global maximum first, so silence maps to a finite level.
+    maximum of the input first, so silence maps to a finite level.
     """
     mode = as_compression(mode)
     if mode.mode == "none":
@@ -144,24 +145,33 @@ def compress(sg, mode):
     return Spectrum(out, sg.axis, mode)
 
 
-def center_average(sg: Spectrogram, center: float, half_width: float = AVG_HALF_WIDTH) -> Spectrum:
-    """Mean over the frames whose centers fall within ``center +- half_width``.
+def window_frames(t0: float, frame_period: float, n_frames: int, center: float,
+                  half_width: float = AVG_HALF_WIDTH) -> slice:
+    """The frames centered at ``t0 + k * frame_period``, ``0 <= k < n_frames``,
+    that fall within ``center +- half_width``.
 
     The window may overhang the first or last frame center by less than one
     frame period; reaching a full period beyond either would need a frame
     the spectrogram does not have.
     """
     lo, hi = center - half_width, center + half_width
-    t = sg.frame_times
-    before, after = t[0] - sg.frame_period, t[-1] + sg.frame_period
-    if lo <= before + 1e-12 or hi >= after - 1e-12:
+    t = t0 + np.arange(n_frames) * frame_period
+    if not t.size:
+        raise InputError(f"averaging window [{lo:.4f}, {hi:.4f}] s: the spectrogram has no frames")
+    if lo <= t[0] - frame_period + 1e-12 or hi >= t[-1] + frame_period - 1e-12:
         raise InputError(
             f"averaging window [{lo:.4f}, {hi:.4f}] s reaches a frame outside the "
             f"spectrogram's frame centers [{t[0]:.4f}, {t[-1]:.4f}] s"
         )
-    picked = (t >= lo - 1e-12) & (t <= hi + 1e-12)
-    if not picked.any():
+    picked = np.flatnonzero((t >= lo - 1e-12) & (t <= hi + 1e-12))
+    if not picked.size:
         raise InputError("averaging window contains no frame centers")
+    return slice(int(picked[0]), int(picked[-1]) + 1)
+
+
+def center_average(sg: Spectrogram, center: float, half_width: float = AVG_HALF_WIDTH) -> Spectrum:
+    """Mean over the frames :func:`window_frames` picks."""
+    picked = window_frames(sg.t0, sg.frame_period, sg.frames.shape[0], center, half_width)
     return Spectrum(sg.frames[picked].mean(axis=0), sg.axis, sg.compression)
 
 

@@ -197,6 +197,25 @@ class TestEvaluateAndSweep:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "bad.json" in err[0]
 
+    def test_manifest_flag_completes_a_config_without_one(self, pair_corpus_dir, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"trials": 0, "representations": ["Ep"]}')
+        out = tmp_path / "o"
+        assert run_cli("evaluate", "--config", cfg, "--manifest", pair_corpus_dir / "manifest.csv",
+                       "--out", out) == 0
+        assert (out / "report.csv").exists() and not (out / "trials.csv").exists()
+
+    @pytest.mark.parametrize(
+        "key,value", [("trials", '"ten"'), ("h_max", '"x"'), ("representations", '"F_log"')]
+    )
+    def test_wrong_config_type_is_one_error_line(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(f'{{"{key}": {value}}}')
+        assert run_cli("evaluate", "--config", cfg, "--manifest", "m.csv", "--out", tmp_path) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "c.json" in err[0] and repr(key) in err[0]
+
     def test_every_flag_sets_its_config_field(self, tmp_path):
         from vtlest.cli import _config_from_args, build_parser
 

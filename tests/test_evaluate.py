@@ -138,6 +138,45 @@ class TestConfigRuns:
         with pytest.raises(ConfigurationError, match="cfg.json"):
             v.EvalConfig.from_json(path)
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("trials", "ten"),
+            ("trials", 2.5),
+            ("seed", True),
+            ("h_max", "x"),
+            ("representations", "F_log"),
+            ("representations", ["F_log", 3]),
+            ("hmax_grid", [0.0, "1"]),
+            ("manifest", 7),
+            ("out_dir", None),
+            ("f0", [150]),
+            ("external_dir", 1),
+        ],
+    )
+    def test_wrong_type_names_file_and_key(self, tmp_path, key, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"manifest": "m.csv", key: value}))
+        with pytest.raises(ConfigurationError, match=f"cfg.json: '{key}' must be"):
+            v.EvalConfig.from_json(path)
+
+    def test_json_values_of_every_field_type_accepted(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "manifest": "m.csv", "representations": ["F_log"], "h_max": 3, "hmax_grid": [0, 1.5],
+            "trials": 2, "exclude": 1, "seed": 3, "out_dir": "o", "f0": 150, "external_dir": None,
+        }))
+        assert v.EvalConfig.from_json(path) == v.EvalConfig(
+            manifest="m.csv", representations=("F_log",), h_max=3, hmax_grid=(0.0, 1.5), trials=2,
+            exclude=1, seed=3, out_dir="o", f0=150, external_dir=None,
+        )
+
+    def test_config_without_manifest_names_file(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"trials": 0}))
+        with pytest.raises(ConfigurationError, match="cfg.json: the config has no 'manifest' key"):
+            v.EvalConfig.from_json(path)
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"manifest": "m.csv", "bogus": 1}))

@@ -143,6 +143,101 @@ class TestEpWindowCut:
         assert cut.values.tobytes() == clean.values.tobytes()
 
 
+class TestWindowOnlyFrontEnds:
+    """F, M and W read and cache only the frames of the averaging window.
+
+    The window of a 0.5 s vowel at 48 kHz picks frames 43-52 of the
+    whole-signal STFT, which span samples 10320-13679.
+    """
+
+    def test_stft_frames_are_those_of_the_whole_signal(self):
+        samples = v.synth_vowel(v.vowel_spec("o", 120.0))
+        full = v.stft_spectrum(samples, 48000.0)
+        analyzer = v.UtteranceAnalyzer(samples, 48000.0)
+        analyzer.base_spectrum(v.parse_representation("F_log"))
+        window = analyzer._windows["F"]
+        assert window.frames.tobytes() == full.frames[43:53].tobytes()
+        np.testing.assert_allclose(window.frame_times, full.frame_times[43:53], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("rep_id", ["F_log", "M_log"])
+    def test_samples_outside_the_window_span_are_not_read(self, rep_id):
+        samples = v.synth_vowel(v.vowel_spec("o", 120.0))
+        rep = v.parse_representation(rep_id)
+        clean = v.UtteranceAnalyzer(samples, 48000.0).base_spectrum(rep)
+        cut = samples.copy()
+        cut[:10320] = np.nan
+        cut[13680:] = np.nan
+        got = v.UtteranceAnalyzer(cut, 48000.0).base_spectrum(rep)
+        assert got.values.tobytes() == clean.values.tobytes()
+        for edge in (10320, 13679):  # both ends of the span are read
+            poked = samples.copy()
+            poked[edge] = np.nan
+            with pytest.raises(InputError, match="finite"):
+                v.UtteranceAnalyzer(poked, 48000.0).base_spectrum(rep)
+
+    def test_click_before_the_window_leaves_log_spectra_unchanged(self):
+        """The log floor is taken over the window's frames, not the file's."""
+        samples = v.synth_vowel(v.vowel_spec("a", 150.0))
+        clicked = samples.copy()
+        clicked[1200] = 1000.0 * np.abs(samples).max()  # 25 ms in
+        for rep_id in ("F_log", "M_log"):
+            rep = v.parse_representation(rep_id)
+            clean = v.UtteranceAnalyzer(samples, 48000.0).base_spectrum(rep)
+            got = v.UtteranceAnalyzer(clicked, 48000.0).base_spectrum(rep)
+            assert got.values.tobytes() == clean.values.tobytes()
+
+    def test_cache_does_not_grow_with_duration(self):
+        def cached(duration):
+            samples = v.synth_vowel(v.vowel_spec("e", 150.0, duration=duration))
+            analyzer = v.UtteranceAnalyzer(samples, 48000.0, external_sg=v.stft_spectrum(samples, 48000.0))
+            for rep_id in ("Ep", "F_log", "F_0.4", "M_log", "W_log", "W_0.4"):
+                analyzer.base_spectrum(v.parse_representation(rep_id))
+            assert analyzer._external_sg is None  # only its window is kept
+            assert all(sg.frames.flags.owndata for sg in analyzer._windows.values())
+            return ({base: sg.frames.shape for base, sg in analyzer._windows.items()},
+                    {key: s.values.shape for key, s in analyzer._spectra.items()})
+
+        short, long = cached(0.5), cached(2.0)
+        assert short == long
+        assert short[0] == {"F": (10, 601), "M": (10, 25), "W": (10, 601)}
+
+    def test_external_window_matches_fourier(self):
+        samples = v.synth_vowel(v.vowel_spec("i", 200.0))
+        analyzer = v.UtteranceAnalyzer(samples, 48000.0, external_sg=v.stft_spectrum(samples, 48000.0))
+        for comp in ("log", "0.4"):
+            w = analyzer.base_spectrum(v.parse_representation(f"W_{comp}"))
+            f = analyzer.base_spectrum(v.parse_representation(f"F_{comp}"))
+            assert w.values.tobytes() == f.values.tobytes()
+
+    @pytest.mark.parametrize("rep_id", ["F_log", "M_log"])
+    @pytest.mark.parametrize(
+        "n_samples,message",
+        [
+            (2352, "averaging window [-0.0005, 0.0495] s reaches a frame outside the "
+                   "spectrogram's frame centers [0.0125, 0.0325] s"),  # 49 ms
+            (2410, "averaging window [0.0001, 0.0501] s reaches a frame outside the "
+                   "spectrogram's frame centers [0.0125, 0.0375] s"),  # 50.2 ms
+            (3359, "averaging window [0.0100, 0.0600] s reaches a frame outside the "
+                   "spectrogram's frame centers [0.0125, 0.0525] s"),
+            (3360, None),  # 70 ms: the shortest vowel an STFT window fits
+        ],
+    )
+    def test_short_vowels_rejected_as_by_the_whole_signal_stft(self, rep_id, n_samples, message):
+        samples = v.synth_vowel(v.vowel_spec("e", 150.0))[:n_samples]
+        analyzer = v.UtteranceAnalyzer(samples, 48000.0)
+        if message is None:
+            assert analyzer.base_spectrum(v.parse_representation(rep_id)).axis.channels == 100
+        else:
+            with pytest.raises(InputError) as info:
+                analyzer.base_spectrum(v.parse_representation(rep_id))
+            assert str(info.value) == message
+
+    def test_vowel_shorter_than_one_stft_window_rejected(self):
+        samples = v.synth_vowel(v.vowel_spec("e", 150.0))[:1000]
+        with pytest.raises(InputError, match="averaging window"):
+            v.UtteranceAnalyzer(samples, 48000.0).base_spectrum(v.parse_representation("F_log"))
+
+
 class TestAnalyzeWav:
     def test_spectrum_from_file(self, pair_corpus_dir):
         s = v.analyze_wav(pair_corpus_dir / "s01_a.wav", "Ep_SSI")
@@ -276,7 +371,9 @@ def test_default_params_match_canonical_settings():
     assert _default(v.gammatone_ep, "frame_period") == 0.0005
     assert spectral.AVG_HALF_WIDTH == 0.025
     assert _default(v.center_average, "half_width") == 0.025
-    assert (_default(v.stft_spectrum, "window_len"), _default(v.stft_spectrum, "hop")) == (0.025, 0.005)
+    assert (frontends.STFT_WINDOW, frontends.STFT_HOP) == (0.025, 0.005)
+    assert (_default(v.stft_spectrum, "window_len"), _default(v.stft_spectrum, "hop")) == (
+        frontends.STFT_WINDOW, frontends.STFT_HOP)
     assert _default(v.mel_spectrum, "n_filters") == 25
     assert (_default(v.mel_spectrum, "f_lo"), _default(v.mel_spectrum, "f_hi")) == (100.0, 8000.0)
     assert ssi.DEFAULT_H_MAX == 3.5
