@@ -135,7 +135,9 @@ class UtteranceAnalyzer:
     window picks are cached uncompressed, once per base; F's are bit for bit
     those of the whole-signal STFT, and log compression floors at their peak.
     Ep filters only up to the window end (the gammatone bank is causal) and
-    averages its linear pattern before compressing it.
+    averages its linear pattern before compressing it.  ``external_sg`` is a
+    :class:`Spectrogram` or the path of a spectrogram CSV, read on the first
+    use of W.
     """
 
     def __init__(self, samples, fs, *, f0_override: float | None = None, external_sg=None):
@@ -169,6 +171,8 @@ class UtteranceAnalyzer:
                 sg = self._external_sg
                 if sg is None:
                     raise InputError("no external spectrogram was supplied for a W representation")
+                if not isinstance(sg, Spectrogram):
+                    sg = fileio.read_spectrogram_csv(sg)
                 if sg.compression.mode != "none":
                     raise InputError("external spectrograms must hold uncompressed amplitudes")
                 picked = window_frames(sg.t0, sg.frame_period, sg.frames.shape[0], self.center)
@@ -311,11 +315,7 @@ class CorpusAnalyzer:
         key = record.utterance_id
         if key not in self._analyzers:
             samples, fs = fileio.read_audio(record.path)
-            external = None
-            if self.external_dir is not None:
-                external = fileio.read_spectrogram_csv(
-                    f"{self.external_dir}/{record.utterance_id}.csv"
-                )
+            external = None if self.external_dir is None else f"{self.external_dir}/{record.utterance_id}.csv"
             self._analyzers[key] = UtteranceAnalyzer(
                 samples, fs, f0_override=self._f0_for(record), external_sg=external
             )
@@ -349,7 +349,8 @@ class CorpusAnalyzer:
         if isinstance(rep, str):
             rep = parse_representation(rep)
         h_max = DEFAULT_H_MAX if h_max is None else h_max
-        included = self.speakers if speakers is None else [s for s in self.speakers if s in set(speakers)]
+        wanted = set(self.speakers if speakers is None else speakers)
+        included = [s for s in self.speakers if s in wanted]
         if len(included) < 2:
             raise InputError(f"need at least 2 speakers, got {len(included)}")
         l_bar = float(np.mean([self.measured_vtl[s] for s in included]))
@@ -357,7 +358,7 @@ class CorpusAnalyzer:
         for vowel in self.vowels:
             full_speakers = self.vowel_speakers(vowel)
             matrix = self.shift_matrix(vowel, rep, h_max)
-            idx = [i for i, s in enumerate(full_speakers) if s in set(included)]
+            idx = [i for i, s in enumerate(full_speakers) if s in wanted]
             if len(idx) < 2:
                 raise InputError(f"vowel {vowel!r} has fewer than 2 included speakers")
             sub = ShiftMatrix(matrix.values[np.ix_(idx, idx)])

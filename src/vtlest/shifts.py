@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.optimize import minimize_scalar
 
 from .axes import AxisKind, FrequencyAxis
@@ -25,45 +26,14 @@ from .spectral import Spectrum
 
 DEFAULT_MAX_LAG = 30
 DEFAULT_INTERP = 10
-
-
-def _upsample(values: np.ndarray, interp: int) -> np.ndarray:
-    n = values.size
-    fine = np.arange((n - 1) * interp + 1) / interp
-    return np.interp(fine, np.arange(n), values)
+#: Correlations this close to a pair's peak count as tied with it.
+TIE_TOLERANCE = 1e-12
 
 
 def xcorr_shift(a: Spectrum, b: Spectrum, max_lag: int = DEFAULT_MAX_LAG, interp: int = DEFAULT_INTERP) -> float:
-    """Cross-correlation peak lag from ``a`` to ``b`` in fractional channels.
-
-    Both spectra are mean-subtracted, upsampled by ``interp`` via linear
-    interpolation (0.1-channel resolution at the default), and correlated with
-    zero padding over lags up to ``max_lag`` channels.  A positive result
-    means ``b``'s features lie at higher channels than ``a``'s.  Exact
-    correlation ties resolve to the smallest ``|lag|``, preferring the
-    negative lag between symmetric ones.
-    """
-    if a.axis != b.axis:
-        raise InputError("spectra must share the same frequency axis")
-    if max_lag <= 0 or 3 * max_lag > a.axis.channels:
-        raise ConfigurationError(
-            f"max_lag must be in (0, channels/3], got {max_lag} for {a.axis.channels} channels"
-        )
-    av = a.values - a.values.mean()
-    bv = b.values - b.values.mean()
-    if not av.any() or not bv.any():
-        raise DegenerateInputError("cannot align a flat (zero-variance) spectrum")
-    af = _upsample(av, interp)
-    bf = _upsample(bv, interp)
-    # full[i] = sum_k af[k] * bf[k + lag] with lag = i - (len - 1)
-    corr = np.correlate(bf, af, mode="full")
-    corr /= np.sqrt((af @ af) * (bf @ bf))
-    lags = np.arange(corr.size) - (af.size - 1)
-    within = np.abs(lags) <= max_lag * interp
-    corr, lags = corr[within], lags[within]
-    candidates = lags[corr == corr.max()]
-    best = min(candidates, key=lambda lag: (abs(lag), lag))
-    return best / interp
+    """Cross-correlation peak lag from ``a`` to ``b`` in fractional channels,
+    positive when ``b``'s features lie at higher channels: :func:`build_shift_matrix` of the pair."""
+    return float(build_shift_matrix([a, b], max_lag, interp).values[0, 1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,21 +56,51 @@ class ShiftMatrix:
 
 
 def build_shift_matrix(spectra, max_lag: int = DEFAULT_MAX_LAG, interp: int = DEFAULT_INTERP) -> ShiftMatrix:
-    """Pairwise :func:`xcorr_shift` over all spectra; lower triangle negated."""
+    """Pairwise peak lags in channels; entry ``(i, j)`` is the lag from spectrum i to j.
+
+    Spectra are mean-subtracted, upsampled by ``interp`` via linear interpolation
+    (0.1-channel resolution at the default) and normalised; one real FFT each and
+    one batched inverse FFT per row of pairs give the zero-padded correlations
+    over lags up to ``max_lag`` channels.  Exact ties go to the smallest ``|lag|``,
+    then the negative one; lags within :data:`TIE_TOLERANCE` of a peak are scored
+    again by direct dot products, so that FFT round-off cannot split a tie.
+    """
     spectra = list(spectra)
     n = len(spectra)
     if n < 2:
         raise InputError(f"need at least 2 spectra, got {n}")
+    axis, channels = spectra[0].axis, spectra[0].values.size
+    grid = np.arange((channels - 1) * interp + 1) / interp
+    fine = [np.interp(grid, np.arange(s.values.size), s.values - s.values.mean()) for s in spectra]
+    power = np.array([f @ f for f in fine])
+    too_far = max_lag <= 0 or 3 * max_lag > axis.channels
+    # every pair that cannot be aligned implies one in row 0, which comes first
+    for j in range(1, n):
+        if spectra[j].axis != axis:
+            raise InputError(f"pair (0, {j}): spectra must share the same frequency axis")
+        if too_far:
+            raise ConfigurationError(f"max_lag must be in (0, channels/3], got {max_lag} "
+                                     f"for {axis.channels} channels")
+        if not power[0] or not power[j]:  # flat, or too faint to square
+            raise DegenerateInputError(f"pair (0, {j}): cannot align a flat (zero-variance) spectrum")
+    reach = int(max_lag * interp)
+    size = next_fast_len(grid.size + reach, real=True)
+    spectra_f = rfft(np.array(fine) / np.sqrt(power)[:, None], size)
+    # lag columns in tie-break order 0, -1, +1, -2, +2, ...: argmax takes the first peak
+    order = np.stack([-np.arange(reach + 1), np.arange(reach + 1)], axis=1).ravel()[1:]
     m = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            try:
-                d = xcorr_shift(spectra[i], spectra[j], max_lag, interp)
-            except InputError as exc:
-                raise type(exc)(f"pair ({i}, {j}): {exc}") from exc
-            m[i, j] = d
-            m[j, i] = -d
-    return ShiftMatrix(m)
+    for i in range(n - 1):
+        corr = irfft(spectra_f[i].conj() * spectra_f[i + 1 :], size)[:, order]
+        best = corr.argmax(axis=1)
+        peak = corr[np.arange(best.size), best]
+        corr[np.arange(best.size), best] = -np.inf  # leaves each pair's runner-up
+        for k in np.flatnonzero(corr.max(axis=1) >= peak - TIE_TOLERANCE):
+            corr[k, best[k]] = peak[k]
+            a, b, tied = fine[i], fine[i + 1 + k], np.flatnonzero(corr[k] >= peak[k] - TIE_TOLERANCE)
+            r = [a[: a.size - d] @ b[d:] if d >= 0 else a[-d:] @ b[: b.size + d] for d in order[tied]]
+            best[k] = tied[np.argmax(np.divide(r, np.sqrt(power[i] * power[i + 1 + k])))]
+        m[i, i + 1 :] = order[best] / interp
+    return ShiftMatrix(m - m.T)
 
 
 def relative_shifts(matrix: ShiftMatrix) -> np.ndarray:

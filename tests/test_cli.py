@@ -116,6 +116,19 @@ class TestEstimateCommand:
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error: ") and f"{bad.name}:1:" in err[0]
 
+    def test_external_dir_unused_by_the_representation_is_not_read(self, pair_corpus_dir, tmp_path, capsys):
+        ext = tmp_path / "external"
+        ext.mkdir()
+        for rec in fileio.read_manifest(pair_corpus_dir / "manifest.csv"):
+            (ext / f"{rec.utterance_id}.csv").write_text("not a spectrogram\n")
+        code = run_cli("estimate", pair_corpus_dir / "manifest.csv", "--rep", "F_log",
+                       "--external-dir", ext, "--out", tmp_path / "out")
+        assert code == 0, capsys.readouterr().err
+        code = run_cli("estimate", pair_corpus_dir / "manifest.csv", "--rep", "W_log",
+                       "--external-dir", ext, "--out", tmp_path / "out_w")
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1 and len(err) == 1 and err[0].startswith("error: ") and ".csv:1:" in err[0]
+
     def test_default_corpus_row_count_and_matrices(self, default_corpus_dir, tmp_path):
         out = tmp_path / "est"
         assert run_cli("estimate", default_corpus_dir / "manifest.csv",

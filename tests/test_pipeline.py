@@ -344,6 +344,24 @@ class TestExternalSpectra:
         fourier = v.CorpusAnalyzer(records).estimate("F_log", 3.5)
         np.testing.assert_allclose(result.shifts(), fourier.shifts(), atol=0.11)
 
+    def test_external_csv_read_on_first_w_use(self, pair_corpus_dir, tmp_path, monkeypatch):
+        records = fileio.read_manifest(pair_corpus_dir / "manifest.csv")
+        ext = tmp_path / "external"
+        ext.mkdir()
+        for rec in records:
+            samples, fs = v.read_audio(rec.path)
+            fileio.write_spectrogram_csv(ext / f"{rec.utterance_id}.csv", v.stft_spectrum(samples, fs))
+        read = []
+        reader = fileio.read_spectrogram_csv
+        monkeypatch.setattr(fileio, "read_spectrogram_csv", lambda path: read.append(path) or reader(path))
+        corpus = v.CorpusAnalyzer(records, external_dir=ext)
+        corpus.estimate("F_log", 3.5)
+        corpus.estimate("M_SSI_log", 3.5)
+        assert read == []
+        corpus.estimate("W_log", 3.5)
+        corpus.estimate("W_SSI_0.4", 3.5)
+        assert sorted(read) == sorted(f"{ext}/{rec.utterance_id}.csv" for rec in records)
+
     def test_compressed_external_rejected(self, pair_corpus_dir, tmp_path):
         records = fileio.read_manifest(pair_corpus_dir / "manifest.csv")
         ext = tmp_path / "external"

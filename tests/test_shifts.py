@@ -1,7 +1,8 @@
 """Cross-correlation alignment, shift matrices, and length conversion."""
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import vtlest as v
 from vtlest.errors import (
@@ -10,7 +11,7 @@ from vtlest.errors import (
     DegenerateInputError,
     InputError,
 )
-from vtlest.shifts import Q_SEARCH_RANGE
+from vtlest.shifts import DEFAULT_INTERP, DEFAULT_MAX_LAG, Q_SEARCH_RANGE
 
 AXIS = v.make_axis("erb", 100, 100.0, 8000.0)
 
@@ -118,6 +119,175 @@ class TestShiftMatrix:
     def test_non_antisymmetric_rejected(self):
         with pytest.raises(InputError):
             v.ShiftMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def oracle_lag(a, b, max_lag=DEFAULT_MAX_LAG, interp=DEFAULT_INTERP):
+    """The per-pair ``np.correlate`` search that the batched correlator replaced."""
+    def upsample(values):
+        n = values.size
+        return np.interp(np.arange((n - 1) * interp + 1) / interp, np.arange(n), values)
+
+    af, bf = upsample(a - a.mean()), upsample(b - b.mean())
+    corr = np.correlate(bf, af, mode="full")
+    corr /= np.sqrt((af @ af) * (bf @ bf))
+    lags = np.arange(corr.size) - (af.size - 1)
+    within = np.abs(lags) <= max_lag * interp
+    corr, lags = corr[within], lags[within]
+    best = min(lags[corr == corr.max()], key=lambda lag: (abs(lag), lag))
+    return best / interp
+
+
+def oracle_matrix(spectra, **kw):
+    n = len(spectra)
+    m = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i, j] = oracle_lag(spectra[i].values, spectra[j].values, **kw)
+            m[j, i] = -m[i, j]
+    return m
+
+
+def oracle_error(spectra, max_lag=DEFAULT_MAX_LAG):
+    """(type, message) of the first pair the per-pair search rejected, or None."""
+    for i in range(len(spectra)):
+        for j in range(i + 1, len(spectra)):
+            a, b = spectra[i], spectra[j]
+            if a.axis != b.axis:
+                return InputError, f"pair ({i}, {j}): spectra must share the same frequency axis"
+            if max_lag <= 0 or 3 * max_lag > a.axis.channels:
+                return ConfigurationError, (f"max_lag must be in (0, channels/3], got {max_lag} "
+                                            f"for {a.axis.channels} channels")
+            if not (a.values - a.values.mean()).any() or not (b.values - b.values.mean()).any():
+                return DegenerateInputError, f"pair ({i}, {j}): cannot align a flat (zero-variance) spectrum"
+    return None
+
+
+def assert_matches_oracle(values, **kw):
+    spectra = [v.Spectrum(x, AXIS) for x in values]
+    np.testing.assert_array_equal(v.build_shift_matrix(spectra, **kw).values, oracle_matrix(spectra, **kw))
+
+
+def shifted(values, k):
+    """``values`` moved up by ``k`` channels, zero-filled."""
+    out = np.zeros_like(values)
+    if k >= 0:
+        out[k:] = values[: values.size - k]
+    else:
+        out[:k] = values[-k:]
+    return out
+
+
+def varied(values):
+    return np.ptp(values) > 0
+
+
+# scaled whole numbers make exact ties common, and no square underflows
+SPECTRA = st.builds(np.multiply, arrays(np.int64, 100, elements=st.integers(0, 100)), st.floats(1e-3, 10.0))
+LAG_SETTINGS = st.sampled_from([{}, {"max_lag": 5}, {"max_lag": 33}, {"interp": 1}, {"interp": 3, "max_lag": 12}])
+
+
+class TestBatchedCorrelatorParity:
+    """The batched FFT correlator returns the per-pair search's lags exactly."""
+
+    @given(st.lists(SPECTRA.filter(varied), min_size=2, max_size=5), LAG_SETTINGS)
+    @settings(max_examples=60, deadline=None)
+    def test_random_nonnegative_spectra(self, values, kw):
+        assert_matches_oracle(values, **kw)
+
+    @given(SPECTRA, st.lists(st.integers(-35, 35), min_size=2, max_size=6), LAG_SETTINGS)
+    @settings(max_examples=60, deadline=None)
+    def test_integer_shifted_copies(self, base, ks, kw):
+        values = [shifted(base, k) for k in ks]
+        assume(all(varied(x) for x in values))
+        assert_matches_oracle(values, **kw)
+
+    @given(st.lists(SPECTRA.filter(varied), min_size=1, max_size=3), st.integers(2, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_duplicated_spectra(self, values, copies):
+        assert_matches_oracle([x for x in values for _ in range(copies)])
+
+    @given(st.integers(0, 99), st.lists(st.integers(1, 40), min_size=1, max_size=4),
+           st.floats(0.1, 10.0), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_mirror_symmetric_spike_pairs(self, centre, offsets, height, with_centre):
+        single = np.zeros(100)
+        single[centre] = 1.0
+        values = [single]
+        for d in offsets:
+            pair = np.zeros(100)
+            pair[[c for c in (centre - d, centre + d) if 0 <= c < 100]] = height
+            pair[centre] = height if with_centre else 0.0
+            values.append(pair)
+        assume(all(varied(x) for x in values))
+        assert_matches_oracle(values)
+
+    @given(st.integers(1, 33), st.integers(-2, 2), st.floats(0.5, 4.0), st.integers(0, 99))
+    @settings(max_examples=60, deadline=None)
+    def test_true_shift_at_max_lag(self, max_lag, beyond, width, start):
+        base = bumps([start], width=width)
+        sign = 1 if start < 50 else -1
+        values = [base, shifted(base, sign * (max_lag + beyond)), shifted(base, -sign * max_lag)]
+        assume(all(varied(x) for x in values))
+        assert_matches_oracle(values, max_lag=max_lag)
+
+    @pytest.mark.parametrize("h_max", [0.0, 3.5])
+    def test_every_catalog_id_on_the_default_ladder(self, default_corpus, h_max):
+        for rep_id in v.representation_catalog():
+            rep = v.parse_representation(rep_id)
+            for vowel in default_corpus.vowels:
+                spectra = [default_corpus.spectrum(s, vowel, rep, h_max)
+                           for s in default_corpus.vowel_speakers(vowel)]
+                np.testing.assert_array_equal(
+                    v.build_shift_matrix(spectra).values, oracle_matrix(spectra), err_msg=f"{rep_id} {vowel}"
+                )
+
+
+class TestShiftMatrixErrors:
+    """Inputs are validated once per matrix, with the per-pair search's errors."""
+
+    @pytest.mark.parametrize("flat_at", [[0], [1], [3], [1, 2], [0, 3]])
+    def test_first_flat_pair_named(self, flat_at):
+        spectra = [v.Spectrum(np.zeros(100), AXIS) if i in flat_at else spectrum_at(i) for i in range(4)]
+        kind, message = oracle_error(spectra)
+        with pytest.raises(kind) as info:
+            v.build_shift_matrix(spectra)
+        assert type(info.value) is kind and str(info.value) == message
+
+    def test_mixed_axes_name_the_pair(self):
+        log_axis = v.make_axis("log10", 100, 100.0, 8000.0)
+        spectra = [spectrum_at(0), spectrum_at(1), v.Spectrum(bumps([40, 58]), log_axis)]
+        with pytest.raises(InputError, match=r"pair \(0, 2\): spectra must share the same frequency axis"):
+            v.build_shift_matrix(spectra)
+
+    def test_spectrum_too_faint_to_square_is_flat(self):
+        faint = np.zeros(100)
+        faint[10] = 1e-200
+        with pytest.raises(DegenerateInputError, match=r"pair \(0, 1\)"):
+            v.build_shift_matrix([spectrum_at(0), v.Spectrum(faint, AXIS)])
+
+    @pytest.mark.parametrize("max_lag", [40, 0, -1])
+    def test_max_lag_out_of_range(self, max_lag):
+        with pytest.raises(ConfigurationError, match=f"got {max_lag} for 100 channels"):
+            v.build_shift_matrix([spectrum_at(0), spectrum_at(1), spectrum_at(2)], max_lag=max_lag)
+
+    @given(st.lists(st.tuples(st.sampled_from(["erb", "log10", "erb60"]), st.booleans()), min_size=2, max_size=6),
+           st.sampled_from([30, 21, 0]))
+    @settings(max_examples=80, deadline=None)
+    def test_error_matches_the_per_pair_search(self, layout, max_lag):
+        axes = {"erb": AXIS, "log10": v.make_axis("log10", 100, 100.0, 8000.0),
+                "erb60": v.make_axis("erb", 60, 100.0, 8000.0)}
+        spectra = []
+        for i, (name, flat) in enumerate(layout):
+            axis = axes[name]
+            values = np.zeros(axis.channels) if flat else bumps([20 + i], n=axis.channels)
+            spectra.append(v.Spectrum(values, axis))
+        expected = oracle_error(spectra, max_lag)
+        if expected is None:
+            v.build_shift_matrix(spectra, max_lag=max_lag)
+            return
+        with pytest.raises(expected[0]) as info:
+            v.build_shift_matrix(spectra, max_lag=max_lag)
+        assert type(info.value) is expected[0] and str(info.value) == expected[1]
 
 
 def random_antisymmetric(rng, n):
