@@ -35,7 +35,7 @@ print("  Resolved harmonics of the voice pitch produce spectral peaks that")
 print("  have nothing to do with the vocal tract; the weight tapers exactly")
 print("  the region where they live (below h_max harmonics of F0).\n")
 for f0 in (101.0, 182.0):
-    w = v.ssi_weight(axis, v.SsiParams(h_max=3.5, f0=f0))
+    w = v.ssi_weight(axis, h_max=3.5, f0=f0)
     knee = 3.5 * f0
     saturated = int(np.argmax(w >= 1.0))
     print(
@@ -45,5 +45,5 @@ for f0 in (101.0, 182.0):
     )
 
 print("\n  An unvoiced (F0 = 0) frame keeps every channel:")
-w = v.ssi_weight(axis, v.SsiParams(h_max=3.5, f0=v.UNVOICED))
+w = v.ssi_weight(axis, h_max=3.5, f0=v.UNVOICED)
 print(f"  all weights equal 1.0: {bool((w == 1.0).all())}")

@@ -89,7 +89,6 @@ from .spectral import (
 )
 from .ssi import (
     UNVOICED,
-    SsiParams,
     apply_weight,
     estimate_f0,
     ssi_weight,

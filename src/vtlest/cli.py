@@ -153,8 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="two-speaker corpus: 15.0 cm at 182 Hz vs 18.5 cm at 101 Hz")
     p.add_argument("--speakers", help="custom ladder as F0:ALPHA,F0:ALPHA,...")
     p.add_argument("--vowels", help=f"comma-separated vowels (default {DEFAULT_VOWELS})")
-    p.add_argument("--duration", type=float, default=0.5, help="utterance length in s")
-    p.add_argument("--fs", type=float, default=48000.0, help="sample rate in Hz")
+    p.add_argument("--duration", type=float, default=synth.DEFAULT_DURATION_S, help="utterance length in s")
+    p.add_argument("--fs", type=float, default=fileio.CANONICAL_FS, help="sample rate in Hz")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("analyze", help="write one representation spectrum as CSV")

@@ -116,8 +116,8 @@ class TrialsResult:
         return float(np.std([t.rms_cm for t in self.trials]))
 
 
-def exclusion_trials(corpus: CorpusAnalyzer, rep_id: str, k: int = 3, trials: int = 10,
-                     seed: int = 0, h_max: float | None = None) -> TrialsResult:
+def exclusion_trials(corpus: CorpusAnalyzer, rep_id: str, *, k: int, trials: int, seed: int,
+                     h_max: float | None = None) -> TrialsResult:
     """Stability check: drop ``k`` random speakers, re-estimate, record RMS.
 
     Exclusions are drawn uniformly without replacement from a generator
@@ -269,7 +269,8 @@ def run_evaluation(config: EvalConfig):
     write_scatter_csv(out / "scatter.csv", results)
     if config.trials > 0:
         all_trials = [
-            exclusion_trials(corpus, rep, config.exclude, config.trials, config.seed, config.h_max)
+            exclusion_trials(corpus, rep, k=config.exclude, trials=config.trials, seed=config.seed,
+                             h_max=config.h_max)
             for rep in config.representations
         ]
         write_trials_csv(out / "trials.csv", all_trials)

@@ -72,6 +72,8 @@ def read_wav(path):
         raise
     except Exception as exc:
         raise InputError(f"cannot read WAV file {path}: {exc}") from exc
+    if fs <= 0:
+        raise InputError(f"{path}: sample rate must be positive, got {fs}")
     if data.ndim != 1:
         raise InputError(f"{path}: expected mono audio, got {data.shape[1]} channels")
     if data.dtype == np.int16:
@@ -95,26 +97,26 @@ def write_wav(out_dir, rel_path, samples, fs: float):
     wavfile.write(out_dir / rel_path, int(fs), pcm)
 
 
-def ensure_rate(samples, fs: float, target_fs: float = CANONICAL_FS):
-    """Linearly resample to the canonical rate if needed, with a warning."""
-    if fs == target_fs:
-        return np.asarray(samples, dtype=float), target_fs
+def ensure_rate(samples, fs: float):
+    """Linearly resample to :data:`CANONICAL_FS` if needed, with a warning."""
+    if fs == CANONICAL_FS:
+        return np.asarray(samples, dtype=float), CANONICAL_FS
     warnings.warn(
-        f"resampling input from {fs:g} Hz to the canonical {target_fs:g} Hz",
+        f"resampling input from {fs:g} Hz to the canonical {CANONICAL_FS:g} Hz",
         stacklevel=2,
     )
     x = np.asarray(samples, dtype=float)
     duration = x.size / fs
-    n_out = int(round(duration * target_fs))
-    t_out = np.arange(n_out) / target_fs
+    n_out = int(round(duration * CANONICAL_FS))
+    t_out = np.arange(n_out) / CANONICAL_FS
     t_in = np.arange(x.size) / fs
-    return np.interp(t_out, t_in, x), target_fs
+    return np.interp(t_out, t_in, x), CANONICAL_FS
 
 
-def read_audio(path, target_fs: float = CANONICAL_FS):
+def read_audio(path):
     """Read a WAV file and resample it to the canonical analysis rate."""
     samples, fs = read_wav(path)
-    return ensure_rate(samples, fs, target_fs)
+    return ensure_rate(samples, fs)
 
 
 # --------------------------------------------------------------------------
@@ -140,8 +142,8 @@ MANIFEST_NAME = "manifest.csv"
 _MANIFEST_HEADER = ["speaker_id", "vowel", "f0_hz", "alpha", "vtl_cm", "path"]
 
 
-def write_manifest(out_dir, records, name: str = MANIFEST_NAME):
-    path = Path(out_dir) / name
+def write_manifest(out_dir, records):
+    path = Path(out_dir) / MANIFEST_NAME
     write_csv(
         path,
         _MANIFEST_HEADER,

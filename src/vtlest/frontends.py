@@ -26,6 +26,8 @@ EP_FRAME_PERIOD = 0.0005
 #: Hamming window length and hop of the STFT, s.
 STFT_WINDOW = 0.025
 STFT_HOP = 0.005
+#: Number of mel filters, spanning the analysis range ``[F_LO, F_HI]``.
+MEL_FILTERS = 25
 
 
 @lru_cache(maxsize=8)
@@ -80,12 +82,12 @@ def _gammatone_envelope(signal: np.ndarray, fs: float, sos: np.ndarray) -> np.nd
     return np.maximum(env, 0.0)
 
 
-def gammatone_ep(signal, fs: float, axis: FrequencyAxis, frame_period: float = EP_FRAME_PERIOD) -> Spectrogram:
+def gammatone_ep(signal, fs: float, axis: FrequencyAxis) -> Spectrogram:
     """Excitation-pattern spectrogram from a gammatone filterbank.
 
     Each channel filters the signal with a 4th-order gammatone centered at the
     channel frequency (bandwidth ``1.019 * ERB``), extracts the envelope, and
-    averages it over consecutive frames of ``frame_period`` seconds.
+    averages it over consecutive frames of :data:`EP_FRAME_PERIOD` seconds.
 
     Parameters
     ----------
@@ -95,8 +97,6 @@ def gammatone_ep(signal, fs: float, axis: FrequencyAxis, frame_period: float = E
         Sample rate; must be at least twice the axis's upper edge.
     axis : FrequencyAxis
         Channel grid; must be ERB-linear.
-    frame_period : float
-        Frame length in seconds (default :data:`EP_FRAME_PERIOD`).
 
     Returns
     -------
@@ -112,22 +112,23 @@ def gammatone_ep(signal, fs: float, axis: FrequencyAxis, frame_period: float = E
     x = np.asarray(signal, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise InputError("signal must be a non-empty 1-D array")
-    frame = int(round(frame_period * fs))
+    frame = int(round(EP_FRAME_PERIOD * fs))
     if frame < 1 or x.size < frame:
-        raise InputError(f"signal shorter than one {frame_period*1e3:g} ms frame")
+        raise InputError(f"signal shorter than one {EP_FRAME_PERIOD*1e3:g} ms frame")
     n_frames = x.size // frame
     ep = np.empty((n_frames, axis.channels))
     for c, sos in enumerate(_gammatone_sos(fs, axis)):
         env = _gammatone_envelope(x, fs, sos)
         ep[:, c] = env[: n_frames * frame].reshape(n_frames, frame).mean(axis=1)
-    return Spectrogram(ep, frame_period, axis, NO_COMPRESSION, t0=frame_period / 2.0)
+    return Spectrogram(ep, EP_FRAME_PERIOD, axis, NO_COMPRESSION, t0=EP_FRAME_PERIOD / 2.0)
 
 
-def stft_spectrum(signal, fs: float, window_len: float = STFT_WINDOW, hop: float = STFT_HOP) -> Spectrogram:
-    """Magnitude STFT with a Hamming window on the linear-Hz FFT-bin axis."""
+def stft_spectrum(signal, fs: float) -> Spectrogram:
+    """Magnitude STFT with a :data:`STFT_WINDOW` Hamming window every
+    :data:`STFT_HOP` seconds, on the linear-Hz FFT-bin axis."""
     x = np.asarray(signal, dtype=float)
-    win_n = int(round(window_len * fs))
-    hop_n = int(round(hop * fs))
+    win_n = int(round(STFT_WINDOW * fs))
+    hop_n = int(round(STFT_HOP * fs))
     if x.ndim != 1 or x.size < win_n:
         raise InputError(
             f"signal must be at least one window ({win_n} samples) long, got {x.size}"
@@ -155,22 +156,22 @@ def mel_filterbank(bin_freqs: np.ndarray, n_filters: int, f_lo: float, f_hi: flo
     return np.clip(np.minimum(rising, falling), 0.0, None)
 
 
-def mel_spectrum(stft: Spectrogram, n_filters: int = 25, f_lo: float = F_LO, f_hi: float = F_HI) -> Spectrogram:
+def mel_spectrum(stft: Spectrogram) -> Spectrogram:
     """Mel-filterbank spectrogram from a magnitude STFT.
 
     The input must be uncompressed and on the linear-Hz FFT-bin axis; the
-    result lives on a mel-linear axis with ``n_filters`` channels spanning
-    ``[f_lo, f_hi]``.
+    result lives on a mel-linear axis with :data:`MEL_FILTERS` channels
+    spanning ``[F_LO, F_HI]``.
     """
     if stft.axis.kind is not AxisKind.LINEAR_HZ:
         raise InputError(f"mel filterbank expects a linear-Hz spectrogram, got {stft.axis.kind.value}")
     if stft.compression.mode != "none":
         raise InputError("mel filterbank expects uncompressed magnitudes")
-    if stft.axis.f_hi < f_hi:
+    if stft.axis.f_hi < F_HI:
         raise InputError(
-            f"STFT covers only up to {stft.axis.f_hi} Hz; filterbank needs {f_hi} Hz"
+            f"STFT covers only up to {stft.axis.f_hi} Hz; filterbank needs {F_HI} Hz"
         )
-    weights = mel_filterbank(stft.axis.center_freqs, n_filters, f_lo, f_hi)
+    weights = mel_filterbank(stft.axis.center_freqs, MEL_FILTERS, F_LO, F_HI)
     out = stft.frames @ weights.T
-    axis = make_axis(AxisKind.MEL_LINEAR, n_filters, f_lo, f_hi)
+    axis = make_axis(AxisKind.MEL_LINEAR, MEL_FILTERS, F_LO, F_HI)
     return Spectrogram(out, stft.frame_period, axis, NO_COMPRESSION, t0=stft.t0)

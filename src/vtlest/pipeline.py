@@ -45,7 +45,7 @@ from .spectral import (
     resample_to_axis,
     window_frames,
 )
-from .ssi import DEFAULT_H_MAX, SsiParams, apply_weight, estimate_f0, ssi_weight
+from .ssi import DEFAULT_H_MAX, apply_weight, estimate_f0, ssi_weight
 
 _AXIS_KINDS = {
     "Ep": AxisKind.ERB_LINEAR,
@@ -211,7 +211,7 @@ class UtteranceAnalyzer:
         h_max = DEFAULT_H_MAX if h_max is None else h_max
         if h_max == 0.0:
             return spec
-        weights = ssi_weight(spec.axis, SsiParams(h_max=h_max, f0=self.f0))
+        weights = ssi_weight(spec.axis, h_max, self.f0)
         return apply_weight(spec, weights)
 
 

@@ -24,16 +24,18 @@ from .errors import (
 )
 from .spectral import Spectrum
 
-DEFAULT_MAX_LAG = 30
-DEFAULT_INTERP = 10
+#: Widest lag searched, in channels.
+MAX_LAG = 30
+#: Upsampling factor of the lag search: lags resolve to ``1 / INTERP`` channel.
+INTERP = 10
 #: Correlations this close to a pair's peak count as tied with it.
 TIE_TOLERANCE = 1e-12
 
 
-def xcorr_shift(a: Spectrum, b: Spectrum, max_lag: int = DEFAULT_MAX_LAG, interp: int = DEFAULT_INTERP) -> float:
+def xcorr_shift(a: Spectrum, b: Spectrum) -> float:
     """Cross-correlation peak lag from ``a`` to ``b`` in fractional channels,
     positive when ``b``'s features lie at higher channels: :func:`build_shift_matrix` of the pair."""
-    return float(build_shift_matrix([a, b], max_lag, interp).values[0, 1])
+    return float(build_shift_matrix([a, b]).values[0, 1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,13 +57,13 @@ class ShiftMatrix:
         return self.values.shape[0]
 
 
-def build_shift_matrix(spectra, max_lag: int = DEFAULT_MAX_LAG, interp: int = DEFAULT_INTERP) -> ShiftMatrix:
+def build_shift_matrix(spectra) -> ShiftMatrix:
     """Pairwise peak lags in channels; entry ``(i, j)`` is the lag from spectrum i to j.
 
-    Spectra are mean-subtracted, upsampled by ``interp`` via linear interpolation
-    (0.1-channel resolution at the default) and normalised; one real FFT each and
+    Spectra are mean-subtracted, upsampled by :data:`INTERP` via linear
+    interpolation (0.1-channel resolution) and normalised; one real FFT each and
     one batched inverse FFT per row of pairs give the zero-padded correlations
-    over lags up to ``max_lag`` channels.  Exact ties go to the smallest ``|lag|``,
+    over lags up to :data:`MAX_LAG` channels.  Exact ties go to the smallest ``|lag|``,
     then the negative one; lags within :data:`TIE_TOLERANCE` of a peak are scored
     again by direct dot products, so that FFT round-off cannot split a tie.
     """
@@ -70,20 +72,20 @@ def build_shift_matrix(spectra, max_lag: int = DEFAULT_MAX_LAG, interp: int = DE
     if n < 2:
         raise InputError(f"need at least 2 spectra, got {n}")
     axis, channels = spectra[0].axis, spectra[0].values.size
-    grid = np.arange((channels - 1) * interp + 1) / interp
+    grid = np.arange((channels - 1) * INTERP + 1) / INTERP
     fine = [np.interp(grid, np.arange(s.values.size), s.values - s.values.mean()) for s in spectra]
     power = np.array([f @ f for f in fine])
-    too_far = max_lag <= 0 or 3 * max_lag > axis.channels
+    too_far = 3 * MAX_LAG > axis.channels
     # every pair that cannot be aligned implies one in row 0, which comes first
     for j in range(1, n):
         if spectra[j].axis != axis:
             raise InputError(f"pair (0, {j}): spectra must share the same frequency axis")
         if too_far:
-            raise ConfigurationError(f"max_lag must be in (0, channels/3], got {max_lag} "
+            raise ConfigurationError(f"max_lag must be in (0, channels/3], got {MAX_LAG} "
                                      f"for {axis.channels} channels")
         if not power[0] or not power[j]:  # flat, or too faint to square
             raise DegenerateInputError(f"pair (0, {j}): cannot align a flat (zero-variance) spectrum")
-    reach = int(max_lag * interp)
+    reach = MAX_LAG * INTERP
     size = next_fast_len(grid.size + reach, real=True)
     spectra_f = rfft(np.array(fine) / np.sqrt(power)[:, None], size)
     # lag columns in tie-break order 0, -1, +1, -2, +2, ...: argmax takes the first peak
@@ -99,7 +101,7 @@ def build_shift_matrix(spectra, max_lag: int = DEFAULT_MAX_LAG, interp: int = DE
             a, b, tied = fine[i], fine[i + 1 + k], np.flatnonzero(corr[k] >= peak[k] - TIE_TOLERANCE)
             r = [a[: a.size - d] @ b[d:] if d >= 0 else a[-d:] @ b[: b.size + d] for d in order[tied]]
             best[k] = tied[np.argmax(np.divide(r, np.sqrt(power[i] * power[i + 1 + k])))]
-        m[i, i + 1 :] = order[best] / interp
+        m[i, i + 1 :] = order[best] / INTERP
     return ShiftMatrix(m - m.T)
 
 

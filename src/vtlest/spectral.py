@@ -1,7 +1,7 @@
 """Spectrum and spectrogram containers plus amplitude-domain transforms."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,14 +95,15 @@ class Spectrogram:
     """Frames of per-channel values at a fixed frame period.
 
     ``t0`` is the time of the first frame's center; it defaults to half a
-    frame period (contiguous block averaging from t=0).
+    frame period (contiguous block averaging from t=0).  A given ``t0`` is
+    kept as it is, negative or not.
     """
 
     frames: np.ndarray
     frame_period: float
     axis: FrequencyAxis
     compression: Compression = NO_COMPRESSION
-    t0: float = field(default=-1.0)
+    t0: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "frames", np.asarray(self.frames, dtype=float))
@@ -110,7 +111,7 @@ class Spectrogram:
             raise InputError(f"frames must be 2-D, got shape {self.frames.shape}")
         if self.frame_period <= 0:
             raise ConfigurationError(f"frame_period must be positive, got {self.frame_period}")
-        if self.t0 < 0:
+        if self.t0 is None:
             object.__setattr__(self, "t0", self.frame_period / 2.0)
         _check_values(self.frames, self.axis, self.compression)
 
@@ -145,16 +146,15 @@ def compress(sg, mode):
     return Spectrum(out, sg.axis, mode)
 
 
-def window_frames(t0: float, frame_period: float, n_frames: int, center: float,
-                  half_width: float = AVG_HALF_WIDTH) -> slice:
+def window_frames(t0: float, frame_period: float, n_frames: int, center: float) -> slice:
     """The frames centered at ``t0 + k * frame_period``, ``0 <= k < n_frames``,
-    that fall within ``center +- half_width``.
+    that fall within ``center +- AVG_HALF_WIDTH``.
 
     The window may overhang the first or last frame center by less than one
     frame period; reaching a full period beyond either would need a frame
     the spectrogram does not have.
     """
-    lo, hi = center - half_width, center + half_width
+    lo, hi = center - AVG_HALF_WIDTH, center + AVG_HALF_WIDTH
     t = t0 + np.arange(n_frames) * frame_period
     if not t.size:
         raise InputError(f"averaging window [{lo:.4f}, {hi:.4f}] s: the spectrogram has no frames")
@@ -169,9 +169,9 @@ def window_frames(t0: float, frame_period: float, n_frames: int, center: float,
     return slice(int(picked[0]), int(picked[-1]) + 1)
 
 
-def center_average(sg: Spectrogram, center: float, half_width: float = AVG_HALF_WIDTH) -> Spectrum:
+def center_average(sg: Spectrogram, center: float) -> Spectrum:
     """Mean over the frames :func:`window_frames` picks."""
-    picked = window_frames(sg.t0, sg.frame_period, sg.frames.shape[0], center, half_width)
+    picked = window_frames(sg.t0, sg.frame_period, sg.frames.shape[0], center)
     return Spectrum(sg.frames[picked].mean(axis=0), sg.axis, sg.compression)
 
 

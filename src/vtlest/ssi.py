@@ -8,8 +8,6 @@ leaves it untouched above, suppressing exactly that harmonic-dominated region.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .axes import FrequencyAxis
@@ -27,28 +25,20 @@ F0_WINDOW_S = 0.050
 VOICING_THRESHOLD = 0.3
 
 
-@dataclass(frozen=True)
-class SsiParams:
-    """Weighting parameters: taper knee at ``h_max`` harmonics of ``f0``."""
+def ssi_weight(axis: FrequencyAxis, h_max: float, f0: float) -> np.ndarray:
+    """Per-channel weight ``min(f_c / (h_max * f0), 1)``, the taper knee at
+    ``h_max`` harmonics of ``f0``.
 
-    h_max: float = DEFAULT_H_MAX
-    f0: float = UNVOICED
-
-    def __post_init__(self):
-        if not self.h_max > 0:
-            raise ConfigurationError(f"h_max must be positive, got {self.h_max}")
-        if self.f0 < 0:
-            raise ConfigurationError(f"f0 must be nonnegative, got {self.f0}")
-
-
-def ssi_weight(axis: FrequencyAxis, params: SsiParams) -> np.ndarray:
-    """Per-channel weight ``min(f_c / (h_max * f0), 1)``.
-
+    ``h_max`` must be positive and finite, ``f0`` nonnegative and finite.
     For ``f0 == 0`` (unvoiced/unknown) every channel gets weight 1.  The
     result is nondecreasing along the axis and saturates at 1 for all
     channels at or above ``h_max * f0``.
     """
-    knee = params.h_max * params.f0
+    if not 0.0 < h_max < np.inf:  # NaN fails every comparison
+        raise ConfigurationError(f"h_max must be positive and finite, got {h_max}")
+    if not 0.0 <= f0 < np.inf:
+        raise ConfigurationError(f"f0 must be nonnegative and finite, got {f0}")
+    knee = h_max * f0
     if knee <= 0.0:  # unvoiced, or f0 so small the knee underflows
         return np.ones(axis.channels)
     with np.errstate(over="ignore"):  # a denormal knee overflows to inf -> weight 1
@@ -72,11 +62,12 @@ def apply_weight(s: Spectrum, weights: np.ndarray) -> Spectrum:
     return Spectrum(shifted * weights, s.axis, s.compression)
 
 
-def estimate_f0(signal, fs: float, lo: float = F0_SEARCH_LO_HZ, hi: float = F0_SEARCH_HI_HZ) -> float:
+def estimate_f0(signal, fs: float) -> float:
     """Autocorrelation pitch estimate on the center 50 ms of a signal.
 
     Returns the fundamental frequency in Hz, or :data:`UNVOICED` (0.0) when
-    the normalized autocorrelation peak in the search range falls below
+    the normalized autocorrelation peak in the :data:`F0_SEARCH_LO_HZ` to
+    :data:`F0_SEARCH_HI_HZ` range falls below
     :data:`VOICING_THRESHOLD`.  The biased autocorrelation estimator is used,
     which favors the fundamental over its subharmonics.
     """
@@ -90,10 +81,10 @@ def estimate_f0(signal, fs: float, lo: float = F0_SEARCH_LO_HZ, hi: float = F0_S
     r0 = float(frame @ frame)
     if r0 <= 0.0:
         return UNVOICED
-    lag_lo = max(1, int(np.ceil(fs / hi)))
-    lag_hi = min(win - 1, int(np.floor(fs / lo)))
+    lag_lo = max(1, int(np.ceil(fs / F0_SEARCH_HI_HZ)))
+    lag_hi = min(win - 1, int(np.floor(fs / F0_SEARCH_LO_HZ)))
     if lag_lo > lag_hi:
-        raise ConfigurationError(f"search range {lo}-{hi} Hz is empty at fs={fs}")
+        raise ConfigurationError(f"search range {F0_SEARCH_LO_HZ}-{F0_SEARCH_HI_HZ} Hz is empty at fs={fs}")
     acf = np.correlate(frame, frame, mode="full")[win - 1 + lag_lo : win + lag_hi]
     peak = int(np.argmax(acf))
     if acf[peak] / r0 < VOICING_THRESHOLD:

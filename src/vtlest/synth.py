@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.signal import lfilter
 
+from . import fileio
 from .errors import ConfigurationError, InputError
 
 #: Baseline formant centers in Hz (adult-male-like values; only their ratios
@@ -32,6 +33,8 @@ OPEN_QUOTIENT = 0.6
 CLOSING_FRACTION = 0.1
 
 MIN_DURATION_S = 0.2
+#: Utterance length wherever none is given, s.
+DEFAULT_DURATION_S = 0.5
 OUTPUT_PEAK = 0.5
 
 
@@ -45,8 +48,8 @@ class VowelSpec:
     f0: float
     alpha: float
     vtl_cm: float
-    duration: float = 0.5
-    fs: float = 48000.0
+    duration: float = DEFAULT_DURATION_S
+    fs: float = fileio.CANONICAL_FS
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -63,19 +66,18 @@ class VowelSpec:
             )
 
 
-def vowel_spec(vowel: str, f0: float, alpha: float = 1.0, duration: float = 0.5,
-               fs: float = 48000.0, formant_table=None, baseline_vtl_cm: float = BASELINE_VTL_CM) -> VowelSpec:
+def vowel_spec(vowel: str, f0: float, alpha: float = 1.0, duration: float = DEFAULT_DURATION_S,
+               fs: float = fileio.CANONICAL_FS) -> VowelSpec:
     """Baseline-table spec for ``vowel``, scaled by ``alpha``."""
-    table = VOWEL_FORMANTS_HZ if formant_table is None else formant_table
-    if vowel not in table:
-        raise ConfigurationError(f"unknown vowel {vowel!r}; expected one of {sorted(table)}")
+    if vowel not in VOWEL_FORMANTS_HZ:
+        raise ConfigurationError(f"unknown vowel {vowel!r}; expected one of {sorted(VOWEL_FORMANTS_HZ)}")
     base = VowelSpec(
         vowel=vowel,
-        formants=tuple(table[vowel]),
+        formants=VOWEL_FORMANTS_HZ[vowel],
         bandwidths=FORMANT_BANDWIDTHS_HZ,
         f0=float(f0),
         alpha=1.0,
-        vtl_cm=baseline_vtl_cm,
+        vtl_cm=BASELINE_VTL_CM,
         duration=duration,
         fs=fs,
     )
@@ -135,12 +137,10 @@ def synth_vowel(spec: VowelSpec) -> np.ndarray:
     return OUTPUT_PEAK * x / np.abs(x).max()
 
 
-def default_speakers(n: int = 8) -> list[tuple[float, float]]:
-    """(f0, alpha) ladder: scale factors 0.80-1.25 paired with pitches rising
-    100-220 Hz, so shorter tracts get higher pitch."""
+def default_speakers() -> list[tuple[float, float]]:
+    """(f0, alpha) ladder of 8 speakers: scale factors 0.80-1.25 paired with
+    pitches rising 100-220 Hz, so shorter tracts get higher pitch."""
     alphas = np.array([0.80, 0.88, 0.95, 1.00, 1.05, 1.12, 1.20, 1.25])
-    if n != alphas.size:
-        raise ConfigurationError(f"the default ladder defines 8 speakers, got n={n}")
     f0s = np.linspace(100.0, 220.0, alphas.size)
     return [(float(f), float(a)) for f, a in zip(f0s, alphas)]
 
@@ -154,16 +154,14 @@ def pair_demo_speakers() -> list[tuple[float, float]]:
     ]
 
 
-def make_corpus(speakers, vowels, out_dir, duration: float = 0.5, fs: float = 48000.0,
-                formant_table=None, baseline_vtl_cm: float = BASELINE_VTL_CM):
+def make_corpus(speakers, vowels, out_dir, duration: float = DEFAULT_DURATION_S,
+                fs: float = fileio.CANONICAL_FS):
     """Synthesize one WAV per speaker x vowel and write a manifest CSV.
 
     ``speakers`` is a list of (f0, alpha) pairs; ids s01, s02, ... are
     assigned in order.  Returns the list of manifest records; the manifest is
     written to ``out_dir / "manifest.csv"`` with WAV paths relative to it.
     """
-    from . import fileio  # deferred: fileio imports nothing from here
-
     speakers = list(speakers)
     vowels = list(vowels)
     if not speakers or not vowels:
@@ -173,8 +171,7 @@ def make_corpus(speakers, vowels, out_dir, duration: float = 0.5, fs: float = 48
     for idx, (f0, alpha) in enumerate(speakers, start=1):
         speaker_id = f"s{idx:0{width}d}"
         for vowel in vowels:
-            spec = vowel_spec(vowel, f0, alpha, duration, fs,
-                              formant_table=formant_table, baseline_vtl_cm=baseline_vtl_cm)
+            spec = vowel_spec(vowel, f0, alpha, duration, fs)
             samples = synth_vowel(spec)
             rel_path = f"{speaker_id}_{vowel}.wav"
             fileio.write_wav(out_dir, rel_path, samples, fs)

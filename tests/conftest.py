@@ -4,9 +4,11 @@ The session-scoped analyzers share their spectrum/lag caches across tests,
 which keeps the suite fast; tests that assert runtime budgets build their own
 fresh analyzers instead.
 """
+import numpy as np
 import pytest
 
 import vtlest as v
+from vtlest import fileio
 
 _ACCEPTANCE_RESULTS: dict[str, tuple[int, str]] = {}
 
@@ -57,6 +59,17 @@ def pair_corpus_dir(tmp_path_factory):
 @pytest.fixture(scope="session")
 def pair_corpus(pair_corpus_dir):
     return v.load_corpus(pair_corpus_dir / "manifest.csv")
+
+
+@pytest.fixture
+def zero_rate_wav(tmp_path):
+    """A 16-bit mono WAV whose header declares 0 Hz and 0 bytes per second."""
+    fileio.write_wav(tmp_path, "zero.wav", np.zeros(480), 48000.0)
+    path = tmp_path / "zero.wav"
+    data = bytearray(path.read_bytes())
+    data[24:32] = bytes(8)
+    path.write_bytes(bytes(data))
+    return path
 
 
 @pytest.fixture(scope="session")

@@ -142,13 +142,13 @@ def test_algorithm_oracles():
 def test_unit_invariants(pair_corpus_dir, tmp_path):
     # weight boundary, saturation, and unvoiced cases, exact
     knee_axis = v.make_axis("hz", 2, 318.5, 637.0)
-    w = v.ssi_weight(knee_axis, v.SsiParams(h_max=3.5, f0=182.0))
+    w = v.ssi_weight(knee_axis, h_max=3.5, f0=182.0)
     assert w[0] == 0.5 and w[1] == 1.0
-    above = v.ssi_weight(ERB_AXIS, v.SsiParams(h_max=3.5, f0=182.0))
+    above = v.ssi_weight(ERB_AXIS, h_max=3.5, f0=182.0)
     knee = 3.5 * 182.0
     assert (above[ERB_AXIS.center_freqs >= knee] == 1.0).all()
     assert (above[ERB_AXIS.center_freqs < knee] < 1.0).all()
-    assert (v.ssi_weight(ERB_AXIS, v.SsiParams(h_max=3.5, f0=0.0)) == 1.0).all()
+    assert (v.ssi_weight(ERB_AXIS, h_max=3.5, f0=0.0) == 1.0).all()
 
     # frequency-scale spot values
     assert v.hz_to_erbn(1000.0) == pytest.approx(15.62, abs=0.01)

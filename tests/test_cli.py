@@ -70,6 +70,22 @@ class TestAnalyzeCommand:
         assert run_cli("analyze", tmp_path / "nope.wav", "--out", tmp_path / "o.csv") != 0
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--f0", "--hmax"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_pitch_or_knee_is_one_error_line(self, pair_corpus_dir, tmp_path, capsys, flag, value):
+        out = tmp_path / "spec.csv"
+        assert run_cli("analyze", pair_corpus_dir / "s01_a.wav", "--rep", "Ep_SSI", flag, value,
+                       "--out", out) == 1
+        err = capsys.readouterr().err.splitlines()
+        rule = {"--f0": "f0 must be nonnegative", "--hmax": "h_max must be positive"}[flag]
+        assert err == [f"error: {rule} and finite, got {value}"]
+        assert not out.exists()
+
+    def test_zero_sample_rate_is_one_error_line(self, zero_rate_wav, tmp_path, capsys):
+        assert run_cli("analyze", zero_rate_wav, "--out", tmp_path / "o.csv") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "zero.wav" in err[0]
+
 
 class TestEstimateCommand:
     def test_identical_speakers_zero_shifts(self, tmp_path, capsys):

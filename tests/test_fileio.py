@@ -39,6 +39,10 @@ class TestWav:
         with pytest.raises(InputError):
             fileio.read_wav(tmp_path / "s.wav")
 
+    def test_zero_sample_rate_names_file(self, zero_rate_wav):
+        with pytest.raises(InputError, match=r"zero\.wav: sample rate must be positive, got 0"):
+            fileio.read_wav(zero_rate_wav)
+
     def test_resample_warns_and_preserves_duration(self):
         x = np.sin(2 * np.pi * 440.0 * np.arange(44100) / 44100.0)
         with pytest.warns(UserWarning, match="48000"):
@@ -115,6 +119,15 @@ class TestSpectrumCsv:
         assert loaded.frame_period == 0.005
         assert loaded.t0 == 0.0125
         np.testing.assert_allclose(loaded.frames, sg.frames, rtol=1e-11)
+
+    def test_spectrogram_negative_t0_round_trip(self, tmp_path):
+        axis = v.make_axis("mel", 25, 100.0, 8000.0)
+        sg = v.Spectrogram(np.ones((7, 25)), 0.005, axis, t0=-0.0025)
+        fileio.write_spectrogram_csv(tmp_path / "sg.csv", sg)
+        assert "t0=-0.0025" in (tmp_path / "sg.csv").read_text().splitlines()[0]
+        loaded = fileio.read_spectrogram_csv(tmp_path / "sg.csv")
+        assert loaded.t0 == -0.0025
+        np.testing.assert_allclose(loaded.frame_times, sg.frame_times)
 
     def test_missing_metadata_rejected(self, tmp_path):
         (tmp_path / "x.csv").write_text("channel,center_freq_hz,value\n0,100,1\n")

@@ -49,7 +49,7 @@ class TestGammatoneEp:
             )
 
     def test_frame_count_and_period(self, erb_axis):
-        sg = v.gammatone_ep(np.ones(4800), FS, erb_axis, frame_period=0.0005)
+        sg = v.gammatone_ep(np.ones(4800), FS, erb_axis)
         assert sg.frames.shape == (200, 100)
         assert sg.frame_period == 0.0005
         assert sg.t0 == pytest.approx(0.00025)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import vtlest as v
-from vtlest import axes, fileio, frontends, shifts, spectral, ssi
+from vtlest import axes, fileio, frontends, shifts, spectral, ssi, synth
 from vtlest.axes import AxisKind
 from vtlest.errors import ConfigurationError, InputError
 
@@ -375,8 +375,24 @@ class TestExternalSpectra:
             corpus.estimate("W_log", 3.5)
 
 
-def _default(func, name):
-    return inspect.signature(func).parameters[name].default
+#: The fixed analysis settings and canonical inputs, by function: none of
+#: them is a parameter, so no caller can set one.
+FIXED_SETTINGS = {
+    frontends.gammatone_ep: ("frame_period",),
+    frontends.stft_spectrum: ("window_len", "hop"),
+    frontends.mel_spectrum: ("n_filters", "f_lo", "f_hi"),
+    spectral.window_frames: ("half_width",),
+    spectral.center_average: ("half_width",),
+    shifts.build_shift_matrix: ("max_lag", "interp"),
+    shifts.xcorr_shift: ("max_lag", "interp"),
+    ssi.estimate_f0: ("lo", "hi"),
+    fileio.ensure_rate: ("target_fs",),
+    fileio.read_audio: ("target_fs",),
+    fileio.write_manifest: ("name",),
+    synth.vowel_spec: ("formant_table", "baseline_vtl_cm"),
+    synth.make_corpus: ("formant_table", "baseline_vtl_cm"),
+    synth.default_speakers: ("n",),
+}
 
 
 def test_default_params_match_canonical_settings():
@@ -386,18 +402,24 @@ def test_default_params_match_canonical_settings():
         assert (axis.channels, axis.f_lo, axis.f_hi) == (100, 100.0, 8000.0)
     assert fileio.CANONICAL_FS == 48000.0
     assert frontends.EP_FRAME_PERIOD == 0.0005
-    assert _default(v.gammatone_ep, "frame_period") == 0.0005
     assert spectral.AVG_HALF_WIDTH == 0.025
-    assert _default(v.center_average, "half_width") == 0.025
     assert (frontends.STFT_WINDOW, frontends.STFT_HOP) == (0.025, 0.005)
-    assert (_default(v.stft_spectrum, "window_len"), _default(v.stft_spectrum, "hop")) == (
-        frontends.STFT_WINDOW, frontends.STFT_HOP)
-    assert _default(v.mel_spectrum, "n_filters") == 25
-    assert (_default(v.mel_spectrum, "f_lo"), _default(v.mel_spectrum, "f_hi")) == (100.0, 8000.0)
+    assert frontends.MEL_FILTERS == 25
+    assert (ssi.F0_SEARCH_LO_HZ, ssi.F0_SEARCH_HI_HZ) == (60.0, 400.0)
     assert ssi.DEFAULT_H_MAX == 3.5
-    assert v.SsiParams().h_max == 3.5
-    assert shifts.DEFAULT_INTERP == 10
-    assert shifts.DEFAULT_MAX_LAG == 30
+    assert shifts.INTERP == 10
+    assert shifts.MAX_LAG == 30
+    assert synth.DEFAULT_DURATION_S == 0.5
+    assert sum(len(names) for names in FIXED_SETTINGS.values()) == 22
+    for func, names in FIXED_SETTINGS.items():
+        params = inspect.signature(func).parameters
+        assert not set(names) & set(params), f"{func.__name__} takes {set(names) & set(params)}"
+    for gone in ("SsiParams", "DEFAULT_MAX_LAG", "DEFAULT_INTERP"):
+        assert not any(hasattr(module, gone) for module in (v, ssi, shifts))
+    trials = inspect.signature(v.exclusion_trials).parameters
+    for name in ("k", "trials", "seed"):
+        assert trials[name].kind is inspect.Parameter.KEYWORD_ONLY
+        assert trials[name].default is inspect.Parameter.empty
 
 
 @pytest.mark.parametrize(

@@ -1,17 +1,21 @@
 """Cross-correlation alignment, shift matrices, and length conversion."""
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import vtlest as v
+from vtlest import shifts
 from vtlest.errors import (
     ConfigurationError,
     DegenerateFitError,
     DegenerateInputError,
     InputError,
 )
-from vtlest.shifts import DEFAULT_INTERP, DEFAULT_MAX_LAG, Q_SEARCH_RANGE
+from vtlest.shifts import INTERP, MAX_LAG, Q_SEARCH_RANGE
 
 AXIS = v.make_axis("erb", 100, 100.0, 8000.0)
 
@@ -65,8 +69,8 @@ class TestXcorrShift:
             v.xcorr_shift(spectrum_at(0), other)
 
     def test_max_lag_bound(self):
-        with pytest.raises(ConfigurationError):
-            v.xcorr_shift(spectrum_at(0), spectrum_at(1), max_lag=40)
+        with lag_settings(max_lag=40), pytest.raises(ConfigurationError):
+            v.xcorr_shift(spectrum_at(0), spectrum_at(1))
 
     def test_tie_breaks_prefer_small_then_negative_lag(self):
         single = np.zeros(100)
@@ -121,7 +125,14 @@ class TestShiftMatrix:
             v.ShiftMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
-def oracle_lag(a, b, max_lag=DEFAULT_MAX_LAG, interp=DEFAULT_INTERP):
+@contextlib.contextmanager
+def lag_settings(max_lag=MAX_LAG, interp=INTERP):
+    """Run the lag search with other settings than the fixed ones."""
+    with mock.patch.object(shifts, "MAX_LAG", max_lag), mock.patch.object(shifts, "INTERP", interp):
+        yield
+
+
+def oracle_lag(a, b, max_lag=MAX_LAG, interp=INTERP):
     """The per-pair ``np.correlate`` search that the batched correlator replaced."""
     def upsample(values):
         n = values.size
@@ -147,7 +158,7 @@ def oracle_matrix(spectra, **kw):
     return m
 
 
-def oracle_error(spectra, max_lag=DEFAULT_MAX_LAG):
+def oracle_error(spectra, max_lag=MAX_LAG):
     """(type, message) of the first pair the per-pair search rejected, or None."""
     for i in range(len(spectra)):
         for j in range(i + 1, len(spectra)):
@@ -164,7 +175,9 @@ def oracle_error(spectra, max_lag=DEFAULT_MAX_LAG):
 
 def assert_matches_oracle(values, **kw):
     spectra = [v.Spectrum(x, AXIS) for x in values]
-    np.testing.assert_array_equal(v.build_shift_matrix(spectra, **kw).values, oracle_matrix(spectra, **kw))
+    with lag_settings(**kw):
+        got = v.build_shift_matrix(spectra).values
+    np.testing.assert_array_equal(got, oracle_matrix(spectra, **kw))
 
 
 def shifted(values, k):
@@ -265,13 +278,14 @@ class TestShiftMatrixErrors:
         with pytest.raises(DegenerateInputError, match=r"pair \(0, 1\)"):
             v.build_shift_matrix([spectrum_at(0), v.Spectrum(faint, AXIS)])
 
-    @pytest.mark.parametrize("max_lag", [40, 0, -1])
+    @pytest.mark.parametrize("max_lag", [34, 40])
     def test_max_lag_out_of_range(self, max_lag):
-        with pytest.raises(ConfigurationError, match=f"got {max_lag} for 100 channels"):
-            v.build_shift_matrix([spectrum_at(0), spectrum_at(1), spectrum_at(2)], max_lag=max_lag)
+        spectra = [spectrum_at(0), spectrum_at(1), spectrum_at(2)]
+        with lag_settings(max_lag=max_lag), pytest.raises(ConfigurationError, match=f"got {max_lag} for 100"):
+            v.build_shift_matrix(spectra)
 
     @given(st.lists(st.tuples(st.sampled_from(["erb", "log10", "erb60"]), st.booleans()), min_size=2, max_size=6),
-           st.sampled_from([30, 21, 0]))
+           st.sampled_from([30, 21, 40]))
     @settings(max_examples=80, deadline=None)
     def test_error_matches_the_per_pair_search(self, layout, max_lag):
         axes = {"erb": AXIS, "log10": v.make_axis("log10", 100, 100.0, 8000.0),
@@ -282,11 +296,12 @@ class TestShiftMatrixErrors:
             values = np.zeros(axis.channels) if flat else bumps([20 + i], n=axis.channels)
             spectra.append(v.Spectrum(values, axis))
         expected = oracle_error(spectra, max_lag)
-        if expected is None:
-            v.build_shift_matrix(spectra, max_lag=max_lag)
-            return
-        with pytest.raises(expected[0]) as info:
-            v.build_shift_matrix(spectra, max_lag=max_lag)
+        with lag_settings(max_lag=max_lag):
+            if expected is None:
+                v.build_shift_matrix(spectra)
+                return
+            with pytest.raises(expected[0]) as info:
+                v.build_shift_matrix(spectra)
         assert type(info.value) is expected[0] and str(info.value) == expected[1]
 
 

@@ -12,8 +12,8 @@ def small_axis():
     return v.make_axis("erb", 4, 100.0, 8000.0)
 
 
-def sg_of(rows, axis, **kw):
-    return v.Spectrogram(np.asarray(rows, dtype=float), 0.01, axis, **kw)
+def sg_of(rows, axis, frame_period=0.01, **kw):
+    return v.Spectrogram(np.asarray(rows, dtype=float), frame_period, axis, **kw)
 
 
 class TestCompress:
@@ -89,30 +89,35 @@ class TestContainers:
         sg = sg_of([[1.0] * 4, [2.0] * 4], small_axis)
         np.testing.assert_allclose(sg.frame_times, [0.005, 0.015])
 
+    def test_frame_times_negative_origin_kept(self, small_axis):
+        sg = sg_of([[1.0] * 4, [2.0] * 4], small_axis, t0=-0.0025)
+        assert sg.t0 == -0.0025
+        np.testing.assert_allclose(sg.frame_times, [-0.0025, 0.0075])
+
 
 class TestCenterAverage:
     def test_constant_spectrogram(self, small_axis):
         sg = sg_of([[3.0, 1.0, 4.0, 1.5]] * 10, small_axis)
-        out = v.center_average(sg, 0.05, 0.02)
+        out = v.center_average(sg, 0.05)
         np.testing.assert_allclose(out.values, [3.0, 1.0, 4.0, 1.5])
 
     def test_two_frame_window(self, small_axis):
-        sg = sg_of([[1.0] * 4, [2.0] * 4, [4.0] * 4, [8.0] * 4], small_axis)
-        # centers: 5, 15, 25, 35 ms; select exactly frames 1 and 2
-        out = v.center_average(sg, 0.020, 0.006)
+        sg = sg_of([[1.0] * 4, [2.0] * 4, [4.0] * 4, [8.0] * 4], small_axis, frame_period=0.025)
+        # centers: 12.5, 37.5, 62.5, 87.5 ms; 50 +- 25 ms selects exactly frames 1 and 2
+        out = v.center_average(sg, 0.050)
         np.testing.assert_allclose(out.values, 3.0)
 
     def test_window_outside_span_rejected(self, small_axis):
         sg = sg_of([[1.0] * 4] * 4, small_axis)
         with pytest.raises(InputError):
-            v.center_average(sg, 0.05, 0.025)
+            v.center_average(sg, 0.05)
 
     def test_stationary_vowel_window_matches_long_average(self):
         spec = v.vowel_spec("a", 120.0, 1.0)
         samples = v.synth_vowel(spec)
         axis = v.make_axis("erb", 100, 100.0, 8000.0)
         ep = v.gammatone_ep(samples, spec.fs, axis)
-        windowed = v.center_average(ep, spec.duration / 2, 0.025)
+        windowed = v.center_average(ep, spec.duration / 2)
         # steady portion: skip the filters' startup transient
         steady = ep.frames[200:]
         long_avg = steady.mean(axis=0)

@@ -14,16 +14,15 @@ class TestSsiWeight:
     def test_boundary_and_half(self):
         # two channels placed exactly at the half-knee and knee frequencies
         axis = v.make_axis("hz", 2, 318.5, 637.0)
-        w = v.ssi_weight(axis, v.SsiParams(h_max=3.5, f0=182.0))
+        w = v.ssi_weight(axis, 3.5, 182.0)
         np.testing.assert_allclose(w, [0.5, 1.0], rtol=1e-12)
 
     def test_unvoiced_gives_all_ones(self, erb_axis):
-        w = v.ssi_weight(erb_axis, v.SsiParams(h_max=3.5, f0=UNVOICED))
+        w = v.ssi_weight(erb_axis, 3.5, UNVOICED)
         np.testing.assert_array_equal(w, 1.0)
 
     def test_formula_against_centers(self, erb_axis):
-        params = v.SsiParams(h_max=3.5, f0=182.0)
-        w = v.ssi_weight(erb_axis, params)
+        w = v.ssi_weight(erb_axis, 3.5, 182.0)
         expected = np.minimum(erb_axis.center_freqs / (3.5 * 182.0), 1.0)
         np.testing.assert_allclose(w, expected, rtol=1e-12)
 
@@ -33,7 +32,7 @@ class TestSsiWeight:
     )
     def test_bounds_and_monotonicity(self, h_max, f0):
         axis = v.make_axis("erb", 100, 100.0, 8000.0)
-        w = v.ssi_weight(axis, v.SsiParams(h_max=h_max, f0=f0))
+        w = v.ssi_weight(axis, h_max, f0)
         assert (w >= 0.0).all() and (w <= 1.0).all()
         assert (np.diff(w) >= -1e-15).all()
 
@@ -41,25 +40,32 @@ class TestSsiWeight:
     def test_saturation_exactly_at_knee(self, h_max):
         axis = v.make_axis("erb", 100, 100.0, 8000.0)
         f0 = 182.0
-        w = v.ssi_weight(axis, v.SsiParams(h_max=h_max, f0=f0))
+        w = v.ssi_weight(axis, h_max, f0)
         knee = h_max * f0
         above = axis.center_freqs >= knee
         assert (w[above] == 1.0).all()
         assert (w[~above] < 1.0).all()
 
     def test_nonincreasing_in_f0_and_hmax(self, erb_axis):
-        w_lo = v.ssi_weight(erb_axis, v.SsiParams(3.5, 101.0))
-        w_hi = v.ssi_weight(erb_axis, v.SsiParams(3.5, 182.0))
+        w_lo = v.ssi_weight(erb_axis, 3.5, 101.0)
+        w_hi = v.ssi_weight(erb_axis, 3.5, 182.0)
         assert (w_hi <= w_lo + 1e-15).all()
-        w_k35 = v.ssi_weight(erb_axis, v.SsiParams(3.5, 182.0))
-        w_k50 = v.ssi_weight(erb_axis, v.SsiParams(5.0, 182.0))
+        w_k35 = v.ssi_weight(erb_axis, 3.5, 182.0)
+        w_k50 = v.ssi_weight(erb_axis, 5.0, 182.0)
         assert (w_k50 <= w_k35 + 1e-15).all()
 
-    def test_invalid_params(self):
+    def test_invalid_params(self, erb_axis):
         with pytest.raises(ConfigurationError):
-            v.SsiParams(h_max=0.0, f0=100.0)
+            v.ssi_weight(erb_axis, 0.0, 100.0)
         with pytest.raises(ConfigurationError):
-            v.SsiParams(h_max=3.5, f0=-1.0)
+            v.ssi_weight(erb_axis, 3.5, -1.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_knee_or_pitch_rejected(self, erb_axis, bad):
+        with pytest.raises(ConfigurationError, match="h_max must be positive and finite"):
+            v.ssi_weight(erb_axis, bad, 100.0)
+        with pytest.raises(ConfigurationError, match="f0 must be nonnegative and finite"):
+            v.ssi_weight(erb_axis, 3.5, bad)
 
 
 class TestApplyWeight:
@@ -86,7 +92,7 @@ class TestApplyWeight:
 
     def test_suppression_factor_at_first_harmonic(self, female_vowel, erb_axis):
         _, _, spectrum = female_vowel
-        w = v.ssi_weight(erb_axis, v.SsiParams(h_max=3.5, f0=182.0))
+        w = v.ssi_weight(erb_axis, 3.5, 182.0)
         out = v.apply_weight(spectrum, w)
         c = erb_axis.nearest_channel(182.0)
         shifted = spectrum.values - spectrum.values.min()

@@ -48,7 +48,7 @@ class TestScaleVtl:
             samples = v.synth_vowel(spec)
             ep = v.gammatone_ep(samples, spec.fs, erb_axis)
             s = v.center_average(ep, spec.duration / 2)
-            w = v.ssi_weight(erb_axis, v.SsiParams(3.5, spec.f0))
+            w = v.ssi_weight(erb_axis, 3.5, spec.f0)
             return v.resample_to_axis(v.apply_weight(s, w), log_axis)
 
         base = v.vowel_spec("a", 101.0)
