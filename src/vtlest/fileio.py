@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 from scipy.io import wavfile
 
-from .axes import AxisKind, FrequencyAxis
+from .axes import F_HI, AxisKind, FrequencyAxis
 from .errors import InputError
 from .spectral import Spectrogram, Spectrum, as_compression
 
@@ -98,7 +98,13 @@ def write_wav(out_dir, rel_path, samples, fs: float):
 
 
 def ensure_rate(samples, fs: float):
-    """Linearly resample to :data:`CANONICAL_FS` if needed, with a warning."""
+    """Linearly resample to :data:`CANONICAL_FS` if needed, with a warning.
+
+    Rates below twice the analysis range's upper edge are rejected before
+    anything is allocated: the output's size follows from the rate alone.
+    """
+    if not fs >= 2.0 * F_HI:
+        raise InputError(f"sample rate {fs:g} Hz is too low for channels up to {F_HI:g} Hz")
     if fs == CANONICAL_FS:
         return np.asarray(samples, dtype=float), CANONICAL_FS
     warnings.warn(
@@ -116,7 +122,10 @@ def ensure_rate(samples, fs: float):
 def read_audio(path):
     """Read a WAV file and resample it to the canonical analysis rate."""
     samples, fs = read_wav(path)
-    return ensure_rate(samples, fs)
+    try:
+        return ensure_rate(samples, fs)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 # --------------------------------------------------------------------------

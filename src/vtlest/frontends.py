@@ -23,6 +23,11 @@ GAMMATONE_ORDER = 4
 ENVELOPE_LP_HZ = 1000.0
 #: Frame length of excitation-pattern spectrograms, s.
 EP_FRAME_PERIOD = 0.0005
+#: How long before the averaging window the gammatone bank starts, s.  The
+#: filters start from rest, and the slowest channel (100 Hz) decays with a
+#: 4.4 ms time constant, so after 100 ms the cut moves the averaged pattern
+#: by under 1e-5 dB.
+EP_PREROLL = 0.100
 #: Hamming window length and hop of the STFT, s.
 STFT_WINDOW = 0.025
 STFT_HOP = 0.005

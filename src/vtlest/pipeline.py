@@ -25,7 +25,15 @@ import numpy as np
 from . import fileio
 from .axes import CHANNELS, F_HI, F_LO, AxisKind, FrequencyAxis, make_axis
 from .errors import ConfigurationError, DegenerateFitError, InputError
-from .frontends import EP_FRAME_PERIOD, STFT_HOP, STFT_WINDOW, gammatone_ep, mel_spectrum, stft_spectrum
+from .frontends import (
+    EP_FRAME_PERIOD,
+    EP_PREROLL,
+    STFT_HOP,
+    STFT_WINDOW,
+    gammatone_ep,
+    mel_spectrum,
+    stft_spectrum,
+)
 from .shifts import (
     ShiftMatrix,
     build_shift_matrix,
@@ -45,7 +53,7 @@ from .spectral import (
     resample_to_axis,
     window_frames,
 )
-from .ssi import DEFAULT_H_MAX, apply_weight, estimate_f0, ssi_weight
+from .ssi import DEFAULT_H_MAX, F0_WINDOW_S, apply_weight, estimate_f0, ssi_weight
 
 _AXIS_KINDS = {
     "Ep": AxisKind.ERB_LINEAR,
@@ -131,39 +139,71 @@ class UtteranceAnalyzer:
     """Computes and caches the spectral representations of one utterance.
 
     Each front end reads only the samples the +-25 ms averaging window needs,
-    and nothing cached grows with the duration.  The F, M and W frames the
-    window picks are cached uncompressed, once per base; F's are bit for bit
-    those of the whole-signal STFT, and log compression floors at their peak.
-    Ep filters only up to the window end (the gammatone bank is causal) and
-    averages its linear pattern before compressing it.  ``external_sg`` is a
-    :class:`Spectrogram` or the path of a spectrogram CSV, read on the first
-    use of W.
+    and nothing held grows with the duration: the analyzer keeps a copy of
+    the one span of samples its bases read (``span``, starting at sample
+    ``span_start`` of the ``n_samples`` resampled ones), not the waveform.
+    The F, M and W frames the window picks are cached uncompressed, once per
+    base; F's are bit for bit those of the whole-signal STFT, and log
+    compression floors at their peak.  Ep filters whole frames from
+    :data:`~vtlest.frontends.EP_PREROLL` before the window start (from
+    sample 0 if that is sooner) to the window end, and averages its linear
+    pattern before compressing it.  F0 is estimated on the centre 50 ms.
+    ``external_sg`` is a :class:`Spectrogram` or the path of a spectrogram
+    CSV, read on the first use of W.
     """
 
     def __init__(self, samples, fs, *, f0_override: float | None = None, external_sg=None):
-        self.samples, self.fs = fileio.ensure_rate(samples, fs)
-        self.center = self.samples.size / self.fs / 2.0
+        samples, self.fs = fileio.ensure_rate(samples, fs)
+        self.n_samples = samples.size
+        self.center = self.n_samples / self.fs / 2.0
         self._f0_override = f0_override
         self._external_sg = external_sg
         self._windows: dict[str, Spectrogram] = {}
         self._spectra: dict[tuple[str, Compression], Spectrum] = {}
+        # F reads the STFT frames centred in the window: up to half a frame
+        # either side of it, plus a sample of slack for round-off
+        f_reach = AVG_HALF_WIDTH * self.fs + STFT_WINDOW * self.fs / 2.0 + 1.0
+        mid = self.center * self.fs
+        ep, f0 = self._ep_samples(), self._f0_samples()
+        self.span_start = min(ep.start, f0.start, max(0, math.floor(mid - f_reach)))
+        stop = max(ep.stop, f0.stop, math.ceil(mid + f_reach))
+        # a copy: a view would keep the whole waveform alive
+        self.span = samples[self.span_start:stop].copy()
+
+    def _read(self, cut: slice) -> np.ndarray:
+        """Samples ``cut`` of the resampled input, clipped to its end."""
+        return self.span[cut.start - self.span_start:cut.stop - self.span_start]
+
+    def _ep_samples(self) -> slice:
+        """Whole EP frames from the pre-roll start to the window end."""
+        frame = int(round(EP_FRAME_PERIOD * self.fs))
+        first = max(0, math.floor((self.center - AVG_HALF_WIDTH - EP_PREROLL) / EP_FRAME_PERIOD))
+        stop = math.ceil((self.center + AVG_HALF_WIDTH) / EP_FRAME_PERIOD)
+        return slice(first * frame, stop * frame)
+
+    def _f0_samples(self) -> slice:
+        """The centre :data:`~vtlest.ssi.F0_WINDOW_S`, or every sample of a
+        shorter input (which :func:`estimate_f0` rejects)."""
+        win = int(round(F0_WINDOW_S * self.fs))
+        start = max(0, (self.n_samples - win) // 2)
+        return slice(start, start + win)
 
     @cached_property
     def f0(self) -> float:
         """Pitch used for weighting: the override if given, else estimated."""
         if self._f0_override is not None:
             return self._f0_override
-        return estimate_f0(self.samples, self.fs)
+        return estimate_f0(self._read(self._f0_samples()), self.fs)
 
     def _window(self, base: str) -> Spectrogram:
         """The uncompressed F, M or W frames the averaging window picks."""
         if base not in self._windows:
             if base == "F":
                 win_n, hop_n = int(round(STFT_WINDOW * self.fs)), int(round(STFT_HOP * self.fs))
-                n_frames = (self.samples.size - win_n) // hop_n + 1
+                n_frames = (self.n_samples - win_n) // hop_n + 1
                 picked = window_frames(win_n / (2.0 * self.fs), hop_n / self.fs, n_frames, self.center)
                 start = picked.start * hop_n
-                sg = stft_spectrum(self.samples[start:(picked.stop - 1) * hop_n + win_n], self.fs)
+                sg = stft_spectrum(self._read(slice(start, (picked.stop - 1) * hop_n + win_n)), self.fs)
                 sg = replace(sg, t0=sg.t0 + start / self.fs)
             elif base == "M":
                 sg = mel_spectrum(self._window("F"))
@@ -187,11 +227,11 @@ class UtteranceAnalyzer:
         key = (rep.base, rep.compression)
         if key not in self._spectra:
             if rep.base == "Ep":
-                # whole frames up to the window end: the cut keeps every frame
-                # the window picks, and center_average needs none past it
-                frame = int(round(EP_FRAME_PERIOD * self.fs))
-                n_frames = math.ceil((self.center + AVG_HALF_WIDTH) / EP_FRAME_PERIOD)
-                ep = gammatone_ep(self.samples[:n_frames * frame], self.fs, axis_for("Ep"))
+                # the cut keeps every frame the window picks, and center_average
+                # needs none past it; the frames before it only warm the bank up
+                cut = self._ep_samples()
+                ep = gammatone_ep(self._read(cut), self.fs, axis_for("Ep"))
+                ep = replace(ep, t0=ep.t0 + cut.start / self.fs)
                 spec = compress(center_average(ep, self.center), rep.compression)
             else:
                 sg = compress(self._window(rep.base), rep.compression)

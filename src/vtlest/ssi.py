@@ -85,7 +85,9 @@ def estimate_f0(signal, fs: float) -> float:
     lag_hi = min(win - 1, int(np.floor(fs / F0_SEARCH_LO_HZ)))
     if lag_lo > lag_hi:
         raise ConfigurationError(f"search range {F0_SEARCH_LO_HZ}-{F0_SEARCH_HI_HZ} Hz is empty at fs={fs}")
-    acf = np.correlate(frame, frame, mode="full")[win - 1 + lag_lo : win + lag_hi]
+    # only the searched lags: acf[k] = sum_n frame[n + lag_lo + k] * frame[n]
+    padded = np.concatenate([frame[lag_lo:], np.zeros(lag_hi)])
+    acf = np.correlate(padded, frame, mode="valid")
     peak = int(np.argmax(acf))
     if acf[peak] / r0 < VOICING_THRESHOLD:
         return UNVOICED

@@ -72,6 +72,17 @@ def zero_rate_wav(tmp_path):
     return path
 
 
+@pytest.fixture
+def one_hz_wav(tmp_path):
+    """A 100-sample 16-bit mono WAV whose header declares 1 Hz.
+
+    Resampled to 48 kHz it would be 4.8 million samples; the rate is
+    rejected before anything of that size is allocated.
+    """
+    fileio.write_wav(tmp_path, "slow.wav", np.zeros(100), 1.0)
+    return tmp_path / "slow.wav"
+
+
 @pytest.fixture(scope="session")
 def female_vowel():
     """Synthetic 182 Hz /a/ from a 15 cm tract, with its linear EP spectrum."""

@@ -86,6 +86,11 @@ class TestAnalyzeCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "zero.wav" in err[0]
 
+    def test_too_low_sample_rate_is_one_error_line(self, one_hz_wav, tmp_path, capsys):
+        assert run_cli("analyze", one_hz_wav, "--out", tmp_path / "o.csv") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {one_hz_wav}: sample rate 1 Hz is too low for channels up to 8000 Hz"]
+
 
 class TestEstimateCommand:
     def test_identical_speakers_zero_shifts(self, tmp_path, capsys):

@@ -43,6 +43,14 @@ class TestWav:
         with pytest.raises(InputError, match=r"zero\.wav: sample rate must be positive, got 0"):
             fileio.read_wav(zero_rate_wav)
 
+    def test_rate_below_twice_the_analysis_range_rejected(self, one_hz_wav):
+        with pytest.raises(InputError, match=r"slow\.wav: sample rate 1 Hz is too low for channels up to 8000 Hz"):
+            fileio.read_audio(one_hz_wav)
+        with pytest.raises(InputError, match="sample rate 15999 Hz is too low"):
+            fileio.ensure_rate(np.zeros(100), 15999.0)
+        with pytest.warns(UserWarning, match="16000"):
+            assert fileio.ensure_rate(np.zeros(100), 16000.0)[0].size == 300
+
     def test_resample_warns_and_preserves_duration(self):
         x = np.sin(2 * np.pi * 440.0 * np.arange(44100) / 44100.0)
         with pytest.warns(UserWarning, match="48000"):

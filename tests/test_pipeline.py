@@ -110,23 +110,36 @@ class TestUtteranceAnalyzer:
 
 
 class TestEpWindowCut:
-    """Ep filters the input only up to the averaging window end."""
+    """Ep filters whole frames from ``EP_PREROLL`` before the averaging
+    window start (from sample 0 if that is sooner) up to the window end.
+
+    The bank starts from rest at the cut, so where the pre-roll does not
+    reach sample 0 the pattern differs from that of the whole prefix.  The
+    slowest channel's 4.4 ms time constant keeps the difference after 100 ms
+    below 1e-5 dB.
+    """
 
     @pytest.mark.parametrize(
-        "n_samples",
+        "n_samples,tolerance_db",
         [
-            24000,  # window end 275 ms, on a frame boundary
-            24007,  # window end between frame boundaries
-            2400,   # window end at the last sample
-            2410,   # window end past the last whole frame, under a frame past its center
+            pytest.param(24000, 1e-5, id="24000"),  # window end 275 ms, on a frame boundary
+            pytest.param(24007, 1e-5, id="24007"),  # window end between frame boundaries
+            pytest.param(2400, 0.0, id="2400"),     # window end at the last sample
+            # window end past the last whole frame, under a frame past its center
+            pytest.param(2410, 0.0, id="2410"),
+            pytest.param(96000, 1e-5, id="96000"),  # a 2 s vowel: the bank starts at 875 ms
         ],
     )
-    def test_identical_to_full_signal_average(self, n_samples):
-        samples = v.synth_vowel(v.vowel_spec("e", 150.0, duration=0.6))[:n_samples]
+    def test_identical_to_full_signal_average(self, n_samples, tolerance_db):
+        samples = v.synth_vowel(v.vowel_spec("e", 150.0, duration=2.0))[:n_samples]
         full = v.gammatone_ep(samples, 48000.0, v.axis_for("Ep"))
         expected = v.compress(v.center_average(full, n_samples / 48000.0 / 2.0), "log")
         got = v.UtteranceAnalyzer(samples, 48000.0).base_spectrum(v.parse_representation("Ep"))
-        assert got.values.tobytes() == expected.values.tobytes()
+        if tolerance_db == 0.0:  # the pre-roll reaches sample 0: nothing is cut
+            assert got.values.tobytes() == expected.values.tobytes()
+        else:
+            np.testing.assert_allclose(got.values, expected.values, rtol=0, atol=tolerance_db)
+            assert not np.array_equal(got.values, expected.values)
 
     def test_vowel_shorter_than_the_window_rejected(self):
         samples = v.synth_vowel(v.vowel_spec("e", 150.0))[:2352]  # 49 ms
@@ -141,6 +154,23 @@ class TestEpWindowCut:
         tail[13200:] = np.nan  # the 0.5 s window ends at 275 ms
         cut = v.UtteranceAnalyzer(tail, 48000.0).base_spectrum(rep)
         assert cut.values.tobytes() == clean.values.tobytes()
+
+    def test_samples_before_the_preroll_are_not_read(self):
+        """A 0.5 s vowel's Ep reads samples 6000-13199: from 100 ms before
+        the window start at 225 ms to the window end at 275 ms."""
+        samples = v.synth_vowel(v.vowel_spec("o", 120.0))
+        rep = v.parse_representation("Ep")
+        clean = v.UtteranceAnalyzer(samples, 48000.0).base_spectrum(rep)
+        cut = samples.copy()
+        cut[:6000] = np.nan
+        cut[13200:] = np.nan
+        got = v.UtteranceAnalyzer(cut, 48000.0).base_spectrum(rep)
+        assert got.values.tobytes() == clean.values.tobytes()
+        for edge in (6000, 13199):  # both ends of the span are read
+            poked = samples.copy()
+            poked[edge] = np.nan
+            with pytest.raises(InputError, match="finite"):
+                v.UtteranceAnalyzer(poked, 48000.0).base_spectrum(rep)
 
 
 class TestWindowOnlyFrontEnds:
@@ -194,12 +224,18 @@ class TestWindowOnlyFrontEnds:
                 analyzer.base_spectrum(v.parse_representation(rep_id))
             assert analyzer._external_sg is None  # only its window is kept
             assert all(sg.frames.flags.owndata for sg in analyzer._windows.values())
+            assert not hasattr(analyzer, "samples")  # nor the waveform, only the span
+            assert analyzer.span.flags.owndata
             return ({base: sg.frames.shape for base, sg in analyzer._windows.items()},
-                    {key: s.values.shape for key, s in analyzer._spectra.items()})
+                    {key: s.values.shape for key, s in analyzer._spectra.items()},
+                    analyzer.span.shape)
 
         short, long = cached(0.5), cached(2.0)
         assert short == long
         assert short[0] == {"F": (10, 601), "M": (10, 25), "W": (10, 601)}
+        # from the Ep pre-roll start, 125 ms before the centre, to the last
+        # sample an STFT frame centred in the window could reach
+        assert short[2] == (7801,)
 
     def test_external_window_matches_fourier(self):
         samples = v.synth_vowel(v.vowel_spec("i", 200.0))

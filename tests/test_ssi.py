@@ -1,13 +1,45 @@
 """Pitch-adaptive weighting and F0 estimation."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import vtlest as v
 from vtlest.errors import ConfigurationError, InputError
-from vtlest.ssi import UNVOICED, VOICING_THRESHOLD
+from vtlest.ssi import F0_SEARCH_HI_HZ, F0_SEARCH_LO_HZ, F0_WINDOW_S, UNVOICED, VOICING_THRESHOLD
 
 FS = 48000.0
+
+
+def full_acf_f0(signal, fs):
+    """The F0 search as it was: every lag of the full autocorrelation of the
+    centre frame, of which the searched ones are kept."""
+    x = np.asarray(signal, dtype=float)
+    win = int(round(F0_WINDOW_S * fs))
+    start = (x.size - win) // 2
+    frame = x[start:start + win]
+    frame = frame - frame.mean()
+    r0 = float(frame @ frame)
+    if r0 <= 0.0:
+        return UNVOICED
+    lag_lo = max(1, int(np.ceil(fs / F0_SEARCH_HI_HZ)))
+    lag_hi = min(win - 1, int(np.floor(fs / F0_SEARCH_LO_HZ)))
+    acf = np.correlate(frame, frame, mode="full")[win - 1 + lag_lo:win + lag_hi]
+    peak = int(np.argmax(acf))
+    if acf[peak] / r0 < VOICING_THRESHOLD:
+        return UNVOICED
+    return fs / (lag_lo + peak)
+
+
+@pytest.fixture(scope="module")
+def crowd_dir(tmp_path_factory):
+    """The benchmark's 32-speaker crowd at 44.1 kHz (``bench/workloads.py``)."""
+    alphas = np.random.default_rng(0).uniform(0.80, 1.25, 32)
+    speakers = [(100.0 + 120.0 * (a - 0.80) / 0.45, a) for a in alphas]
+    out = tmp_path_factory.mktemp("crowd")
+    v.make_corpus(speakers, list("aiueo"), out, fs=44100.0)
+    return out
 
 
 class TestSsiWeight:
@@ -131,6 +163,34 @@ class TestEstimateF0:
     def test_short_signal_rejected(self):
         with pytest.raises(InputError):
             v.estimate_f0(np.ones(100), FS)
+
+    @pytest.mark.parametrize("corpus", ["default_corpus_dir", "crowd_dir"])
+    def test_searched_lags_match_the_full_autocorrelation(self, corpus, request):
+        """Computing only the searched lags changes the autocorrelation by
+        round-off, and F0 not at all, on every ladder and crowd utterance;
+        the analyzer estimates it on the centre 50 ms it holds."""
+        records = v.read_manifest(request.getfixturevalue(corpus) / "manifest.csv")
+        assert len(records) in (40, 160)
+        for rec in records:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the crowd is resampled to 48 kHz
+                samples, fs = v.read_audio(rec.path)
+            expected = full_acf_f0(samples, fs)
+            assert expected != UNVOICED
+            assert v.estimate_f0(samples, fs) == expected
+            assert v.UtteranceAnalyzer(samples, fs).f0 == expected
+
+    @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+    def test_searched_lags_match_on_noisy_pulse_trains(self, seed, noise):
+        rng = np.random.default_rng(seed)
+        x = noise * rng.normal(size=int(0.06 * FS))
+        x[::int(rng.integers(120, 800))] += 1.0
+        assert v.estimate_f0(x, FS) == full_acf_f0(x, FS)
+
+    def test_analyzer_f0_of_a_short_vowel_rejected(self):
+        analyzer = v.UtteranceAnalyzer(v.synth_vowel(v.vowel_spec("a", 150.0))[:2399], FS)
+        with pytest.raises(InputError, match=r"need at least 50 ms of signal \(2400 samples\)"):
+            analyzer.f0
 
     def test_voicing_threshold_constant(self):
         assert VOICING_THRESHOLD == 0.3
