@@ -3,6 +3,12 @@
 All three produce a :class:`~vtlest.spectral.Spectrogram` of uncompressed
 amplitude; compression, time averaging, and axis resampling are applied
 downstream (see :mod:`vtlest.spectral` and :mod:`vtlest.pipeline`).
+
+An excitation pattern can start at a later frame than the signal's first
+(:func:`gammatone_ep`'s ``start``).  Each gammatone channel then starts from
+rest :data:`EP_PREROLL_TAUS` of its own time constants before that frame
+(:func:`ep_lead_frames`), so a fast high channel filters far fewer samples
+than the slow 100 Hz one.
 """
 from __future__ import annotations
 
@@ -23,11 +29,12 @@ GAMMATONE_ORDER = 4
 ENVELOPE_LP_HZ = 1000.0
 #: Frame length of excitation-pattern spectrograms, s.
 EP_FRAME_PERIOD = 0.0005
-#: How long before the averaging window the gammatone bank starts, s.  The
-#: filters start from rest, and the slowest channel (100 Hz) decays with a
-#: 4.4 ms time constant, so after 100 ms the cut moves the averaged pattern
-#: by under 1e-5 dB.
-EP_PREROLL = 0.100
+#: How many of its own time constants each gammatone channel starts before
+#: the first frame :func:`gammatone_ep` returns.  The filters start from rest,
+#: and at 28 the cut moves the default ladder's averaged patterns by at most
+#: 2.2e-7 dB; the top channels need more than the 22.7 that 100 ms is at
+#: 100 Hz, because the cut's onset is broadband and a vowel is weak at 8 kHz.
+EP_PREROLL_TAUS = 28
 #: Hamming window length and hop of the STFT, s.
 STFT_WINDOW = 0.025
 STFT_HOP = 0.005
@@ -38,6 +45,21 @@ MEL_FILTERS = 25
 @lru_cache(maxsize=8)
 def _envelope_lowpass(fs: float):
     return butter(2, ENVELOPE_LP_HZ / (fs / 2.0))
+
+
+@lru_cache(maxsize=8)
+def ep_lead_frames(fs: float, axis: FrequencyAxis) -> np.ndarray:
+    """Whole frames each channel starts before the first frame
+    :func:`gammatone_ep` returns.
+
+    Channel ``c`` starts ``ceil(EP_PREROLL_TAUS * tau_c / frame_period)``
+    frames early, where ``tau_c = 1 / (2 pi * 1.019 * ERB(fc))`` is the decay
+    time constant of its gammatone envelope.
+    """
+    tau = 1.0 / (2.0 * np.pi * GAMMATONE_BW_FACTOR * erb_bandwidth(axis.center_freqs))
+    leads = np.ceil(EP_PREROLL_TAUS * tau * fs / int(round(EP_FRAME_PERIOD * fs))).astype(int)
+    leads.flags.writeable = False
+    return leads
 
 
 @lru_cache(maxsize=8)
@@ -87,12 +109,13 @@ def _gammatone_envelope(signal: np.ndarray, fs: float, sos: np.ndarray) -> np.nd
     return np.maximum(env, 0.0)
 
 
-def gammatone_ep(signal, fs: float, axis: FrequencyAxis) -> Spectrogram:
+def gammatone_ep(signal, fs: float, axis: FrequencyAxis, start: int = 0) -> Spectrogram:
     """Excitation-pattern spectrogram from a gammatone filterbank.
 
     Each channel filters the signal with a 4th-order gammatone centered at the
     channel frequency (bandwidth ``1.019 * ERB``), extracts the envelope, and
-    averages it over consecutive frames of :data:`EP_FRAME_PERIOD` seconds.
+    averages it over consecutive frames of ``round(EP_FRAME_PERIOD * fs)``
+    samples.
 
     Parameters
     ----------
@@ -102,11 +125,18 @@ def gammatone_ep(signal, fs: float, axis: FrequencyAxis) -> Spectrogram:
         Sample rate; must be at least twice the axis's upper edge.
     axis : FrequencyAxis
         Channel grid; must be ERB-linear.
+    start : int
+        First sample of the first frame returned; a frame boundary.  Channel
+        ``c`` filters from rest :func:`ep_lead_frames` ``[c]`` frames before
+        it (from sample 0 if that is sooner), so only ``start = 0`` matches
+        filtering the whole signal exactly.
 
     Returns
     -------
     Spectrogram
-        Nonnegative, uncompressed; shape (n_frames, channels).
+        Nonnegative, uncompressed; shape (n_frames, channels), holding the
+        whole frames from ``start`` on.  Its frame period is the frame's
+        length in samples over ``fs``.
     """
     if axis.kind is not AxisKind.ERB_LINEAR:
         raise ConfigurationError(f"excitation patterns require an ERB-linear axis, got {axis.kind.value}")
@@ -120,12 +150,18 @@ def gammatone_ep(signal, fs: float, axis: FrequencyAxis) -> Spectrogram:
     frame = int(round(EP_FRAME_PERIOD * fs))
     if frame < 1 or x.size < frame:
         raise InputError(f"signal shorter than one {EP_FRAME_PERIOD*1e3:g} ms frame")
-    n_frames = x.size // frame
-    ep = np.empty((n_frames, axis.channels))
-    for c, sos in enumerate(_gammatone_sos(fs, axis)):
-        env = _gammatone_envelope(x, fs, sos)
-        ep[:, c] = env[: n_frames * frame].reshape(n_frames, frame).mean(axis=1)
-    return Spectrogram(ep, EP_FRAME_PERIOD, axis, NO_COMPRESSION, t0=EP_FRAME_PERIOD / 2.0)
+    end = x.size // frame * frame
+    if start < 0 or start % frame or start >= end:
+        raise ConfigurationError(
+            f"start must be a multiple of the {frame}-sample frame below {end}, got {start}"
+        )
+    x = x[:end]
+    ep = np.empty(((end - start) // frame, axis.channels))
+    leads = np.minimum(ep_lead_frames(fs, axis) * frame, start)
+    for c, (sos, lead) in enumerate(zip(_gammatone_sos(fs, axis), leads)):
+        env = _gammatone_envelope(x[start - lead:], fs, sos)
+        ep[:, c] = env[lead:].reshape(-1, frame).mean(axis=1)
+    return Spectrogram(ep, frame / fs, axis, NO_COMPRESSION, t0=(start + frame / 2.0) / fs)
 
 
 def stft_spectrum(signal, fs: float) -> Spectrogram:

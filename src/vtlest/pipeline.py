@@ -16,6 +16,7 @@ resolved harmonics) to the correlator.
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -27,9 +28,9 @@ from .axes import CHANNELS, F_HI, F_LO, AxisKind, FrequencyAxis, make_axis
 from .errors import ConfigurationError, DegenerateFitError, InputError
 from .frontends import (
     EP_FRAME_PERIOD,
-    EP_PREROLL,
     STFT_HOP,
     STFT_WINDOW,
+    ep_lead_frames,
     gammatone_ep,
     mel_spectrum,
     stft_spectrum,
@@ -62,6 +63,8 @@ _AXIS_KINDS = {
     "W": AxisKind.LOG10_HZ,
 }
 _BASES = tuple(_AXIS_KINDS)
+
+_log = logging.getLogger("vtlest")
 
 
 def axis_for(base: str) -> FrequencyAxis:
@@ -144,10 +147,13 @@ class UtteranceAnalyzer:
     ``span_start`` of the ``n_samples`` resampled ones), not the waveform.
     The F, M and W frames the window picks are cached uncompressed, once per
     base; F's are bit for bit those of the whole-signal STFT, and log
-    compression floors at their peak.  Ep filters whole frames from
-    :data:`~vtlest.frontends.EP_PREROLL` before the window start (from
-    sample 0 if that is sooner) to the window end, and averages its linear
-    pattern before compressing it.  F0 is estimated on the centre 50 ms.
+    compression floors at their peak.  Ep returns the whole frames from the
+    one holding the window start to the window end.  Each gammatone channel
+    starts :data:`~vtlest.frontends.EP_PREROLL_TAUS` of its own time
+    constants before that frame (from sample 0 if that is sooner), so the
+    span reaches back to the slowest (100 Hz) channel's start, 123.5 ms
+    early.  Ep averages its linear pattern before compressing it.  F0 is
+    estimated on the centre 50 ms.
     ``external_sg`` is a :class:`Spectrogram` or the path of a spectrogram
     CSV, read on the first use of W.
     """
@@ -164,7 +170,7 @@ class UtteranceAnalyzer:
         # either side of it, plus a sample of slack for round-off
         f_reach = AVG_HALF_WIDTH * self.fs + STFT_WINDOW * self.fs / 2.0 + 1.0
         mid = self.center * self.fs
-        ep, f0 = self._ep_samples(), self._f0_samples()
+        (ep, _), f0 = self._ep_samples(), self._f0_samples()
         self.span_start = min(ep.start, f0.start, max(0, math.floor(mid - f_reach)))
         stop = max(ep.stop, f0.stop, math.ceil(mid + f_reach))
         # a copy: a view would keep the whole waveform alive
@@ -174,12 +180,14 @@ class UtteranceAnalyzer:
         """Samples ``cut`` of the resampled input, clipped to its end."""
         return self.span[cut.start - self.span_start:cut.stop - self.span_start]
 
-    def _ep_samples(self) -> slice:
-        """Whole EP frames from the pre-roll start to the window end."""
+    def _ep_samples(self) -> tuple[slice, int]:
+        """Whole EP frames from the slowest channel's start to the window
+        end, and the first sample of the frame holding the window start."""
         frame = int(round(EP_FRAME_PERIOD * self.fs))
-        first = max(0, math.floor((self.center - AVG_HALF_WIDTH - EP_PREROLL) / EP_FRAME_PERIOD))
+        first = max(0, math.floor((self.center - AVG_HALF_WIDTH) / EP_FRAME_PERIOD))
+        lead = int(ep_lead_frames(self.fs, axis_for("Ep")).max())
         stop = math.ceil((self.center + AVG_HALF_WIDTH) / EP_FRAME_PERIOD)
-        return slice(first * frame, stop * frame)
+        return slice(max(0, first - lead) * frame, stop * frame), first * frame
 
     def _f0_samples(self) -> slice:
         """The centre :data:`~vtlest.ssi.F0_WINDOW_S`, or every sample of a
@@ -228,9 +236,9 @@ class UtteranceAnalyzer:
         if key not in self._spectra:
             if rep.base == "Ep":
                 # the cut keeps every frame the window picks, and center_average
-                # needs none past it; the frames before it only warm the bank up
-                cut = self._ep_samples()
-                ep = gammatone_ep(self._read(cut), self.fs, axis_for("Ep"))
+                # needs none past it; the samples before them only warm the bank up
+                cut, first = self._ep_samples()
+                ep = gammatone_ep(self._read(cut), self.fs, axis_for("Ep"), start=first - cut.start)
                 ep = replace(ep, t0=ep.t0 + cut.start / self.fs)
                 spec = compress(center_average(ep, self.center), rep.compression)
             else:
@@ -384,7 +392,9 @@ class CorpusAnalyzer:
         """Full pipeline: shifts per vowel, joint q fit, lengths.
 
         ``speakers`` restricts the estimation to a subset; pairwise lags from
-        the full corpus are reused unchanged.
+        the full corpus are reused unchanged.  A fit that cannot pin q down
+        falls back to q = 0 and logs one INFO record on the ``vtlest``
+        logger that names the representation, ``h_max`` and the reason.
         """
         if isinstance(rep, str):
             rep = parse_representation(rep)
@@ -412,7 +422,8 @@ class CorpusAnalyzer:
         # to the mean length rather than failing the fit
         try:
             q = fit_q(shift_vec, meas_vec, l_bar)
-        except DegenerateFitError:
+        except DegenerateFitError as exc:
+            _log.info("%s at h_max %g: %s; q falls back to 0", rep.id, h_max, exc)
             q = 0.0
         est_vec = estimate_vtl(shift_vec, q, l_bar)
         rows = tuple(

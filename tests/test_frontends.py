@@ -6,7 +6,7 @@ from scipy.signal import butter, lfilter
 import vtlest as v
 from vtlest.axes import AxisKind, erb_bandwidth
 from vtlest.errors import ConfigurationError, InputError
-from vtlest.frontends import _gammatone_envelope, _gammatone_sos
+from vtlest.frontends import EP_PREROLL_TAUS, _gammatone_envelope, _gammatone_sos, ep_lead_frames
 
 FS = 48000.0
 
@@ -54,6 +54,17 @@ class TestGammatoneEp:
         assert sg.frame_period == 0.0005
         assert sg.t0 == pytest.approx(0.00025)
 
+    def test_frame_period_is_whole_samples(self, erb_axis):
+        """At 44.1 kHz a frame is 22 samples, so the period is 22 / 44100 s,
+        not 0.5 ms, and the last frame centre lies inside the signal."""
+        fs = 44100.0
+        sg = v.gammatone_ep(tone(500.0, 2.0, fs), fs, erb_axis)
+        n_frames = sg.frames.shape[0]
+        assert n_frames == 88200 // 22
+        assert sg.frame_period == 22 / fs
+        assert sg.frame_times[-1] == (n_frames - 0.5) * 22 / fs
+        assert sg.frame_times[-1] < 2.0
+
     def test_nonnegative(self, erb_axis):
         rng = np.random.default_rng(0)
         sg = v.gammatone_ep(rng.normal(size=9600), FS, erb_axis)
@@ -71,6 +82,57 @@ class TestGammatoneEp:
     def test_empty_signal_rejected(self, erb_axis):
         with pytest.raises(InputError):
             v.gammatone_ep(np.array([]), FS, erb_axis)
+
+
+class TestGammatoneLead:
+    """``gammatone_ep(..., start)`` returns the frames from ``start`` on, and
+    channel ``c`` filters from ``ep_lead_frames(fs, axis)[c]`` frames before it."""
+
+    START = 7200  # 150 ms into a 0.3 s signal, past the slowest channel's lead
+
+    @pytest.fixture(scope="class")
+    def noise(self):
+        return np.random.default_rng(7).normal(size=int(0.3 * FS))
+
+    def test_lead_is_a_fixed_number_of_time_constants(self, erb_axis):
+        tau = 1.0 / (2.0 * np.pi * 1.019 * erb_bandwidth(erb_axis.center_freqs))
+        leads = ep_lead_frames(FS, erb_axis)
+        np.testing.assert_array_equal(leads, np.ceil(EP_PREROLL_TAUS * tau / 0.0005))
+        assert EP_PREROLL_TAUS == 28
+        assert leads[0] == 247 and leads[-1] == 10  # 123.5 ms at 100 Hz, 5 ms at 8 kHz
+        assert (np.diff(leads) <= 0).all()
+
+    @pytest.mark.parametrize("channel", [0, 50, 99])
+    def test_each_channel_reads_from_its_own_start(self, erb_axis, noise, channel):
+        own = self.START - ep_lead_frames(FS, erb_axis)[channel] * 24
+        clean = v.gammatone_ep(noise, FS, erb_axis, start=self.START).frames[:, channel]
+        other = noise.copy()
+        other[:own] = np.random.default_rng(8).normal(scale=10.0, size=own)
+        got = v.gammatone_ep(other, FS, erb_axis, start=self.START).frames[:, channel]
+        assert got.tobytes() == clean.tobytes()
+        poked = noise.copy()
+        poked[own] += 1.0
+        got = v.gammatone_ep(poked, FS, erb_axis, start=self.START).frames[:, channel]
+        assert not np.array_equal(got, clean)
+
+    def test_frames_and_times_from_start(self, erb_axis, noise):
+        full = v.gammatone_ep(noise, FS, erb_axis)
+        cut = v.gammatone_ep(noise, FS, erb_axis, start=self.START)
+        assert cut.frames.shape == (full.frames.shape[0] - 300, 100)
+        np.testing.assert_allclose(cut.frame_times, full.frame_times[300:], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(cut.frames, full.frames[300:], rtol=1e-6, atol=1e-9 * full.frames.max())
+
+    def test_start_zero_filters_the_whole_signal(self, erb_axis, noise):
+        sos = _gammatone_sos(FS, erb_axis)
+        sg = v.gammatone_ep(noise, FS, erb_axis, start=0)
+        for c in (0, 50, 99):
+            env = _gammatone_envelope(noise, FS, sos[c])
+            assert sg.frames[:, c].tobytes() == env.reshape(-1, 24).mean(axis=1).tobytes()
+
+    @pytest.mark.parametrize("start", [-24, 12, 7201, 14400, 14424])
+    def test_bad_start_rejected(self, erb_axis, noise, start):
+        with pytest.raises(ConfigurationError, match="frame"):
+            v.gammatone_ep(noise, FS, erb_axis, start=start)
 
 
 def complex_cascade_envelope(signal, fs, fc):

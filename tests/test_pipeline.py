@@ -1,5 +1,6 @@
 """Representation vocabulary and the corpus estimation pipeline."""
 import inspect
+import logging
 
 import numpy as np
 import pytest
@@ -110,24 +111,25 @@ class TestUtteranceAnalyzer:
 
 
 class TestEpWindowCut:
-    """Ep filters whole frames from ``EP_PREROLL`` before the averaging
-    window start (from sample 0 if that is sooner) up to the window end.
+    """Ep returns the whole frames from the one holding the averaging
+    window start up to the window end.  Each channel starts
+    ``EP_PREROLL_TAUS`` of its own time constants before them (from sample 0
+    if that is sooner).
 
-    The bank starts from rest at the cut, so where the pre-roll does not
-    reach sample 0 the pattern differs from that of the whole prefix.  The
-    slowest channel's 4.4 ms time constant keeps the difference after 100 ms
-    below 1e-5 dB.
+    The bank starts from rest at each channel's cut, so where a channel's
+    lead does not reach sample 0 the pattern differs from that of the whole
+    prefix.  28 time constants keep the difference below 1e-6 dB.
     """
 
     @pytest.mark.parametrize(
         "n_samples,tolerance_db",
         [
-            pytest.param(24000, 1e-5, id="24000"),  # window end 275 ms, on a frame boundary
-            pytest.param(24007, 1e-5, id="24007"),  # window end between frame boundaries
+            pytest.param(24000, 1e-6, id="24000"),  # window end 275 ms, on a frame boundary
+            pytest.param(24007, 1e-6, id="24007"),  # window end between frame boundaries
             pytest.param(2400, 0.0, id="2400"),     # window end at the last sample
             # window end past the last whole frame, under a frame past its center
             pytest.param(2410, 0.0, id="2410"),
-            pytest.param(96000, 1e-5, id="96000"),  # a 2 s vowel: the bank starts at 875 ms
+            pytest.param(96000, 1e-6, id="96000"),  # a 2 s vowel: the bank starts at 851.5 ms
         ],
     )
     def test_identical_to_full_signal_average(self, n_samples, tolerance_db):
@@ -156,17 +158,18 @@ class TestEpWindowCut:
         assert cut.values.tobytes() == clean.values.tobytes()
 
     def test_samples_before_the_preroll_are_not_read(self):
-        """A 0.5 s vowel's Ep reads samples 6000-13199: from 100 ms before
-        the window start at 225 ms to the window end at 275 ms."""
+        """A 0.5 s vowel's Ep reads samples 4872-13199: from the 100 Hz
+        channel's start, 247 frames (123.5 ms) before the frame holding the
+        window start at 225 ms, to the window end at 275 ms."""
         samples = v.synth_vowel(v.vowel_spec("o", 120.0))
         rep = v.parse_representation("Ep")
         clean = v.UtteranceAnalyzer(samples, 48000.0).base_spectrum(rep)
         cut = samples.copy()
-        cut[:6000] = np.nan
+        cut[:4872] = np.nan
         cut[13200:] = np.nan
         got = v.UtteranceAnalyzer(cut, 48000.0).base_spectrum(rep)
         assert got.values.tobytes() == clean.values.tobytes()
-        for edge in (6000, 13199):  # both ends of the span are read
+        for edge in (4872, 13199):  # both ends of the span are read
             poked = samples.copy()
             poked[edge] = np.nan
             with pytest.raises(InputError, match="finite"):
@@ -233,9 +236,9 @@ class TestWindowOnlyFrontEnds:
         short, long = cached(0.5), cached(2.0)
         assert short == long
         assert short[0] == {"F": (10, 601), "M": (10, 25), "W": (10, 601)}
-        # from the Ep pre-roll start, 125 ms before the centre, to the last
-        # sample an STFT frame centred in the window could reach
-        assert short[2] == (7801,)
+        # from the 100 Hz channel's start, 148.5 ms before the centre, to the
+        # last sample an STFT frame centred in the window could reach
+        assert short[2] == (8929,)
 
     def test_external_window_matches_fourier(self):
         samples = v.synth_vowel(v.vowel_spec("i", 200.0))
@@ -358,6 +361,24 @@ class TestCorpusEstimation:
         result = default_corpus.estimate("F_log", 3.5)
         assert result.q == 0.0
         np.testing.assert_array_equal(result.estimated(), result.l_bar_cm)
+
+    def test_fallback_is_logged_once(self, default_corpus, caplog):
+        """``M_0.1`` on s01-s03 has all-zero lags for four of five vowels, and
+        its fit lands on the q search bound."""
+        speakers = default_corpus.speakers[:3]
+        with caplog.at_level(logging.INFO, logger="vtlest"):
+            result = default_corpus.estimate("M_0.1", 3.5, speakers=speakers)
+            default_corpus.estimate("Ep_SSI", 3.5, speakers=speakers)
+        assert result.q == 0.0
+        [record] = caplog.records
+        assert (record.name, record.levelno) == ("vtlest", logging.INFO)
+        message = record.getMessage()
+        assert message.startswith("M_0.1 at h_max 3.5: q = ")
+        assert "lies on the search bound" in message
+
+    def test_fallback_prints_nothing_by_default(self, default_corpus, capfd):
+        default_corpus.estimate("M_0.1", 3.5, speakers=default_corpus.speakers[:3])
+        assert capfd.readouterr() == ("", "")
 
     def test_single_speaker_rejected(self, default_corpus):
         with pytest.raises(InputError):
