@@ -122,17 +122,18 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _add_shared_flags(p, *, batch: bool, external: bool = True, f0_help=None, hmax_help=None,
-                      out_help="output directory") -> None:
+def _add_shared_flags(p, *, batch: bool, external: bool = True, hmax: bool = True, f0_help=None,
+                      hmax_help=None, out_help="output directory") -> None:
     """--rep, --hmax, --f0, --external-dir and --out.  For evaluate and sweep
     (``batch``) they override the config file: their dests are config field
-    names and they default to None."""
+    names and they default to None.  Sweep takes no --hmax."""
     if batch:
         p.add_argument("--rep", dest="representations", type=_comma_list,
                        help="comma-separated representation ids")
     else:
         p.add_argument("--rep", default="Ep_SSI", help="representation id (default Ep_SSI)")
-    p.add_argument("--hmax", dest="h_max" if batch else "hmax", type=float, default=None, help=hmax_help)
+    if hmax:
+        p.add_argument("--hmax", dest="h_max" if batch else "hmax", type=float, default=None, help=hmax_help)
     p.add_argument("--f0", default=None if batch else "auto", help=f0_help)
     if external:
         p.add_argument("--external-dir", dest="external_dir", default=None,
@@ -175,10 +176,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=extra_help)
         p.add_argument("--config", help="JSON experiment config")
         p.add_argument("--manifest", help="corpus manifest CSV (overrides config)")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--exclude", type=int, default=None)
-        _add_shared_flags(p, batch=True)
+        if func is cmd_evaluate:  # sweep reads its knees from hmax_grid and runs no trials
+            for flag in ("--seed", "--trials", "--exclude"):
+                p.add_argument(flag, type=int, default=None)
+        _add_shared_flags(p, batch=True, hmax=func is cmd_evaluate)
         p.set_defaults(func=func)
 
     return parser
@@ -189,10 +190,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except VtlestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (VtlestError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -261,6 +261,8 @@ def write_trials_csv(path, all_trials: list[TrialsResult]):
 def run_evaluation(config: EvalConfig):
     """Estimate every configured representation; write report, scatter, and
     trial CSVs to the output directory.  Returns the reports."""
+    if config.trials < 0:
+        raise ConfigurationError(f"trials must be at least 0, got {config.trials}")
     corpus = open_corpus(config)
     out = Path(config.out_dir)
     results = [corpus.estimate(rep, config.h_max) for rep in config.representations]

@@ -139,15 +139,16 @@ def representation_catalog(include_external: bool = False) -> list[str]:
 
 
 class UtteranceAnalyzer:
-    """Computes and caches the spectral representations of one utterance.
+    """Computes the spectral representations of one utterance and caches
+    the averaged spectra and F0, which weight sweeps read again.
 
     Each front end reads only the samples the +-25 ms averaging window needs,
     and nothing held grows with the duration: the analyzer keeps a copy of
     the one span of samples its bases read (``span``, starting at sample
     ``span_start`` of the ``n_samples`` resampled ones), not the waveform.
-    The F, M and W frames the window picks are cached uncompressed, once per
-    base; F's are bit for bit those of the whole-signal STFT, and log
-    compression floors at their peak.  Ep returns the whole frames from the
+    No frames are cached: each spectrum computes the F, M or W frames the
+    window picks.  F's are bit for bit those of the whole-signal STFT, and
+    log compression floors at their peak.  Ep returns the whole frames from the
     one holding the window start to the window end.  Each gammatone channel
     starts :data:`~vtlest.frontends.EP_PREROLL_TAUS` of its own time
     constants before that frame (from sample 0 if that is sooner), so the
@@ -155,7 +156,7 @@ class UtteranceAnalyzer:
     early.  Ep averages its linear pattern before compressing it.  F0 is
     estimated on the centre 50 ms.
     ``external_sg`` is a :class:`Spectrogram` or the path of a spectrogram
-    CSV, read on the first use of W.
+    CSV, read on the first use of W; its cropped window replaces it.
     """
 
     def __init__(self, samples, fs, *, f0_override: float | None = None, external_sg=None):
@@ -164,7 +165,6 @@ class UtteranceAnalyzer:
         self.center = self.n_samples / self.fs / 2.0
         self._f0_override = f0_override
         self._external_sg = external_sg
-        self._windows: dict[str, Spectrogram] = {}
         self._spectra: dict[tuple[str, Compression], Spectrum] = {}
         # F reads the STFT frames centred in the window: up to half a frame
         # either side of it, plus a sample of slack for round-off
@@ -205,29 +205,27 @@ class UtteranceAnalyzer:
 
     def _window(self, base: str) -> Spectrogram:
         """The uncompressed F, M or W frames the averaging window picks."""
-        if base not in self._windows:
-            if base == "F":
-                win_n, hop_n = int(round(STFT_WINDOW * self.fs)), int(round(STFT_HOP * self.fs))
-                n_frames = (self.n_samples - win_n) // hop_n + 1
-                picked = window_frames(win_n / (2.0 * self.fs), hop_n / self.fs, n_frames, self.center)
-                start = picked.start * hop_n
-                sg = stft_spectrum(self._read(slice(start, (picked.stop - 1) * hop_n + win_n)), self.fs)
-                sg = replace(sg, t0=sg.t0 + start / self.fs)
-            elif base == "M":
-                sg = mel_spectrum(self._window("F"))
-            else:
-                sg = self._external_sg
-                if sg is None:
-                    raise InputError("no external spectrogram was supplied for a W representation")
-                if not isinstance(sg, Spectrogram):
-                    sg = fileio.read_spectrogram_csv(sg)
-                if sg.compression.mode != "none":
-                    raise InputError("external spectrograms must hold uncompressed amplitudes")
-                picked = window_frames(sg.t0, sg.frame_period, sg.frames.shape[0], self.center)
-                sg = replace(sg, frames=sg.frames[picked].copy(), t0=sg.t0 + picked.start * sg.frame_period)
-                self._external_sg = None
-            self._windows[base] = sg
-        return self._windows[base]
+        if base == "F":
+            win_n, hop_n = int(round(STFT_WINDOW * self.fs)), int(round(STFT_HOP * self.fs))
+            n_frames = (self.n_samples - win_n) // hop_n + 1
+            picked = window_frames(win_n / (2.0 * self.fs), hop_n / self.fs, n_frames, self.center)
+            start = picked.start * hop_n
+            sg = stft_spectrum(self._read(slice(start, (picked.stop - 1) * hop_n + win_n)), self.fs)
+            return replace(sg, t0=sg.t0 + start / self.fs)
+        if base == "M":
+            return mel_spectrum(self._window("F"))
+        sg = self._external_sg
+        if sg is None:
+            raise InputError("no external spectrogram was supplied for a W representation")
+        if not isinstance(sg, Spectrogram):
+            sg = fileio.read_spectrogram_csv(sg)
+        if sg.compression.mode != "none":
+            raise InputError("external spectrograms must hold uncompressed amplitudes")
+        # cropping the cropped window again picks all of its frames
+        picked = window_frames(sg.t0, sg.frame_period, sg.frames.shape[0], self.center)
+        self._external_sg = replace(sg, frames=sg.frames[picked].copy(),
+                                    t0=sg.t0 + picked.start * sg.frame_period)
+        return self._external_sg
 
     def base_spectrum(self, rep: Representation) -> Spectrum:
         """Compressed, time-averaged spectrum on the representation's grid,
@@ -263,14 +261,12 @@ class UtteranceAnalyzer:
         return apply_weight(spec, weights)
 
 
-def analyze_wav(path, rep, *, h_max: float | None = None, f0_override: float | None = None,
-                external_sg=None) -> Spectrum:
+def analyze_wav(path, rep, *, h_max: float | None = None, f0_override: float | None = None) -> Spectrum:
     """One-shot analysis of a WAV file into a representation spectrum."""
     if isinstance(rep, str):
         rep = parse_representation(rep)
     samples, fs = fileio.read_audio(path)
-    analyzer = UtteranceAnalyzer(samples, fs, f0_override=f0_override, external_sg=external_sg)
-    return analyzer.spectrum(rep, h_max)
+    return UtteranceAnalyzer(samples, fs, f0_override=f0_override).spectrum(rep, h_max)
 
 
 @dataclass(frozen=True)

@@ -208,6 +208,32 @@ class TestEvaluateAndSweep:
         assert len(rows) == 13
         assert [float(r["h_max"]) for r in rows] == [0.5 * i for i in range(13)]
 
+    @pytest.mark.parametrize("flag,value", [("--hmax", "2"), ("--seed", "9"), ("--trials", "3"),
+                                            ("--exclude", "99")])
+    def test_sweep_rejects_flags_it_would_ignore(self, tmp_path, flag, value):
+        with pytest.raises(SystemExit) as info:
+            run_cli("sweep", "--manifest", "m.csv", "--rep", "F_SSI_log", flag, value, "--out", tmp_path)
+        assert info.value.code == 2
+
+    def test_sweep_runs_a_config_shared_with_evaluate(self, pair_corpus_dir, tmp_path):
+        import json
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "manifest": str(pair_corpus_dir / "manifest.csv"), "representations": ["F_SSI_log"],
+            "h_max": 2.0, "seed": 9, "trials": 3, "exclude": 0, "out_dir": str(tmp_path),
+        }))
+        assert run_cli("sweep", "--config", cfg) == 0
+        with open(tmp_path / "sweep.csv") as handle:
+            assert len(list(csv.DictReader(handle))) == 13
+
+    def test_negative_trials_is_one_error_line(self, pair_corpus_dir, tmp_path, capsys):
+        assert run_cli("evaluate", "--manifest", pair_corpus_dir / "manifest.csv", "--rep", "F_log",
+                       "--trials", "-1", "--out", tmp_path) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "trials" in err[0]
+        assert list(tmp_path.iterdir()) == []  # nothing written
+
     def test_config_file_driven(self, pair_corpus_dir, tmp_path):
         import json
 

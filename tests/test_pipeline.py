@@ -177,7 +177,7 @@ class TestEpWindowCut:
 
 
 class TestWindowOnlyFrontEnds:
-    """F, M and W read and cache only the frames of the averaging window.
+    """F, M and W read only the frames of the averaging window.
 
     The window of a 0.5 s vowel at 48 kHz picks frames 43-52 of the
     whole-signal STFT, which span samples 10320-13679.
@@ -186,9 +186,7 @@ class TestWindowOnlyFrontEnds:
     def test_stft_frames_are_those_of_the_whole_signal(self):
         samples = v.synth_vowel(v.vowel_spec("o", 120.0))
         full = v.stft_spectrum(samples, 48000.0)
-        analyzer = v.UtteranceAnalyzer(samples, 48000.0)
-        analyzer.base_spectrum(v.parse_representation("F_log"))
-        window = analyzer._windows["F"]
+        window = v.UtteranceAnalyzer(samples, 48000.0)._window("F")
         assert window.frames.tobytes() == full.frames[43:53].tobytes()
         np.testing.assert_allclose(window.frame_times, full.frame_times[43:53], rtol=0, atol=1e-15)
 
@@ -225,17 +223,19 @@ class TestWindowOnlyFrontEnds:
             analyzer = v.UtteranceAnalyzer(samples, 48000.0, external_sg=v.stft_spectrum(samples, 48000.0))
             for rep_id in ("Ep", "F_log", "F_0.4", "M_log", "W_log", "W_0.4"):
                 analyzer.base_spectrum(v.parse_representation(rep_id))
-            assert analyzer._external_sg is None  # only its window is kept
-            assert all(sg.frames.flags.owndata for sg in analyzer._windows.values())
-            assert not hasattr(analyzer, "samples")  # nor the waveform, only the span
+            # the span, the averaged spectra and W's cropped window, and no
+            # F or M frames nor the waveform
+            assert set(vars(analyzer)) == {"fs", "n_samples", "center", "_f0_override",
+                                           "_external_sg", "_spectra", "span_start", "span"}
+            assert analyzer._external_sg.frames.flags.owndata
             assert analyzer.span.flags.owndata
-            return ({base: sg.frames.shape for base, sg in analyzer._windows.items()},
+            return (analyzer._external_sg.frames.shape,
                     {key: s.values.shape for key, s in analyzer._spectra.items()},
                     analyzer.span.shape)
 
         short, long = cached(0.5), cached(2.0)
         assert short == long
-        assert short[0] == {"F": (10, 601), "M": (10, 25), "W": (10, 601)}
+        assert short[0] == (10, 601)
         # from the 100 Hz channel's start, 148.5 ms before the centre, to the
         # last sample an STFT frame centred in the window could reach
         assert short[2] == (8929,)
@@ -383,6 +383,31 @@ class TestCorpusEstimation:
     def test_single_speaker_rejected(self, default_corpus):
         with pytest.raises(InputError):
             default_corpus.estimate("Ep", speakers=default_corpus.speakers[:1])
+
+    def test_knee_sweep_runs_each_front_end_once_per_utterance(self, tmp_path, monkeypatch):
+        """The averaged spectra are cached: of the 13 knees a sweep visits,
+        only the first computes a front end."""
+        from vtlest.evaluate import DEFAULT_HMAX_GRID
+
+        v.make_corpus(v.pair_demo_speakers(), ["a"], tmp_path)
+        calls = {"gammatone_ep": 0, "stft_spectrum": 0}
+
+        def counted(name):
+            func = getattr(v.pipeline, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(v.pipeline, name, counted(name))
+        corpus = v.load_corpus(tmp_path / "manifest.csv")
+        assert len(v.hmax_sweep(corpus, "Ep_SSI", DEFAULT_HMAX_GRID)) == 13
+        n = len(corpus.records)  # two speakers, one vowel
+        assert calls == {"gammatone_ep": n, "stft_spectrum": 0}
+        v.hmax_sweep(corpus, "F_SSI_log", DEFAULT_HMAX_GRID)
+        assert calls == {"gammatone_ep": n, "stft_spectrum": n}
 
 
 class TestExternalSpectra:
