@@ -116,6 +116,14 @@ class TrialsResult:
         return float(np.std([t.rms_cm for t in self.trials]))
 
 
+def _check_exclude(corpus: CorpusAnalyzer, k: int) -> None:
+    """Reject a ``k`` outside 0 to speakers - 2: at least two must stay."""
+    if k < 0 or len(corpus.speakers) - k < 2:
+        raise ConfigurationError(
+            f"cannot exclude {k} of {len(corpus.speakers)} speakers and still estimate"
+        )
+
+
 def exclusion_trials(corpus: CorpusAnalyzer, rep_id: str, *, k: int, trials: int, seed: int,
                      h_max: float | None = None) -> TrialsResult:
     """Stability check: drop ``k`` random speakers, re-estimate, record RMS.
@@ -123,15 +131,13 @@ def exclusion_trials(corpus: CorpusAnalyzer, rep_id: str, *, k: int, trials: int
     Exclusions are drawn uniformly without replacement from a generator
     seeded with ``seed``, so runs are reproducible.
     """
-    if k < 0 or len(corpus.speakers) - k < 2:
-        raise ConfigurationError(
-            f"cannot exclude {k} of {len(corpus.speakers)} speakers and still estimate"
-        )
+    _check_exclude(corpus, k)
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(trials):
         excluded = sorted(rng.choice(corpus.speakers, size=k, replace=False).tolist())
-        kept = [s for s in corpus.speakers if s not in set(excluded)]
+        dropped = set(excluded)
+        kept = [s for s in corpus.speakers if s not in dropped]
         result = corpus.estimate(rep_id, h_max, speakers=kept)
         out.append(ExclusionTrial(tuple(excluded), rms_error(result.estimated(), result.measured())))
     rep = parse_representation(rep_id) if isinstance(rep_id, str) else rep_id
@@ -264,6 +270,8 @@ def run_evaluation(config: EvalConfig):
     if config.trials < 0:
         raise ConfigurationError(f"trials must be at least 0, got {config.trials}")
     corpus = open_corpus(config)
+    if config.trials > 0:  # before anything is written
+        _check_exclude(corpus, config.exclude)
     out = Path(config.out_dir)
     results = [corpus.estimate(rep, config.h_max) for rep in config.representations]
     reports = [report_from_estimation(res) for res in results]

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
+import math
 import os
 import tempfile
 import warnings
@@ -16,12 +18,16 @@ from pathlib import Path
 
 import numpy as np
 from scipy.io import wavfile
+from scipy.signal import firwin, resample_poly
 
 from .axes import F_HI, AxisKind, FrequencyAxis
 from .errors import InputError
 from .spectral import Spectrogram, Spectrum, as_compression
 
 CANONICAL_FS = 48000.0
+#: The largest term of a resampling ratio in lowest terms: its filter has
+#: ``20 * MAX_RATIO_TERM + 1`` taps (15 MB).
+MAX_RATIO_TERM = 96000
 
 
 def fmt(x) -> str:
@@ -97,35 +103,80 @@ def write_wav(out_dir, rel_path, samples, fs: float):
     wavfile.write(out_dir / rel_path, int(fs), pcm)
 
 
-def ensure_rate(samples, fs: float):
-    """Linearly resample to :data:`CANONICAL_FS` if needed, with a warning.
+def resample_ratio(fs) -> tuple[int, int]:
+    """``(up, down)``: :data:`CANONICAL_FS` over ``fs``, in lowest terms.
 
-    Rates below twice the analysis range's upper edge are rejected before
-    anything is allocated: the output's size follows from the rate alone.
+    Rejects a rate below twice the analysis range's upper edge, one that is
+    not a whole number of Hz, and one whose ratio has a term above
+    :data:`MAX_RATIO_TERM`, before anything is allocated.
     """
     if not fs >= 2.0 * F_HI:
         raise InputError(f"sample rate {fs:g} Hz is too low for channels up to {F_HI:g} Hz")
-    if fs == CANONICAL_FS:
-        return np.asarray(samples, dtype=float), CANONICAL_FS
+    if not float(fs).is_integer():
+        raise InputError(f"sample rate {fs:g} Hz is not a whole number of Hz")
+    g = math.gcd(int(fs), int(CANONICAL_FS))
+    up, down = int(CANONICAL_FS) // g, int(fs) // g
+    if max(up, down) > MAX_RATIO_TERM:
+        raise InputError(f"sample rate {fs:g} Hz needs a {up}/{down} resampling ratio; "
+                         f"neither term may exceed {MAX_RATIO_TERM}")
+    return up, down
+
+
+@functools.lru_cache(maxsize=4)
+def _lowpass(up: int, down: int) -> np.ndarray:
+    """The anti-alias filter ``resample_poly`` designs for ``up / down`` by
+    default: Kaiser(5.0), cutoff at the lower Nyquist rate, 10 zero
+    crossings either side of the centre."""
+    max_rate = max(up, down)
+    h = firwin(20 * max_rate + 1, 1.0 / max_rate, window=("kaiser", 5.0))
+    h.flags.writeable = False
+    return h
+
+
+def native_cut(cut: slice, fs, size: int) -> tuple[slice, int]:
+    """The native samples behind samples ``cut`` of the resampled input,
+    and the resampled index of the first of them.
+
+    Of ``size`` native samples at ``fs``, the slice starts on a multiple of
+    ``down`` and reaches half a filter past both ends of ``cut``, so
+    :func:`ensure_rate` of it alone gives samples ``cut`` bit for bit as
+    resampling all ``size`` samples does.
+    """
+    up, down = resample_ratio(fs)
+    half = 0 if up == down else 10 * max(up, down)
+    first = max(0, -(-(cut.start * down - half) // up) // down * down)
+    stop = min(size, ((cut.stop - 1) * down + half) // up + 1)
+    return slice(first, max(first, stop)), first // down * up
+
+
+def ensure_rate(samples, fs: float):
+    """Resample to :data:`CANONICAL_FS` if needed, with a warning.
+
+    Polyphase resampling (``scipy.signal.resample_poly``) with its default
+    Kaiser(5.0) anti-alias filter, designed once per ratio: the result is
+    bit for bit that of the default call, ``ceil(n * up / down)`` samples.
+    The rate is checked by :func:`resample_ratio` first.
+    """
+    up, down = resample_ratio(fs)
+    x = np.asarray(samples, dtype=float)
+    if up == down:
+        return x, CANONICAL_FS
     warnings.warn(
         f"resampling input from {fs:g} Hz to the canonical {CANONICAL_FS:g} Hz",
         stacklevel=2,
     )
-    x = np.asarray(samples, dtype=float)
-    duration = x.size / fs
-    n_out = int(round(duration * CANONICAL_FS))
-    t_out = np.arange(n_out) / CANONICAL_FS
-    t_in = np.arange(x.size) / fs
-    return np.interp(t_out, t_in, x), CANONICAL_FS
+    return resample_poly(x, up, down, window=_lowpass(up, down)), CANONICAL_FS
 
 
 def read_audio(path):
-    """Read a WAV file and resample it to the canonical analysis rate."""
+    """Read a WAV file at its own rate, once :func:`resample_ratio` has
+    accepted the rate; errors name the file."""
     samples, fs = read_wav(path)
     try:
-        return ensure_rate(samples, fs)
+        resample_ratio(fs)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
+    return samples, fs
 
 
 # --------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -143,9 +142,14 @@ class UtteranceAnalyzer:
     the averaged spectra and F0, which weight sweeps read again.
 
     Each front end reads only the samples the +-25 ms averaging window needs,
-    and nothing held grows with the duration: the analyzer keeps a copy of
-    the one span of samples its bases read (``span``, starting at sample
-    ``span_start`` of the ``n_samples`` resampled ones), not the waveform.
+    and nothing held grows with the duration.  The analyzer keeps a copy of
+    the native-rate samples (``span``, from native sample ``span_start``)
+    behind the one span of resampled samples its bases read, not the
+    waveform; at :data:`~vtlest.fileio.CANONICAL_FS` the two are the same.
+    Each spectrum resamples only the native samples behind what it reads,
+    exactly as resampling the whole input would, and a weighted spectrum's
+    read also covers the F0 window while F0 is unknown.  ``n_samples`` and
+    every cut count samples at the canonical rate ``fs``.
     No frames are cached: each spectrum computes the F, M or W frames the
     window picks.  F's are bit for bit those of the whole-signal STFT, and
     log compression floors at their peak.  Ep returns the whole frames from the
@@ -160,10 +164,14 @@ class UtteranceAnalyzer:
     """
 
     def __init__(self, samples, fs, *, f0_override: float | None = None, external_sg=None):
-        samples, self.fs = fileio.ensure_rate(samples, fs)
-        self.n_samples = samples.size
+        up, down = fileio.resample_ratio(fs)
+        samples = np.asarray(samples, dtype=float)
+        self.native_fs = float(fs)
+        self.n_native = samples.size
+        self.fs = fileio.CANONICAL_FS
+        self.n_samples = -(-samples.size * up // down)
         self.center = self.n_samples / self.fs / 2.0
-        self._f0_override = f0_override
+        self._f0 = f0_override
         self._external_sg = external_sg
         self._spectra: dict[tuple[str, Compression], Spectrum] = {}
         # F reads the STFT frames centred in the window: up to half a frame
@@ -171,14 +179,25 @@ class UtteranceAnalyzer:
         f_reach = AVG_HALF_WIDTH * self.fs + STFT_WINDOW * self.fs / 2.0 + 1.0
         mid = self.center * self.fs
         (ep, _), f0 = self._ep_samples(), self._f0_samples()
-        self.span_start = min(ep.start, f0.start, max(0, math.floor(mid - f_reach)))
+        start = min(ep.start, f0.start, max(0, math.floor(mid - f_reach)))
         stop = max(ep.stop, f0.stop, math.ceil(mid + f_reach))
+        native, _ = fileio.native_cut(slice(start, stop), fs, samples.size)
+        self.span_start = native.start
         # a copy: a view would keep the whole waveform alive
-        self.span = samples[self.span_start:stop].copy()
+        self.span = samples[native].copy()
 
-    def _read(self, cut: slice) -> np.ndarray:
-        """Samples ``cut`` of the resampled input, clipped to its end."""
-        return self.span[cut.start - self.span_start:cut.stop - self.span_start]
+    def _read(self, *cuts: slice | None) -> list[np.ndarray | None]:
+        """Samples ``cuts`` of the resampled input, each clipped to its end
+        (None for None), from one resampling of only the native samples
+        behind them all."""
+        read = [c for c in cuts if c is not None]
+        if not read:
+            return [None] * len(cuts)
+        lo, hi = min(c.start for c in read), max(c.stop for c in read)
+        native, first = fileio.native_cut(slice(lo, hi), self.native_fs, self.n_native)
+        held = self.span[native.start - self.span_start:native.stop - self.span_start]
+        x, _ = fileio.ensure_rate(held, self.native_fs)
+        return [None if c is None else x[c.start - first:c.stop - first] for c in cuts]
 
     def _ep_samples(self) -> tuple[slice, int]:
         """Whole EP frames from the slowest channel's start to the window
@@ -189,6 +208,13 @@ class UtteranceAnalyzer:
         stop = math.ceil((self.center + AVG_HALF_WIDTH) / EP_FRAME_PERIOD)
         return slice(max(0, first - lead) * frame, stop * frame), first * frame
 
+    def _f_samples(self) -> slice:
+        """The samples of the STFT frames the averaging window picks."""
+        win_n, hop_n = int(round(STFT_WINDOW * self.fs)), int(round(STFT_HOP * self.fs))
+        n_frames = (self.n_samples - win_n) // hop_n + 1
+        picked = window_frames(win_n / (2.0 * self.fs), hop_n / self.fs, n_frames, self.center)
+        return slice(picked.start * hop_n, (picked.stop - 1) * hop_n + win_n)
+
     def _f0_samples(self) -> slice:
         """The centre :data:`~vtlest.ssi.F0_WINDOW_S`, or every sample of a
         shorter input (which :func:`estimate_f0` rejects)."""
@@ -196,24 +222,25 @@ class UtteranceAnalyzer:
         start = max(0, (self.n_samples - win) // 2)
         return slice(start, start + win)
 
-    @cached_property
+    @property
     def f0(self) -> float:
-        """Pitch used for weighting: the override if given, else estimated."""
-        if self._f0_override is not None:
-            return self._f0_override
-        return estimate_f0(self._read(self._f0_samples()), self.fs)
+        """Pitch used for weighting: the override if given, else estimated
+        once."""
+        if self._f0 is None:
+            self._f0 = estimate_f0(self._read(self._f0_samples())[0], self.fs)
+        return self._f0
 
-    def _window(self, base: str) -> Spectrogram:
-        """The uncompressed F, M or W frames the averaging window picks."""
-        if base == "F":
-            win_n, hop_n = int(round(STFT_WINDOW * self.fs)), int(round(STFT_HOP * self.fs))
-            n_frames = (self.n_samples - win_n) // hop_n + 1
-            picked = window_frames(win_n / (2.0 * self.fs), hop_n / self.fs, n_frames, self.center)
-            start = picked.start * hop_n
-            sg = stft_spectrum(self._read(slice(start, (picked.stop - 1) * hop_n + win_n)), self.fs)
-            return replace(sg, t0=sg.t0 + start / self.fs)
-        if base == "M":
-            return mel_spectrum(self._window("F"))
+    def _window(self, base: str, cut: slice | None = None, samples=None) -> Spectrogram:
+        """The uncompressed F, M or W frames the averaging window picks.  F
+        and M read the ``samples`` of :meth:`_f_samples` unless given them
+        with their ``cut``."""
+        if base in ("F", "M"):
+            if cut is None:
+                cut = self._f_samples()
+                samples = self._read(cut)[0]
+            sg = stft_spectrum(samples, self.fs)
+            sg = replace(sg, t0=sg.t0 + cut.start / self.fs)
+            return mel_spectrum(sg) if base == "M" else sg
         sg = self._external_sg
         if sg is None:
             raise InputError("no external spectrogram was supplied for a W representation")
@@ -227,22 +254,30 @@ class UtteranceAnalyzer:
                                     t0=sg.t0 + picked.start * sg.frame_period)
         return self._external_sg
 
-    def base_spectrum(self, rep: Representation) -> Spectrum:
+    def base_spectrum(self, rep: Representation, *, with_f0: bool = False) -> Spectrum:
         """Compressed, time-averaged spectrum on the representation's grid,
-        before any weighting."""
+        before any weighting.  With ``with_f0`` the same read also covers
+        the F0 window while F0 is unknown, and F0 is estimated from it."""
         key = (rep.base, rep.compression)
         if key not in self._spectra:
             if rep.base == "Ep":
+                cut, first = self._ep_samples()
+            else:
+                cut = None if rep.base == "W" else self._f_samples()
+            f0_cut = self._f0_samples() if with_f0 and self._f0 is None else None
+            samples, f0_frame = self._read(cut, f0_cut)
+            if rep.base == "Ep":
                 # the cut keeps every frame the window picks, and center_average
                 # needs none past it; the samples before them only warm the bank up
-                cut, first = self._ep_samples()
-                ep = gammatone_ep(self._read(cut), self.fs, axis_for("Ep"), start=first - cut.start)
+                ep = gammatone_ep(samples, self.fs, axis_for("Ep"), start=first - cut.start)
                 ep = replace(ep, t0=ep.t0 + cut.start / self.fs)
                 spec = compress(center_average(ep, self.center), rep.compression)
             else:
-                sg = compress(self._window(rep.base), rep.compression)
+                sg = compress(self._window(rep.base, cut, samples), rep.compression)
                 spec = resample_to_axis(center_average(sg, self.center), axis_for(rep.base))
             self._spectra[key] = spec
+            if f0_frame is not None:
+                self._f0 = estimate_f0(f0_frame, self.fs)
         return self._spectra[key]
 
     def spectrum(self, rep: Representation, h_max: float | None = None) -> Spectrum:
@@ -251,12 +286,10 @@ class UtteranceAnalyzer:
         ``h_max = 0`` is read as "no weighting", so weighted representations
         degrade continuously to their unweighted baseline.
         """
-        spec = self.base_spectrum(rep)
-        if not rep.ssi:
-            return spec
         h_max = DEFAULT_H_MAX if h_max is None else h_max
-        if h_max == 0.0:
-            return spec
+        if not rep.ssi or h_max == 0.0:
+            return self.base_spectrum(rep)
+        spec = self.base_spectrum(rep, with_f0=True)
         weights = ssi_weight(spec.axis, h_max, self.f0)
         return apply_weight(spec, weights)
 

@@ -9,9 +9,11 @@ leaves it untouched above, suppressing exactly that harmonic-dominated region.
 from __future__ import annotations
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .axes import FrequencyAxis
 from .errors import ConfigurationError, InputError
+from .shifts import TIE_TOLERANCE
 from .spectral import Spectrum
 
 #: F0 value that encodes "unvoiced / unknown"; it yields an all-ones weight.
@@ -69,7 +71,12 @@ def estimate_f0(signal, fs: float) -> float:
     the normalized autocorrelation peak in the :data:`F0_SEARCH_LO_HZ` to
     :data:`F0_SEARCH_HI_HZ` range falls below
     :data:`VOICING_THRESHOLD`.  The biased autocorrelation estimator is used,
-    which favors the fundamental over its subharmonics.
+    which favors the fundamental over its subharmonics.  The searched lags
+    come from one zero-padded real FFT of the frame.  Lags within
+    :data:`~vtlest.shifts.TIE_TOLERANCE` times the frame's energy of the
+    peak, and a peak that close to the voicing threshold, are scored again
+    by direct dot products, so FFT round-off can neither split a tie nor
+    cross the threshold.
     """
     x = np.asarray(signal, dtype=float)
     win = int(round(F0_WINDOW_S * fs))
@@ -85,10 +92,18 @@ def estimate_f0(signal, fs: float) -> float:
     lag_hi = min(win - 1, int(np.floor(fs / F0_SEARCH_LO_HZ)))
     if lag_lo > lag_hi:
         raise ConfigurationError(f"search range {F0_SEARCH_LO_HZ}-{F0_SEARCH_HI_HZ} Hz is empty at fs={fs}")
-    # only the searched lags: acf[k] = sum_n frame[n + lag_lo + k] * frame[n]
-    padded = np.concatenate([frame[lag_lo:], np.zeros(lag_hi)])
-    acf = np.correlate(padded, frame, mode="valid")
+    # padding to win + lag_hi keeps the circular wrap off every searched lag
+    size = next_fast_len(win + lag_hi, real=True)
+    spectrum = rfft(frame, size)
+    acf = irfft(spectrum.real**2 + spectrum.imag**2, size)[lag_lo : lag_hi + 1]
     peak = int(np.argmax(acf))
-    if acf[peak] / r0 < VOICING_THRESHOLD:
+    value = acf[peak]
+    tol = TIE_TOLERANCE * r0
+    near = np.flatnonzero(acf >= value - tol)
+    if near.size > 1 or abs(value - VOICING_THRESHOLD * r0) <= tol:
+        direct = [frame[lag:] @ frame[: win - lag] for lag in lag_lo + near]
+        peak = int(near[np.argmax(direct)])
+        value = max(direct)
+    if value / r0 < VOICING_THRESHOLD:
         return UNVOICED
     return fs / (lag_lo + peak)

@@ -234,6 +234,15 @@ class TestEvaluateAndSweep:
         assert len(err) == 1 and err[0].startswith("error:") and "trials" in err[0]
         assert list(tmp_path.iterdir()) == []  # nothing written
 
+    @pytest.mark.parametrize("exclude", ["99", "1", "-1"])
+    def test_exclude_out_of_range_writes_nothing(self, pair_corpus_dir, tmp_path, capsys, exclude):
+        """Of the pair demo's two speakers none can be excluded."""
+        assert run_cli("evaluate", "--manifest", pair_corpus_dir / "manifest.csv", "--rep", "F_log",
+                       "--exclude", exclude, "--out", tmp_path) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: cannot exclude {exclude} of 2 speakers and still estimate"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_config_file_driven(self, pair_corpus_dir, tmp_path):
         import json
 

@@ -1,6 +1,8 @@
 """WAV and CSV round trips, resampling policy, atomic writes."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.signal import resample_poly
 
 import vtlest as v
 from vtlest import fileio
@@ -66,6 +68,94 @@ class TestWav:
             warnings.simplefilter("error")
             y, fs = fileio.ensure_rate(x, 48000.0)
         assert fs == 48000.0 and len(y) == 100
+
+
+class TestResampling:
+    """Polyphase resampling with scipy's default filter, applied by the
+    analyzer only to the native samples behind each cut it reads."""
+
+    def test_bit_identical_to_the_default_resample_poly(self):
+        """44 101 Hz is coprime to 48 kHz: a 960 001-tap filter."""
+        x = np.random.default_rng(5).normal(size=4410)
+        for fs in (16000, 22050, 44100, 44101, 96000):
+            with pytest.warns(UserWarning, match=f"from {fs} Hz"):
+                got, rate = fileio.ensure_rate(x, float(fs))
+            assert rate == 48000.0
+            assert got.tobytes() == resample_poly(x, 48000, fs).tobytes()
+        assert fileio._lowpass.cache_info().currsize <= fileio._lowpass.cache_info().maxsize
+
+    @pytest.mark.filterwarnings("ignore:resampling input")
+    @settings(max_examples=20, deadline=None)
+    @given(fs=st.sampled_from([16000, 22050, 44100, 96000]), duration=st.floats(0.04, 0.6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_every_cut_read_equals_whole_file_resampling(self, fs, duration, seed):
+        """From inputs shorter than the 186 ms span up: each sample a base
+        or F0 reads is that of resampling the whole input."""
+        x = 0.1 * np.random.default_rng(seed).normal(size=int(duration * fs))
+        expected = resample_poly(x, 48000, fs)
+        reads = []
+
+        class Spy(v.UtteranceAnalyzer):
+            def _read(self, *cuts):
+                got = super()._read(*cuts)
+                reads.extend((c, r) for c, r in zip(cuts, got) if c is not None)
+                return got
+
+        for rep_id in ("Ep_SSI", "F_SSI_log", "M_SSI_log"):
+            analyzer = Spy(x, float(fs))
+            assert analyzer.n_samples == expected.size
+            try:
+                analyzer.spectrum(v.parse_representation(rep_id))
+            except InputError:  # too short for this base or for F0
+                pass
+        assert reads
+        for cut, got in reads:
+            assert np.array_equal(got, expected[cut])
+
+    def test_tone_above_the_canonical_nyquist_is_filtered_out(self):
+        """A 30 kHz tone at 96 kHz would alias to 18 kHz: linear
+        interpolation kept it at full amplitude."""
+        fs = 96000.0
+        tone = np.sin(2 * np.pi * 30000.0 * np.arange(48000) / fs)
+        reads = []
+
+        class Spy(v.UtteranceAnalyzer):
+            def _read(self, *cuts):
+                got = super()._read(*cuts)
+                reads.extend(r for r in got if r is not None)
+                return got
+
+        analyzer = Spy(tone, fs)
+        with pytest.warns(UserWarning, match="96000"):
+            for rep_id in ("Ep_SSI", "F_SSI_log"):
+                analyzer.spectrum(v.parse_representation(rep_id))
+        assert len(reads) == 3  # each base's cut, and the F0 window read with Ep's
+        assert max(np.abs(r).max() for r in reads) <= 0.01
+
+    @pytest.mark.parametrize("fs,message", [
+        (44100.5, "sample rate 44100.5 Hz is not a whole number of Hz"),
+        (np.inf, "sample rate inf Hz is not a whole number of Hz"),
+        (96001.0, "sample rate 96001 Hz needs a 48000/96001 resampling ratio"),
+    ])
+    def test_rate_that_cannot_be_resampled_rejected(self, fs, message):
+        with pytest.raises(InputError, match=message):
+            fileio.ensure_rate(np.zeros(100), fs)
+        with pytest.raises(InputError, match=message):
+            v.UtteranceAnalyzer(np.zeros(100), fs)
+
+    def test_header_rate_with_a_huge_ratio_names_the_file(self, tmp_path):
+        """A prime rate of 2**31 - 1 Hz would need a 4.3e10-tap filter."""
+        fileio.write_wav(tmp_path, "fast.wav", np.zeros(100), 2**31 - 1)
+        with pytest.raises(InputError, match=r"fast\.wav: sample rate 2\.14748e\+09 Hz needs a "
+                                             r"48000/2147483647 resampling ratio"):
+            fileio.read_audio(tmp_path / "fast.wav")
+
+    def test_read_audio_returns_native_samples(self, tmp_path):
+        x = 0.5 * np.sin(2 * np.pi * 440.0 * np.arange(4410) / 44100.0)
+        fileio.write_wav(tmp_path, "t.wav", x, 44100.0)
+        samples, fs = fileio.read_audio(tmp_path / "t.wav")
+        assert fs == 44100.0
+        assert samples.tobytes() == fileio.read_wav(tmp_path / "t.wav")[0].tobytes()
 
 
 class TestManifest:

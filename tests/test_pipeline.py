@@ -217,24 +217,27 @@ class TestWindowOnlyFrontEnds:
             got = v.UtteranceAnalyzer(clicked, 48000.0).base_spectrum(rep)
             assert got.values.tobytes() == clean.values.tobytes()
 
+    @pytest.mark.filterwarnings("ignore:resampling input")
     def test_cache_does_not_grow_with_duration(self):
-        def cached(duration):
-            samples = v.synth_vowel(v.vowel_spec("e", 150.0, duration=duration))
-            analyzer = v.UtteranceAnalyzer(samples, 48000.0, external_sg=v.stft_spectrum(samples, 48000.0))
-            for rep_id in ("Ep", "F_log", "F_0.4", "M_log", "W_log", "W_0.4"):
-                analyzer.base_spectrum(v.parse_representation(rep_id))
-            # the span, the averaged spectra and W's cropped window, and no
-            # F or M frames nor the waveform
-            assert set(vars(analyzer)) == {"fs", "n_samples", "center", "_f0_override",
-                                           "_external_sg", "_spectra", "span_start", "span"}
+        def cached(duration, fs):
+            samples = v.synth_vowel(v.vowel_spec("e", 150.0, duration=duration, fs=fs))
+            analyzer = v.UtteranceAnalyzer(samples, fs, external_sg=v.stft_spectrum(samples, fs))
+            for rep_id in ("Ep", "F_log", "F_0.4", "M_log", "W_log", "W_0.4", "Ep_SSI"):
+                analyzer.spectrum(v.parse_representation(rep_id))
+            # the native span, the averaged spectra and W's cropped window, and
+            # no F or M frames, no resampled samples, nor the waveform
+            assert set(vars(analyzer)) == {"fs", "native_fs", "n_samples", "n_native", "center",
+                                           "_f0", "_external_sg", "_spectra", "span_start", "span"}
             assert analyzer._external_sg.frames.flags.owndata
             assert analyzer.span.flags.owndata
             return (analyzer._external_sg.frames.shape,
                     {key: s.values.shape for key, s in analyzer._spectra.items()},
                     analyzer.span.shape)
 
-        short, long = cached(0.5), cached(2.0)
-        assert short == long
+        for fs in (44100.0, 48000.0):
+            short, long = cached(0.5, fs), cached(2.0, fs)
+            assert short == long
+        # the 48 kHz analyzer, the loop's last
         assert short[0] == (10, 601)
         # from the 100 Hz channel's start, 148.5 ms before the centre, to the
         # last sample an STFT frame centred in the window could reach

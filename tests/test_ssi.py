@@ -168,17 +168,19 @@ class TestEstimateF0:
     def test_searched_lags_match_the_full_autocorrelation(self, corpus, request):
         """Computing only the searched lags changes the autocorrelation by
         round-off, and F0 not at all, on every ladder and crowd utterance;
-        the analyzer estimates it on the centre 50 ms it holds."""
+        the analyzer estimates it on the centre 50 ms, resampled from the
+        native samples it holds."""
         records = v.read_manifest(request.getfixturevalue(corpus) / "manifest.csv")
         assert len(records) in (40, 160)
         for rec in records:
+            samples, fs = v.read_audio(rec.path)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # the crowd is resampled to 48 kHz
-                samples, fs = v.read_audio(rec.path)
-            expected = full_acf_f0(samples, fs)
-            assert expected != UNVOICED
-            assert v.estimate_f0(samples, fs) == expected
-            assert v.UtteranceAnalyzer(samples, fs).f0 == expected
+                resampled, _ = v.fileio.ensure_rate(samples, fs)
+                expected = full_acf_f0(resampled, FS)
+                assert expected != UNVOICED
+                assert v.estimate_f0(resampled, FS) == expected
+                assert v.UtteranceAnalyzer(samples, fs).f0 == expected
 
     @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
     def test_searched_lags_match_on_noisy_pulse_trains(self, seed, noise):
@@ -186,6 +188,28 @@ class TestEstimateF0:
         x = noise * rng.normal(size=int(0.06 * FS))
         x[::int(rng.integers(120, 800))] += 1.0
         assert v.estimate_f0(x, FS) == full_acf_f0(x, FS)
+
+    @pytest.mark.parametrize(
+        "plus,minus,scale",
+        [
+            # the direct autocorrelation peaks at lags 298, 357 and 655 alike
+            pytest.param([537, 835, 1192], [470, 768, 1125], 1.1, id="three-way-tie"),
+            # its peak is exactly VOICING_THRESHOLD times the energy
+            pytest.param([104, 359, 1507, 1624, 1879], [253, 1222, 1831, 2019, 2274], 1.0,
+                         id="peak-at-threshold"),
+        ],
+    )
+    def test_fft_round_off_neither_splits_a_tie_nor_crosses_the_threshold(self, plus, minus, scale):
+        """Zero-mean pulse frames whose searched autocorrelation is exact:
+        the FFT alone puts the tie's peak at lag 655 and the threshold
+        peak 8.9e-16 below 3.0 (unvoiced)."""
+        x = np.zeros(int(F0_WINDOW_S * FS))
+        x[plus], x[minus] = scale, -scale
+        acf = np.correlate(x, x, mode="full")[x.size + 119:x.size + 800]  # lags 120-800
+        assert (acf == acf.max()).sum() > 1 or acf.max() / (x @ x) == VOICING_THRESHOLD
+        expected = full_acf_f0(x, FS)
+        assert expected != UNVOICED
+        assert v.estimate_f0(x, FS) == expected
 
     def test_analyzer_f0_of_a_short_vowel_rejected(self):
         analyzer = v.UtteranceAnalyzer(v.synth_vowel(v.vowel_spec("a", 150.0))[:2399], FS)
