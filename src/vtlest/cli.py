@@ -73,7 +73,8 @@ def cmd_estimate(args) -> int:
     fileio.write_csv(
         out / "estimates.csv",
         ["speaker_id", "vowel", "S_channels", "L_est_cm", "L_meas_cm"],
-        [[r.speaker_id, r.vowel, r.shift, r.l_est_cm, r.l_meas_cm] for r in result.rows],
+        zip(result.point_speakers, result.point_vowels, result.shifts().tolist(),
+            result.estimated().tolist(), result.measured().tolist()),
     )
     for vowel in corpus.vowels:
         matrix = corpus.shift_matrix(vowel, rep, result.h_max)

@@ -72,7 +72,7 @@ def report_from_estimation(result: EstimationResult) -> EvalReport:
     est = result.estimated()
     per_vowel = {}
     for vowel in result.vowels():
-        mask = np.array([r.vowel == vowel for r in result.rows])
+        mask = np.array(result.point_vowels) == vowel
         try:
             per_vowel[vowel] = pearson_r(meas[mask], est[mask])
         except (InputError, DegenerateInputError):
@@ -88,7 +88,7 @@ def report_from_estimation(result: EstimationResult) -> EvalReport:
         all_r=all_r,
         rms_cm=rms_error(est, meas),
         q=result.q,
-        n_points=len(result.rows),
+        n_points=len(result.point_vowels),
     )
 
 
@@ -247,9 +247,10 @@ def write_scatter_csv(path, results: list[EstimationResult]):
     header = ["representation_id", "h_max", "speaker_id", "vowel", "shift_channels",
               "l_meas_cm", "l_est_cm"]
     rows = [
-        [res.representation_id, res.h_max, r.speaker_id, r.vowel, r.shift, r.l_meas_cm, r.l_est_cm]
+        [res.representation_id, res.h_max, *point]
         for res in results
-        for r in res.rows
+        for point in zip(res.point_speakers, res.point_vowels, res.shifts().tolist(),
+                         res.measured().tolist(), res.estimated().tolist())
     ]
     fileio.write_csv(path, header, rows)
 

@@ -150,7 +150,7 @@ def native_cut(cut: slice, fs, size: int) -> tuple[slice, int]:
 
 
 def ensure_rate(samples, fs: float):
-    """Resample to :data:`CANONICAL_FS` if needed, with a warning.
+    """Resample to :data:`CANONICAL_FS` if needed.
 
     Polyphase resampling (``scipy.signal.resample_poly``) with its default
     Kaiser(5.0) anti-alias filter, designed once per ratio: the result is
@@ -161,21 +161,21 @@ def ensure_rate(samples, fs: float):
     x = np.asarray(samples, dtype=float)
     if up == down:
         return x, CANONICAL_FS
-    warnings.warn(
-        f"resampling input from {fs:g} Hz to the canonical {CANONICAL_FS:g} Hz",
-        stacklevel=2,
-    )
     return resample_poly(x, up, down, window=_lowpass(up, down)), CANONICAL_FS
 
 
 def read_audio(path):
     """Read a WAV file at its own rate, once :func:`resample_ratio` has
-    accepted the rate; errors name the file."""
+    accepted the rate; errors name the file, and so does the one warning
+    that a file not at :data:`CANONICAL_FS` will be resampled."""
     samples, fs = read_wav(path)
     try:
         resample_ratio(fs)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
+    if fs != CANONICAL_FS:
+        warnings.warn(f"resampling input {path} from {fs:g} Hz to the canonical "
+                      f"{CANONICAL_FS:g} Hz", stacklevel=2)
     return samples, fs
 
 

@@ -147,8 +147,8 @@ class UtteranceAnalyzer:
     behind the one span of resampled samples its bases read, not the
     waveform; at :data:`~vtlest.fileio.CANONICAL_FS` the two are the same.
     Each spectrum resamples only the native samples behind what it reads,
-    exactly as resampling the whole input would, and a weighted spectrum's
-    read also covers the F0 window while F0 is unknown.  ``n_samples`` and
+    exactly as resampling the whole input would, and a weighted Ep, F or M
+    base takes the F0 window from what it read.  ``n_samples`` and
     every cut count samples at the canonical rate ``fs``.
     No frames are cached: each spectrum computes the F, M or W frames the
     window picks.  F's are bit for bit those of the whole-signal STFT, and
@@ -186,18 +186,13 @@ class UtteranceAnalyzer:
         # a copy: a view would keep the whole waveform alive
         self.span = samples[native].copy()
 
-    def _read(self, *cuts: slice | None) -> list[np.ndarray | None]:
-        """Samples ``cuts`` of the resampled input, each clipped to its end
-        (None for None), from one resampling of only the native samples
-        behind them all."""
-        read = [c for c in cuts if c is not None]
-        if not read:
-            return [None] * len(cuts)
-        lo, hi = min(c.start for c in read), max(c.stop for c in read)
-        native, first = fileio.native_cut(slice(lo, hi), self.native_fs, self.n_native)
+    def _read(self, cut: slice) -> np.ndarray:
+        """Samples ``cut`` of the resampled input, clipped to its end, from
+        one resampling of only the native samples behind them."""
+        native, first = fileio.native_cut(cut, self.native_fs, self.n_native)
         held = self.span[native.start - self.span_start:native.stop - self.span_start]
         x, _ = fileio.ensure_rate(held, self.native_fs)
-        return [None if c is None else x[c.start - first:c.stop - first] for c in cuts]
+        return x[cut.start - first:cut.stop - first]
 
     def _ep_samples(self) -> tuple[slice, int]:
         """Whole EP frames from the slowest channel's start to the window
@@ -225,22 +220,13 @@ class UtteranceAnalyzer:
     @property
     def f0(self) -> float:
         """Pitch used for weighting: the override if given, else estimated
-        once."""
+        once, by the first weighted Ep, F or M base or from its own read."""
         if self._f0 is None:
-            self._f0 = estimate_f0(self._read(self._f0_samples())[0], self.fs)
+            self._f0 = estimate_f0(self._read(self._f0_samples()), self.fs)
         return self._f0
 
-    def _window(self, base: str, cut: slice | None = None, samples=None) -> Spectrogram:
-        """The uncompressed F, M or W frames the averaging window picks.  F
-        and M read the ``samples`` of :meth:`_f_samples` unless given them
-        with their ``cut``."""
-        if base in ("F", "M"):
-            if cut is None:
-                cut = self._f_samples()
-                samples = self._read(cut)[0]
-            sg = stft_spectrum(samples, self.fs)
-            sg = replace(sg, t0=sg.t0 + cut.start / self.fs)
-            return mel_spectrum(sg) if base == "M" else sg
+    def _external_window(self) -> Spectrogram:
+        """The uncompressed W frames the averaging window picks."""
         sg = self._external_sg
         if sg is None:
             raise InputError("no external spectrogram was supplied for a W representation")
@@ -254,42 +240,52 @@ class UtteranceAnalyzer:
                                     t0=sg.t0 + picked.start * sg.frame_period)
         return self._external_sg
 
-    def base_spectrum(self, rep: Representation, *, with_f0: bool = False) -> Spectrum:
+    def base_spectrum(self, rep: Representation) -> Spectrum:
         """Compressed, time-averaged spectrum on the representation's grid,
-        before any weighting.  With ``with_f0`` the same read also covers
-        the F0 window while F0 is unknown, and F0 is estimated from it."""
+        before any weighting.  A weighted Ep, F or M base estimates F0 while
+        it is unknown, from the F0 window's slice of the samples it read:
+        the window lies inside each of their cuts."""
         key = (rep.base, rep.compression)
-        if key not in self._spectra:
+        if key in self._spectra:
+            return self._spectra[key]
+        if rep.base == "W":
+            frames = self._external_window()
+        else:
             if rep.base == "Ep":
                 cut, first = self._ep_samples()
-            else:
-                cut = None if rep.base == "W" else self._f_samples()
-            f0_cut = self._f0_samples() if with_f0 and self._f0 is None else None
-            samples, f0_frame = self._read(cut, f0_cut)
-            if rep.base == "Ep":
+                samples = self._read(cut)
                 # the cut keeps every frame the window picks, and center_average
                 # needs none past it; the samples before them only warm the bank up
-                ep = gammatone_ep(samples, self.fs, axis_for("Ep"), start=first - cut.start)
-                ep = replace(ep, t0=ep.t0 + cut.start / self.fs)
-                spec = compress(center_average(ep, self.center), rep.compression)
+                frames = gammatone_ep(samples, self.fs, axis_for("Ep"), start=first - cut.start)
             else:
-                sg = compress(self._window(rep.base, cut, samples), rep.compression)
-                spec = resample_to_axis(center_average(sg, self.center), axis_for(rep.base))
-            self._spectra[key] = spec
-            if f0_frame is not None:
-                self._f0 = estimate_f0(f0_frame, self.fs)
-        return self._spectra[key]
+                cut = self._f_samples()
+                samples = self._read(cut)
+                frames = stft_spectrum(samples, self.fs)
+            frames = replace(frames, t0=frames.t0 + cut.start / self.fs)
+            if rep.base == "M":
+                frames = mel_spectrum(frames)
+        if rep.base == "Ep":
+            spec = compress(center_average(frames, self.center), rep.compression)
+        else:
+            sg = compress(frames, rep.compression)
+            spec = resample_to_axis(center_average(sg, self.center), axis_for(rep.base))
+        self._spectra[key] = spec
+        if rep.ssi and self._f0 is None and rep.base != "W":
+            f0 = self._f0_samples()
+            self._f0 = estimate_f0(samples[f0.start - cut.start:f0.stop - cut.start], self.fs)
+        return spec
 
     def spectrum(self, rep: Representation, h_max: float | None = None) -> Spectrum:
         """The spectrum the estimator correlates; weighted when ``rep.ssi``.
 
         ``h_max = 0`` is read as "no weighting", so weighted representations
-        degrade continuously to their unweighted baseline.
+        degrade continuously to their unweighted baseline, and no F0 is
+        estimated for them.
         """
         h_max = DEFAULT_H_MAX if h_max is None else h_max
         if not rep.ssi or h_max == 0.0:
-            return self.base_spectrum(rep)
-        spec = self.base_spectrum(rep, with_f0=True)
+            return self.base_spectrum(replace(rep, ssi=False))
+        spec = self.base_spectrum(rep)
         weights = ssi_weight(spec.axis, h_max, self.f0)
         return apply_weight(spec, weights)
 
@@ -302,44 +298,40 @@ def analyze_wav(path, rep, *, h_max: float | None = None, f0_override: float | N
     return UtteranceAnalyzer(samples, fs, f0_override=f0_override).spectrum(rep, h_max)
 
 
-@dataclass(frozen=True)
-class EstimateRow:
-    speaker_id: str
-    vowel: str
-    shift: float
-    l_meas_cm: float
-    l_est_cm: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EstimationResult:
-    """Estimates for every (speaker, vowel) along with the fitted conversion."""
+    """Estimates for every (speaker, vowel) point along with the fitted
+    conversion, one column per field: point i is speaker
+    ``point_speakers[i]`` saying ``point_vowels[i]``, and item i of the
+    read-only arrays :meth:`shifts`, :meth:`measured` and :meth:`estimated`."""
 
     representation_id: str
     h_max: float
-    rows: tuple[EstimateRow, ...]
+    point_speakers: tuple[str, ...]
+    point_vowels: tuple[str, ...]
+    _shifts: np.ndarray
+    _measured: np.ndarray
+    _estimated: np.ndarray
     q: float
     l_bar_cm: float
 
     def measured(self) -> np.ndarray:
-        return np.array([r.l_meas_cm for r in self.rows])
+        return self._measured
 
     def estimated(self) -> np.ndarray:
-        return np.array([r.l_est_cm for r in self.rows])
+        return self._estimated
 
     def shifts(self) -> np.ndarray:
-        return np.array([r.shift for r in self.rows])
+        return self._shifts
 
     def vowels(self) -> list[str]:
-        seen = dict.fromkeys(r.vowel for r in self.rows)
-        return list(seen)
+        return list(dict.fromkeys(self.point_vowels))
 
     def speaker_mean_lengths(self) -> dict[str, float]:
         """Across-vowel mean of the estimated length per speaker."""
-        sums: dict[str, list[float]] = {}
-        for r in self.rows:
-            sums.setdefault(r.speaker_id, []).append(r.l_est_cm)
-        return {spk: float(np.mean(vals)) for spk, vals in sums.items()}
+        speakers = np.array(self.point_speakers)
+        return {s: float(np.mean(self._estimated[speakers == s]))
+                for s in dict.fromkeys(self.point_speakers)}
 
 
 class CorpusAnalyzer:
@@ -433,19 +425,20 @@ class CorpusAnalyzer:
         if len(included) < 2:
             raise InputError(f"need at least 2 speakers, got {len(included)}")
         l_bar = float(np.mean([self.measured_vtl[s] for s in included]))
-        per_point: list[tuple[str, str, float]] = []
+        point_speakers: list[str] = []
+        point_vowels: list[str] = []
+        shifts = []
         for vowel in self.vowels:
             full_speakers = self.vowel_speakers(vowel)
             matrix = self.shift_matrix(vowel, rep, h_max)
             idx = [i for i, s in enumerate(full_speakers) if s in wanted]
             if len(idx) < 2:
                 raise InputError(f"vowel {vowel!r} has fewer than 2 included speakers")
-            sub = ShiftMatrix(matrix.values[np.ix_(idx, idx)])
-            shifts = relative_shifts(sub)
-            for s_id, shift in zip((full_speakers[i] for i in idx), shifts):
-                per_point.append((s_id, vowel, float(shift)))
-        shift_vec = np.array([p[2] for p in per_point])
-        meas_vec = np.array([self.measured_vtl[p[0]] for p in per_point])
+            shifts.append(relative_shifts(ShiftMatrix(matrix.values[np.ix_(idx, idx)])))
+            point_speakers.extend(full_speakers[i] for i in idx)
+            point_vowels.extend([vowel] * len(idx))
+        shift_vec = np.concatenate(shifts)
+        meas_vec = np.array([self.measured_vtl[s] for s in point_speakers])
         # shifts that cannot pin q down (all equal, or an optimum on the
         # search bound) carry no scale information: every estimate collapses
         # to the mean length rather than failing the fit
@@ -455,11 +448,10 @@ class CorpusAnalyzer:
             _log.info("%s at h_max %g: %s; q falls back to 0", rep.id, h_max, exc)
             q = 0.0
         est_vec = estimate_vtl(shift_vec, q, l_bar)
-        rows = tuple(
-            EstimateRow(s_id, vowel, shift, float(meas), float(est))
-            for (s_id, vowel, shift), meas, est in zip(per_point, meas_vec, est_vec)
-        )
-        return EstimationResult(rep.id, h_max, rows, q, l_bar)
+        for column in (shift_vec, meas_vec, est_vec):
+            column.flags.writeable = False
+        return EstimationResult(rep.id, h_max, tuple(point_speakers), tuple(point_vowels),
+                                shift_vec, meas_vec, est_vec, q, l_bar)
 
 
 def load_corpus(manifest_path, *, f0_overrides=None, external_dir=None) -> CorpusAnalyzer:

@@ -71,8 +71,8 @@ def test_synthetic_ladder_accuracy(default_corpus_dir):
     # that half the unweighted pattern must do strictly worse
     f0_of = {r.speaker_id: r.f0_hz for r in corpus.records}
     def high_f0_rms(result):
-        rows = [r for r in result.rows if f0_of[r.speaker_id] >= 160.0]
-        return v.rms_error([r.l_est_cm for r in rows], [r.l_meas_cm for r in rows])
+        high = np.array([f0_of[s] >= 160.0 for s in result.point_speakers])
+        return v.rms_error(result.estimated()[high], result.measured()[high])
 
     assert high_f0_rms(unweighted) > high_f0_rms(weighted), (
         f"high-F0 RMS: unweighted {high_f0_rms(unweighted):.3f} cm, "

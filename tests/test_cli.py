@@ -1,5 +1,6 @@
 """Command-line interface behavior and output files."""
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -182,6 +183,20 @@ class TestEstimateCommand:
 
 
 class TestEvaluateAndSweep:
+    def test_each_resampled_file_warns_once_naming_it(self, tmp_path):
+        """Two bases read each 44.1 kHz file; it is resampled per read and
+        warned about once."""
+        v.make_corpus(v.pair_demo_speakers(), ["a"], tmp_path / "pair", fs=44100.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli("evaluate", "--manifest", tmp_path / "pair" / "manifest.csv",
+                           "--rep", "Ep_SSI,F_SSI_log", "--trials", "0", "--out", tmp_path / "ev") == 0
+        messages = sorted(str(w.message) for w in caught)
+        assert len(messages) == 2
+        for message, name in zip(messages, ("s01_a.wav", "s02_a.wav")):
+            assert message.startswith("resampling input ")
+            assert message.endswith(f"{name} from 44100 Hz to the canonical 48000 Hz")
+
     def test_evaluate_trials_and_reports(self, default_corpus_dir, tmp_path, capsys):
         assert run_cli(
             "evaluate", "--manifest", default_corpus_dir / "manifest.csv",

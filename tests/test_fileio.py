@@ -1,4 +1,6 @@
 """WAV and CSV round trips, resampling policy, atomic writes."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -45,24 +47,36 @@ class TestWav:
         with pytest.raises(InputError, match=r"zero\.wav: sample rate must be positive, got 0"):
             fileio.read_wav(zero_rate_wav)
 
-    def test_rate_below_twice_the_analysis_range_rejected(self, one_hz_wav):
+    def test_rate_below_twice_the_analysis_range_rejected(self, one_hz_wav, tmp_path):
         with pytest.raises(InputError, match=r"slow\.wav: sample rate 1 Hz is too low for channels up to 8000 Hz"):
             fileio.read_audio(one_hz_wav)
         with pytest.raises(InputError, match="sample rate 15999 Hz is too low"):
             fileio.ensure_rate(np.zeros(100), 15999.0)
-        with pytest.warns(UserWarning, match="16000"):
-            assert fileio.ensure_rate(np.zeros(100), 16000.0)[0].size == 300
+        fileio.write_wav(tmp_path, "low.wav", np.zeros(100), 16000.0)
+        with pytest.warns(UserWarning, match=r"low\.wav from 16000 Hz"):
+            assert fileio.read_audio(tmp_path / "low.wav")[1] == 16000.0
+        assert fileio.ensure_rate(np.zeros(100), 16000.0)[0].size == 300
 
-    def test_resample_warns_and_preserves_duration(self):
-        x = np.sin(2 * np.pi * 440.0 * np.arange(44100) / 44100.0)
-        with pytest.warns(UserWarning, match="48000"):
-            y, fs = fileio.ensure_rate(x, 44100.0)
-        assert fs == 48000.0
+    def test_resample_warns_and_preserves_duration(self, tmp_path):
+        """``read_audio`` warns once, naming the file; resampling is silent."""
+        x = 0.5 * np.sin(2 * np.pi * 440.0 * np.arange(44100) / 44100.0)
+        fileio.write_wav(tmp_path, "t.wav", x, 44100.0)
+        with pytest.warns(UserWarning) as record:
+            samples, fs = fileio.read_audio(tmp_path / "t.wav")
+        [warning] = record
+        assert str(warning.message) == (f"resampling input {tmp_path / 't.wav'} from 44100 Hz "
+                                        "to the canonical 48000 Hz")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y, rate = fileio.ensure_rate(samples, fs)
+        assert rate == 48000.0
         assert len(y) == 48000
 
-    def test_canonical_rate_passes_through_silently(self):
-        import warnings
-
+    def test_canonical_rate_passes_through_silently(self, tmp_path):
+        fileio.write_wav(tmp_path, "c.wav", np.zeros(100), 48000.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fileio.read_audio(tmp_path / "c.wav")
         x = np.zeros(100)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -78,13 +92,11 @@ class TestResampling:
         """44 101 Hz is coprime to 48 kHz: a 960 001-tap filter."""
         x = np.random.default_rng(5).normal(size=4410)
         for fs in (16000, 22050, 44100, 44101, 96000):
-            with pytest.warns(UserWarning, match=f"from {fs} Hz"):
-                got, rate = fileio.ensure_rate(x, float(fs))
+            got, rate = fileio.ensure_rate(x, float(fs))
             assert rate == 48000.0
             assert got.tobytes() == resample_poly(x, 48000, fs).tobytes()
         assert fileio._lowpass.cache_info().currsize <= fileio._lowpass.cache_info().maxsize
 
-    @pytest.mark.filterwarnings("ignore:resampling input")
     @settings(max_examples=20, deadline=None)
     @given(fs=st.sampled_from([16000, 22050, 44100, 96000]), duration=st.floats(0.04, 0.6),
            seed=st.integers(0, 2**32 - 1))
@@ -96,9 +108,9 @@ class TestResampling:
         reads = []
 
         class Spy(v.UtteranceAnalyzer):
-            def _read(self, *cuts):
-                got = super()._read(*cuts)
-                reads.extend((c, r) for c, r in zip(cuts, got) if c is not None)
+            def _read(self, cut):
+                got = super()._read(cut)
+                reads.append((cut, got))
                 return got
 
         for rep_id in ("Ep_SSI", "F_SSI_log", "M_SSI_log"):
@@ -120,16 +132,15 @@ class TestResampling:
         reads = []
 
         class Spy(v.UtteranceAnalyzer):
-            def _read(self, *cuts):
-                got = super()._read(*cuts)
-                reads.extend(r for r in got if r is not None)
+            def _read(self, cut):
+                got = super()._read(cut)
+                reads.append(got)
                 return got
 
         analyzer = Spy(tone, fs)
-        with pytest.warns(UserWarning, match="96000"):
-            for rep_id in ("Ep_SSI", "F_SSI_log"):
-                analyzer.spectrum(v.parse_representation(rep_id))
-        assert len(reads) == 3  # each base's cut, and the F0 window read with Ep's
+        for rep_id in ("Ep_SSI", "F_SSI_log"):
+            analyzer.spectrum(v.parse_representation(rep_id))
+        assert len(reads) == 2  # each base's cut; F0 is taken from Ep's
         assert max(np.abs(r).max() for r in reads) <= 0.01
 
     @pytest.mark.parametrize("fs,message", [
@@ -153,7 +164,8 @@ class TestResampling:
     def test_read_audio_returns_native_samples(self, tmp_path):
         x = 0.5 * np.sin(2 * np.pi * 440.0 * np.arange(4410) / 44100.0)
         fileio.write_wav(tmp_path, "t.wav", x, 44100.0)
-        samples, fs = fileio.read_audio(tmp_path / "t.wav")
+        with pytest.warns(UserWarning, match="44100"):
+            samples, fs = fileio.read_audio(tmp_path / "t.wav")
         assert fs == 44100.0
         assert samples.tobytes() == fileio.read_wav(tmp_path / "t.wav")[0].tobytes()
 

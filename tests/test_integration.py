@@ -36,7 +36,7 @@ class TestLadderEstimation:
         """Estimated lengths decrease strictly as the true scale factor rises."""
         result = default_corpus.estimate("Ep_SSI", 3.5)
         for vowel in result.vowels():
-            lengths = [r.l_est_cm for r in result.rows if r.vowel == vowel]
+            lengths = result.estimated()[np.array(result.point_vowels) == vowel]
             assert (np.diff(lengths) < 0).all(), f"vowel {vowel!r}: {lengths}"
 
     def test_speaker_means_aggregate_vowels(self, default_corpus):
@@ -44,7 +44,7 @@ class TestLadderEstimation:
         means = result.speaker_mean_lengths()
         assert len(means) == 8
         for speaker, mean in means.items():
-            per_vowel = [r.l_est_cm for r in result.rows if r.speaker_id == speaker]
+            per_vowel = result.estimated()[np.array(result.point_speakers) == speaker]
             assert mean == pytest.approx(np.mean(per_vowel))
 
     def test_catalog_representations_all_computable(self, default_corpus):
@@ -52,5 +52,5 @@ class TestLadderEstimation:
         speakers = default_corpus.speakers[:3]
         for rep_id in v.representation_catalog():
             result = default_corpus.estimate(rep_id, 3.5, speakers=speakers)
-            assert len(result.rows) == 15
+            assert len(result.point_speakers) == len(result.estimated()) == 15
             assert np.isfinite(result.q)

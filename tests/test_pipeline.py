@@ -4,6 +4,7 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vtlest as v
 from vtlest import axes, fileio, frontends, shifts, spectral, ssi, synth
@@ -176,6 +177,55 @@ class TestEpWindowCut:
                 v.UtteranceAnalyzer(poked, 48000.0).base_spectrum(rep)
 
 
+class TestF0Window:
+    """A weighted Ep, F or M base estimates F0 from the samples it read,
+    which holds only while the F0 window lies inside its cut."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(fs=st.sampled_from([16000.0, 22050.0, 44100.0, 48000.0, 96000.0]),
+           n_native=st.integers(2400, 200_000))
+    def test_f0_window_lies_inside_the_ep_and_f_cuts(self, fs, n_native):
+        analyzer = v.UtteranceAnalyzer(np.zeros(n_native), fs)
+        n = analyzer.n_samples
+
+        def clipped(cut):
+            return slice(min(cut.start, n), min(cut.stop, n))
+
+        f0 = clipped(analyzer._f0_samples())
+        cuts = [analyzer._ep_samples()[0]]
+        try:
+            cuts.append(analyzer._f_samples())
+        except InputError:  # too short for a single STFT frame in the window
+            pass
+        for cut in map(clipped, cuts):
+            assert cut.start <= f0.start and f0.stop <= cut.stop
+
+    @pytest.mark.filterwarnings("ignore:resampling input")
+    def test_one_read_and_one_f0_estimate_per_utterance(self, tmp_path, monkeypatch):
+        """At 44.1 kHz a weighted F spectrum resamples once and estimates F0
+        once per utterance; at h_max 0 no F0 is estimated."""
+        v.make_corpus(v.pair_demo_speakers(), ["a"], tmp_path, fs=44100.0)
+        calls = {"ensure_rate": 0, "estimate_f0": 0}
+
+        def counted(module, name):
+            func = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(v.pipeline.fileio, "ensure_rate")
+        counted(v.pipeline, "estimate_f0")
+        corpus = v.load_corpus(tmp_path / "manifest.csv")
+        n = len(corpus.records)
+        corpus.estimate("F_SSI_log", 3.5)
+        corpus.estimate("F_SSI_log", 2.0)
+        assert calls == {"ensure_rate": n, "estimate_f0": n}
+        v.load_corpus(tmp_path / "manifest.csv").estimate("Ep_SSI", 0.0)
+        assert calls == {"ensure_rate": 2 * n, "estimate_f0": n}
+
+
 class TestWindowOnlyFrontEnds:
     """F, M and W read only the frames of the averaging window.
 
@@ -183,10 +233,14 @@ class TestWindowOnlyFrontEnds:
     whole-signal STFT, which span samples 10320-13679.
     """
 
-    def test_stft_frames_are_those_of_the_whole_signal(self):
+    def test_stft_frames_are_those_of_the_whole_signal(self, monkeypatch):
         samples = v.synth_vowel(v.vowel_spec("o", 120.0))
         full = v.stft_spectrum(samples, 48000.0)
-        window = v.UtteranceAnalyzer(samples, 48000.0)._window("F")
+        compressed = []
+        compress = v.pipeline.compress
+        monkeypatch.setattr(v.pipeline, "compress", lambda sg, c: compressed.append(sg) or compress(sg, c))
+        v.UtteranceAnalyzer(samples, 48000.0).base_spectrum(v.parse_representation("F_log"))
+        [window] = compressed
         assert window.frames.tobytes() == full.frames[43:53].tobytes()
         np.testing.assert_allclose(window.frame_times, full.frame_times[43:53], rtol=0, atol=1e-15)
 
@@ -217,7 +271,6 @@ class TestWindowOnlyFrontEnds:
             got = v.UtteranceAnalyzer(clicked, 48000.0).base_spectrum(rep)
             assert got.values.tobytes() == clean.values.tobytes()
 
-    @pytest.mark.filterwarnings("ignore:resampling input")
     def test_cache_does_not_grow_with_duration(self):
         def cached(duration, fs):
             samples = v.synth_vowel(v.vowel_spec("e", 150.0, duration=duration, fs=fs))
@@ -303,20 +356,22 @@ class TestCorpusEstimation:
         fileio.write_manifest(tmp_path, records)
         corpus = v.load_corpus(tmp_path / "manifest.csv")
         result = corpus.estimate("Ep_SSI")
-        assert all(r.shift == 0.0 for r in result.rows)
+        assert (result.shifts() == 0.0).all()
         assert result.q == 0.0
-        assert all(r.l_est_cm == pytest.approx(16.0) for r in result.rows)
+        assert result.estimated() == pytest.approx(16.0)
 
     def test_row_count_and_grouping(self, default_corpus):
         result = default_corpus.estimate("Ep_SSI", 3.5)
-        assert len(result.rows) == 40
+        assert len(result.point_speakers) == len(result.point_vowels) == 40
+        for column in (result.shifts(), result.measured(), result.estimated()):
+            assert column.shape == (40,) and not column.flags.writeable
         assert result.vowels() == ["a", "i", "u", "e", "o"]
         assert len(result.speaker_mean_lengths()) == 8
 
     def test_relative_shift_sum_zero_per_vowel(self, default_corpus):
         result = default_corpus.estimate("Ep_SSI", 3.5)
         for vowel in result.vowels():
-            s = sum(r.shift for r in result.rows if r.vowel == vowel)
+            s = result.shifts()[np.array(result.point_vowels) == vowel].sum()
             assert abs(s) < 1e-9
 
     def test_subset_equals_fresh_estimation(self, default_corpus, default_corpus_dir):
@@ -425,7 +480,7 @@ class TestExternalSpectra:
             fileio.write_spectrogram_csv(ext / f"{rec.utterance_id}.csv", sg)
         corpus = v.CorpusAnalyzer(records, external_dir=ext)
         result = corpus.estimate("W_log", 3.5)
-        assert len(result.rows) == 2
+        assert len(result.point_speakers) == 2
         fourier = v.CorpusAnalyzer(records).estimate("F_log", 3.5)
         np.testing.assert_allclose(result.shifts(), fourier.shifts(), atol=0.11)
 
