@@ -149,7 +149,7 @@ def native_cut(cut: slice, fs, size: int) -> tuple[slice, int]:
     return slice(first, max(first, stop)), first // down * up
 
 
-def ensure_rate(samples, fs: float):
+def ensure_rate(samples, fs: float) -> np.ndarray:
     """Resample to :data:`CANONICAL_FS` if needed.
 
     Polyphase resampling (``scipy.signal.resample_poly``) with its default
@@ -160,8 +160,8 @@ def ensure_rate(samples, fs: float):
     up, down = resample_ratio(fs)
     x = np.asarray(samples, dtype=float)
     if up == down:
-        return x, CANONICAL_FS
-    return resample_poly(x, up, down, window=_lowpass(up, down)), CANONICAL_FS
+        return x
+    return resample_poly(x, up, down, window=_lowpass(up, down))
 
 
 def read_audio(path):
@@ -222,7 +222,10 @@ def read_manifest(path) -> list[UtteranceRecord]:
         missing = set(_MANIFEST_HEADER) - set(reader.fieldnames or [])
         if missing:
             raise InputError(f"{path}: manifest is missing columns {sorted(missing)}")
-        for line, row in enumerate(reader, start=2):
+        for row in reader:
+            line = reader.line_num  # the file's line: blank lines are skipped
+            if None in row or None in row.values():  # too many cells, or too few
+                raise InputError(f"{path}:{line}: bad manifest row: expected as many cells as the header")
             try:
                 wav = Path(row["path"])
                 records.append(UtteranceRecord(

@@ -138,61 +138,52 @@ def representation_catalog(include_external: bool = False) -> list[str]:
 
 
 class UtteranceAnalyzer:
-    """Computes the spectral representations of one utterance and caches
-    the averaged spectra and F0, which weight sweeps read again.
+    """Computes one base's spectral representations of one utterance and
+    caches the averaged spectra and F0, which weight sweeps read again.
 
-    Each front end reads only the samples the +-25 ms averaging window needs,
-    and nothing held grows with the duration.  The analyzer keeps a copy of
-    the native-rate samples (``span``, from native sample ``span_start``)
-    behind the one span of resampled samples its bases read, not the
-    waveform; at :data:`~vtlest.fileio.CANONICAL_FS` the two are the same.
-    Each spectrum resamples only the native samples behind what it reads,
-    exactly as resampling the whole input would, and a weighted Ep, F or M
-    base takes the F0 window from what it read.  ``n_samples`` and
-    every cut count samples at the canonical rate ``fs``.
-    No frames are cached: each spectrum computes the F, M or W frames the
-    window picks.  F's are bit for bit those of the whole-signal STFT, and
-    log compression floors at their peak.  Ep returns the whole frames from the
-    one holding the window start to the window end.  Each gammatone channel
-    starts :data:`~vtlest.frontends.EP_PREROLL_TAUS` of its own time
-    constants before that frame (from sample 0 if that is sooner), so the
-    span reaches back to the slowest (100 Hz) channel's start, 123.5 ms
-    early.  Ep averages its linear pattern before compressing it.  F0 is
-    estimated on the centre 50 ms.
-    ``external_sg`` is a :class:`Spectrogram` or the path of a spectrogram
-    CSV, read on the first use of W; its cropped window replaces it.
+    The constructor resamples, once, only the native samples behind the cut
+    its ``base`` reads, exactly as resampling the whole input would, and
+    keeps just that cut (``samples``, from canonical sample ``start``):
+    nothing held grows with the duration.  ``n_samples`` and every cut
+    count samples at the canonical rate ``fs``.  The cuts:
+
+    * Ep: the whole frames from the slowest channel's start to the window
+      end.  Each gammatone channel starts
+      :data:`~vtlest.frontends.EP_PREROLL_TAUS` of its own time constants
+      before the frame holding the window start (or at sample 0), so the
+      100 Hz channel starts 123.5 ms early.  Ep averages its linear pattern
+      before compressing it.
+    * F and M: the STFT frames the +-25 ms averaging window picks, bit for
+      bit those of the whole-signal STFT; log compression floors at their peak.
+    * W: the F0 window.  ``external_sg`` is a :class:`Spectrogram` or the
+      path of a spectrogram CSV, read on first use; its cropped window
+      replaces it.
+
+    F0 is estimated on the centre 50 ms, which lies inside every cut.
     """
 
-    def __init__(self, samples, fs, *, f0_override: float | None = None, external_sg=None):
+    def __init__(self, samples, fs, *, base: str, f0_override: float | None = None,
+                 external_sg=None):
         up, down = fileio.resample_ratio(fs)
         samples = np.asarray(samples, dtype=float)
-        self.native_fs = float(fs)
-        self.n_native = samples.size
+        self.base = base
         self.fs = fileio.CANONICAL_FS
         self.n_samples = -(-samples.size * up // down)
         self.center = self.n_samples / self.fs / 2.0
         self._f0 = f0_override
         self._external_sg = external_sg
-        self._spectra: dict[tuple[str, Compression], Spectrum] = {}
-        # F reads the STFT frames centred in the window: up to half a frame
-        # either side of it, plus a sample of slack for round-off
-        f_reach = AVG_HALF_WIDTH * self.fs + STFT_WINDOW * self.fs / 2.0 + 1.0
-        mid = self.center * self.fs
-        (ep, _), f0 = self._ep_samples(), self._f0_samples()
-        start = min(ep.start, f0.start, max(0, math.floor(mid - f_reach)))
-        stop = max(ep.stop, f0.stop, math.ceil(mid + f_reach))
-        native, _ = fileio.native_cut(slice(start, stop), fs, samples.size)
-        self.span_start = native.start
-        # a copy: a view would keep the whole waveform alive
-        self.span = samples[native].copy()
-
-    def _read(self, cut: slice) -> np.ndarray:
-        """Samples ``cut`` of the resampled input, clipped to its end, from
-        one resampling of only the native samples behind them."""
-        native, first = fileio.native_cut(cut, self.native_fs, self.n_native)
-        held = self.span[native.start - self.span_start:native.stop - self.span_start]
-        x, _ = fileio.ensure_rate(held, self.native_fs)
-        return x[cut.start - first:cut.stop - first]
+        self._spectra: dict[Compression, Spectrum] = {}
+        if base == "Ep":
+            cut = self._ep_samples()[0]
+        elif base == "W":
+            cut = self._f0_samples()
+        else:
+            cut = self._f_samples()
+        native, first = fileio.native_cut(cut, fs, samples.size)
+        self.start = cut.start
+        # clipped to the input's end; a copy, as a view would keep the
+        # whole waveform alive
+        self.samples = fileio.ensure_rate(samples[native], fs)[cut.start - first:cut.stop - first].copy()
 
     def _ep_samples(self) -> tuple[slice, int]:
         """Whole EP frames from the slowest channel's start to the window
@@ -220,9 +211,10 @@ class UtteranceAnalyzer:
     @property
     def f0(self) -> float:
         """Pitch used for weighting: the override if given, else estimated
-        once, by the first weighted Ep, F or M base or from its own read."""
+        once from the F0 window's slice of the held samples."""
         if self._f0 is None:
-            self._f0 = estimate_f0(self._read(self._f0_samples()), self.fs)
+            f0 = self._f0_samples()
+            self._f0 = estimate_f0(self.samples[f0.start - self.start:f0.stop - self.start], self.fs)
         return self._f0
 
     def _external_window(self) -> Spectrogram:
@@ -242,26 +234,22 @@ class UtteranceAnalyzer:
 
     def base_spectrum(self, rep: Representation) -> Spectrum:
         """Compressed, time-averaged spectrum on the representation's grid,
-        before any weighting.  A weighted Ep, F or M base estimates F0 while
-        it is unknown, from the F0 window's slice of the samples it read:
-        the window lies inside each of their cuts."""
-        key = (rep.base, rep.compression)
-        if key in self._spectra:
-            return self._spectra[key]
+        before any weighting."""
+        if rep.base != self.base:
+            raise ConfigurationError(f"this analyzer computes {self.base} representations, not {rep.id}")
+        if rep.compression in self._spectra:
+            return self._spectra[rep.compression]
         if rep.base == "W":
             frames = self._external_window()
         else:
             if rep.base == "Ep":
-                cut, first = self._ep_samples()
-                samples = self._read(cut)
                 # the cut keeps every frame the window picks, and center_average
                 # needs none past it; the samples before them only warm the bank up
-                frames = gammatone_ep(samples, self.fs, axis_for("Ep"), start=first - cut.start)
+                first = self._ep_samples()[1]
+                frames = gammatone_ep(self.samples, self.fs, axis_for("Ep"), start=first - self.start)
             else:
-                cut = self._f_samples()
-                samples = self._read(cut)
-                frames = stft_spectrum(samples, self.fs)
-            frames = replace(frames, t0=frames.t0 + cut.start / self.fs)
+                frames = stft_spectrum(self.samples, self.fs)
+            frames = replace(frames, t0=frames.t0 + self.start / self.fs)
             if rep.base == "M":
                 frames = mel_spectrum(frames)
         if rep.base == "Ep":
@@ -269,10 +257,7 @@ class UtteranceAnalyzer:
         else:
             sg = compress(frames, rep.compression)
             spec = resample_to_axis(center_average(sg, self.center), axis_for(rep.base))
-        self._spectra[key] = spec
-        if rep.ssi and self._f0 is None and rep.base != "W":
-            f0 = self._f0_samples()
-            self._f0 = estimate_f0(samples[f0.start - cut.start:f0.stop - cut.start], self.fs)
+        self._spectra[rep.compression] = spec
         return spec
 
     def spectrum(self, rep: Representation, h_max: float | None = None) -> Spectrum:
@@ -283,11 +268,10 @@ class UtteranceAnalyzer:
         estimated for them.
         """
         h_max = DEFAULT_H_MAX if h_max is None else h_max
-        if not rep.ssi or h_max == 0.0:
-            return self.base_spectrum(replace(rep, ssi=False))
         spec = self.base_spectrum(rep)
-        weights = ssi_weight(spec.axis, h_max, self.f0)
-        return apply_weight(spec, weights)
+        if not rep.ssi or h_max == 0.0:
+            return spec
+        return apply_weight(spec, ssi_weight(spec.axis, h_max, self.f0))
 
 
 def analyze_wav(path, rep, *, h_max: float | None = None, f0_override: float | None = None) -> Spectrum:
@@ -295,7 +279,7 @@ def analyze_wav(path, rep, *, h_max: float | None = None, f0_override: float | N
     if isinstance(rep, str):
         rep = parse_representation(rep)
     samples, fs = fileio.read_audio(path)
-    return UtteranceAnalyzer(samples, fs, f0_override=f0_override).spectrum(rep, h_max)
+    return UtteranceAnalyzer(samples, fs, base=rep.base, f0_override=f0_override).spectrum(rep, h_max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,6 +321,8 @@ class EstimationResult:
 class CorpusAnalyzer:
     """Caches per-utterance spectra and pairwise shifts for a whole corpus.
 
+    Each utterance gets one :class:`UtteranceAnalyzer` per base it is read
+    with; only W analyzers are given the utterance's external CSV.
     Shift matrices are computed once per (vowel, representation, h_max) over
     all speakers; estimating on a speaker subset reuses the cached pairwise
     lags, which are independent of which other speakers are present.
@@ -346,7 +332,7 @@ class CorpusAnalyzer:
         records = list(records)
         if not records:
             raise InputError("corpus manifest is empty")
-        # utterances are cached, and their external CSVs and F0 overrides
+        # analyzers are cached, and their external CSVs and F0 overrides
         # looked up, by utterance_id, so it must be unique
         seen = {}
         for r in records:
@@ -380,13 +366,14 @@ class CorpusAnalyzer:
             return self.f0_overrides.get(record.utterance_id)
         return float(self.f0_overrides)
 
-    def analyzer(self, record) -> UtteranceAnalyzer:
-        key = record.utterance_id
+    def analyzer(self, record, base: str) -> UtteranceAnalyzer:
+        key = (record.utterance_id, base)
         if key not in self._analyzers:
             samples, fs = fileio.read_audio(record.path)
-            external = None if self.external_dir is None else f"{self.external_dir}/{record.utterance_id}.csv"
+            external = (f"{self.external_dir}/{record.utterance_id}.csv"
+                        if base == "W" and self.external_dir is not None else None)
             self._analyzers[key] = UtteranceAnalyzer(
-                samples, fs, f0_override=self._f0_for(record), external_sg=external
+                samples, fs, base=base, f0_override=self._f0_for(record), external_sg=external
             )
         return self._analyzers[key]
 
@@ -394,7 +381,7 @@ class CorpusAnalyzer:
         record = self._by_key.get((speaker_id, vowel))
         if record is None:
             raise InputError(f"no utterance for speaker {speaker_id}, vowel {vowel!r}")
-        return self.analyzer(record).spectrum(rep, h_max)
+        return self.analyzer(record, rep.base).spectrum(rep, h_max)
 
     def vowel_speakers(self, vowel: str) -> list[str]:
         return [s for s in self.speakers if (s, vowel) in self._by_key]

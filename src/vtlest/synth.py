@@ -52,10 +52,14 @@ class VowelSpec:
     fs: float = fileio.CANONICAL_FS
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ConfigurationError(f"alpha must be positive, got {self.alpha}")
-        if self.f0 <= 0:
-            raise ConfigurationError(f"f0 must be positive, got {self.f0}")
+        if not 0 < self.alpha < np.inf:
+            raise ConfigurationError(f"alpha must be positive and finite, got {self.alpha}")
+        if not 0 < self.f0 < np.inf:
+            raise ConfigurationError(f"f0 must be positive and finite, got {self.f0}")
+        if not np.isfinite(self.duration):
+            raise ConfigurationError(f"duration must be finite, got {self.duration}")
+        if not float(self.fs).is_integer():
+            raise ConfigurationError(f"fs must be a finite whole number of Hz, got {self.fs}")
         if len(self.formants) != 4 or len(self.bandwidths) != 4:
             raise ConfigurationError("exactly four formants and bandwidths are required")
         if any(b <= a for a, b in zip(self.formants, self.formants[1:])):

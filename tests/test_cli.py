@@ -36,6 +36,22 @@ class TestSynthCommand:
         err = capsys.readouterr().err
         assert "alpha" in err
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--fs", "nan", "fs must be a finite whole number of Hz, got nan"),
+        ("--fs", "inf", "fs must be a finite whole number of Hz, got inf"),
+        ("--fs", "44100.5", "fs must be a finite whole number of Hz, got 44100.5"),
+        ("--duration", "nan", "duration must be finite, got nan"),
+        ("--duration", "inf", "duration must be finite, got inf"),
+        ("--speakers", "100:nan", "alpha must be positive and finite, got nan"),
+        ("--speakers", "nan:1.0", "f0 must be positive and finite, got nan"),
+        ("--speakers", "inf:1.0", "f0 must be positive and finite, got inf"),
+    ])
+    def test_bad_value_is_one_error_line_and_writes_nothing(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "corpus"
+        assert run_cli("synth", "--out", out, flag, value) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
     def test_custom_speakers(self, tmp_path):
         assert run_cli("synth", "--out", tmp_path, "--speakers", "120:1.0,180:1.1",
                        "--vowels", "a,i") == 0
@@ -107,6 +123,15 @@ class TestEstimateCommand:
         with open(out / "estimates.csv") as handle:
             rows = list(csv.DictReader(handle))
         assert all(float(r["S_channels"]) == 0.0 for r in rows)
+
+    @pytest.mark.parametrize("rows,line", [("s01,a,182", 2), ("s01,a,182,1.0,15", 2),
+                                           ("\ns01,a,182", 3), ("s01,a,182,1.0,15,a.wav,b.wav", 2)])
+    def test_ragged_manifest_row_is_one_error_line(self, tmp_path, capsys, rows, line):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("speaker_id,vowel,f0_hz,alpha,vtl_cm,path\n" + rows + "\n")
+        assert run_cli("estimate", manifest, "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {manifest}:{line}: bad manifest row: expected as many cells as the header"]
 
     def test_bad_external_spectrogram_is_one_error_line(self, pair_corpus_dir, tmp_path, capsys):
         ext = tmp_path / "external"
@@ -184,18 +209,20 @@ class TestEstimateCommand:
 
 class TestEvaluateAndSweep:
     def test_each_resampled_file_warns_once_naming_it(self, tmp_path):
-        """Two bases read each 44.1 kHz file; it is resampled per read and
-        warned about once."""
+        """Two bases read each 44.1 kHz file, one analyzer each: every read
+        warns, and Python's default filter shows each file's warning once."""
         v.make_corpus(v.pair_demo_speakers(), ["a"], tmp_path / "pair", fs=44100.0)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert run_cli("evaluate", "--manifest", tmp_path / "pair" / "manifest.csv",
-                           "--rep", "Ep_SSI,F_SSI_log", "--trials", "0", "--out", tmp_path / "ev") == 0
-        messages = sorted(str(w.message) for w in caught)
-        assert len(messages) == 2
-        for message, name in zip(messages, ("s01_a.wav", "s02_a.wav")):
-            assert message.startswith("resampling input ")
-            assert message.endswith(f"{name} from 44100 Hz to the canonical 48000 Hz")
+        for action, per_file in (("always", 2), ("default", 1)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action)
+                assert run_cli("evaluate", "--manifest", tmp_path / "pair" / "manifest.csv",
+                               "--rep", "Ep_SSI,F_SSI_log", "--trials", "0",
+                               "--out", tmp_path / action) == 0
+            messages = sorted(str(w.message) for w in caught)
+            assert len(messages) == 2 * per_file
+            for message, name in zip(messages, sorted(("s01_a.wav", "s02_a.wav") * per_file)):
+                assert message.startswith("resampling input ")
+                assert message.endswith(f"{name} from 44100 Hz to the canonical 48000 Hz")
 
     def test_evaluate_trials_and_reports(self, default_corpus_dir, tmp_path, capsys):
         assert run_cli(

@@ -55,7 +55,7 @@ class TestWav:
         fileio.write_wav(tmp_path, "low.wav", np.zeros(100), 16000.0)
         with pytest.warns(UserWarning, match=r"low\.wav from 16000 Hz"):
             assert fileio.read_audio(tmp_path / "low.wav")[1] == 16000.0
-        assert fileio.ensure_rate(np.zeros(100), 16000.0)[0].size == 300
+        assert fileio.ensure_rate(np.zeros(100), 16000.0).size == 300
 
     def test_resample_warns_and_preserves_duration(self, tmp_path):
         """``read_audio`` warns once, naming the file; resampling is silent."""
@@ -68,8 +68,7 @@ class TestWav:
                                         "to the canonical 48000 Hz")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            y, rate = fileio.ensure_rate(samples, fs)
-        assert rate == 48000.0
+            y = fileio.ensure_rate(samples, fs)
         assert len(y) == 48000
 
     def test_canonical_rate_passes_through_silently(self, tmp_path):
@@ -80,20 +79,19 @@ class TestWav:
         x = np.zeros(100)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            y, fs = fileio.ensure_rate(x, 48000.0)
-        assert fs == 48000.0 and len(y) == 100
+            y = fileio.ensure_rate(x, 48000.0)
+        assert len(y) == 100
 
 
 class TestResampling:
-    """Polyphase resampling with scipy's default filter, applied by the
-    analyzer only to the native samples behind each cut it reads."""
+    """Polyphase resampling with scipy's default filter, applied by each
+    analyzer only to the native samples behind the cut its base reads."""
 
     def test_bit_identical_to_the_default_resample_poly(self):
         """44 101 Hz is coprime to 48 kHz: a 960 001-tap filter."""
         x = np.random.default_rng(5).normal(size=4410)
         for fs in (16000, 22050, 44100, 44101, 96000):
-            got, rate = fileio.ensure_rate(x, float(fs))
-            assert rate == 48000.0
+            got = fileio.ensure_rate(x, float(fs))
             assert got.tobytes() == resample_poly(x, 48000, fs).tobytes()
         assert fileio._lowpass.cache_info().currsize <= fileio._lowpass.cache_info().maxsize
 
@@ -101,47 +99,30 @@ class TestResampling:
     @given(fs=st.sampled_from([16000, 22050, 44100, 96000]), duration=st.floats(0.04, 0.6),
            seed=st.integers(0, 2**32 - 1))
     def test_every_cut_read_equals_whole_file_resampling(self, fs, duration, seed):
-        """From inputs shorter than the 186 ms span up: each sample a base
-        or F0 reads is that of resampling the whole input."""
+        """From inputs shorter than Ep's 174 ms cut up: each sample a base
+        (and F0) reads is that of resampling the whole input."""
         x = 0.1 * np.random.default_rng(seed).normal(size=int(duration * fs))
         expected = resample_poly(x, 48000, fs)
-        reads = []
-
-        class Spy(v.UtteranceAnalyzer):
-            def _read(self, cut):
-                got = super()._read(cut)
-                reads.append((cut, got))
-                return got
-
-        for rep_id in ("Ep_SSI", "F_SSI_log", "M_SSI_log"):
-            analyzer = Spy(x, float(fs))
-            assert analyzer.n_samples == expected.size
+        held = 0
+        for base in ("Ep", "F", "M", "W"):
             try:
-                analyzer.spectrum(v.parse_representation(rep_id))
-            except InputError:  # too short for this base or for F0
-                pass
-        assert reads
-        for cut, got in reads:
-            assert np.array_equal(got, expected[cut])
+                analyzer = v.UtteranceAnalyzer(x, float(fs), base=base)
+            except InputError:  # too short for an STFT frame in the window
+                continue
+            assert analyzer.n_samples == expected.size
+            got, start = analyzer.samples, analyzer.start
+            assert got.size and np.array_equal(got, expected[start:start + got.size])
+            held += 1
+        assert held >= 2  # Ep and W hold a cut of any input
 
     def test_tone_above_the_canonical_nyquist_is_filtered_out(self):
         """A 30 kHz tone at 96 kHz would alias to 18 kHz: linear
         interpolation kept it at full amplitude."""
         fs = 96000.0
         tone = np.sin(2 * np.pi * 30000.0 * np.arange(48000) / fs)
-        reads = []
-
-        class Spy(v.UtteranceAnalyzer):
-            def _read(self, cut):
-                got = super()._read(cut)
-                reads.append(got)
-                return got
-
-        analyzer = Spy(tone, fs)
-        for rep_id in ("Ep_SSI", "F_SSI_log"):
-            analyzer.spectrum(v.parse_representation(rep_id))
-        assert len(reads) == 2  # each base's cut; F0 is taken from Ep's
-        assert max(np.abs(r).max() for r in reads) <= 0.01
+        # each base's cut, which F0 is also taken from
+        held = [v.UtteranceAnalyzer(tone, fs, base=base).samples for base in ("Ep", "F")]
+        assert max(np.abs(x).max() for x in held) <= 0.01
 
     @pytest.mark.parametrize("fs,message", [
         (44100.5, "sample rate 44100.5 Hz is not a whole number of Hz"),
@@ -152,7 +133,7 @@ class TestResampling:
         with pytest.raises(InputError, match=message):
             fileio.ensure_rate(np.zeros(100), fs)
         with pytest.raises(InputError, match=message):
-            v.UtteranceAnalyzer(np.zeros(100), fs)
+            v.UtteranceAnalyzer(np.zeros(100), fs, base="F")
 
     def test_header_rate_with_a_huge_ratio_names_the_file(self, tmp_path):
         """A prime rate of 2**31 - 1 Hz would need a 4.3e10-tap filter."""

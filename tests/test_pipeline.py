@@ -57,58 +57,81 @@ class TestRepresentationIds:
 
 
 @pytest.fixture(scope="module")
-def analyzer():
+def analyzers():
+    """One analyzer per base of the same utterance."""
     samples = v.synth_vowel(v.vowel_spec("a", 182.0, 16.0 / 15.0))
-    return v.UtteranceAnalyzer(samples, 48000.0)
+    return {base: v.UtteranceAnalyzer(samples, 48000.0, base=base) for base in ("Ep", "F", "M", "W")}
 
 
 class TestUtteranceAnalyzer:
-    def test_ep_spectrum_grid_and_tag(self, analyzer):
-        s = analyzer.base_spectrum(v.parse_representation("Ep"))
+    def test_ep_spectrum_grid_and_tag(self, analyzers):
+        s = analyzers["Ep"].base_spectrum(v.parse_representation("Ep"))
         assert s.axis.kind is AxisKind.ERB_LINEAR
         assert s.axis.channels == 100
         assert s.compression == v.LOG_COMPRESSION
 
-    def test_fourier_spectrum_grid(self, analyzer):
-        s = analyzer.base_spectrum(v.parse_representation("F_log"))
+    def test_fourier_spectrum_grid(self, analyzers):
+        s = analyzers["F"].base_spectrum(v.parse_representation("F_log"))
         assert s.axis.kind is AxisKind.LOG10_HZ
         assert s.axis.channels == 100
 
-    def test_mel_power_spectrum_grid(self, analyzer):
-        s = analyzer.base_spectrum(v.parse_representation("M_0.4"))
+    def test_mel_power_spectrum_grid(self, analyzers):
+        s = analyzers["M"].base_spectrum(v.parse_representation("M_0.4"))
         assert s.axis.kind is AxisKind.MEL_LINEAR
         assert s.axis.channels == 100
         assert s.compression.exponent == 0.4
 
-    def test_f0_estimated_once(self, analyzer):
-        assert analyzer.f0 == pytest.approx(182.0, abs=4.0)
+    def test_f0_estimated_once(self, analyzers):
+        for analyzer in analyzers.values():
+            assert analyzer.f0 == pytest.approx(182.0, abs=4.0)
+        assert len({analyzer.f0 for analyzer in analyzers.values()}) == 1
 
-    def test_hmax_zero_is_unweighted(self, analyzer):
+    def test_hmax_zero_is_unweighted(self, analyzers):
         rep = v.parse_representation("Ep_SSI")
-        unweighted = analyzer.base_spectrum(v.parse_representation("Ep"))
-        weighted_off = analyzer.spectrum(rep, h_max=0.0)
+        unweighted = analyzers["Ep"].base_spectrum(v.parse_representation("Ep"))
+        weighted_off = analyzers["Ep"].spectrum(rep, h_max=0.0)
         np.testing.assert_array_equal(weighted_off.values, unweighted.values)
-        weighted_on = analyzer.spectrum(rep, h_max=3.5)
+        weighted_on = analyzers["Ep"].spectrum(rep, h_max=3.5)
         assert not np.array_equal(weighted_on.values, unweighted.values)
 
-    def test_weighting_suppresses_low_channels(self, analyzer):
+    def test_weighting_suppresses_low_channels(self, analyzers):
         rep_w = v.parse_representation("Ep_SSI")
         rep_u = v.parse_representation("Ep")
-        w = analyzer.spectrum(rep_w, 3.5).values
-        u = analyzer.spectrum(rep_u).values
+        w = analyzers["Ep"].spectrum(rep_w, 3.5).values
+        u = analyzers["Ep"].spectrum(rep_u).values
         u_shifted = u - u.min()
         low = slice(0, 10)
         assert (w[low] < u_shifted[low]).all()
 
     def test_determinism(self):
         samples = v.synth_vowel(v.vowel_spec("u", 140.0))
-        a = v.UtteranceAnalyzer(samples, 48000.0).spectrum(v.parse_representation("Ep_SSI"))
-        b = v.UtteranceAnalyzer(samples, 48000.0).spectrum(v.parse_representation("Ep_SSI"))
+        a = v.UtteranceAnalyzer(samples, 48000.0, base="Ep").spectrum(v.parse_representation("Ep_SSI"))
+        b = v.UtteranceAnalyzer(samples, 48000.0, base="Ep").spectrum(v.parse_representation("Ep_SSI"))
         assert a.values.tobytes() == b.values.tobytes()
 
-    def test_w_without_external_data_rejected(self, analyzer):
+    def test_w_without_external_data_rejected(self, analyzers):
         with pytest.raises(InputError):
-            analyzer.base_spectrum(v.parse_representation("W_log"))
+            analyzers["W"].base_spectrum(v.parse_representation("W_log"))
+
+    def test_other_base_rejected(self, analyzers):
+        with pytest.raises(ConfigurationError, match="this analyzer computes Ep representations, not F_log"):
+            analyzers["Ep"].spectrum(v.parse_representation("F_log"))
+
+    def test_each_analyzer_holds_only_its_cut(self, tmp_path):
+        """A 0.5 s vowel's Ep reads samples 4872-13199, F and M read
+        10320-13679, and W (for F0) the centre 50 ms, 10800-13199."""
+        samples = v.synth_vowel(v.vowel_spec("o", 120.0))
+        for base, start, size in (("Ep", 4872, 8328), ("F", 10320, 3360), ("M", 10320, 3360),
+                                  ("W", 10800, 2400)):
+            analyzer = v.UtteranceAnalyzer(samples, 48000.0, base=base)
+            assert (analyzer.start, analyzer.samples.size) == (start, size)
+            assert analyzer.samples.tobytes() == samples[start:start + size].tobytes()
+        v.make_corpus(v.pair_demo_speakers(), ["a"], tmp_path)
+        corpus = v.load_corpus(tmp_path / "manifest.csv")
+        corpus.estimate("F_SSI_log")
+        # no analyzer holds Ep's lead
+        assert {key: a.samples.size for key, a in corpus._analyzers.items()} == {
+            ("s01_a", "F"): 3360, ("s02_a", "F"): 3360}
 
 
 class TestEpWindowCut:
@@ -137,7 +160,7 @@ class TestEpWindowCut:
         samples = v.synth_vowel(v.vowel_spec("e", 150.0, duration=2.0))[:n_samples]
         full = v.gammatone_ep(samples, 48000.0, v.axis_for("Ep"))
         expected = v.compress(v.center_average(full, n_samples / 48000.0 / 2.0), "log")
-        got = v.UtteranceAnalyzer(samples, 48000.0).base_spectrum(v.parse_representation("Ep"))
+        got = v.UtteranceAnalyzer(samples, 48000.0, base="Ep").base_spectrum(v.parse_representation("Ep"))
         if tolerance_db == 0.0:  # the pre-roll reaches sample 0: nothing is cut
             assert got.values.tobytes() == expected.values.tobytes()
         else:
@@ -147,15 +170,15 @@ class TestEpWindowCut:
     def test_vowel_shorter_than_the_window_rejected(self):
         samples = v.synth_vowel(v.vowel_spec("e", 150.0))[:2352]  # 49 ms
         with pytest.raises(InputError, match="averaging window"):
-            v.UtteranceAnalyzer(samples, 48000.0).base_spectrum(v.parse_representation("Ep"))
+            v.UtteranceAnalyzer(samples, 48000.0, base="Ep").base_spectrum(v.parse_representation("Ep"))
 
     def test_samples_after_window_end_are_not_read(self):
         samples = v.synth_vowel(v.vowel_spec("o", 120.0))
         rep = v.parse_representation("Ep")
-        clean = v.UtteranceAnalyzer(samples, 48000.0).base_spectrum(rep)
+        clean = v.UtteranceAnalyzer(samples, 48000.0, base="Ep").base_spectrum(rep)
         tail = samples.copy()
         tail[13200:] = np.nan  # the 0.5 s window ends at 275 ms
-        cut = v.UtteranceAnalyzer(tail, 48000.0).base_spectrum(rep)
+        cut = v.UtteranceAnalyzer(tail, 48000.0, base="Ep").base_spectrum(rep)
         assert cut.values.tobytes() == clean.values.tobytes()
 
     def test_samples_before_the_preroll_are_not_read(self):
@@ -164,46 +187,41 @@ class TestEpWindowCut:
         window start at 225 ms, to the window end at 275 ms."""
         samples = v.synth_vowel(v.vowel_spec("o", 120.0))
         rep = v.parse_representation("Ep")
-        clean = v.UtteranceAnalyzer(samples, 48000.0).base_spectrum(rep)
+        clean = v.UtteranceAnalyzer(samples, 48000.0, base="Ep").base_spectrum(rep)
         cut = samples.copy()
         cut[:4872] = np.nan
         cut[13200:] = np.nan
-        got = v.UtteranceAnalyzer(cut, 48000.0).base_spectrum(rep)
+        got = v.UtteranceAnalyzer(cut, 48000.0, base="Ep").base_spectrum(rep)
         assert got.values.tobytes() == clean.values.tobytes()
         for edge in (4872, 13199):  # both ends of the span are read
             poked = samples.copy()
             poked[edge] = np.nan
             with pytest.raises(InputError, match="finite"):
-                v.UtteranceAnalyzer(poked, 48000.0).base_spectrum(rep)
+                v.UtteranceAnalyzer(poked, 48000.0, base="Ep").base_spectrum(rep)
 
 
 class TestF0Window:
-    """A weighted Ep, F or M base estimates F0 from the samples it read,
-    which holds only while the F0 window lies inside its cut."""
+    """Every analyzer estimates F0 from the samples it holds, which works
+    only while the F0 window lies inside its base's cut."""
 
     @settings(max_examples=300, deadline=None)
     @given(fs=st.sampled_from([16000.0, 22050.0, 44100.0, 48000.0, 96000.0]),
            n_native=st.integers(2400, 200_000))
     def test_f0_window_lies_inside_the_ep_and_f_cuts(self, fs, n_native):
-        analyzer = v.UtteranceAnalyzer(np.zeros(n_native), fs)
-        n = analyzer.n_samples
-
-        def clipped(cut):
-            return slice(min(cut.start, n), min(cut.stop, n))
-
-        f0 = clipped(analyzer._f0_samples())
-        cuts = [analyzer._ep_samples()[0]]
-        try:
-            cuts.append(analyzer._f_samples())
-        except InputError:  # too short for a single STFT frame in the window
-            pass
-        for cut in map(clipped, cuts):
-            assert cut.start <= f0.start and f0.stop <= cut.stop
+        for base in ("Ep", "F"):
+            try:
+                analyzer = v.UtteranceAnalyzer(np.zeros(n_native), fs, base=base)
+            except InputError:  # too short for a single STFT frame in the window
+                continue
+            f0 = analyzer._f0_samples()
+            held = slice(analyzer.start, analyzer.start + analyzer.samples.size)
+            assert held.start <= f0.start and min(f0.stop, analyzer.n_samples) <= held.stop
 
     @pytest.mark.filterwarnings("ignore:resampling input")
     def test_one_read_and_one_f0_estimate_per_utterance(self, tmp_path, monkeypatch):
         """At 44.1 kHz a weighted F spectrum resamples once and estimates F0
-        once per utterance; at h_max 0 no F0 is estimated."""
+        once per utterance, in the analyzer's constructor and ``f0``; at
+        h_max 0 no F0 is estimated."""
         v.make_corpus(v.pair_demo_speakers(), ["a"], tmp_path, fs=44100.0)
         calls = {"ensure_rate": 0, "estimate_f0": 0}
 
@@ -239,7 +257,7 @@ class TestWindowOnlyFrontEnds:
         compressed = []
         compress = v.pipeline.compress
         monkeypatch.setattr(v.pipeline, "compress", lambda sg, c: compressed.append(sg) or compress(sg, c))
-        v.UtteranceAnalyzer(samples, 48000.0).base_spectrum(v.parse_representation("F_log"))
+        v.UtteranceAnalyzer(samples, 48000.0, base="F").base_spectrum(v.parse_representation("F_log"))
         [window] = compressed
         assert window.frames.tobytes() == full.frames[43:53].tobytes()
         np.testing.assert_allclose(window.frame_times, full.frame_times[43:53], rtol=0, atol=1e-15)
@@ -248,17 +266,17 @@ class TestWindowOnlyFrontEnds:
     def test_samples_outside_the_window_span_are_not_read(self, rep_id):
         samples = v.synth_vowel(v.vowel_spec("o", 120.0))
         rep = v.parse_representation(rep_id)
-        clean = v.UtteranceAnalyzer(samples, 48000.0).base_spectrum(rep)
+        clean = v.UtteranceAnalyzer(samples, 48000.0, base=rep.base).base_spectrum(rep)
         cut = samples.copy()
         cut[:10320] = np.nan
         cut[13680:] = np.nan
-        got = v.UtteranceAnalyzer(cut, 48000.0).base_spectrum(rep)
+        got = v.UtteranceAnalyzer(cut, 48000.0, base=rep.base).base_spectrum(rep)
         assert got.values.tobytes() == clean.values.tobytes()
         for edge in (10320, 13679):  # both ends of the span are read
             poked = samples.copy()
             poked[edge] = np.nan
             with pytest.raises(InputError, match="finite"):
-                v.UtteranceAnalyzer(poked, 48000.0).base_spectrum(rep)
+                v.UtteranceAnalyzer(poked, 48000.0, base=rep.base).base_spectrum(rep)
 
     def test_click_before_the_window_leaves_log_spectra_unchanged(self):
         """The log floor is taken over the window's frames, not the file's."""
@@ -267,41 +285,51 @@ class TestWindowOnlyFrontEnds:
         clicked[1200] = 1000.0 * np.abs(samples).max()  # 25 ms in
         for rep_id in ("F_log", "M_log"):
             rep = v.parse_representation(rep_id)
-            clean = v.UtteranceAnalyzer(samples, 48000.0).base_spectrum(rep)
-            got = v.UtteranceAnalyzer(clicked, 48000.0).base_spectrum(rep)
+            clean = v.UtteranceAnalyzer(samples, 48000.0, base=rep.base).base_spectrum(rep)
+            got = v.UtteranceAnalyzer(clicked, 48000.0, base=rep.base).base_spectrum(rep)
             assert got.values.tobytes() == clean.values.tobytes()
 
     def test_cache_does_not_grow_with_duration(self):
+        reads = {"Ep": ("Ep", "Ep_SSI"), "F": ("F_log", "F_0.4", "F_SSI_log"), "M": ("M_log",),
+                 "W": ("W_log", "W_0.4", "W_SSI_log")}
+
         def cached(duration, fs):
             samples = v.synth_vowel(v.vowel_spec("e", 150.0, duration=duration, fs=fs))
-            analyzer = v.UtteranceAnalyzer(samples, fs, external_sg=v.stft_spectrum(samples, fs))
-            for rep_id in ("Ep", "F_log", "F_0.4", "M_log", "W_log", "W_0.4", "Ep_SSI"):
-                analyzer.spectrum(v.parse_representation(rep_id))
-            # the native span, the averaged spectra and W's cropped window, and
-            # no F or M frames, no resampled samples, nor the waveform
-            assert set(vars(analyzer)) == {"fs", "native_fs", "n_samples", "n_native", "center",
-                                           "_f0", "_external_sg", "_spectra", "span_start", "span"}
+            held = {}
+            for base, rep_ids in reads.items():
+                external = v.stft_spectrum(samples, fs) if base == "W" else None
+                analyzer = v.UtteranceAnalyzer(samples, fs, base=base, external_sg=external)
+                for rep_id in rep_ids:
+                    analyzer.spectrum(v.parse_representation(rep_id))
+                # the resampled cut, the averaged spectra and W's cropped
+                # window, and no F or M frames nor the waveform
+                assert set(vars(analyzer)) == {"base", "fs", "n_samples", "center", "start",
+                                               "samples", "_f0", "_external_sg", "_spectra"}
+                assert analyzer.samples.flags.owndata
+                held[base] = (analyzer.samples.shape,
+                              {key: s.values.shape for key, s in analyzer._spectra.items()})
             assert analyzer._external_sg.frames.flags.owndata
-            assert analyzer.span.flags.owndata
-            return (analyzer._external_sg.frames.shape,
-                    {key: s.values.shape for key, s in analyzer._spectra.items()},
-                    analyzer.span.shape)
+            return held, analyzer._external_sg.frames.shape
 
         for fs in (44100.0, 48000.0):
             short, long = cached(0.5, fs), cached(2.0, fs)
             assert short == long
-        # the 48 kHz analyzer, the loop's last
-        assert short[0] == (10, 601)
-        # from the 100 Hz channel's start, 148.5 ms before the centre, to the
-        # last sample an STFT frame centred in the window could reach
-        assert short[2] == (8929,)
+        # the 48 kHz analyzers, the loop's last: Ep from the 100 Hz channel's
+        # start, 148.5 ms before the centre, to the window end; F and M the
+        # STFT frames in the window; W the centre 50 ms
+        held, w_frames = short
+        assert w_frames == (10, 601)
+        assert {base: shape for base, (shape, _) in held.items()} == {
+            "Ep": (8328,), "F": (3360,), "M": (3360,), "W": (2400,)}
 
     def test_external_window_matches_fourier(self):
         samples = v.synth_vowel(v.vowel_spec("i", 200.0))
-        analyzer = v.UtteranceAnalyzer(samples, 48000.0, external_sg=v.stft_spectrum(samples, 48000.0))
+        w_analyzer = v.UtteranceAnalyzer(samples, 48000.0, base="W",
+                                         external_sg=v.stft_spectrum(samples, 48000.0))
+        f_analyzer = v.UtteranceAnalyzer(samples, 48000.0, base="F")
         for comp in ("log", "0.4"):
-            w = analyzer.base_spectrum(v.parse_representation(f"W_{comp}"))
-            f = analyzer.base_spectrum(v.parse_representation(f"F_{comp}"))
+            w = w_analyzer.base_spectrum(v.parse_representation(f"W_{comp}"))
+            f = f_analyzer.base_spectrum(v.parse_representation(f"F_{comp}"))
             assert w.values.tobytes() == f.values.tobytes()
 
     @pytest.mark.parametrize("rep_id", ["F_log", "M_log"])
@@ -319,18 +347,19 @@ class TestWindowOnlyFrontEnds:
     )
     def test_short_vowels_rejected_as_by_the_whole_signal_stft(self, rep_id, n_samples, message):
         samples = v.synth_vowel(v.vowel_spec("e", 150.0))[:n_samples]
-        analyzer = v.UtteranceAnalyzer(samples, 48000.0)
+        rep = v.parse_representation(rep_id)
         if message is None:
-            assert analyzer.base_spectrum(v.parse_representation(rep_id)).axis.channels == 100
+            analyzer = v.UtteranceAnalyzer(samples, 48000.0, base=rep.base)
+            assert analyzer.base_spectrum(rep).axis.channels == 100
         else:
             with pytest.raises(InputError) as info:
-                analyzer.base_spectrum(v.parse_representation(rep_id))
+                v.UtteranceAnalyzer(samples, 48000.0, base=rep.base)
             assert str(info.value) == message
 
     def test_vowel_shorter_than_one_stft_window_rejected(self):
         samples = v.synth_vowel(v.vowel_spec("e", 150.0))[:1000]
         with pytest.raises(InputError, match="averaging window"):
-            v.UtteranceAnalyzer(samples, 48000.0).base_spectrum(v.parse_representation("F_log"))
+            v.UtteranceAnalyzer(samples, 48000.0, base="F")
 
 
 class TestAnalyzeWav:

@@ -168,17 +168,18 @@ class TestEstimateF0:
     def test_searched_lags_match_the_full_autocorrelation(self, corpus, request):
         """Computing only the searched lags changes the autocorrelation by
         round-off, and F0 not at all, on every ladder and crowd utterance;
-        the analyzer estimates it on the centre 50 ms, resampled from the
-        native samples it holds."""
+        each analyzer estimates it on the centre 50 ms of the resampled cut
+        it holds, whatever its base."""
         records = v.read_manifest(request.getfixturevalue(corpus) / "manifest.csv")
         assert len(records) in (40, 160)
         for rec in records:
             samples, fs = v.read_audio(rec.path)
-            resampled, _ = v.fileio.ensure_rate(samples, fs)
+            resampled = v.fileio.ensure_rate(samples, fs)
             expected = full_acf_f0(resampled, FS)
             assert expected != UNVOICED
             assert v.estimate_f0(resampled, FS) == expected
-            assert v.UtteranceAnalyzer(samples, fs).f0 == expected
+            for base in ("Ep", "F", "W"):
+                assert v.UtteranceAnalyzer(samples, fs, base=base).f0 == expected
 
     @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
     def test_searched_lags_match_on_noisy_pulse_trains(self, seed, noise):
@@ -210,7 +211,7 @@ class TestEstimateF0:
         assert v.estimate_f0(x, FS) == expected
 
     def test_analyzer_f0_of_a_short_vowel_rejected(self):
-        analyzer = v.UtteranceAnalyzer(v.synth_vowel(v.vowel_spec("a", 150.0))[:2399], FS)
+        analyzer = v.UtteranceAnalyzer(v.synth_vowel(v.vowel_spec("a", 150.0))[:2399], FS, base="W")
         with pytest.raises(InputError, match=r"need at least 50 ms of signal \(2400 samples\)"):
             analyzer.f0
 
@@ -228,7 +229,7 @@ class TestF0Robustness:
             for rec in pair_corpus.records:
                 samples, fs = v.read_audio(rec.path)
                 analyzers.append(
-                    v.UtteranceAnalyzer(samples, fs, f0_override=rec.f0_hz * scale)
+                    v.UtteranceAnalyzer(samples, fs, base="Ep", f0_override=rec.f0_hz * scale)
                 )
             a = analyzers[0].spectrum(rep, 3.5)
             b = analyzers[1].spectrum(rep, 3.5)
