@@ -36,8 +36,6 @@ def _parse_speakers(value: str):
             f0, alpha = float(f0_s), float(alpha_s)
         except ValueError:
             raise ConfigurationError(f"speaker {item!r}: f0 and alpha must be numbers")
-        if alpha <= 0:
-            raise ConfigurationError(f"speaker {item!r}: alpha must be positive, got {alpha}")
         pairs.append((f0, alpha))
     return pairs
 

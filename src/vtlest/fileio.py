@@ -88,10 +88,10 @@ def read_wav(path):
         samples = data / 2147483648.0
     elif data.dtype in (np.float32, np.float64):
         samples = data.astype(float)
+        if not np.isfinite(samples).all():  # integer PCM is always finite
+            raise InputError(f"{path}: audio holds NaN or infinite samples")
     else:
         raise InputError(f"{path}: unsupported sample format {data.dtype}")
-    if not np.isfinite(samples).all():
-        raise InputError(f"{path}: audio holds NaN or infinite samples")
     return samples, float(fs)
 
 

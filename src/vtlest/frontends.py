@@ -2,23 +2,28 @@
 
 All three produce a :class:`~vtlest.spectral.Spectrogram` of uncompressed
 amplitude; compression, time averaging, and axis resampling are applied
-downstream (see :mod:`vtlest.spectral` and :mod:`vtlest.pipeline`).
+downstream (see :mod:`vtlest.spectral` and :mod:`vtlest.pipeline`).  They
+analyse signals at :data:`~vtlest.fileio.CANONICAL_FS` only, on fixed grids,
+so every frame and window length is a whole number of samples defined once
+below, and the gammatone sections, the channel leads and the mel weights
+are computed once, at import (the envelope lowpass on first use).
 
 An excitation pattern can start at a later frame than the signal's first
 (:func:`gammatone_ep`'s ``start``).  Each gammatone channel then starts from
 rest :data:`EP_PREROLL_TAUS` of its own time constants before that frame
-(:func:`ep_lead_frames`), so a fast high channel filters far fewer samples
+(:data:`EP_LEAD_FRAMES`), so a fast high channel filters far fewer samples
 than the slow 100 Hz one.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 from scipy.signal import butter, lfilter, sosfilt
 
-from .axes import F_HI, F_LO, AxisKind, FrequencyAxis, erb_bandwidth, hz_to_mel, make_axis
+from .axes import CHANNELS, F_HI, F_LO, AxisKind, FrequencyAxis, erb_bandwidth, hz_to_mel, make_axis
 from .errors import ConfigurationError, InputError
+from .fileio import CANONICAL_FS
 from .spectral import NO_COMPRESSION, Spectrogram
 
 #: Gammatone bandwidth scale factor relative to the auditory-filter ERB.
@@ -27,43 +32,38 @@ GAMMATONE_BW_FACTOR = 1.019
 GAMMATONE_ORDER = 4
 #: Cutoff of the envelope smoothing lowpass, Hz.
 ENVELOPE_LP_HZ = 1000.0
-#: Frame length of excitation-pattern spectrograms, s.
+#: Frame length of excitation-pattern spectrograms, s, and in samples (24).
 EP_FRAME_PERIOD = 0.0005
+EP_FRAME_N = round(EP_FRAME_PERIOD * CANONICAL_FS)
 #: How many of its own time constants each gammatone channel starts before
 #: the first frame :func:`gammatone_ep` returns.  The filters start from rest,
 #: and at 28 the cut moves the default ladder's averaged patterns by at most
 #: 2.2e-7 dB; the top channels need more than the 22.7 that 100 ms is at
 #: 100 Hz, because the cut's onset is broadband and a vowel is weak at 8 kHz.
 EP_PREROLL_TAUS = 28
-#: Hamming window length and hop of the STFT, s.
+#: Hamming window length and hop of the STFT, s, and in samples (1 200, 240).
 STFT_WINDOW = 0.025
 STFT_HOP = 0.005
+STFT_WINDOW_N = round(STFT_WINDOW * CANONICAL_FS)
+STFT_HOP_N = round(STFT_HOP * CANONICAL_FS)
 #: Number of mel filters, spanning the analysis range ``[F_LO, F_HI]``.
 MEL_FILTERS = 25
 
-
-@lru_cache(maxsize=8)
-def _envelope_lowpass(fs: float):
-    return butter(2, ENVELOPE_LP_HZ / (fs / 2.0))
-
-
-@lru_cache(maxsize=8)
-def ep_lead_frames(fs: float, axis: FrequencyAxis) -> np.ndarray:
-    """Whole frames each channel starts before the first frame
-    :func:`gammatone_ep` returns.
-
-    Channel ``c`` starts ``ceil(EP_PREROLL_TAUS * tau_c / frame_period)``
-    frames early, where ``tau_c = 1 / (2 pi * 1.019 * ERB(fc))`` is the decay
-    time constant of its gammatone envelope.
-    """
-    tau = 1.0 / (2.0 * np.pi * GAMMATONE_BW_FACTOR * erb_bandwidth(axis.center_freqs))
-    leads = np.ceil(EP_PREROLL_TAUS * tau * fs / int(round(EP_FRAME_PERIOD * fs))).astype(int)
-    leads.flags.writeable = False
-    return leads
+#: The gammatone channels: the canonical grid, ERB-linear.
+EP_AXIS = make_axis(AxisKind.ERB_LINEAR, CHANNELS, F_LO, F_HI)
+#: The STFT's FFT bins, 0 Hz to Nyquist.
+STFT_AXIS = FrequencyAxis(AxisKind.LINEAR_HZ, STFT_WINDOW_N // 2 + 1, 0.0, CANONICAL_FS / 2.0)
 
 
-@lru_cache(maxsize=8)
-def _gammatone_sos(fs: float, axis: FrequencyAxis) -> np.ndarray:
+@cache
+def _envelope_lowpass():
+    """The envelope lowpass ``(b, a)``, designed on first use: the first
+    ``butter`` call pages in about 0.6 MB of library code (scipy 1.17.1),
+    which a run that computes no excitation pattern need not hold."""
+    return butter(2, ENVELOPE_LP_HZ / (CANONICAL_FS / 2.0))
+
+
+def _gammatone_sos() -> np.ndarray:
     """Second-order sections of every channel's gammatone, shape ``(channels, 4, 6)``.
 
     The gammatone is the real part of ``g / (1 - p z^-1)^4`` with the
@@ -76,13 +76,13 @@ def _gammatone_sos(fs: float, axis: FrequencyAxis) -> np.ndarray:
     The closed form stands in for ``tf2sos``, whose root finding on the
     fourfold pole is ill-conditioned.
     """
-    fc = axis.center_freqs
+    fc = EP_AXIS.center_freqs
     bw = GAMMATONE_BW_FACTOR * erb_bandwidth(fc)
-    radius = np.exp(-2.0 * np.pi * bw / fs)
-    pole = radius * np.exp(2j * np.pi * fc / fs)
+    radius = np.exp(-2.0 * np.pi * bw / CANONICAL_FS)
+    pole = radius * np.exp(2j * np.pi * fc / CANONICAL_FS)
     w = np.exp(1j * np.pi * (2 * np.arange(GAMMATONE_ORDER) + 1) / GAMMATONE_ORDER)
     zeros = ((pole[:, None] - w * pole.conj()[:, None]) / (1.0 - w)).real
-    sos = np.zeros((axis.channels, GAMMATONE_ORDER, 6))
+    sos = np.zeros((EP_AXIS.channels, GAMMATONE_ORDER, 6))
     sos[:, :, 0] = 1.0
     sos[:, :, 3] = 1.0
     sos[:, :, 4] = -2.0 * pole.real[:, None]
@@ -95,7 +95,18 @@ def _gammatone_sos(fs: float, axis: FrequencyAxis) -> np.ndarray:
     return sos
 
 
-def _gammatone_envelope(signal: np.ndarray, fs: float, sos: np.ndarray) -> np.ndarray:
+#: Whole frames each channel starts before the first frame
+#: :func:`gammatone_ep` returns: ``ceil(EP_PREROLL_TAUS * tau_c /
+#: EP_FRAME_PERIOD)`` for the decay time constant ``tau_c = 1 / (2 pi *
+#: 1.019 * ERB(fc))`` of channel ``c``'s envelope, 247 frames (123.5 ms) at
+#: 100 Hz and 10 at 8 kHz.
+_TAU = 1.0 / (2.0 * np.pi * GAMMATONE_BW_FACTOR * erb_bandwidth(EP_AXIS.center_freqs))
+EP_LEAD_FRAMES = np.ceil(EP_PREROLL_TAUS * _TAU * CANONICAL_FS / EP_FRAME_N).astype(int)
+EP_LEAD_FRAMES.flags.writeable = False
+_GAMMATONE_SOS = _gammatone_sos()
+
+
+def _gammatone_envelope(signal: np.ndarray, sos: np.ndarray) -> np.ndarray:
     """Envelope of one gammatone channel: bandpass, half-wave rectify, smooth.
 
     The bandpass runs as a cascade of real second-order sections (see
@@ -104,30 +115,26 @@ def _gammatone_envelope(signal: np.ndarray, fs: float, sos: np.ndarray) -> np.nd
     ``z = 1``.  Each section places only one conjugate pole pair, so its
     coefficients stay well conditioned down to the lowest channel.
     """
-    b, a = _envelope_lowpass(fs)
+    b, a = _envelope_lowpass()
     env = lfilter(b, a, np.maximum(sosfilt(sos, signal), 0.0))
     return np.maximum(env, 0.0)
 
 
-def gammatone_ep(signal, fs: float, axis: FrequencyAxis, start: int = 0) -> Spectrogram:
+def gammatone_ep(signal, *, start: int = 0) -> Spectrogram:
     """Excitation-pattern spectrogram from a gammatone filterbank.
 
-    Each channel filters the signal with a 4th-order gammatone centered at the
-    channel frequency (bandwidth ``1.019 * ERB``), extracts the envelope, and
-    averages it over consecutive frames of ``round(EP_FRAME_PERIOD * fs)``
-    samples.
+    Each channel of :data:`EP_AXIS` filters the signal with a 4th-order
+    gammatone centered at the channel frequency (bandwidth ``1.019 * ERB``),
+    extracts the envelope, and averages it over consecutive frames of
+    :data:`EP_FRAME_N` samples.
 
     Parameters
     ----------
     signal : array_like
-        Mono waveform.
-    fs : float
-        Sample rate; must be at least twice the axis's upper edge.
-    axis : FrequencyAxis
-        Channel grid; must be ERB-linear.
+        Mono waveform at :data:`~vtlest.fileio.CANONICAL_FS`.
     start : int
         First sample of the first frame returned; a frame boundary.  Channel
-        ``c`` filters from rest :func:`ep_lead_frames` ``[c]`` frames before
+        ``c`` filters from rest :data:`EP_LEAD_FRAMES` ``[c]`` frames before
         it (from sample 0 if that is sooner), so only ``start = 0`` matches
         filtering the whole signal exactly.
 
@@ -135,20 +142,13 @@ def gammatone_ep(signal, fs: float, axis: FrequencyAxis, start: int = 0) -> Spec
     -------
     Spectrogram
         Nonnegative, uncompressed; shape (n_frames, channels), holding the
-        whole frames from ``start`` on.  Its frame period is the frame's
-        length in samples over ``fs``.
+        whole frames from ``start`` on, every :data:`EP_FRAME_PERIOD` s.
     """
-    if axis.kind is not AxisKind.ERB_LINEAR:
-        raise ConfigurationError(f"excitation patterns require an ERB-linear axis, got {axis.kind.value}")
-    if fs < 2.0 * axis.f_hi:
-        raise ConfigurationError(
-            f"sample rate {fs} Hz is too low for channels up to {axis.f_hi} Hz"
-        )
     x = np.asarray(signal, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise InputError("signal must be a non-empty 1-D array")
-    frame = int(round(EP_FRAME_PERIOD * fs))
-    if frame < 1 or x.size < frame:
+    frame = EP_FRAME_N
+    if x.size < frame:
         raise InputError(f"signal shorter than one {EP_FRAME_PERIOD*1e3:g} ms frame")
     end = x.size // frame * frame
     if start < 0 or start % frame or start >= end:
@@ -156,20 +156,21 @@ def gammatone_ep(signal, fs: float, axis: FrequencyAxis, start: int = 0) -> Spec
             f"start must be a multiple of the {frame}-sample frame below {end}, got {start}"
         )
     x = x[:end]
-    ep = np.empty(((end - start) // frame, axis.channels))
-    leads = np.minimum(ep_lead_frames(fs, axis) * frame, start)
-    for c, (sos, lead) in enumerate(zip(_gammatone_sos(fs, axis), leads)):
-        env = _gammatone_envelope(x[start - lead:], fs, sos)
+    ep = np.empty(((end - start) // frame, EP_AXIS.channels))
+    leads = np.minimum(EP_LEAD_FRAMES * frame, start)
+    for c, (sos, lead) in enumerate(zip(_GAMMATONE_SOS, leads)):
+        env = _gammatone_envelope(x[start - lead:], sos)
         ep[:, c] = env[lead:].reshape(-1, frame).mean(axis=1)
-    return Spectrogram(ep, frame / fs, axis, NO_COMPRESSION, t0=(start + frame / 2.0) / fs)
+    return Spectrogram(ep, frame / CANONICAL_FS, EP_AXIS, NO_COMPRESSION,
+                       t0=(start + frame / 2.0) / CANONICAL_FS)
 
 
-def stft_spectrum(signal, fs: float) -> Spectrogram:
-    """Magnitude STFT with a :data:`STFT_WINDOW` Hamming window every
-    :data:`STFT_HOP` seconds, on the linear-Hz FFT-bin axis."""
+def stft_spectrum(signal) -> Spectrogram:
+    """Magnitude STFT of a signal at :data:`~vtlest.fileio.CANONICAL_FS`,
+    with a :data:`STFT_WINDOW` Hamming window every :data:`STFT_HOP`
+    seconds, on the FFT-bin axis :data:`STFT_AXIS`."""
     x = np.asarray(signal, dtype=float)
-    win_n = int(round(STFT_WINDOW * fs))
-    hop_n = int(round(STFT_HOP * fs))
+    win_n, hop_n = STFT_WINDOW_N, STFT_HOP_N
     if x.ndim != 1 or x.size < win_n:
         raise InputError(
             f"signal must be at least one window ({win_n} samples) long, got {x.size}"
@@ -178,18 +179,19 @@ def stft_spectrum(signal, fs: float) -> Spectrogram:
     n_frames = (x.size - win_n) // hop_n + 1
     starts = np.arange(n_frames) * hop_n
     frames = np.abs(np.fft.rfft(x[starts[:, None] + np.arange(win_n)] * window, axis=1))
-    axis = FrequencyAxis(AxisKind.LINEAR_HZ, win_n // 2 + 1, 0.0, fs / 2.0)
-    return Spectrogram(frames, hop_n / fs, axis, NO_COMPRESSION, t0=win_n / (2.0 * fs))
+    return Spectrogram(frames, hop_n / CANONICAL_FS, STFT_AXIS, NO_COMPRESSION,
+                       t0=win_n / (2.0 * CANONICAL_FS))
 
 
-def mel_filterbank(bin_freqs: np.ndarray, n_filters: int, f_lo: float, f_hi: float) -> np.ndarray:
-    """Triangular filters with unit peak, centers equally spaced in mel.
+def mel_filterbank(bin_freqs: np.ndarray) -> np.ndarray:
+    """:data:`MEL_FILTERS` triangular filters with unit peak, centers equally
+    spaced in mel.
 
-    Centers include both edges of ``[f_lo, f_hi]``; the outer triangles extend
-    one (virtual) center step beyond the range.  Returns shape
-    ``(n_filters, len(bin_freqs))``.
+    Centers include both edges of ``[F_LO, F_HI]``; the outer triangles
+    extend one (virtual) center step beyond the range.  Returns shape
+    ``(MEL_FILTERS, len(bin_freqs))``.
     """
-    centers = np.linspace(hz_to_mel(f_lo), hz_to_mel(f_hi), n_filters)
+    centers = np.linspace(hz_to_mel(F_LO), hz_to_mel(F_HI), MEL_FILTERS)
     dm = centers[1] - centers[0]
     bins_mel = hz_to_mel(np.maximum(bin_freqs, 0.0))
     rising = (bins_mel[None, :] - (centers[:, None] - dm)) / dm
@@ -197,22 +199,20 @@ def mel_filterbank(bin_freqs: np.ndarray, n_filters: int, f_lo: float, f_hi: flo
     return np.clip(np.minimum(rising, falling), 0.0, None)
 
 
+_MEL_WEIGHTS_T = mel_filterbank(STFT_AXIS.center_freqs).T
+
+
 def mel_spectrum(stft: Spectrogram) -> Spectrogram:
     """Mel-filterbank spectrogram from a magnitude STFT.
 
-    The input must be uncompressed and on the linear-Hz FFT-bin axis; the
-    result lives on a mel-linear axis with :data:`MEL_FILTERS` channels
-    spanning ``[F_LO, F_HI]``.
+    The input must be uncompressed and on :data:`STFT_AXIS`; the result
+    lives on a mel-linear axis with :data:`MEL_FILTERS` channels spanning
+    ``[F_LO, F_HI]``.
     """
-    if stft.axis.kind is not AxisKind.LINEAR_HZ:
-        raise InputError(f"mel filterbank expects a linear-Hz spectrogram, got {stft.axis.kind.value}")
+    if stft.axis != STFT_AXIS:
+        raise InputError(f"mel filterbank expects the STFT's {STFT_AXIS.channels}-bin linear-Hz axis, "
+                         f"got {stft.axis.channels} {stft.axis.kind.value} channels")
     if stft.compression.mode != "none":
         raise InputError("mel filterbank expects uncompressed magnitudes")
-    if stft.axis.f_hi < F_HI:
-        raise InputError(
-            f"STFT covers only up to {stft.axis.f_hi} Hz; filterbank needs {F_HI} Hz"
-        )
-    weights = mel_filterbank(stft.axis.center_freqs, MEL_FILTERS, F_LO, F_HI)
-    out = stft.frames @ weights.T
     axis = make_axis(AxisKind.MEL_LINEAR, MEL_FILTERS, F_LO, F_HI)
-    return Spectrogram(out, stft.frame_period, axis, NO_COMPRESSION, t0=stft.t0)
+    return Spectrogram(stft.frames @ _MEL_WEIGHTS_T, stft.frame_period, axis, NO_COMPRESSION, t0=stft.t0)

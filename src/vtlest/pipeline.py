@@ -26,10 +26,11 @@ from . import fileio
 from .axes import CHANNELS, F_HI, F_LO, AxisKind, FrequencyAxis, make_axis
 from .errors import ConfigurationError, DegenerateFitError, InputError
 from .frontends import (
+    EP_FRAME_N,
     EP_FRAME_PERIOD,
-    STFT_HOP,
-    STFT_WINDOW,
-    ep_lead_frames,
+    EP_LEAD_FRAMES,
+    STFT_HOP_N,
+    STFT_WINDOW_N,
     gammatone_ep,
     mel_spectrum,
     stft_spectrum,
@@ -53,7 +54,7 @@ from .spectral import (
     resample_to_axis,
     window_frames,
 )
-from .ssi import DEFAULT_H_MAX, F0_WINDOW_S, apply_weight, estimate_f0, ssi_weight
+from .ssi import DEFAULT_H_MAX, F0_WINDOW_N, apply_weight, estimate_f0, ssi_weight
 
 _AXIS_KINDS = {
     "Ep": AxisKind.ERB_LINEAR,
@@ -144,8 +145,10 @@ class UtteranceAnalyzer:
     The constructor resamples, once, only the native samples behind the cut
     its ``base`` reads, exactly as resampling the whole input would, and
     keeps just that cut (``samples``, from canonical sample ``start``):
-    nothing held grows with the duration.  ``n_samples`` and every cut
-    count samples at the canonical rate ``fs``.  The cuts:
+    nothing held grows with the duration.  ``fs`` is the input's own rate;
+    ``n_samples`` and every cut count samples at
+    :data:`~vtlest.fileio.CANONICAL_FS`, in the frame and window lengths the
+    front ends define.  The cuts:
 
     * Ep: the whole frames from the slowest channel's start to the window
       end.  Each gammatone channel starts
@@ -167,9 +170,8 @@ class UtteranceAnalyzer:
         up, down = fileio.resample_ratio(fs)
         samples = np.asarray(samples, dtype=float)
         self.base = base
-        self.fs = fileio.CANONICAL_FS
         self.n_samples = -(-samples.size * up // down)
-        self.center = self.n_samples / self.fs / 2.0
+        self.center = self.n_samples / fileio.CANONICAL_FS / 2.0
         self._f0 = f0_override
         self._external_sg = external_sg
         self._spectra: dict[Compression, Spectrum] = {}
@@ -188,25 +190,24 @@ class UtteranceAnalyzer:
     def _ep_samples(self) -> tuple[slice, int]:
         """Whole EP frames from the slowest channel's start to the window
         end, and the first sample of the frame holding the window start."""
-        frame = int(round(EP_FRAME_PERIOD * self.fs))
         first = max(0, math.floor((self.center - AVG_HALF_WIDTH) / EP_FRAME_PERIOD))
-        lead = int(ep_lead_frames(self.fs, axis_for("Ep")).max())
+        lead = int(EP_LEAD_FRAMES.max())
         stop = math.ceil((self.center + AVG_HALF_WIDTH) / EP_FRAME_PERIOD)
-        return slice(max(0, first - lead) * frame, stop * frame), first * frame
+        return slice(max(0, first - lead) * EP_FRAME_N, stop * EP_FRAME_N), first * EP_FRAME_N
 
     def _f_samples(self) -> slice:
         """The samples of the STFT frames the averaging window picks."""
-        win_n, hop_n = int(round(STFT_WINDOW * self.fs)), int(round(STFT_HOP * self.fs))
+        win_n, hop_n = STFT_WINDOW_N, STFT_HOP_N
         n_frames = (self.n_samples - win_n) // hop_n + 1
-        picked = window_frames(win_n / (2.0 * self.fs), hop_n / self.fs, n_frames, self.center)
+        picked = window_frames(win_n / (2.0 * fileio.CANONICAL_FS), hop_n / fileio.CANONICAL_FS,
+                               n_frames, self.center)
         return slice(picked.start * hop_n, (picked.stop - 1) * hop_n + win_n)
 
     def _f0_samples(self) -> slice:
-        """The centre :data:`~vtlest.ssi.F0_WINDOW_S`, or every sample of a
-        shorter input (which :func:`estimate_f0` rejects)."""
-        win = int(round(F0_WINDOW_S * self.fs))
-        start = max(0, (self.n_samples - win) // 2)
-        return slice(start, start + win)
+        """The centre :data:`~vtlest.ssi.F0_WINDOW_N` samples, or every
+        sample of a shorter input (which :func:`estimate_f0` rejects)."""
+        start = max(0, (self.n_samples - F0_WINDOW_N) // 2)
+        return slice(start, start + F0_WINDOW_N)
 
     @property
     def f0(self) -> float:
@@ -214,7 +215,7 @@ class UtteranceAnalyzer:
         once from the F0 window's slice of the held samples."""
         if self._f0 is None:
             f0 = self._f0_samples()
-            self._f0 = estimate_f0(self.samples[f0.start - self.start:f0.stop - self.start], self.fs)
+            self._f0 = estimate_f0(self.samples[f0.start - self.start:f0.stop - self.start])
         return self._f0
 
     def _external_window(self) -> Spectrogram:
@@ -246,10 +247,10 @@ class UtteranceAnalyzer:
                 # the cut keeps every frame the window picks, and center_average
                 # needs none past it; the samples before them only warm the bank up
                 first = self._ep_samples()[1]
-                frames = gammatone_ep(self.samples, self.fs, axis_for("Ep"), start=first - self.start)
+                frames = gammatone_ep(self.samples, start=first - self.start)
             else:
-                frames = stft_spectrum(self.samples, self.fs)
-            frames = replace(frames, t0=frames.t0 + self.start / self.fs)
+                frames = stft_spectrum(self.samples)
+            frames = replace(frames, t0=frames.t0 + self.start / fileio.CANONICAL_FS)
             if rep.base == "M":
                 frames = mel_spectrum(frames)
         if rep.base == "Ep":

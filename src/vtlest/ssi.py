@@ -13,6 +13,7 @@ from scipy.fft import irfft, next_fast_len, rfft
 
 from .axes import FrequencyAxis
 from .errors import ConfigurationError, InputError
+from .fileio import CANONICAL_FS
 from .shifts import TIE_TOLERANCE
 from .spectral import Spectrum
 
@@ -21,9 +22,14 @@ UNVOICED = 0.0
 #: Taper knee, in harmonics of F0, used wherever none is given.
 DEFAULT_H_MAX = 3.5
 
+#: Searched pitch range, Hz, and the autocorrelation lags it spans (120-800).
 F0_SEARCH_LO_HZ = 60.0
 F0_SEARCH_HI_HZ = 400.0
+F0_LAG_LO = int(np.ceil(CANONICAL_FS / F0_SEARCH_HI_HZ))
+F0_LAG_HI = int(np.floor(CANONICAL_FS / F0_SEARCH_LO_HZ))
+#: Length of the centre frame F0 is estimated on, s, and in samples (2 400).
 F0_WINDOW_S = 0.050
+F0_WINDOW_N = round(F0_WINDOW_S * CANONICAL_FS)
 VOICING_THRESHOLD = 0.3
 
 
@@ -64,12 +70,14 @@ def apply_weight(s: Spectrum, weights: np.ndarray) -> Spectrum:
     return Spectrum(shifted * weights, s.axis, s.compression)
 
 
-def estimate_f0(signal, fs: float) -> float:
-    """Autocorrelation pitch estimate on the center 50 ms of a signal.
+def estimate_f0(signal) -> float:
+    """Autocorrelation pitch estimate on the center 50 ms of a signal at
+    :data:`~vtlest.fileio.CANONICAL_FS`.
 
     Returns the fundamental frequency in Hz, or :data:`UNVOICED` (0.0) when
-    the normalized autocorrelation peak in the :data:`F0_SEARCH_LO_HZ` to
-    :data:`F0_SEARCH_HI_HZ` range falls below
+    the normalized autocorrelation peak at lags :data:`F0_LAG_LO` to
+    :data:`F0_LAG_HI` (:data:`F0_SEARCH_HI_HZ` down to
+    :data:`F0_SEARCH_LO_HZ`) falls below
     :data:`VOICING_THRESHOLD`.  The biased autocorrelation estimator is used,
     which favors the fundamental over its subharmonics.  The searched lags
     come from one zero-padded real FFT of the frame.  Lags within
@@ -79,31 +87,26 @@ def estimate_f0(signal, fs: float) -> float:
     cross the threshold.
     """
     x = np.asarray(signal, dtype=float)
-    win = int(round(F0_WINDOW_S * fs))
-    if x.ndim != 1 or x.size < win:
-        raise InputError(f"need at least {F0_WINDOW_S*1e3:g} ms of signal ({win} samples)")
-    start = (x.size - win) // 2
-    frame = x[start : start + win]
+    if x.ndim != 1 or x.size < F0_WINDOW_N:
+        raise InputError(f"need at least {F0_WINDOW_S*1e3:g} ms of signal ({F0_WINDOW_N} samples)")
+    start = (x.size - F0_WINDOW_N) // 2
+    frame = x[start : start + F0_WINDOW_N]
     frame = frame - frame.mean()
     r0 = float(frame @ frame)
     if r0 <= 0.0:
         return UNVOICED
-    lag_lo = max(1, int(np.ceil(fs / F0_SEARCH_HI_HZ)))
-    lag_hi = min(win - 1, int(np.floor(fs / F0_SEARCH_LO_HZ)))
-    if lag_lo > lag_hi:
-        raise ConfigurationError(f"search range {F0_SEARCH_LO_HZ}-{F0_SEARCH_HI_HZ} Hz is empty at fs={fs}")
-    # padding to win + lag_hi keeps the circular wrap off every searched lag
-    size = next_fast_len(win + lag_hi, real=True)
+    # padding to F0_WINDOW_N + F0_LAG_HI keeps the circular wrap off every searched lag
+    size = next_fast_len(F0_WINDOW_N + F0_LAG_HI, real=True)
     spectrum = rfft(frame, size)
-    acf = irfft(spectrum.real**2 + spectrum.imag**2, size)[lag_lo : lag_hi + 1]
+    acf = irfft(spectrum.real**2 + spectrum.imag**2, size)[F0_LAG_LO : F0_LAG_HI + 1]
     peak = int(np.argmax(acf))
     value = acf[peak]
     tol = TIE_TOLERANCE * r0
     near = np.flatnonzero(acf >= value - tol)
     if near.size > 1 or abs(value - VOICING_THRESHOLD * r0) <= tol:
-        direct = [frame[lag:] @ frame[: win - lag] for lag in lag_lo + near]
+        direct = [frame[lag:] @ frame[: F0_WINDOW_N - lag] for lag in F0_LAG_LO + near]
         peak = int(near[np.argmax(direct)])
         value = max(direct)
     if value / r0 < VOICING_THRESHOLD:
         return UNVOICED
-    return fs / (lag_lo + peak)
+    return CANONICAL_FS / (F0_LAG_LO + peak)

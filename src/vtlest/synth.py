@@ -170,22 +170,17 @@ def make_corpus(speakers, vowels, out_dir, duration: float = DEFAULT_DURATION_S,
     vowels = list(vowels)
     if not speakers or not vowels:
         raise InputError("speakers and vowels must be non-empty")
-    records = []
     width = max(2, len(str(len(speakers))))
-    for idx, (f0, alpha) in enumerate(speakers, start=1):
-        speaker_id = f"s{idx:0{width}d}"
-        for vowel in vowels:
-            spec = vowel_spec(vowel, f0, alpha, duration, fs)
-            samples = synth_vowel(spec)
-            rel_path = f"{speaker_id}_{vowel}.wav"
-            fileio.write_wav(out_dir, rel_path, samples, fs)
-            records.append(fileio.UtteranceRecord(
-                speaker_id=speaker_id,
-                vowel=vowel,
-                f0_hz=float(f0),
-                alpha=float(alpha),
-                vtl_cm=spec.vtl_cm,
-                path=rel_path,
-            ))
+    # every spec is checked before the first WAV is written
+    specs = [(f"s{idx:0{width}d}", vowel_spec(vowel, f0, alpha, duration, fs))
+             for idx, (f0, alpha) in enumerate(speakers, start=1) for vowel in vowels]
+    records = []
+    for speaker_id, spec in specs:
+        rel_path = f"{speaker_id}_{spec.vowel}.wav"
+        fileio.write_wav(out_dir, rel_path, synth_vowel(spec), fs)
+        records.append(fileio.UtteranceRecord(
+            speaker_id=speaker_id, vowel=spec.vowel, f0_hz=spec.f0, alpha=float(spec.alpha),
+            vtl_cm=spec.vtl_cm, path=rel_path,
+        ))
     fileio.write_manifest(out_dir, records)
     return records

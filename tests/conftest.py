@@ -88,7 +88,6 @@ def female_vowel():
     """Synthetic 182 Hz /a/ from a 15 cm tract, with its linear EP spectrum."""
     spec = v.vowel_spec("a", 182.0, v.BASELINE_VTL_CM / 15.0)
     samples = v.synth_vowel(spec)
-    axis = v.make_axis("erb", 100, 100.0, 8000.0)
-    ep = v.gammatone_ep(samples, spec.fs, axis)
+    ep = v.gammatone_ep(samples)
     spectrum = v.center_average(ep, spec.duration / 2)
     return spec, samples, spectrum

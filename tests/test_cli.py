@@ -45,6 +45,8 @@ class TestSynthCommand:
         ("--speakers", "100:nan", "alpha must be positive and finite, got nan"),
         ("--speakers", "nan:1.0", "f0 must be positive and finite, got nan"),
         ("--speakers", "inf:1.0", "f0 must be positive and finite, got inf"),
+        # a bad later speaker: nothing of the first one is written either
+        ("--speakers", "120:1.0,120:nan", "alpha must be positive and finite, got nan"),
     ])
     def test_bad_value_is_one_error_line_and_writes_nothing(self, tmp_path, capsys, flag, value, message):
         out = tmp_path / "corpus"
@@ -136,8 +138,8 @@ class TestEstimateCommand:
     def test_bad_external_spectrogram_is_one_error_line(self, pair_corpus_dir, tmp_path, capsys):
         ext = tmp_path / "external"
         for rec in fileio.read_manifest(pair_corpus_dir / "manifest.csv"):
-            samples, fs = v.read_audio(rec.path)
-            fileio.write_spectrogram_csv(ext / f"{rec.utterance_id}.csv", v.stft_spectrum(samples, fs))
+            samples, _ = v.read_audio(rec.path)
+            fileio.write_spectrogram_csv(ext / f"{rec.utterance_id}.csv", v.stft_spectrum(samples))
         bad = sorted(ext.glob("*.csv"))[0]
         lines = bad.read_text().splitlines()
         lines[2] = lines[2].rsplit(",", 1)[0] + ",n/a"
@@ -151,8 +153,8 @@ class TestEstimateCommand:
     def test_bad_external_metadata_names_the_file(self, pair_corpus_dir, tmp_path, capsys):
         ext = tmp_path / "external"
         for rec in fileio.read_manifest(pair_corpus_dir / "manifest.csv"):
-            samples, fs = v.read_audio(rec.path)
-            fileio.write_spectrogram_csv(ext / f"{rec.utterance_id}.csv", v.stft_spectrum(samples, fs))
+            samples, _ = v.read_audio(rec.path)
+            fileio.write_spectrogram_csv(ext / f"{rec.utterance_id}.csv", v.stft_spectrum(samples))
         bad = sorted(ext.glob("*.csv"))[0]
         lines = bad.read_text().splitlines()
         lines[0] = lines[0].replace("axis=hz ", "axis=erb_linear ")

@@ -158,7 +158,7 @@ class TestEpWindowCut:
     )
     def test_identical_to_full_signal_average(self, n_samples, tolerance_db):
         samples = v.synth_vowel(v.vowel_spec("e", 150.0, duration=2.0))[:n_samples]
-        full = v.gammatone_ep(samples, 48000.0, v.axis_for("Ep"))
+        full = v.gammatone_ep(samples)
         expected = v.compress(v.center_average(full, n_samples / 48000.0 / 2.0), "log")
         got = v.UtteranceAnalyzer(samples, 48000.0, base="Ep").base_spectrum(v.parse_representation("Ep"))
         if tolerance_db == 0.0:  # the pre-roll reaches sample 0: nothing is cut
@@ -253,7 +253,7 @@ class TestWindowOnlyFrontEnds:
 
     def test_stft_frames_are_those_of_the_whole_signal(self, monkeypatch):
         samples = v.synth_vowel(v.vowel_spec("o", 120.0))
-        full = v.stft_spectrum(samples, 48000.0)
+        full = v.stft_spectrum(samples)
         compressed = []
         compress = v.pipeline.compress
         monkeypatch.setattr(v.pipeline, "compress", lambda sg, c: compressed.append(sg) or compress(sg, c))
@@ -297,13 +297,13 @@ class TestWindowOnlyFrontEnds:
             samples = v.synth_vowel(v.vowel_spec("e", 150.0, duration=duration, fs=fs))
             held = {}
             for base, rep_ids in reads.items():
-                external = v.stft_spectrum(samples, fs) if base == "W" else None
+                external = v.stft_spectrum(fileio.ensure_rate(samples, fs)) if base == "W" else None
                 analyzer = v.UtteranceAnalyzer(samples, fs, base=base, external_sg=external)
                 for rep_id in rep_ids:
                     analyzer.spectrum(v.parse_representation(rep_id))
                 # the resampled cut, the averaged spectra and W's cropped
                 # window, and no F or M frames nor the waveform
-                assert set(vars(analyzer)) == {"base", "fs", "n_samples", "center", "start",
+                assert set(vars(analyzer)) == {"base", "n_samples", "center", "start",
                                                "samples", "_f0", "_external_sg", "_spectra"}
                 assert analyzer.samples.flags.owndata
                 held[base] = (analyzer.samples.shape,
@@ -325,7 +325,7 @@ class TestWindowOnlyFrontEnds:
     def test_external_window_matches_fourier(self):
         samples = v.synth_vowel(v.vowel_spec("i", 200.0))
         w_analyzer = v.UtteranceAnalyzer(samples, 48000.0, base="W",
-                                         external_sg=v.stft_spectrum(samples, 48000.0))
+                                         external_sg=v.stft_spectrum(samples))
         f_analyzer = v.UtteranceAnalyzer(samples, 48000.0, base="F")
         for comp in ("log", "0.4"):
             w = w_analyzer.base_spectrum(v.parse_representation(f"W_{comp}"))
@@ -504,8 +504,8 @@ class TestExternalSpectra:
         ext = tmp_path / "external"
         ext.mkdir()
         for rec in records:
-            samples, fs = v.read_audio(rec.path)
-            sg = v.stft_spectrum(samples, fs)
+            samples, _ = v.read_audio(rec.path)
+            sg = v.stft_spectrum(samples)
             fileio.write_spectrogram_csv(ext / f"{rec.utterance_id}.csv", sg)
         corpus = v.CorpusAnalyzer(records, external_dir=ext)
         result = corpus.estimate("W_log", 3.5)
@@ -518,8 +518,8 @@ class TestExternalSpectra:
         ext = tmp_path / "external"
         ext.mkdir()
         for rec in records:
-            samples, fs = v.read_audio(rec.path)
-            fileio.write_spectrogram_csv(ext / f"{rec.utterance_id}.csv", v.stft_spectrum(samples, fs))
+            samples, _ = v.read_audio(rec.path)
+            fileio.write_spectrogram_csv(ext / f"{rec.utterance_id}.csv", v.stft_spectrum(samples))
         read = []
         reader = fileio.read_spectrogram_csv
         monkeypatch.setattr(fileio, "read_spectrogram_csv", lambda path: read.append(path) or reader(path))
@@ -536,8 +536,8 @@ class TestExternalSpectra:
         ext = tmp_path / "external"
         ext.mkdir()
         for rec in records:
-            samples, fs = v.read_audio(rec.path)
-            sg = v.compress(v.stft_spectrum(samples, fs), "log")
+            samples, _ = v.read_audio(rec.path)
+            sg = v.compress(v.stft_spectrum(samples), "log")
             fileio.write_spectrogram_csv(ext / f"{rec.utterance_id}.csv", sg)
         corpus = v.CorpusAnalyzer(records, external_dir=ext)
         with pytest.raises(InputError, match="uncompressed"):
@@ -547,20 +547,25 @@ class TestExternalSpectra:
 #: The fixed analysis settings and canonical inputs, by function: none of
 #: them is a parameter, so no caller can set one.
 FIXED_SETTINGS = {
-    frontends.gammatone_ep: ("frame_period",),
-    frontends.stft_spectrum: ("window_len", "hop"),
+    frontends.gammatone_ep: ("frame_period", "fs", "axis"),
+    frontends.stft_spectrum: ("window_len", "hop", "fs"),
     frontends.mel_spectrum: ("n_filters", "f_lo", "f_hi"),
+    frontends.mel_filterbank: ("n_filters", "f_lo", "f_hi"),
     spectral.window_frames: ("half_width",),
     spectral.center_average: ("half_width",),
     shifts.build_shift_matrix: ("max_lag", "interp"),
     shifts.xcorr_shift: ("max_lag", "interp"),
-    ssi.estimate_f0: ("lo", "hi"),
+    ssi.estimate_f0: ("lo", "hi", "fs"),
     fileio.ensure_rate: ("target_fs",),
     fileio.read_audio: ("target_fs",),
     fileio.write_manifest: ("name",),
     synth.vowel_spec: ("formant_table", "baseline_vtl_cm"),
     synth.make_corpus: ("formant_table", "baseline_vtl_cm"),
     synth.default_speakers: ("n",),
+}
+#: Functions of the fixed settings that became constants, computed once.
+FIXED_CONSTANTS = {
+    "ep_lead_frames": ("EP_LEAD_FRAMES", ("fs", "axis")),
 }
 
 
@@ -573,16 +578,27 @@ def test_default_params_match_canonical_settings():
     assert frontends.EP_FRAME_PERIOD == 0.0005
     assert spectral.AVG_HALF_WIDTH == 0.025
     assert (frontends.STFT_WINDOW, frontends.STFT_HOP) == (0.025, 0.005)
+    # every length in samples is its setting in seconds at 48 kHz
+    assert frontends.EP_FRAME_N == frontends.EP_FRAME_PERIOD * 48000 == 24
+    assert frontends.STFT_WINDOW_N == frontends.STFT_WINDOW * 48000 == 1200
+    assert frontends.STFT_HOP_N == frontends.STFT_HOP * 48000 == 240
+    assert ssi.F0_WINDOW_N == ssi.F0_WINDOW_S * 48000 == 2400
+    assert (ssi.F0_LAG_LO, ssi.F0_LAG_HI) == (48000 / ssi.F0_SEARCH_HI_HZ, 48000 / ssi.F0_SEARCH_LO_HZ) == (120, 800)
     assert frontends.MEL_FILTERS == 25
     assert (ssi.F0_SEARCH_LO_HZ, ssi.F0_SEARCH_HI_HZ) == (60.0, 400.0)
     assert ssi.DEFAULT_H_MAX == 3.5
     assert shifts.INTERP == 10
     assert shifts.MAX_LAG == 30
     assert synth.DEFAULT_DURATION_S == 0.5
-    assert sum(len(names) for names in FIXED_SETTINGS.values()) == 22
+    assert (sum(len(names) for names in FIXED_SETTINGS.values())
+            + sum(len(names) for _, names in FIXED_CONSTANTS.values())) == 31
     for func, names in FIXED_SETTINGS.items():
         params = inspect.signature(func).parameters
         assert not set(names) & set(params), f"{func.__name__} takes {set(names) & set(params)}"
+    for gone, (constant, _) in FIXED_CONSTANTS.items():
+        assert not hasattr(frontends, gone)
+        value = getattr(frontends, constant)
+        assert value.shape == (axes.CHANNELS,) and not value.flags.writeable
     for gone in ("SsiParams", "DEFAULT_MAX_LAG", "DEFAULT_INTERP"):
         assert not any(hasattr(module, gone) for module in (v, ssi, shifts))
     trials = inspect.signature(v.exclusion_trials).parameters
@@ -598,6 +614,7 @@ def test_default_params_match_canonical_settings():
         lambda: v.CorpusAnalyzer([], None),
         lambda: v.load_corpus("manifest.csv", None),
         lambda: v.analyze_wav("in.wav", "Ep", None),
+        lambda: v.gammatone_ep(np.zeros(4800), 0),
     ],
 )
 def test_options_are_keyword_only(call):
