@@ -224,6 +224,9 @@ class EvalConfig:
 
 
 def open_corpus(config: EvalConfig) -> CorpusAnalyzer:
+    """The configured corpus; a bad representation id fails before any file is read."""
+    for rep_id in config.representations:
+        parse_representation(rep_id)
     return load_corpus(
         config.manifest, f0_overrides=config.f0_overrides(), external_dir=config.external_dir
     )

@@ -53,6 +53,8 @@ MEL_FILTERS = 25
 EP_AXIS = make_axis(AxisKind.ERB_LINEAR, CHANNELS, F_LO, F_HI)
 #: The STFT's FFT bins, 0 Hz to Nyquist.
 STFT_AXIS = FrequencyAxis(AxisKind.LINEAR_HZ, STFT_WINDOW_N // 2 + 1, 0.0, CANONICAL_FS / 2.0)
+#: The mel filters' centers, mel-linear over the canonical range.
+MEL_AXIS = make_axis(AxisKind.MEL_LINEAR, MEL_FILTERS, F_LO, F_HI)
 
 
 @cache
@@ -206,13 +208,11 @@ def mel_spectrum(stft: Spectrogram) -> Spectrogram:
     """Mel-filterbank spectrogram from a magnitude STFT.
 
     The input must be uncompressed and on :data:`STFT_AXIS`; the result
-    lives on a mel-linear axis with :data:`MEL_FILTERS` channels spanning
-    ``[F_LO, F_HI]``.
+    lives on :data:`MEL_AXIS`.
     """
     if stft.axis != STFT_AXIS:
         raise InputError(f"mel filterbank expects the STFT's {STFT_AXIS.channels}-bin linear-Hz axis, "
                          f"got {stft.axis.channels} {stft.axis.kind.value} channels")
     if stft.compression.mode != "none":
         raise InputError("mel filterbank expects uncompressed magnitudes")
-    axis = make_axis(AxisKind.MEL_LINEAR, MEL_FILTERS, F_LO, F_HI)
-    return Spectrogram(stft.frames @ _MEL_WEIGHTS_T, stft.frame_period, axis, NO_COMPRESSION, t0=stft.t0)
+    return Spectrogram(stft.frames @ _MEL_WEIGHTS_T, stft.frame_period, MEL_AXIS, t0=stft.t0)

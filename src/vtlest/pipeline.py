@@ -26,6 +26,7 @@ from . import fileio
 from .axes import CHANNELS, F_HI, F_LO, AxisKind, FrequencyAxis, make_axis
 from .errors import ConfigurationError, DegenerateFitError, InputError
 from .frontends import (
+    EP_AXIS,
     EP_FRAME_N,
     EP_FRAME_PERIOD,
     EP_LEAD_FRAMES,
@@ -46,42 +47,41 @@ from .spectral import (
     AVG_HALF_WIDTH,
     Compression,
     LOG_COMPRESSION,
+    POWER_EXPONENTS,
     Spectrogram,
     Spectrum,
-    as_compression,
     center_average,
     compress,
+    power_compression,
     resample_to_axis,
     window_frames,
 )
 from .ssi import DEFAULT_H_MAX, F0_WINDOW_N, apply_weight, estimate_f0, ssi_weight
 
-_AXIS_KINDS = {
-    "Ep": AxisKind.ERB_LINEAR,
-    "F": AxisKind.LOG10_HZ,
-    "M": AxisKind.MEL_LINEAR,
-    "W": AxisKind.LOG10_HZ,
-}
-_BASES = tuple(_AXIS_KINDS)
+#: Each base's channel grid, built once: Ep's is the gammatone bank's own,
+#: and W, treated like F, is compared on F's log10-Hz grid.
+_AXES = {"Ep": EP_AXIS, "F": make_axis(AxisKind.LOG10_HZ, CHANNELS, F_LO, F_HI),
+         "M": make_axis(AxisKind.MEL_LINEAR, CHANNELS, F_LO, F_HI)}
+_AXES["W"] = _AXES["F"]
 
 _log = logging.getLogger("vtlest")
 
 
 def axis_for(base: str) -> FrequencyAxis:
     """The channel grid a representation base is compared on."""
-    return make_axis(_AXIS_KINDS[base], CHANNELS, F_LO, F_HI)
+    return _AXES[base]
 
 
 @dataclass(frozen=True)
 class Representation:
-    """Parsed form of a representation id."""
+    """What a representation id names."""
 
     base: str
     ssi: bool = False
     compression: Compression = LOG_COMPRESSION
 
     def __post_init__(self):
-        if self.base not in _BASES:
+        if self.base not in _AXES:
             raise ConfigurationError(f"unknown representation base {self.base!r}")
         if self.base == "Ep" and self.compression != LOG_COMPRESSION:
             raise ConfigurationError("the excitation-pattern representation is always dB-valued")
@@ -97,29 +97,24 @@ class Representation:
         return "_".join(parts)
 
 
+#: Every representation by id, in catalog order: Ep and Ep_SSI, then each of F, M
+#: and W, unweighted and weighted, log-compressed and at each power exponent.
+_CATALOG = {rep.id: rep for rep in (
+    Representation("Ep"), Representation("Ep", True),
+    *(Representation(base, ssi, compression) for base in ("F", "M", "W") for ssi in (False, True)
+      for compression in (LOG_COMPRESSION, *map(power_compression, POWER_EXPONENTS))),
+)}
+
+
 def parse_representation(rep_id: str) -> Representation:
-    """Parse ids like ``Ep_SSI``, ``F_log``, or ``M_SSI_0.4``."""
-    parts = rep_id.split("_")
-    base = parts[0]
-    if base not in _BASES:
-        raise ConfigurationError(
-            f"unknown representation {rep_id!r}: base must be one of {', '.join(_BASES)}"
-        )
-    rest = parts[1:]
-    ssi = bool(rest) and rest[0] == "SSI"
-    if ssi:
-        rest = rest[1:]
-    if base == "Ep":
-        if rest:
-            raise ConfigurationError(f"{rep_id!r}: Ep takes no compression suffix")
-        return Representation(base, ssi, LOG_COMPRESSION)
-    if len(rest) != 1:
-        raise ConfigurationError(f"{rep_id!r}: expected a single compression suffix")
-    try:
-        compression = as_compression("log" if rest[0] == "log" else float(rest[0]))
-    except (ValueError, ConfigurationError) as exc:
-        raise ConfigurationError(f"{rep_id!r}: bad compression suffix {rest[0]!r}: {exc}") from None
-    return Representation(base, ssi, compression)
+    """The representation an id of ``representation_catalog(include_external=True)``
+    names, such as ``Ep_SSI``, ``F_log`` or ``M_SSI_0.4``.  Ids are looked up,
+    not parsed: any other spelling (``F_0.40``, ``M_SSI_1``) is rejected."""
+    rep = _CATALOG.get(rep_id)
+    if rep is None:
+        raise ConfigurationError(f"unknown representation {rep_id!r}: not an id of "
+                                 "representation_catalog(include_external=True)")
+    return rep
 
 
 def representation_catalog(include_external: bool = False) -> list[str]:
@@ -128,14 +123,7 @@ def representation_catalog(include_external: bool = False) -> list[str]:
     External (``W``) ids appear only on request since they need user-supplied
     spectrogram files.
     """
-    ids = ["Ep", "Ep_SSI"]
-    bases = ("F", "M") + (("W",) if include_external else ())
-    for base in bases:
-        for ssi in (False, True):
-            tag = f"{base}_SSI" if ssi else base
-            ids.append(f"{tag}_log")
-            ids.extend(f"{tag}_{p/10:.1f}" for p in range(1, 11))
-    return ids
+    return [rep_id for rep_id, rep in _CATALOG.items() if include_external or rep.base != "W"]
 
 
 class UtteranceAnalyzer:

@@ -14,11 +14,14 @@ from .errors import DegenerateInputError, ConfigurationError, InputError
 LOG_FLOOR_RATIO = 1e-5
 #: Half-width of the averaging window around the utterance center, s.
 AVG_HALF_WIDTH = 0.025
+#: The power-compression exponents 0.1, 0.2, ..., 1.0; ``k / 10`` is bit for
+#: bit ``float("0.k")``, so each is the value its id's ``.1f`` spelling reads.
+POWER_EXPONENTS = tuple(k / 10 for k in range(1, 11))
 
 
 @dataclass(frozen=True)
 class Compression:
-    """Amplitude compression tag: none, log (dB), or power with exponent."""
+    """Amplitude compression tag: none, log (dB), or power with an exponent of :data:`POWER_EXPONENTS`."""
 
     mode: str
     exponent: float | None = None
@@ -27,10 +30,9 @@ class Compression:
         if self.mode not in ("none", "log", "power"):
             raise ConfigurationError(f"unknown compression mode {self.mode!r}")
         if self.mode == "power":
-            p = self.exponent
-            if p is None or not (0.1 - 1e-9 <= p <= 1.0 + 1e-9) or abs(round(p * 10) - p * 10) > 1e-9:
+            if self.exponent not in POWER_EXPONENTS:
                 raise ConfigurationError(
-                    f"power exponent must be one of 0.1, 0.2, ..., 1.0, got {p!r}"
+                    f"power exponent must be one of 0.1, 0.2, ..., 1.0, got {self.exponent!r}"
                 )
         elif self.exponent is not None:
             raise ConfigurationError(f"{self.mode!r} compression takes no exponent")

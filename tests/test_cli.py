@@ -1,6 +1,10 @@
 """Command-line interface behavior and output files."""
 import csv
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,6 +214,36 @@ class TestEstimateCommand:
 
 
 class TestEvaluateAndSweep:
+    @pytest.mark.parametrize("command,output", [("evaluate", "report.csv"), ("sweep", "sweep.csv")])
+    def test_bad_id_fails_before_any_read(self, default_corpus_dir, tmp_path, monkeypatch, capsys,
+                                          command, output):
+        reads = []
+        monkeypatch.setattr(fileio, "read_audio", lambda *a, **k: reads.append(a))
+        argv = ["--manifest", default_corpus_dir / "manifest.csv", "--rep", "Ep_SSI,F_SSI_bogus",
+                "--out", tmp_path / "ev"]
+        assert run_cli(command, *argv, *(("--trials", "0") if command == "evaluate" else ())) == 1
+        assert reads == []
+        assert not (tmp_path / "ev" / output).exists()
+        assert capsys.readouterr().err == (
+            "error: unknown representation 'F_SSI_bogus': not an id of "
+            "representation_catalog(include_external=True)\n")
+
+    def test_installed_command_prints_one_line_per_warning(self, tmp_path):
+        """Run as a process, as pytest records warnings raised in its own:
+        each resampled file prints one ``warning:`` line and nothing else."""
+        v.make_corpus(v.pair_demo_speakers(), ["a", "i"], tmp_path / "c44", fs=44100.0)
+        env = dict(os.environ, PYTHONPATH=str(Path(v.__file__).resolve().parents[1]))
+        env.pop("PYTHONWARNINGS", None)  # Python's default filter
+        proc = subprocess.run(
+            [sys.executable, "-m", "vtlest.cli", "estimate", str(tmp_path / "c44" / "manifest.csv"),
+             "--rep", "F_log", "--out", str(tmp_path / "est")],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        names = [f"s0{s}_{vowel}.wav" for vowel in "ai" for s in (1, 2)]
+        assert sorted(proc.stderr.splitlines()) == sorted(
+            f"warning: resampling input {tmp_path / 'c44' / name} from 44100 Hz to the canonical 48000 Hz"
+            for name in names)
+
     def test_each_resampled_file_warns_once_naming_it(self, tmp_path):
         """Two bases read each 44.1 kHz file, one analyzer each: every read
         warns, and Python's default filter shows each file's warning once."""

@@ -6,7 +6,7 @@ from scipy.signal import butter, lfilter
 import vtlest as v
 from vtlest.axes import AxisKind, erb_bandwidth
 from vtlest.errors import ConfigurationError, InputError
-from vtlest.frontends import _GAMMATONE_SOS, EP_LEAD_FRAMES, EP_PREROLL_TAUS, _gammatone_envelope
+from vtlest.frontends import _GAMMATONE_SOS, EP_LEAD_FRAMES, EP_PREROLL_TAUS, MEL_AXIS, _gammatone_envelope
 
 FS = 48000.0
 
@@ -204,6 +204,7 @@ class TestMelSpectrum:
         assert mel.axis.channels == 25
         assert mel.frames.shape[1] == 25
         assert mel.axis.f_lo == 100.0 and mel.axis.f_hi == 8000.0
+        assert mel.axis is MEL_AXIS  # built once, not per call
 
     def test_all_zero_input(self):
         sg = v.stft_spectrum(np.zeros(4800))

@@ -35,7 +35,9 @@ class TestRepresentationIds:
         assert rep.id == rep_id
 
     @pytest.mark.parametrize(
-        "bad", ["X_log", "Ep_log", "F", "F_SSI", "F_0.25", "M_log_extra", "F_2.0"]
+        "bad", ["X_log", "Ep_log", "F", "F_SSI", "F_0.25", "M_log_extra", "F_2.0",
+                # spellings of catalog exponents, and one within 1e-9 of 0.4
+                "F_0.40", "F_.4", "F_4e-1", "M_SSI_1", "F_0.39999999995"]
     )
     def test_bad_ids_rejected(self, bad):
         with pytest.raises(ConfigurationError):
@@ -54,6 +56,18 @@ class TestRepresentationIds:
         assert "W_SSI_log" in with_w
         for rep_id in with_w:
             assert v.parse_representation(rep_id).id == rep_id
+
+    def test_each_power_id_holds_the_exponent_it_spells(self):
+        for rep_id in v.representation_catalog(include_external=True):
+            compression = v.parse_representation(rep_id).compression
+            if compression.mode == "power":
+                assert compression.exponent == float(rep_id.rsplit("_", 1)[1])
+                assert compression.exponent in spectral.POWER_EXPONENTS
+
+    def test_each_base_grid_is_one_constant(self):
+        assert v.axis_for("Ep") is frontends.EP_AXIS  # the gammatone bank's own
+        assert v.axis_for("W") is v.axis_for("F")
+        assert v.axis_for("M") is v.axis_for("M")
 
 
 @pytest.fixture(scope="module")

@@ -45,7 +45,7 @@ class TestCompress:
         with pytest.raises(InputError):
             v.compress(once, "log")
 
-    @pytest.mark.parametrize("bad", [0.25, 1.5, 0.0, -0.3])
+    @pytest.mark.parametrize("bad", [0.25, 1.5, 0.0, -0.3, 0.39999999995, 0.1 * 3])
     def test_exponent_restricted_to_tenths(self, small_axis, bad):
         with pytest.raises(ConfigurationError):
             v.compress(sg_of([[1.0] * 4], small_axis), bad)
