@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, InputError
+from .errors import ConfigurationError, DomainError
 
 # Glasberg & Moore constants: ERB(f) = 24.7*(0.00437*f + 1),
 # ERB-number(f) = 21.4*log10(0.00437*f + 1)
@@ -143,15 +143,6 @@ class FrequencyAxis:
     def from_coord(self, coord):
         """Map the axis's native coordinate back to Hz."""
         return _FROM_COORD[self.kind](coord)
-
-    def nearest_channel(self, freq: float) -> int:
-        """Index of the channel whose center is closest to ``freq`` (in the
-        native coordinate)."""
-        if not self.f_lo <= freq <= self.f_hi:
-            raise InputError(
-                f"frequency {freq} outside axis range [{self.f_lo}, {self.f_hi}]"
-            )
-        return int(round((self.to_coord(freq) - self.to_coord(self.f_lo)) / self.step))
 
 
 def make_axis(kind, channels: int, f_lo: float, f_hi: float) -> FrequencyAxis:

@@ -98,9 +98,7 @@ def _config_from_args(args) -> EvalConfig:
                   if name in EvalConfig.__dataclass_fields__ and value is not None)
     if "manifest" not in fields:
         raise ConfigurationError("provide --manifest, or --config with a 'manifest' key")
-    config = EvalConfig(**fields)
-    Path(config.out_dir).mkdir(parents=True, exist_ok=True)
-    return config
+    return EvalConfig(**fields)
 
 
 def cmd_evaluate(args) -> int:

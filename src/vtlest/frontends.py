@@ -13,13 +13,24 @@ An excitation pattern can start at a later frame than the signal's first
 rest :data:`EP_PREROLL_TAUS` of its own time constants before that frame
 (:data:`EP_LEAD_FRAMES`), so a fast high channel filters far fewer samples
 than the slow 100 Hz one.
+
+The gammatone cascade runs through scipy's compiled second-order-section
+kernel (``scipy.signal._sosfilt._sosfilt``), the call that the public
+``scipy.signal.sosfilt`` ends with.  The public wrapper validates, reshapes
+and copies on each of the 100 per-channel calls an excitation pattern makes,
+which cost about as much as the filtering itself.  The kernel is private to
+scipy, so the wrapper's checks that still apply are made once, on the
+constant bank at import (:func:`_checked_bank`), and
+``tests/test_frontends.py::TestGammatoneKernel`` checks that every channel's
+envelope is bit for bit the one the public ``sosfilt`` gives.
 """
 from __future__ import annotations
 
 from functools import cache
 
 import numpy as np
-from scipy.signal import butter, lfilter, sosfilt
+from scipy.signal import butter, lfilter
+from scipy.signal._sosfilt import _sosfilt
 
 from .axes import CHANNELS, F_HI, F_LO, AxisKind, FrequencyAxis, erb_bandwidth, hz_to_mel, make_axis
 from .errors import ConfigurationError, InputError
@@ -105,7 +116,20 @@ def _gammatone_sos() -> np.ndarray:
 _TAU = 1.0 / (2.0 * np.pi * GAMMATONE_BW_FACTOR * erb_bandwidth(EP_AXIS.center_freqs))
 EP_LEAD_FRAMES = np.ceil(EP_PREROLL_TAUS * _TAU * CANONICAL_FS / EP_FRAME_N).astype(int)
 EP_LEAD_FRAMES.flags.writeable = False
-_GAMMATONE_SOS = _gammatone_sos()
+
+
+def _checked_bank(sos: np.ndarray) -> np.ndarray:
+    """``sos`` if the compiled cascade can filter with each channel's
+    sections as they are: C-contiguous float64 of shape ``(channels,
+    GAMMATONE_ORDER, 6)``, every ``a0`` one (the kernel assumes it)."""
+    if not (sos.dtype == np.float64 and sos.flags.c_contiguous
+            and sos.shape == (EP_AXIS.channels, GAMMATONE_ORDER, 6) and np.all(sos[:, :, 3] == 1.0)):
+        raise RuntimeError(f"the gammatone bank must be C-contiguous float64 of shape "
+                           f"({EP_AXIS.channels}, {GAMMATONE_ORDER}, 6) with every a0 = 1")
+    return sos
+
+
+_GAMMATONE_SOS = _checked_bank(_gammatone_sos())
 
 
 def _gammatone_envelope(signal: np.ndarray, sos: np.ndarray) -> np.ndarray:
@@ -116,10 +140,19 @@ def _gammatone_envelope(signal: np.ndarray, sos: np.ndarray) -> np.ndarray:
     is numerically unstable at low center frequencies where the poles crowd
     ``z = 1``.  Each section places only one conjugate pole pair, so its
     coefficients stay well conditioned down to the lowest channel.
+
+    The cascade calls scipy's compiled kernel on a ``(1, n)`` copy, which it
+    filters in place from rest.  That skips the public ``sosfilt`` wrapper's
+    per-call checks and copies, and ``TestGammatoneKernel`` checks that the
+    result is bit for bit ``sosfilt``'s.  The lowpass stays ``lfilter``:
+    through the same kernel it differs in the last bits.
     """
+    y = np.array(signal, dtype=np.float64, order="C", ndmin=2)
+    _sosfilt(sos, y, np.zeros((1, GAMMATONE_ORDER, 2)))
+    np.maximum(y, 0.0, out=y)
     b, a = _envelope_lowpass()
-    env = lfilter(b, a, np.maximum(sosfilt(sos, signal), 0.0))
-    return np.maximum(env, 0.0)
+    env = lfilter(b, a, y[0])
+    return np.maximum(env, 0.0, out=env)
 
 
 def gammatone_ep(signal, *, start: int = 0) -> Spectrogram:

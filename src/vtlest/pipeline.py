@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -263,12 +264,26 @@ class UtteranceAnalyzer:
         return apply_weight(spec, ssi_weight(spec.axis, h_max, self.f0))
 
 
+@contextmanager
+def _naming(path):
+    """Re-raise an :class:`InputError` from analysing the file at ``path``
+    as the same type, its message prefixed with the path.  Wraps only the
+    analysis: :func:`fileio.read_audio`'s errors name the file already.  A
+    :class:`ConfigurationError` is about a setting, not the file, and
+    passes unchanged."""
+    try:
+        yield
+    except InputError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
 def analyze_wav(path, rep, *, h_max: float | None = None, f0_override: float | None = None) -> Spectrum:
     """One-shot analysis of a WAV file into a representation spectrum."""
     if isinstance(rep, str):
         rep = parse_representation(rep)
     samples, fs = fileio.read_audio(path)
-    return UtteranceAnalyzer(samples, fs, base=rep.base, f0_override=f0_override).spectrum(rep, h_max)
+    with _naming(path):
+        return UtteranceAnalyzer(samples, fs, base=rep.base, f0_override=f0_override).spectrum(rep, h_max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,6 +330,7 @@ class CorpusAnalyzer:
     Shift matrices are computed once per (vowel, representation, h_max) over
     all speakers; estimating on a speaker subset reuses the cached pairwise
     lags, which are independent of which other speakers are present.
+    An input error raised while an utterance is analysed names its WAV file.
     """
 
     def __init__(self, records, *, f0_overrides=None, external_dir=None):
@@ -361,16 +377,19 @@ class CorpusAnalyzer:
             samples, fs = fileio.read_audio(record.path)
             external = (f"{self.external_dir}/{record.utterance_id}.csv"
                         if base == "W" and self.external_dir is not None else None)
-            self._analyzers[key] = UtteranceAnalyzer(
-                samples, fs, base=base, f0_override=self._f0_for(record), external_sg=external
-            )
+            with _naming(record.path):
+                self._analyzers[key] = UtteranceAnalyzer(
+                    samples, fs, base=base, f0_override=self._f0_for(record), external_sg=external
+                )
         return self._analyzers[key]
 
     def spectrum(self, speaker_id: str, vowel: str, rep: Representation, h_max: float) -> Spectrum:
         record = self._by_key.get((speaker_id, vowel))
         if record is None:
             raise InputError(f"no utterance for speaker {speaker_id}, vowel {vowel!r}")
-        return self.analyzer(record, rep.base).spectrum(rep, h_max)
+        analyzer = self.analyzer(record, rep.base)
+        with _naming(record.path):
+            return analyzer.spectrum(rep, h_max)
 
     def vowel_speakers(self, vowel: str) -> list[str]:
         return [s for s in self.speakers if (s, vowel) in self._by_key]

@@ -117,11 +117,6 @@ class Spectrogram:
             object.__setattr__(self, "t0", self.frame_period / 2.0)
         _check_values(self.frames, self.axis, self.compression)
 
-    @property
-    def frame_times(self) -> np.ndarray:
-        """Center time of each frame in seconds."""
-        return self.t0 + np.arange(self.frames.shape[0]) * self.frame_period
-
 
 def compress(sg, mode):
     """Apply log (``20*log10``) or power compression element-wise.

@@ -62,6 +62,17 @@ def pair_corpus(pair_corpus_dir):
 
 
 @pytest.fixture
+def silent_wav_corpus(tmp_path):
+    """The pair-demo corpus (two speakers saying /a/) with its first WAV
+    replaced by 0.5 s of digital silence; ``(manifest path, silent WAV path)``."""
+    out = tmp_path / "silent"
+    v.make_corpus(v.pair_demo_speakers(), ["a"], out)
+    silent = fileio.read_manifest(out / "manifest.csv")[0].path
+    fileio.write_wav(out, "s01_a.wav", np.zeros(24000), 48000.0)
+    return out / "manifest.csv", silent
+
+
+@pytest.fixture
 def zero_rate_wav(tmp_path):
     """A 16-bit mono WAV whose header declares 0 Hz and 0 bytes per second."""
     fileio.write_wav(tmp_path, "zero.wav", np.zeros(480), 48000.0)

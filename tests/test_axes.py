@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import vtlest as v
-from vtlest.errors import ConfigurationError, DomainError, InputError
+from vtlest.errors import ConfigurationError, DomainError
 
 
 class TestErbScale:
@@ -83,12 +83,6 @@ class TestMakeAxis:
             v.make_axis("erb", 100, 8000.0, 100.0)
         with pytest.raises(ConfigurationError):
             v.make_axis("bark", 100, 100.0, 8000.0)
-
-    def test_nearest_channel(self, erb_axis):
-        for c in (0, 17, 63, 99):
-            assert erb_axis.nearest_channel(erb_axis.center_freq(c)) == c
-        with pytest.raises(InputError):
-            erb_axis.nearest_channel(99.0)
 
     def test_axes_hashable_and_equal(self):
         a = v.make_axis("erb", 100, 100.0, 8000.0)

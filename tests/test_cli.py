@@ -139,6 +139,13 @@ class TestEstimateCommand:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {manifest}:{line}: bad manifest row: expected as many cells as the header"]
 
+    @pytest.mark.parametrize("rep_id", ["Ep_SSI", "F_SSI_log", "M_SSI_log"])
+    def test_silent_file_is_one_error_line_naming_it(self, silent_wav_corpus, tmp_path, capsys, rep_id):
+        manifest, silent = silent_wav_corpus
+        assert run_cli("estimate", manifest, "--rep", rep_id, "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err == f"error: {silent}: cannot log-compress all-zero data\n"
+        assert not (tmp_path / "out").exists()
+
     def test_bad_external_spectrogram_is_one_error_line(self, pair_corpus_dir, tmp_path, capsys):
         ext = tmp_path / "external"
         for rec in fileio.read_manifest(pair_corpus_dir / "manifest.csv"):
@@ -227,6 +234,13 @@ class TestEvaluateAndSweep:
         assert capsys.readouterr().err == (
             "error: unknown representation 'F_SSI_bogus': not an id of "
             "representation_catalog(include_external=True)\n")
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    def test_bad_id_leaves_no_out_directory(self, pair_corpus_dir, tmp_path, command):
+        argv = ["--manifest", pair_corpus_dir / "manifest.csv", "--rep", "Ep_SSI,F_SSI_bogus",
+                "--out", tmp_path / "ev"]
+        assert run_cli(command, *argv, *(("--trials", "0") if command == "evaluate" else ())) == 1
+        assert not (tmp_path / "ev").exists()
 
     def test_installed_command_prints_one_line_per_warning(self, tmp_path):
         """Run as a process, as pytest records warnings raised in its own:

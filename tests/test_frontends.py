@@ -1,12 +1,19 @@
 """Gammatone excitation patterns, STFT, and mel filterbank front ends."""
 import numpy as np
 import pytest
-from scipy.signal import butter, lfilter
+from scipy.signal import butter, lfilter, sosfilt
 
 import vtlest as v
 from vtlest.axes import AxisKind, erb_bandwidth
 from vtlest.errors import ConfigurationError, InputError
-from vtlest.frontends import _GAMMATONE_SOS, EP_LEAD_FRAMES, EP_PREROLL_TAUS, MEL_AXIS, _gammatone_envelope
+from vtlest.frontends import (
+    _GAMMATONE_SOS,
+    EP_LEAD_FRAMES,
+    EP_PREROLL_TAUS,
+    MEL_AXIS,
+    _checked_bank,
+    _gammatone_envelope,
+)
 
 FS = 48000.0
 
@@ -43,7 +50,7 @@ class TestGammatoneEp:
     def test_resolved_harmonics_of_pulse_train(self, erb_axis):
         ep = averaged_ep(pulse_train(182.0))
         for harmonic in (182.0, 364.0, 546.0):
-            c = erb_axis.nearest_channel(harmonic)
+            c = int(np.argmin(np.abs(erb_axis.to_coord(erb_axis.center_freqs) - erb_axis.to_coord(harmonic))))
             assert ep[c] > ep[c - 1] and ep[c] > ep[c + 1], (
                 f"no local maximum at channel {c} ({harmonic} Hz)"
             )
@@ -100,7 +107,9 @@ class TestGammatoneLead:
         full = v.gammatone_ep(noise)
         cut = v.gammatone_ep(noise, start=self.START)
         assert cut.frames.shape == (full.frames.shape[0] - 300, 100)
-        np.testing.assert_allclose(cut.frame_times, full.frame_times[300:], rtol=0, atol=1e-15)
+        k = np.arange(cut.frames.shape[0])
+        np.testing.assert_allclose(cut.t0 + k * cut.frame_period, full.t0 + (300 + k) * full.frame_period,
+                                   rtol=0, atol=1e-15)
         np.testing.assert_allclose(cut.frames, full.frames[300:], rtol=1e-6, atol=1e-9 * full.frames.max())
 
     def test_start_zero_filters_the_whole_signal(self, noise):
@@ -137,6 +146,45 @@ class TestGammatoneSections:
             ref = complex_cascade_envelope(x, FS, fc)
             got = _gammatone_envelope(x, _GAMMATONE_SOS[c])
             assert np.abs(got - ref).max() <= 1e-10 * ref.max(), f"channel {c} ({fc:.1f} Hz)"
+
+
+class TestGammatoneKernel:
+    """The bank runs through scipy's private compiled cascade; every channel's
+    envelope must stay bit for bit what the public ``sosfilt`` gives."""
+
+    N = 8328  # the pipeline's Ep cut at 48 kHz
+
+    @staticmethod
+    def public_ep(x, start):
+        """``gammatone_ep(x, start=start).frames`` through ``scipy.signal.sosfilt``."""
+        end = x.size // 24 * 24
+        b, a = butter(2, 1000.0 / (FS / 2.0))
+        ep = np.empty(((end - start) // 24, 100))
+        for c, sos in enumerate(_GAMMATONE_SOS):
+            lead = min(EP_LEAD_FRAMES[c] * 24, start)
+            env = np.maximum(lfilter(b, a, np.maximum(sosfilt(sos, x[start - lead:end]), 0.0)), 0.0)
+            ep[:, c] = env[lead:].reshape(-1, 24).mean(axis=1)
+        return ep
+
+    @pytest.mark.parametrize("signal", ["noise", "pulses"])
+    @pytest.mark.parametrize("start", [0, 2400, 5928])  # 2400 clips every lead above 100 frames
+    def test_every_channel_matches_public_sosfilt(self, signal, start):
+        if signal == "noise":
+            x = np.random.default_rng(11).normal(size=self.N)
+        else:
+            x = pulse_train(140.0, self.N / FS)
+        assert (EP_LEAD_FRAMES * 24 > 2400).any() and (EP_LEAD_FRAMES * 24 <= 5928).all()
+        got = v.gammatone_ep(x, start=start).frames
+        assert got.tobytes() == self.public_ep(x, start).tobytes()
+
+    def test_bank_checked_for_the_kernel(self):
+        assert _checked_bank(_GAMMATONE_SOS) is _GAMMATONE_SOS
+        a0 = _GAMMATONE_SOS.copy()
+        a0[7, 2, 3] = 2.0
+        for bad in (_GAMMATONE_SOS.astype(np.float32), np.asfortranarray(_GAMMATONE_SOS),
+                    _GAMMATONE_SOS[:50], _GAMMATONE_SOS[:, :2], a0):
+            with pytest.raises(RuntimeError, match="gammatone bank"):
+                _checked_bank(bad)
 
 
 class TestStft:

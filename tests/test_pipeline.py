@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import vtlest as v
 from vtlest import axes, fileio, frontends, shifts, spectral, ssi, synth
 from vtlest.axes import AxisKind
-from vtlest.errors import ConfigurationError, InputError
+from vtlest.errors import ConfigurationError, DegenerateInputError, InputError
 
 
 class TestRepresentationIds:
@@ -274,7 +274,9 @@ class TestWindowOnlyFrontEnds:
         v.UtteranceAnalyzer(samples, 48000.0, base="F").base_spectrum(v.parse_representation("F_log"))
         [window] = compressed
         assert window.frames.tobytes() == full.frames[43:53].tobytes()
-        np.testing.assert_allclose(window.frame_times, full.frame_times[43:53], rtol=0, atol=1e-15)
+        k = np.arange(10)
+        np.testing.assert_allclose(window.t0 + k * window.frame_period, full.t0 + (43 + k) * full.frame_period,
+                                   rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("rep_id", ["F_log", "M_log"])
     def test_samples_outside_the_window_span_are_not_read(self, rep_id):
@@ -387,6 +389,18 @@ class TestAnalyzeWav:
         fixed = v.analyze_wav(pair_corpus_dir / "s01_a.wav", "Ep_SSI", f0_override=182.0)
         assert v.xcorr_shift(auto, fixed) == pytest.approx(0.0, abs=0.5)
 
+    @pytest.mark.parametrize("rep_id", ["Ep_SSI", "F_SSI_log", "M_SSI_log"])
+    def test_analysis_error_names_the_file(self, silent_wav_corpus, rep_id):
+        _, silent = silent_wav_corpus
+        with pytest.raises(DegenerateInputError) as info:
+            v.analyze_wav(silent, rep_id)
+        assert str(info.value) == f"{silent}: cannot log-compress all-zero data"
+
+    def test_read_error_names_the_file_once(self, one_hz_wav):
+        with pytest.raises(InputError) as info:
+            v.analyze_wav(one_hz_wav, "Ep_SSI")
+        assert str(info.value) == f"{one_hz_wav}: sample rate 1 Hz is too low for channels up to 8000 Hz"
+
 
 class TestCorpusEstimation:
     def test_identical_speakers_give_zero_shifts(self, tmp_path):
@@ -427,6 +441,25 @@ class TestCorpusEstimation:
         fresh = v.CorpusAnalyzer(records).estimate("Ep_SSI", 3.5)
         np.testing.assert_allclose(via_subset.shifts(), fresh.shifts(), atol=1e-12)
         assert via_subset.q == pytest.approx(fresh.q, abs=1e-9)
+
+    @pytest.mark.parametrize("rep_id", ["Ep_SSI", "F_SSI_log", "M_SSI_log"])
+    def test_analysis_error_names_the_file(self, silent_wav_corpus, rep_id):
+        manifest, silent = silent_wav_corpus
+        with pytest.raises(DegenerateInputError) as info:
+            v.load_corpus(manifest).estimate(rep_id)
+        assert str(info.value) == f"{silent}: cannot log-compress all-zero data"
+
+    def test_short_utterance_error_names_the_file(self, tmp_path):
+        """The analyzer rejects a vowel shorter than the averaging window
+        when it is built, before any spectrum is asked for."""
+        samples = v.synth_vowel(v.vowel_spec("a", 150.0))
+        fileio.write_wav(tmp_path, "long.wav", samples, 48000.0)
+        fileio.write_wav(tmp_path, "short.wav", samples[:1000], 48000.0)
+        records = [fileio.UtteranceRecord(f"s{i}", "a", 150.0, 1.0, 16.0, name)
+                   for i, name in enumerate(["long.wav", "short.wav"])]
+        fileio.write_manifest(tmp_path, records)
+        with pytest.raises(InputError, match=f"^{tmp_path / 'short.wav'}: .*averaging window"):
+            v.load_corpus(tmp_path / "manifest.csv").estimate("F_log")
 
     def test_duplicate_utterance_rejected(self):
         records = [

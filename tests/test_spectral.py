@@ -85,14 +85,13 @@ class TestContainers:
         s = v.Spectrum([-10.0, -20.0, 0.0, 5.0], small_axis, v.LOG_COMPRESSION)
         assert s.values.min() == -20.0
 
-    def test_frame_times_default_origin(self, small_axis):
+    def test_default_origin_is_half_a_frame(self, small_axis):
         sg = sg_of([[1.0] * 4, [2.0] * 4], small_axis)
-        np.testing.assert_allclose(sg.frame_times, [0.005, 0.015])
+        assert sg.t0 == 0.005
 
-    def test_frame_times_negative_origin_kept(self, small_axis):
+    def test_negative_origin_kept(self, small_axis):
         sg = sg_of([[1.0] * 4, [2.0] * 4], small_axis, t0=-0.0025)
         assert sg.t0 == -0.0025
-        np.testing.assert_allclose(sg.frame_times, [-0.0025, 0.0075])
 
 
 class TestCenterAverage:
@@ -151,7 +150,7 @@ class TestResample:
             delta = np.zeros(25)
             delta[k] = 1.0
             out = v.resample_to_axis(v.Spectrum(delta, src), dst)
-            expected = dst.nearest_channel(src.center_freq(k))
+            expected = int(np.argmin(np.abs(dst.to_coord(dst.center_freqs) - dst.to_coord(src.center_freq(k)))))
             assert abs(int(np.argmax(out.values)) - expected) <= 1
             # triangular profile: values decay away from the peak
             peak = int(np.argmax(out.values))

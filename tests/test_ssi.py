@@ -125,7 +125,7 @@ class TestApplyWeight:
         _, _, spectrum = female_vowel
         w = v.ssi_weight(erb_axis, 3.5, 182.0)
         out = v.apply_weight(spectrum, w)
-        c = erb_axis.nearest_channel(182.0)
+        c = int(np.argmin(np.abs(erb_axis.to_coord(erb_axis.center_freqs) - erb_axis.to_coord(182.0))))
         shifted = spectrum.values - spectrum.values.min()
         assert out.values[c] == pytest.approx(shifted[c] * w[c], rel=1e-12)
         assert w[c] == pytest.approx(0.286, abs=0.01)
