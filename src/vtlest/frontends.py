@@ -22,29 +22,29 @@ which cost about as much as the filtering itself.  The kernel is private to
 scipy, so the wrapper's checks that still apply are made once, on the
 constant bank at import (:func:`_checked_bank`), and
 ``tests/test_frontends.py::TestGammatoneKernel`` checks that every channel's
-envelope is bit for bit the one the public ``sosfilt`` gives.
+envelope is bit for bit the one the public ``sosfilt`` and ``lfilter`` give.
 
-The bank runs on :data:`EP_THREADS` threads: the calling thread and, on a
-machine where this process may use two CPUs, one worker thread started on
-first use.  The compiled cascade and the envelope ``lfilter`` release the
-interpreter lock while they run, so the two threads filter at once.  The
-channels go in blocks of :data:`EP_BLOCK` adjacent ones, even blocks on the
-calling thread and odd ones on the worker, and each block is rectified,
-smoothed and clipped by one call each, which keeps each thread's stretches
-without the lock long.  A block's rows share one length: each channel's
-samples sit right-aligned behind zeros, up to the block's longest lead (its
-first channel's, as :data:`EP_LEAD_FRAMES` never rises with the channel).
-A filter at rest that reads zeros stays at exactly zero, so the padding
-changes no bit of any channel's envelope.
+The channels go in blocks of :data:`EP_BLOCK` adjacent ones, and each block
+is rectified, smoothed and clipped by one call each; the smoothing calls the
+compiled kernel that ``lfilter`` ends with
+(``scipy.signal._sigtools._linear_filter``) directly.  A block's rows share
+one length: each channel's samples sit right-aligned behind zeros, up to the
+block's longest lead (its first channel's, as :data:`EP_LEAD_FRAMES` never
+rises with the channel).  A filter at rest that reads zeros stays at exactly
+zero, so the padding changes no bit of any channel's envelope.
+
+The bank runs on the calling thread.  Both kernels release the interpreter
+lock, but a second thread must take the lock back after each of the 100
+cascade calls: on a 2-CPU machine two threads did not win reliably, and lost
+to one thread when another process kept the other CPU busy.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
 from functools import cache
 
 import numpy as np
-from scipy.signal import butter, lfilter
+from scipy.signal import butter
+from scipy.signal._sigtools import _linear_filter
 from scipy.signal._sosfilt import _sosfilt
 
 from .axes import CHANNELS, F_HI, F_LO, AxisKind, FrequencyAxis, erb_bandwidth, hz_to_mel, make_axis
@@ -67,12 +67,9 @@ EP_FRAME_N = round(EP_FRAME_PERIOD * CANONICAL_FS)
 #: 2.2e-7 dB; the top channels need more than the 22.7 that 100 ms is at
 #: 100 Hz, because the cut's onset is broadband and a vowel is weak at 8 kHz.
 EP_PREROLL_TAUS = 28
-#: Adjacent gammatone channels filtered, rectified and smoothed together.
+#: Adjacent gammatone channels rectified and smoothed together.  Ten pad the
+#: shorter leads with more zeros and were slower.
 EP_BLOCK = 5
-#: Threads the gammatone bank runs on: two where this process may use two
-#: CPUs or more, else one (the calling thread alone, with no worker).
-EP_THREADS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                 else os.cpu_count() or 1)
 #: Hamming window length and hop of the STFT, s, and in samples (1 200, 240).
 STFT_WINDOW = 0.025
 STFT_HOP = 0.005
@@ -153,49 +150,6 @@ def _checked_bank(sos: np.ndarray) -> np.ndarray:
 _GAMMATONE_SOS = _checked_bank(_gammatone_sos())
 
 
-@cache
-def _bank_worker() -> ThreadPoolExecutor:
-    """The bank's worker thread, started on first use."""
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="vtlest-gammatone")
-
-
-# A forked child inherits the executor but not its thread: drop it, so that
-# the child starts a worker of its own instead of waiting on one that is gone.
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_bank_worker.cache_clear)
-
-
-def _envelope_blocks(x, start, leads, lowpass, ep, firsts) -> None:
-    """Fill ``ep``'s columns for the blocks of channels that begin at
-    ``firsts``: bandpass, half-wave rectify, smooth, clip, frame-average.
-
-    The bandpass runs as a cascade of real second-order sections (see
-    :func:`_gammatone_sos`) rather than as one direct-form 8-pole filter, which
-    is numerically unstable at low center frequencies where the poles crowd
-    ``z = 1``.  Each section places only one conjugate pole pair, so its
-    coefficients stay well conditioned down to the lowest channel.
-
-    The cascade calls scipy's compiled kernel on each channel's row, which it
-    filters in place from rest.  That skips the public ``sosfilt`` wrapper's
-    per-call checks and copies, and ``TestGammatoneKernel`` checks that the
-    result is bit for bit ``sosfilt``'s.  The lowpass stays ``lfilter``:
-    through the same kernel it differs in the last bits.
-    """
-    b, a = lowpass
-    for first in firsts:
-        bank = _GAMMATONE_SOS[first:first + EP_BLOCK]
-        pad = leads[first]
-        rows = np.zeros((len(bank), pad + x.size - start))
-        for row, sos, lead in zip(rows, bank, leads[first:first + EP_BLOCK]):
-            y = row[pad - lead:]
-            y[:] = x[start - lead:]
-            _sosfilt(sos, y[None], np.zeros((1, GAMMATONE_ORDER, 2)))
-        np.maximum(rows, 0.0, out=rows)
-        env = lfilter(b, a, rows, axis=-1)
-        np.maximum(env, 0.0, out=env)
-        ep[:, first:first + len(bank)] = env[:, pad:].reshape(len(bank), -1, EP_FRAME_N).mean(axis=2).T
-
-
 def gammatone_ep(signal, *, start: int = 0) -> Spectrogram:
     """Excitation-pattern spectrogram from a gammatone filterbank.
 
@@ -219,6 +173,18 @@ def gammatone_ep(signal, *, start: int = 0) -> Spectrogram:
     Spectrogram
         Nonnegative, uncompressed; shape (n_frames, channels), holding the
         whole frames from ``start`` on, every :data:`EP_FRAME_PERIOD` s.
+
+    Notes
+    -----
+    The bandpass runs as a cascade of real second-order sections (see
+    :func:`_gammatone_sos`) rather than as one direct-form 8-pole filter, which
+    is numerically unstable at low center frequencies where the poles crowd
+    ``z = 1``.  Each section places only one conjugate pole pair, so its
+    coefficients stay well conditioned down to the lowest channel.  The
+    cascade filters each channel's row in place from rest through scipy's
+    compiled kernel, and ``TestGammatoneKernel`` checks that every channel is
+    bit for bit what the public ``sosfilt`` and ``lfilter`` give.  The lowpass
+    stays ``lfilter``'s: through the cascade kernel it differs in the last bits.
     """
     x = np.asarray(signal, dtype=float)
     if x.ndim != 1 or x.size == 0:
@@ -232,19 +198,23 @@ def gammatone_ep(signal, *, start: int = 0) -> Spectrogram:
             f"start must be a multiple of the {frame}-sample frame below {end}, got {start}"
         )
     x = x[:end]
-    ep = np.empty(((end - start) // frame, EP_AXIS.channels))
-    leads = np.minimum(EP_LEAD_FRAMES * frame, start)
-    firsts = range(0, EP_AXIS.channels, EP_BLOCK)
-    lowpass = _envelope_lowpass()
-    if EP_THREADS == 1:
-        _envelope_blocks(x, start, leads, lowpass, ep, firsts)
-    else:
-        odd = _bank_worker().submit(_envelope_blocks, x, start, leads, lowpass, ep, firsts[1::2])
-        try:
-            _envelope_blocks(x, start, leads, lowpass, ep, firsts[::2])
-        finally:
-            wait((odd,))
-        odd.result()
+    n = end - start
+    ep = np.empty((n // frame, EP_AXIS.channels))
+    leads = np.minimum(EP_LEAD_FRAMES * frame, start).tolist()
+    b, a = _envelope_lowpass()
+    for first in range(0, EP_AXIS.channels, EP_BLOCK):
+        block = range(first, min(first + EP_BLOCK, EP_AXIS.channels))
+        pad = leads[first]
+        rows = np.zeros((len(block), pad + n))
+        zi = np.zeros((len(block), GAMMATONE_ORDER, 2))
+        for i, c in enumerate(block):
+            y = rows[i:i + 1, pad - leads[c]:]
+            y[0] = x[start - leads[c]:]
+            _sosfilt(_GAMMATONE_SOS[c], y, zi[i:i + 1])
+        np.maximum(rows, 0.0, out=rows)
+        env = _linear_filter(b, a, rows, -1)[:, pad:]
+        np.maximum(env, 0.0, out=env)
+        ep[:, first:block.stop] = env.reshape(len(block), -1, frame).mean(axis=2).T
     return Spectrogram(ep, frame / CANONICAL_FS, EP_AXIS, NO_COMPRESSION,
                        t0=(start + frame / 2.0) / CANONICAL_FS)
 

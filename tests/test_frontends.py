@@ -1,22 +1,13 @@
 """Gammatone excitation patterns, STFT, and mel filterbank front ends."""
-import multiprocessing
-import os
-import sys
-import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 from scipy.signal import butter, lfilter, sosfilt
 
 import vtlest as v
-from vtlest import frontends
 from vtlest.axes import AxisKind, erb_bandwidth
 from vtlest.errors import ConfigurationError, InputError
 from vtlest.frontends import (
     _GAMMATONE_SOS,
-    EP_BLOCK,
     EP_LEAD_FRAMES,
     EP_PREROLL_TAUS,
     MEL_AXIS,
@@ -163,17 +154,16 @@ class TestGammatoneSections:
 
 
 class TestGammatoneKernel:
-    """The bank runs through scipy's private compiled cascade, in blocks of
-    channels on one or two threads; every channel's envelope must stay bit for
-    bit what the public ``sosfilt`` gives, on either thread count."""
+    """The bank runs through scipy's private compiled cascade and lowpass
+    kernels, in blocks of channels; every channel's envelope must stay bit for
+    bit what the public ``sosfilt`` and ``lfilter`` give."""
 
     N = 8328  # the pipeline's Ep cut at 48 kHz
-    SIGNALS = pytest.mark.parametrize("signal", ["noise", "pulses"])
-    STARTS = pytest.mark.parametrize("start", [0, 2400, 5928])  # 2400 clips every lead above 100 frames
 
     @staticmethod
     def public_ep(x, start):
-        """``gammatone_ep(x, start=start).frames`` through ``scipy.signal.sosfilt``."""
+        """``gammatone_ep(x, start=start).frames`` through ``scipy.signal.sosfilt``
+        and ``lfilter``, one channel at a time."""
         end = x.size // 24 * 24
         ep = np.empty(((end - start) // 24, 100))
         for c, sos in enumerate(_GAMMATONE_SOS):
@@ -182,7 +172,9 @@ class TestGammatoneKernel:
             ep[:, c] = env[lead:].reshape(-1, 24).mean(axis=1)
         return ep
 
-    def check_every_channel(self, signal, start):
+    @pytest.mark.parametrize("signal", ["noise", "pulses"])
+    @pytest.mark.parametrize("start", [0, 2400, 5928])  # 2400 clips every lead above 100 frames
+    def test_every_channel_matches_public_sosfilt(self, signal, start):
         if signal == "noise":
             x = np.random.default_rng(11).normal(size=self.N)
         else:
@@ -190,18 +182,6 @@ class TestGammatoneKernel:
         assert (EP_LEAD_FRAMES * 24 > 2400).any() and (EP_LEAD_FRAMES * 24 <= 5928).all()
         got = v.gammatone_ep(x, start=start).frames
         assert got.tobytes() == self.public_ep(x, start).tobytes()
-
-    @SIGNALS
-    @STARTS
-    def test_every_channel_matches_public_sosfilt(self, signal, start, monkeypatch):
-        monkeypatch.setattr(frontends, "EP_THREADS", 2)
-        self.check_every_channel(signal, start)
-
-    @SIGNALS
-    @STARTS
-    def test_every_channel_on_one_thread_matches_public_sosfilt(self, signal, start, monkeypatch):
-        monkeypatch.setattr(frontends, "EP_THREADS", 1)
-        self.check_every_channel(signal, start)
 
     def test_bank_checked_for_the_kernel(self):
         assert _checked_bank(_GAMMATONE_SOS) is _GAMMATONE_SOS
@@ -211,98 +191,6 @@ class TestGammatoneKernel:
                     _GAMMATONE_SOS[:50], _GAMMATONE_SOS[:, :2], a0):
             with pytest.raises(RuntimeError, match="gammatone bank"):
                 _checked_bank(bad)
-
-
-def _send_ep(x, start, conn):
-    conn.send(v.gammatone_ep(x, start=start).frames.tobytes())
-    conn.close()
-
-
-class TestGammatoneThreads:
-    """The bank's second thread: failures, and a forked child."""
-
-    N = 8328
-    START = 5928
-
-    @pytest.fixture
-    def x(self):
-        return np.random.default_rng(5).normal(size=self.N)
-
-    def test_thread_count_is_fixed_by_the_cpus(self):
-        usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        assert frontends.EP_THREADS == min(2, usable)
-
-    def test_concurrent_callers_share_the_worker(self, x, monkeypatch):
-        """More callers than CPUs, all submitting to the one worker, with the
-        interpreter switching threads as often as it can."""
-        monkeypatch.setattr(frontends, "EP_THREADS", 2)
-        expected = TestGammatoneKernel.public_ep(x, self.START).tobytes()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(4) as callers:
-                got = list(callers.map(lambda _: v.gammatone_ep(x, start=self.START).frames.tobytes(),
-                                       range(8), timeout=60))
-        finally:
-            sys.setswitchinterval(interval)
-        assert got == [expected] * 8
-
-    @pytest.mark.parametrize("failing", [5, 0], ids=["worker", "caller"])
-    def test_a_failing_half_is_waited_for_and_raised(self, x, monkeypatch, failing):
-        """Channel 5 (the first odd block) fails on the worker and channel 0
-        on the calling thread, while the other half runs slowly; the error
-        reaches the caller as it was raised, after both halves have stopped."""
-        monkeypatch.setattr(frontends, "EP_THREADS", 2)
-        raised, halves = [], []
-        real_sosfilt, real_blocks = frontends._sosfilt, frontends._envelope_blocks
-        failing_half = (failing // EP_BLOCK) % 2
-
-        def sosfilt(sos, y, zi):
-            channel = (sos.ctypes.data - _GAMMATONE_SOS.ctypes.data) // _GAMMATONE_SOS[0].nbytes
-            if channel == failing:
-                raised.append(ZeroDivisionError(f"channel {channel}"))
-                raise raised[-1]
-            if (channel // EP_BLOCK) % 2 != failing_half:
-                time.sleep(0.002)
-            real_sosfilt(sos, y, zi)
-
-        def blocks(x, start, leads, lowpass, ep, firsts):
-            try:
-                real_blocks(x, start, leads, lowpass, ep, firsts)
-            finally:
-                halves.append(ep)
-
-        monkeypatch.setattr(frontends, "_sosfilt", sosfilt)
-        monkeypatch.setattr(frontends, "_envelope_blocks", blocks)
-        with pytest.raises(ZeroDivisionError) as caught:
-            v.gammatone_ep(x, start=self.START)
-        assert caught.value is raised[0] and len(raised) == 1
-        assert len(halves) == 2 and halves[0] is halves[1]
-        ep = halves[0].tobytes()
-        time.sleep(0.05)
-        assert halves[0].tobytes() == ep and len(halves) == 2
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
-    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
-    def test_forked_child_starts_its_own_worker(self, x, monkeypatch):
-        monkeypatch.setattr(frontends, "EP_THREADS", 2)
-        expected = v.gammatone_ep(x, start=self.START).frames.tobytes()
-        assert frontends._bank_worker.cache_info().currsize == 1
-        assert any(t.name.startswith("vtlest-gammatone") for t in threading.enumerate())
-        context = multiprocessing.get_context("fork")
-        receiver, sender = context.Pipe(duplex=False)
-        child = context.Process(target=_send_ep, args=(x, self.START, sender))
-        child.start()
-        sender.close()
-        try:
-            assert receiver.poll(60), "the forked child computed no excitation pattern"
-            assert receiver.recv() == expected
-        finally:
-            child.join(10)
-            if child.is_alive():
-                child.kill()
-                child.join(10)
-        assert child.exitcode == 0
 
 
 class TestStft:
