@@ -5,8 +5,9 @@ amplitude; compression, time averaging, and axis resampling are applied
 downstream (see :mod:`vtlest.spectral` and :mod:`vtlest.pipeline`).  They
 analyse signals at :data:`~vtlest.fileio.CANONICAL_FS` only, on fixed grids,
 so every frame and window length is a whole number of samples defined once
-below, and the gammatone sections, the channel leads and the mel weights
-are computed once, at import (the envelope lowpass on first use).
+below, and the gammatone sections, the channel leads, the STFT window and
+the mel weights are computed once, at import (the envelope lowpass on first
+use).
 
 An excitation pattern can start at a later frame than the signal's first
 (:func:`gammatone_ep`'s ``start``).  Each gammatone channel then starts from
@@ -36,7 +37,9 @@ zero, so the padding changes no bit of any channel's envelope.
 The bank runs on the calling thread.  Both kernels release the interpreter
 lock, but a second thread must take the lock back after each of the 100
 cascade calls: on a 2-CPU machine two threads did not win reliably, and lost
-to one thread when another process kept the other CPU busy.
+to one thread when another process kept the other CPU busy.  Processes do
+not share the lock: :meth:`vtlest.pipeline.CorpusAnalyzer.estimate` computes
+half of a cold corpus's excitation patterns in a forked child.
 """
 from __future__ import annotations
 
@@ -229,10 +232,9 @@ def stft_spectrum(signal) -> Spectrogram:
         raise InputError(
             f"signal must be at least one window ({win_n} samples) long, got {x.size}"
         )
-    window = np.hamming(win_n)
     n_frames = (x.size - win_n) // hop_n + 1
     starts = np.arange(n_frames) * hop_n
-    frames = np.abs(np.fft.rfft(x[starts[:, None] + np.arange(win_n)] * window, axis=1))
+    frames = np.abs(np.fft.rfft(x[starts[:, None] + np.arange(win_n)] * _STFT_WINDOW, axis=1))
     return Spectrogram(frames, hop_n / CANONICAL_FS, STFT_AXIS, NO_COMPRESSION,
                        t0=win_n / (2.0 * CANONICAL_FS))
 
@@ -253,6 +255,8 @@ def mel_filterbank(bin_freqs: np.ndarray) -> np.ndarray:
     return np.clip(np.minimum(rising, falling), 0.0, None)
 
 
+_STFT_WINDOW = np.hamming(STFT_WINDOW_N)
+_STFT_WINDOW.flags.writeable = False
 _MEL_WEIGHTS_T = mel_filterbank(STFT_AXIS.center_freqs).T
 
 

@@ -1,13 +1,18 @@
 """Representation vocabulary and the corpus estimation pipeline."""
 import inspect
 import logging
+import os
+import shutil
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import vtlest as v
-from vtlest import axes, fileio, frontends, shifts, spectral, ssi, synth
+from vtlest import axes, fileio, frontends, pipeline, shifts, spectral, ssi, synth
 from vtlest.axes import AxisKind
 from vtlest.errors import ConfigurationError, DegenerateInputError, InputError
 
@@ -542,6 +547,186 @@ class TestCorpusEstimation:
         assert calls == {"gammatone_ep": n, "stft_spectrum": 0}
         v.hmax_sweep(corpus, "F_SSI_log", DEFAULT_HMAX_GRID)
         assert calls == {"gammatone_ep": n, "stft_spectrum": n}
+
+
+def _serial(manifest):
+    """A fresh corpus and its Ep_SSI estimate on one CPU, which never splits."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0})
+        corpus = v.load_corpus(manifest)
+        return corpus, corpus.estimate("Ep_SSI", 3.5)
+
+
+def _assert_same_estimate(a, b):
+    for column in ("shifts", "measured", "estimated"):
+        np.testing.assert_array_equal(getattr(a, column)(), getattr(b, column)())
+    assert (a.q, a.point_speakers, a.point_vowels) == (b.q, b.point_speakers, b.point_vowels)
+
+
+def _open_fds():
+    return sorted(os.listdir("/dev/fd"))
+
+
+def _assert_released(fds):
+    """No child is left, and the open file descriptors are ``fds`` again."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == fds
+
+
+@pytest.fixture(scope="module")
+def serial_ladder(default_corpus_dir):
+    return _serial(default_corpus_dir / "manifest.csv")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The ``os.fork`` calls this process makes, on two CPUs."""
+    calls = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(None) or fork())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    return calls
+
+
+class TestEpSplit:
+    """A cold Ep estimate computes the missing spectra in forked children
+    too, bit for bit as one process does."""
+
+    def test_split_equals_serial(self, default_corpus_dir, serial_ladder, forks, caplog):
+        corpus = v.load_corpus(default_corpus_dir / "manifest.csv")
+        fds = _open_fds()
+        with caplog.at_level(logging.DEBUG, logger="vtlest"):
+            result = corpus.estimate("Ep_SSI", 3.5)
+        assert len(forks) == 1
+        assert [r.getMessage() for r in caplog.records] == [
+            "Ep_SSI: 40 missing spectra split across 2 processes: 20 + 20"]
+        assert caplog.records[0].levelno == logging.DEBUG
+        _assert_released(fds)
+        serial_corpus, serial = serial_ladder
+        _assert_same_estimate(result, serial)
+        for key, analyzer in serial_corpus._analyzers.items():
+            np.testing.assert_array_equal(corpus._analyzers[key]._spectra[v.LOG_COMPRESSION].values,
+                                          analyzer._spectra[v.LOG_COMPRESSION].values)
+        _assert_same_estimate(corpus.estimate("Ep_SSI", 3.5), serial)
+        v.hmax_sweep(corpus, "Ep_SSI")
+        corpus.estimate("Ep", 3.5, speakers=corpus.speakers[:4])
+        assert len(forks) == 1
+
+    def test_one_child_on_many_cpus(self, default_corpus_dir, serial_ladder, forks, monkeypatch,
+                                    caplog):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        with caplog.at_level(logging.DEBUG, logger="vtlest"):
+            result = v.load_corpus(default_corpus_dir / "manifest.csv").estimate("Ep_SSI", 3.5)
+        assert len(forks) == 1
+        assert [r.getMessage() for r in caplog.records] == [
+            "Ep_SSI: 40 missing spectra split across 2 processes: 20 + 20"]
+        _assert_same_estimate(result, serial_ladder[1])
+
+    def test_sigint_held_in_the_child_only(self, default_corpus_dir, serial_ladder, forks,
+                                           monkeypatch, caplog):
+        parent = os.getpid()
+        bank = pipeline.gammatone_ep
+
+        def needs_sigint_held_in_a_child(*args, **kwargs):
+            held = signal.SIGINT in signal.pthread_sigmask(signal.SIG_BLOCK, ())
+            if held != (os.getpid() != parent):
+                raise InputError("SIGINT held in the parent or free in the child")
+            return bank(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "gammatone_ep", needs_sigint_held_in_a_child)
+        with caplog.at_level(logging.DEBUG, logger="vtlest"):
+            result = v.load_corpus(default_corpus_dir / "manifest.csv").estimate("Ep_SSI", 3.5)
+        assert len(forks) == 1
+        assert len(caplog.records) == 1  # the split's record, and no fallback
+        assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, ())
+        _assert_same_estimate(result, serial_ladder[1])
+
+    @pytest.mark.parametrize("missing,n_forks", [(2 * pipeline.EP_SPLIT_MIN - 1, 0),
+                                                 (2 * pipeline.EP_SPLIT_MIN, 1)])
+    def test_split_needs_ep_split_min_spectra_per_process(self, default_corpus_dir, serial_ladder,
+                                                          forks, missing, n_forks):
+        corpus = v.load_corpus(default_corpus_dir / "manifest.csv")
+        rep = v.parse_representation("Ep_SSI")
+        visited = [(s, vowel) for vowel in corpus.vowels for s in corpus.vowel_speakers(vowel)]
+        for key in visited[:len(visited) - missing]:
+            corpus.analyzer(corpus._by_key[key], "Ep").base_spectrum(rep)
+        _assert_same_estimate(corpus.estimate(rep, 3.5), serial_ladder[1])
+        assert len(forks) == n_forks
+
+    @pytest.mark.parametrize("case", ["one CPU", "another thread", "no fork"])
+    def test_no_split(self, default_corpus_dir, serial_ladder, forks, monkeypatch, case):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(30,))
+        if case == "one CPU":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        elif case == "another thread":
+            thread.start()
+        else:
+            monkeypatch.delattr(os, "fork")
+        try:
+            result = v.load_corpus(default_corpus_dir / "manifest.csv").estimate("Ep_SSI", 3.5)
+        finally:
+            release.set()
+            if thread.is_alive():
+                thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert forks == []
+        _assert_same_estimate(result, serial_ladder[1])
+
+    def test_failing_child_falls_back_to_serial(self, default_corpus_dir, serial_ladder, forks,
+                                                monkeypatch, capfd, caplog):
+        parent = os.getpid()
+        bank = pipeline.gammatone_ep
+
+        def fails_in_a_child(*args, **kwargs):
+            if os.getpid() != parent:
+                raise InputError("no bank in a child")
+            return bank(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "gammatone_ep", fails_in_a_child)
+        fds = _open_fds()
+        with caplog.at_level(logging.DEBUG, logger="vtlest"):
+            result = v.load_corpus(default_corpus_dir / "manifest.csv").estimate("Ep_SSI", 3.5)
+        assert len(forks) == 1
+        _assert_released(fds)
+        _assert_same_estimate(result, serial_ladder[1])
+        assert capfd.readouterr() == ("", "")
+        split, fallback = caplog.records
+        assert fallback.levelno == logging.DEBUG
+        assert fallback.getMessage().endswith("'s 20 spectra dropped: exit status 1")
+
+    @pytest.mark.parametrize("position", [0, -1])  # in the parent's share, in the child's
+    def test_bad_utterance_raises_as_serial(self, default_corpus_dir, tmp_path, forks, position):
+        shutil.copytree(default_corpus_dir, tmp_path, dirs_exist_ok=True)
+        corpus = v.load_corpus(tmp_path / "manifest.csv")
+        bad = corpus._by_key[(corpus.speakers[position], corpus.vowels[position])].path
+        fileio.write_wav(tmp_path, os.path.basename(bad), np.zeros(24000), 48000.0)
+        fds = _open_fds()
+        with pytest.raises(DegenerateInputError) as split:
+            corpus.estimate("Ep_SSI", 3.5)
+        assert len(forks) == 1
+        _assert_released(fds)
+        with pytest.raises(DegenerateInputError) as serial:
+            _serial(tmp_path / "manifest.csv")
+        assert str(split.value) == str(serial.value) == f"{bad}: cannot log-compress all-zero data"
+
+    def test_interrupt_kills_and_reaps_the_child(self, default_corpus_dir, forks, monkeypatch):
+        parent = os.getpid()
+
+        def interrupted(*args, **kwargs):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(30)  # a child left running would hold the test this long
+
+        monkeypatch.setattr(pipeline, "gammatone_ep", interrupted)
+        fds = _open_fds()
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            v.load_corpus(default_corpus_dir / "manifest.csv").estimate("Ep_SSI", 3.5)
+        assert time.monotonic() - start < 10
+        assert len(forks) == 1
+        _assert_released(fds)
 
 
 class TestExternalSpectra:
