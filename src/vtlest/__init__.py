@@ -98,6 +98,7 @@ from .synth import (
     VOWEL_FORMANTS_HZ,
     VowelSpec,
     default_speakers,
+    glottal_source,
     make_corpus,
     pair_demo_speakers,
     scale_vtl,

@@ -1,7 +1,9 @@
 """Source-filter vowel synthesis with controllable pitch and tract scale.
 
 A glottal flow pulse train (Rosenberg shape, phase-accumulated so fractional
-periods stay exact) is filtered by a cascade of four second-order resonators.
+periods stay exact) is filtered by a cascade of four second-order resonators,
+one ``sosfilt`` call.  The source depends only on pitch, rate and length, so
+a corpus builds it once per speaker.
 Scaling every resonance frequency and bandwidth by ``alpha`` models a vocal
 tract shortened to ``1/alpha`` of the baseline length, which is how corpora
 with exactly known relative tract lengths are generated here.
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.signal import sosfilt
 
 from . import fileio
 from .errors import ConfigurationError, InputError
@@ -68,24 +70,38 @@ class VowelSpec:
             raise ConfigurationError(
                 f"top formant {self.formants[-1]:.0f} Hz exceeds the Nyquist limit at fs={self.fs}"
             )
+        f4, b4 = self.formants[-1], self.bandwidths[-1]
+        if self.fs < 2.0 * (f4 + 2.0 * b4):
+            raise ConfigurationError(
+                f"fs={self.fs} too low for a resonance at {f4:.0f} Hz with bandwidth {b4:.0f} Hz"
+            )
+        if self.duration < MIN_DURATION_S:
+            raise ConfigurationError(
+                f"duration must be at least {MIN_DURATION_S} s, got {self.duration}"
+            )
 
 
 def vowel_spec(vowel: str, f0: float, alpha: float = 1.0, duration: float = DEFAULT_DURATION_S,
                fs: float = fileio.CANONICAL_FS) -> VowelSpec:
-    """Baseline-table spec for ``vowel``, scaled by ``alpha``."""
+    """Baseline-table spec for ``vowel``, scaled by ``alpha``.
+
+    The fields are those of ``scale_vtl`` applied to the baseline, computed
+    directly: only the scaled tract has to fit under ``fs``.
+    """
     if vowel not in VOWEL_FORMANTS_HZ:
         raise ConfigurationError(f"unknown vowel {vowel!r}; expected one of {sorted(VOWEL_FORMANTS_HZ)}")
-    base = VowelSpec(
+    if alpha <= 0:
+        raise ConfigurationError(f"alpha must be positive, got {alpha}")
+    return VowelSpec(
         vowel=vowel,
-        formants=VOWEL_FORMANTS_HZ[vowel],
-        bandwidths=FORMANT_BANDWIDTHS_HZ,
+        formants=tuple(f * alpha for f in VOWEL_FORMANTS_HZ[vowel]),
+        bandwidths=tuple(b * alpha for b in FORMANT_BANDWIDTHS_HZ),
         f0=float(f0),
-        alpha=1.0,
-        vtl_cm=BASELINE_VTL_CM,
+        alpha=float(alpha),
+        vtl_cm=BASELINE_VTL_CM / alpha,
         duration=duration,
         fs=fs,
     )
-    return base if alpha == 1.0 else scale_vtl(base, alpha)
 
 
 def scale_vtl(spec: VowelSpec, alpha: float) -> VowelSpec:
@@ -114,30 +130,43 @@ def rosenberg_pulse(phase: np.ndarray) -> np.ndarray:
     return g
 
 
-def _resonator_coeffs(freq: float, bandwidth: float, fs: float):
+def _resonator_section(freq: float, bandwidth: float, fs: float) -> np.ndarray:
+    """One resonator as a second-order section ``[b0, 0, 0, 1, a1, a2]``.
+
+    With ``b1 = b2 = 0`` the section computes the values ``lfilter([b0], a)``
+    does: the zero products add exactly.
+    """
     r = np.exp(-np.pi * bandwidth / fs)
     theta = 2.0 * np.pi * freq / fs
     a = np.array([1.0, -2.0 * r * np.cos(theta), r * r])
-    return np.array([a.sum()]), a  # unit gain at DC
+    return np.array([a.sum(), 0.0, 0.0, *a])  # unit gain at DC
 
 
-def synth_vowel(spec: VowelSpec) -> np.ndarray:
-    """Synthesize the vowel waveform; deterministic, peak-normalized to 0.5."""
-    f4, b4 = spec.formants[-1], spec.bandwidths[-1]
-    if spec.fs < 2.0 * (f4 + 2.0 * b4):
-        raise ConfigurationError(
-            f"fs={spec.fs} too low for a resonance at {f4:.0f} Hz with bandwidth {b4:.0f} Hz"
-        )
-    if spec.duration < MIN_DURATION_S:
-        raise ConfigurationError(
-            f"duration must be at least {MIN_DURATION_S} s, got {spec.duration}"
-        )
-    n = int(round(spec.duration * spec.fs))
-    phase = (np.arange(n) * (spec.f0 / spec.fs)) % 1.0
-    x = rosenberg_pulse(phase)
-    for freq, bandwidth in zip(spec.formants, spec.bandwidths):
-        b, a = _resonator_coeffs(freq, bandwidth, spec.fs)
-        x = lfilter(b, a, x)
+def _n_samples(spec: VowelSpec) -> int:
+    return int(round(spec.duration * spec.fs))
+
+
+def glottal_source(spec: VowelSpec) -> np.ndarray:
+    """The Rosenberg pulse train at ``spec``'s pitch, rate and length."""
+    phase = (np.arange(_n_samples(spec)) * (spec.f0 / spec.fs)) % 1.0
+    return rosenberg_pulse(phase)
+
+
+def synth_vowel(spec: VowelSpec, *, source: np.ndarray | None = None) -> np.ndarray:
+    """Synthesize the vowel waveform; deterministic, peak-normalized to 0.5.
+
+    ``source`` is ``glottal_source`` of a spec with the same f0, duration and
+    fs, shared across a speaker's vowels; it is computed when not given, with
+    the same result bit for bit.
+    """
+    n = _n_samples(spec)
+    if source is None:
+        source = glottal_source(spec)
+    elif source.shape != (n,):
+        raise ConfigurationError(f"source must hold {n} samples, got shape {source.shape}")
+    sos = np.array([_resonator_section(freq, bandwidth, spec.fs)
+                    for freq, bandwidth in zip(spec.formants, spec.bandwidths)])
+    x = sosfilt(sos, source)
     return OUTPUT_PEAK * x / np.abs(x).max()
 
 
@@ -172,15 +201,18 @@ def make_corpus(speakers, vowels, out_dir, duration: float = DEFAULT_DURATION_S,
         raise InputError("speakers and vowels must be non-empty")
     width = max(2, len(str(len(speakers))))
     # every spec is checked before the first WAV is written
-    specs = [(f"s{idx:0{width}d}", vowel_spec(vowel, f0, alpha, duration, fs))
-             for idx, (f0, alpha) in enumerate(speakers, start=1) for vowel in vowels]
+    specs = [(f"s{idx:0{width}d}", [vowel_spec(vowel, f0, alpha, duration, fs) for vowel in vowels])
+             for idx, (f0, alpha) in enumerate(speakers, start=1)]
     records = []
-    for speaker_id, spec in specs:
-        rel_path = f"{speaker_id}_{spec.vowel}.wav"
-        fileio.write_wav(out_dir, rel_path, synth_vowel(spec), fs)
-        records.append(fileio.UtteranceRecord(
-            speaker_id=speaker_id, vowel=spec.vowel, f0_hz=spec.f0, alpha=float(spec.alpha),
-            vtl_cm=spec.vtl_cm, path=rel_path,
-        ))
+    for speaker_id, speaker_specs in specs:
+        # a speaker's vowels share f0, duration and fs, hence the source
+        source = glottal_source(speaker_specs[0])
+        for spec in speaker_specs:
+            rel_path = f"{speaker_id}_{spec.vowel}.wav"
+            fileio.write_wav(out_dir, rel_path, synth_vowel(spec, source=source), fs)
+            records.append(fileio.UtteranceRecord(
+                speaker_id=speaker_id, vowel=spec.vowel, f0_hz=spec.f0, alpha=float(spec.alpha),
+                vtl_cm=spec.vtl_cm, path=rel_path,
+            ))
     fileio.write_manifest(out_dir, records)
     return records

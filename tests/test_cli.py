@@ -58,6 +58,16 @@ class TestSynthCommand:
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not out.exists()
 
+    def test_late_resonance_check_writes_nothing(self, tmp_path, capsys):
+        """Speaker 2's /i/ (7770 Hz, bandwidth 315 Hz) does not fit at 16 kHz;
+        no WAV of speaker 1 or of speaker 2's /a/ is written either."""
+        out = tmp_path / "pc"
+        assert run_cli("synth", "--out", out, "--fs", "16000", "--speakers", "100:1.0,100:2.1") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: fs=16000.0 too low for a resonance at 7770 Hz with bandwidth 315 Hz"
+        ]
+        assert not out.exists()
+
     def test_custom_speakers(self, tmp_path):
         assert run_cli("synth", "--out", tmp_path, "--speakers", "120:1.0,180:1.1",
                        "--vowels", "a,i") == 0

@@ -3,12 +3,27 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 import vtlest as v
+from vtlest import synth
 from vtlest.errors import ConfigurationError, InputError
 from vtlest.synth import rosenberg_pulse
 
 FS = 48000.0
+
+
+def lfilter_reference(spec):
+    """``synth_vowel(spec)`` as four ``lfilter`` passes over a source built
+    for this vowel alone: the oracle for the one-call section cascade."""
+    n = int(round(spec.duration * spec.fs))
+    x = rosenberg_pulse((np.arange(n) * (spec.f0 / spec.fs)) % 1.0)
+    for freq, bandwidth in zip(spec.formants, spec.bandwidths):
+        r = np.exp(-np.pi * bandwidth / spec.fs)
+        theta = 2.0 * np.pi * freq / spec.fs
+        a = np.array([1.0, -2.0 * r * np.cos(theta), r * r])
+        x = lfilter(np.array([a.sum()]), a, x)
+    return 0.5 * x / np.abs(x).max()
 
 
 class TestScaleVtl:
@@ -82,10 +97,20 @@ class TestSynthVowel:
         assert abs(v.hz_to_erbn(peak_hz) - v.hz_to_erbn(700.0)) < 1.0
 
     def test_duration_and_nyquist_preconditions(self):
+        """Both are checked when the spec is made, before anything is synthesized."""
+        with pytest.raises(ConfigurationError, match="duration must be at least 0.2 s"):
+            v.vowel_spec("a", 120.0, duration=0.1)
+        with pytest.raises(ConfigurationError, match="too low for a resonance at 7770 Hz"):
+            v.vowel_spec("i", 100.0, 2.1, fs=16000.0)
         with pytest.raises(ConfigurationError):
-            v.synth_vowel(v.vowel_spec("a", 120.0, duration=0.1))
-        with pytest.raises(ConfigurationError):
-            v.synth_vowel(replace(v.vowel_spec("i", 120.0), fs=7000.0))
+            replace(v.vowel_spec("i", 120.0), fs=7000.0)
+
+    def test_scaled_tract_is_checked_not_the_baseline(self):
+        """At 7.2 kHz the baseline /i/ (3700 Hz) is above Nyquist, its 0.8
+        scaling (2960 Hz) is not."""
+        spec = v.vowel_spec("i", 120.0, 0.8, fs=7200.0)
+        assert spec.formants[-1] == pytest.approx(2960.0)
+        assert v.synth_vowel(spec).tobytes() == lfilter_reference(spec).tobytes()
 
     def test_rosenberg_pulse_shape(self):
         phase = np.array([0.0, 0.25, 0.5, 0.55, 0.6, 0.8])
@@ -128,7 +153,63 @@ class TestSynthVowel:
                     assert ratio == pytest.approx(alpha, rel=0.03), (vowel, alpha, formant)
 
 
+class TestSectionCascade:
+    """One ``sosfilt`` call over four sections gives the four ``lfilter``
+    passes' output bit for bit."""
+
+    @staticmethod
+    def assert_matches(specs):
+        for spec in specs:
+            assert v.synth_vowel(spec).tobytes() == lfilter_reference(spec).tobytes(), spec
+
+    @pytest.mark.parametrize("fs", [16000.0, 44100.0, 48000.0, 96000.0])
+    def test_default_ladder(self, fs):
+        self.assert_matches(v.vowel_spec(vowel, f0, alpha, fs=fs)
+                            for f0, alpha in v.default_speakers() for vowel in "aiueo")
+
+    def test_pair_demo(self):
+        self.assert_matches(v.vowel_spec(vowel, f0, alpha)
+                            for f0, alpha in v.pair_demo_speakers() for vowel in "aiueo")
+
+    @pytest.mark.parametrize("duration", [0.2, 2.0])
+    def test_durations(self, duration):
+        self.assert_matches(v.vowel_spec(vowel, 137.0, 1.07, duration) for vowel in "aiueo")
+
+    def test_shared_source_gives_the_same_bytes(self):
+        f0, alpha = v.default_speakers()[2]
+        specs = [v.vowel_spec(vowel, f0, alpha, fs=44100.0) for vowel in "aiueo"]
+        source = v.glottal_source(specs[0])
+        before = source.copy()
+        for spec in specs:
+            assert v.synth_vowel(spec, source=source).tobytes() == v.synth_vowel(spec).tobytes()
+        assert source.tobytes() == before.tobytes()  # never filtered in place
+
+    def test_wrong_source_length_rejected(self):
+        spec = v.vowel_spec("a", 120.0)
+        source = v.glottal_source(spec)
+        for bad in (source[:-1], np.append(source, 0.0), source.reshape(1, -1)):
+            with pytest.raises(ConfigurationError, match="source must hold 24000 samples"):
+                v.synth_vowel(spec, source=bad)
+
+
 class TestMakeCorpus:
+    def test_one_source_per_speaker(self, tmp_path, monkeypatch):
+        calls = {"rosenberg_pulse": 0, "synth_vowel": 0}
+
+        def spy(name):
+            inner = getattr(synth, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            monkeypatch.setattr(synth, name, wrapper)
+
+        spy("rosenberg_pulse")
+        spy("synth_vowel")
+        records = v.make_corpus(v.default_speakers(), "aiueo", tmp_path)
+        assert len(records) == 40
+        assert calls == {"rosenberg_pulse": 8, "synth_vowel": 40}
+
     def test_default_ladder_size_and_counts(self, default_corpus_dir):
         records = v.read_manifest(default_corpus_dir / "manifest.csv")
         assert len(records) == 40
