@@ -124,6 +124,12 @@ def _check_exclude(corpus: CorpusAnalyzer, k: int) -> None:
         )
 
 
+def _check_seed(seed: int) -> None:
+    """Reject a negative ``seed``, which numpy's generator cannot take."""
+    if seed < 0:
+        raise ConfigurationError(f"seed must be at least 0, got {seed}")
+
+
 def exclusion_trials(corpus: CorpusAnalyzer, rep_id: str, *, k: int, trials: int, seed: int,
                      h_max: float | None = None) -> TrialsResult:
     """Stability check: drop ``k`` random speakers, re-estimate, record RMS.
@@ -132,6 +138,7 @@ def exclusion_trials(corpus: CorpusAnalyzer, rep_id: str, *, k: int, trials: int
     seeded with ``seed``, so runs are reproducible.
     """
     _check_exclude(corpus, k)
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(trials):
@@ -276,6 +283,7 @@ def run_evaluation(config: EvalConfig):
     corpus = open_corpus(config)
     if config.trials > 0:  # before anything is written
         _check_exclude(corpus, config.exclude)
+        _check_seed(config.seed)
     out = Path(config.out_dir)
     results = [corpus.estimate(rep, config.h_max) for rep in config.representations]
     reports = [report_from_estimation(res) for res in results]

@@ -18,15 +18,12 @@ from __future__ import annotations
 
 import logging
 import math
-import os
-import signal
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import fileio
+from . import _split, fileio
 from .axes import CHANNELS, F_HI, F_LO, AxisKind, FrequencyAxis, make_axis
 from .errors import ConfigurationError, DegenerateFitError, InputError
 from .frontends import (
@@ -334,89 +331,31 @@ class EstimationResult:
                 for s in dict.fromkeys(self.point_speakers)}
 
 
-def _can_split() -> bool:
-    """Whether a cold Ep estimate may fork: ``os.fork`` and
-    ``os.sched_getaffinity`` exist, two or more CPUs are available, and no
-    other thread runs, as a forked child could inherit a lock it holds."""
-    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and threading.active_count() == 1 and len(os.sched_getaffinity(0)) > 1)
-
-
-def _ep_child(share, rep: Representation, fd: int):
-    """In a forked child: write the Ep base spectra of ``share`` to ``fd`` as
-    raw float64 and leave through ``os._exit``, with status 1 on any error.
-    It never returns into the caller, so it flushes no inherited stdio, runs
-    no atexit handler and logs nothing."""
-    status = 1
-    try:
-        view = memoryview(b"".join(a.base_spectrum(rep).values.tobytes() for a in share))
-        while view:
-            view = view[os.write(fd, view):]
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _read_to_end(fd: int) -> bytes:
-    chunks = []
-    while chunk := os.read(fd, 1 << 16):
-        chunks.append(chunk)
-    return b"".join(chunks)
-
-
 def _fill_ep(analyzers: list[UtteranceAnalyzer], rep: Representation) -> None:
     """Compute the Ep base spectra of ``analyzers`` in two contiguous halves,
-    the first in this process and the second in one forked child, when there
-    are at least ``2 * EP_SPLIT_MIN`` of them.
+    the first in this process and the second in one forked child
+    (:func:`vtlest._split.split`), when there are at least
+    ``2 * EP_SPLIT_MIN`` of them.
 
-    The child sends its values through a pipe; they are checked for their
+    The child sends its values as raw float64; they are checked for their
     byte count and rebuilt here through :class:`Spectrum`.  This only fills
-    caches: a failed fork, the parent's error, the child's nonzero exit or a
-    short read drops the split with one DEBUG record, and the serial loop
-    that follows meets the error again.  The child is reaped before this
-    returns, and killed first if it was not yet read.  SIGINT is held from
-    before the fork until this process knows the child's pid, and while it
-    reaps it; the child keeps it held, so a Ctrl-C sent to the process group
-    interrupts only this process, which then kills the child."""
+    caches: a dropped split or a short read leaves one DEBUG record, and the
+    serial loop that follows meets any error again."""
     if len(analyzers) < 2 * EP_SPLIT_MIN:
         return
     mine, theirs = analyzers[:len(analyzers) // 2], analyzers[len(analyzers) // 2:]
     _log.debug("%s: %d missing spectra split across 2 processes: %d + %d",
                rep.id, len(analyzers), len(mine), len(theirs))
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
-    pid = data = None
-    r, w = os.pipe()
-    try:
-        try:
-            signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-            pid = os.fork()
-            if pid == 0:
-                _ep_child(theirs, rep, w)
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            os.close(w)
-        for analyzer in mine:
-            analyzer.base_spectrum(rep)
-        data = _read_to_end(r)
-    except Exception as exc:  # a failed fork, or an error the serial loop raises again
-        _log.debug("%s: split dropped on the parent's error: %s", rep.id, exc)
-    finally:
-        os.close(r)
-        if pid is not None:  # killed first unless its pipe was read to the end
-            signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-            try:
-                if data is None:
-                    os.kill(pid, signal.SIGKILL)
-                status = os.waitpid(pid, 0)[1]
-            finally:
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    data = _split.split(
+        rep.id,
+        lambda: [analyzer.base_spectrum(rep) for analyzer in mine],
+        lambda: b"".join(analyzer.base_spectrum(rep).values.tobytes() for analyzer in theirs),
+        f"{len(theirs)} spectra",
+    )
     if data is None:
         return
     size = len(theirs) * EP_AXIS.channels * np.dtype(float).itemsize
-    if status:
-        _log.debug("%s: the child's %d spectra dropped: exit status %d",
-                   rep.id, len(theirs), os.waitstatus_to_exitcode(status))
-    elif len(data) != size:
+    if len(data) != size:
         _log.debug("%s: the child's %d spectra dropped: short read, %d of %d bytes",
                    rep.id, len(theirs), len(data), size)
     else:
@@ -558,7 +497,7 @@ class CorpusAnalyzer:
         if len(included) < 2:
             raise InputError(f"need at least 2 speakers, got {len(included)}")
         l_bar = float(np.mean([self.measured_vtl[s] for s in included]))
-        if rep.base == "Ep" and _can_split():
+        if rep.base == "Ep" and _split.can_split():
             _fill_ep(self._missing_ep(rep, h_max), rep)
         point_speakers: list[str] = []
         point_vowels: list[str] = []

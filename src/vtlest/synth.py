@@ -10,12 +10,13 @@ with exactly known relative tract lengths are generated here.
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.signal import sosfilt
 
-from . import fileio
+from . import _split, fileio
 from .errors import ConfigurationError, InputError
 
 #: Baseline formant centers in Hz (adult-male-like values; only their ratios
@@ -38,6 +39,20 @@ MIN_DURATION_S = 0.2
 #: Utterance length wherever none is given, s.
 DEFAULT_DURATION_S = 0.5
 OUTPUT_PEAK = 0.5
+
+#: Fewest samples of audio each of the two processes writes when
+#: :func:`make_corpus` splits a corpus, so a split needs twice as many: the
+#: cost scales with duration times rate, whatever the speaker count.
+#: Measured on a 2-CPU Xeon with 5 vowels of 0.5 or 2 s at 44.1 or 48 kHz,
+#: two processes against one, in rounds of 9 pairs: with the other CPU
+#: idle they won 7 to 9 of 9 from 882 000 samples per process.  With a busy
+#: loop holding it, every round up to 1 200 000 had the slower median (0-5
+#: of 9 won); from 1 323 000, the smallest size this value lets split, they
+#: broke even (2-7 of 9, 11 of 18 medians faster).  The default ladder
+#: holds 480 000 per process, so it stays serial.
+SYNTH_SPLIT_MIN = 1_320_000
+
+_log = logging.getLogger("vtlest")
 
 
 @dataclass(frozen=True)
@@ -187,6 +202,16 @@ def pair_demo_speakers() -> list[tuple[float, float]]:
     ]
 
 
+def _write_wavs(specs, out_dir, fs: float) -> None:
+    """Synthesize and write the WAVs of ``(speaker_id, specs)`` pairs."""
+    for speaker_id, speaker_specs in specs:
+        # a speaker's vowels share f0, duration and fs, hence the source
+        source = glottal_source(speaker_specs[0])
+        for spec in speaker_specs:
+            fileio.write_wav(out_dir, f"{speaker_id}_{spec.vowel}.wav",
+                             synth_vowel(spec, source=source), fs)
+
+
 def make_corpus(speakers, vowels, out_dir, duration: float = DEFAULT_DURATION_S,
                 fs: float = fileio.CANONICAL_FS):
     """Synthesize one WAV per speaker x vowel and write a manifest CSV.
@@ -194,25 +219,42 @@ def make_corpus(speakers, vowels, out_dir, duration: float = DEFAULT_DURATION_S,
     ``speakers`` is a list of (f0, alpha) pairs; ids s01, s02, ... are
     assigned in order.  Returns the list of manifest records; the manifest is
     written to ``out_dir / "manifest.csv"`` with WAV paths relative to it.
+
+    When each half of the speakers holds at least ``SYNTH_SPLIT_MIN`` samples
+    of audio and :func:`vtlest._split.can_split` allows it, the first half is
+    written here and the second in one forked child.  The manifest is written
+    only after the child has exited with status 0; if the split is dropped,
+    this process writes what is not known to be written, and meets any error
+    as one process would.  The files are byte for byte the same either way.
     """
     speakers = list(speakers)
     vowels = list(vowels)
     if not speakers or not vowels:
         raise InputError("speakers and vowels must be non-empty")
+    repeated = sorted({vowel for vowel in vowels if vowels.count(vowel) > 1})
+    if repeated:
+        raise InputError(f"each vowel may be given once; repeated: {', '.join(map(repr, repeated))}")
     width = max(2, len(str(len(speakers))))
     # every spec is checked before the first WAV is written
     specs = [(f"s{idx:0{width}d}", [vowel_spec(vowel, f0, alpha, duration, fs) for vowel in vowels])
              for idx, (f0, alpha) in enumerate(speakers, start=1)]
-    records = []
-    for speaker_id, speaker_specs in specs:
-        # a speaker's vowels share f0, duration and fs, hence the source
-        source = glottal_source(speaker_specs[0])
-        for spec in speaker_specs:
-            rel_path = f"{speaker_id}_{spec.vowel}.wav"
-            fileio.write_wav(out_dir, rel_path, synth_vowel(spec, source=source), fs)
-            records.append(fileio.UtteranceRecord(
-                speaker_id=speaker_id, vowel=spec.vowel, f0_hz=spec.f0, alpha=float(spec.alpha),
-                vtl_cm=spec.vtl_cm, path=rel_path,
-            ))
+    records = [fileio.UtteranceRecord(
+        speaker_id=speaker_id, vowel=spec.vowel, f0_hz=spec.f0, alpha=float(spec.alpha),
+        vtl_cm=spec.vtl_cm, path=f"{speaker_id}_{spec.vowel}.wav",
+    ) for speaker_id, speaker_specs in specs for spec in speaker_specs]
+    pending = specs
+    mine, theirs = specs[:len(specs) // 2], specs[len(specs) // 2:]
+    if len(mine) * len(vowels) * _n_samples(specs[0][1][0]) >= SYNTH_SPLIT_MIN and _split.can_split():
+        def write_mine():
+            nonlocal pending
+            _write_wavs(mine, out_dir, fs)
+            pending = theirs
+
+        _log.debug("make_corpus: %d speakers split across 2 processes: %d + %d",
+                   len(specs), len(mine), len(theirs))
+        if _split.split("make_corpus", write_mine, lambda: _write_wavs(theirs, out_dir, fs) or b"",
+                        f"{len(theirs)} speakers") is not None:
+            pending = []
+    _write_wavs(pending, out_dir, fs)
     fileio.write_manifest(out_dir, records)
     return records

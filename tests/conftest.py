@@ -4,6 +4,8 @@ The session-scoped analyzers share their spectrum/lag caches across tests,
 which keeps the suite fast; tests that assert runtime budgets build their own
 fresh analyzers instead.
 """
+import os
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,16 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for label, (_, outcome) in sorted(_ACCEPTANCE_RESULTS.items(), key=lambda kv: kv[1][0]):
         terminalreporter.write_line(f"[{outcome}] {label}")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The ``os.fork`` calls this process makes, on two CPUs."""
+    calls = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(None) or fork())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    return calls
 
 
 @pytest.fixture(scope="session")

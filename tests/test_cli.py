@@ -1,5 +1,6 @@
 """Command-line interface behavior and output files."""
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -51,6 +52,8 @@ class TestSynthCommand:
         ("--speakers", "inf:1.0", "f0 must be positive and finite, got inf"),
         # a bad later speaker: nothing of the first one is written either
         ("--speakers", "120:1.0,120:nan", "alpha must be positive and finite, got nan"),
+        # two files per speaker would share an utterance id
+        ("--vowels", "a,i,a", "each vowel may be given once; repeated: 'a'"),
     ])
     def test_bad_value_is_one_error_line_and_writes_nothing(self, tmp_path, capsys, flag, value, message):
         out = tmp_path / "corpus"
@@ -344,6 +347,22 @@ class TestEvaluateAndSweep:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: cannot exclude {exclude} of 2 speakers and still estimate"]
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("seed,config", [(-1, False), (-3, True)])
+    def test_negative_seed_writes_nothing(self, default_corpus_dir, tmp_path, capsys, seed, config):
+        """Rejected before report.csv is written, whether from the flag or a config."""
+        out = tmp_path / "ev"
+        manifest = default_corpus_dir / "manifest.csv"
+        argv = ["--manifest", manifest, "--rep", "F_SSI_log", "--trials", "2", "--exclude", "2",
+                "--seed", str(seed), "--out", out]
+        if config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"manifest": str(manifest), "representations": ["F_SSI_log"],
+                                       "trials": 2, "exclude": 2, "seed": seed, "out_dir": str(out)}))
+            argv = ["--config", cfg]
+        assert run_cli("evaluate", *argv) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: seed must be at least 0, got {seed}"]
+        assert not out.exists()
 
     def test_config_file_driven(self, pair_corpus_dir, tmp_path):
         import json

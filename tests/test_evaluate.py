@@ -97,6 +97,10 @@ class TestExclusionTrials:
         with pytest.raises(ConfigurationError):
             v.exclusion_trials(default_corpus, "Ep_SSI", k=7, trials=2, seed=0)
 
+    def test_negative_seed_rejected(self, default_corpus):
+        with pytest.raises(ConfigurationError, match="^seed must be at least 0, got -1$"):
+            v.exclusion_trials(default_corpus, "Ep_SSI", k=2, trials=2, seed=-1)
+
 
 class TestHmaxSweep:
     def test_grid_size_and_zero_point(self, default_corpus):

@@ -579,16 +579,6 @@ def serial_ladder(default_corpus_dir):
     return _serial(default_corpus_dir / "manifest.csv")
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The ``os.fork`` calls this process makes, on two CPUs."""
-    calls = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: calls.append(None) or fork())
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    return calls
-
-
 class TestEpSplit:
     """A cold Ep estimate computes the missing spectra in forked children
     too, bit for bit as one process does."""

@@ -1,4 +1,9 @@
 """Vowel synthesis: scaling behavior, determinism, and corpus generation."""
+import logging
+import os
+import signal
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -260,3 +265,178 @@ class TestMakeCorpus:
     def test_unknown_vowel_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):
             v.make_corpus([(120.0, 1.0)], ["x"], tmp_path)
+
+    def test_repeated_vowel_rejected_before_any_file(self, tmp_path):
+        """Two files of one speaker and vowel would share an utterance id,
+        which no corpus can load."""
+        out = tmp_path / "corpus"
+        with pytest.raises(InputError, match="each vowel may be given once; repeated: 'a', 'i'"):
+            v.make_corpus(v.default_speakers(), ["i", "a", "u", "a", "i"], out)
+        assert not out.exists()
+
+
+def _crowd(n):
+    """``n`` speakers, alpha 0.80-1.25 with F0 rising 100-220 Hz."""
+    alphas = np.linspace(0.80, 1.25, n)
+    return [(100.0 + 120.0 * (a - 0.80) / 0.45, a) for a in alphas]
+
+
+def _files(out):
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def _serial(out, n, fs):
+    """The files of ``_crowd(n)``'s corpus written on one CPU, which never splits."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0})
+        v.make_corpus(_crowd(n), "aiueo", out, fs=fs)
+    return _files(out)
+
+
+def _open_fds():
+    return sorted(os.listdir("/dev/fd"))
+
+
+def _assert_released(fds):
+    """No child is left, and the open file descriptors are ``fds`` again."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == fds
+
+
+@pytest.fixture(scope="module")
+def serial_crowd(tmp_path_factory):
+    return _serial(tmp_path_factory.mktemp("serial"), 32, 44100.0)
+
+
+class TestSynthSplit:
+    """A corpus with at least ``SYNTH_SPLIT_MIN`` samples of audio in each
+    half of its speakers is written by two processes, byte for byte the
+    corpus one process writes."""
+
+    @pytest.mark.parametrize("n,fs,n_forks", [(32, 44100.0, 1),  # 16 x 5 x 22 050 per process
+                                              (22, 48000.0, 1),  # 11 x 5 x 24 000, just at the threshold
+                                              (21, 48000.0, 0)])  # 10 x 5 x 24 000 in the parent's half
+    def test_split_equals_serial(self, tmp_path, forks, caplog, n, fs, n_forks):
+        assert (n // 2 * 5 * int(0.5 * fs) >= synth.SYNTH_SPLIT_MIN) == bool(n_forks)
+        assert 11 * 5 * 24000 == synth.SYNTH_SPLIT_MIN
+        fds = _open_fds()
+        with caplog.at_level(logging.DEBUG, logger="vtlest"):
+            records = v.make_corpus(_crowd(n), "aiueo", tmp_path / "split", fs=fs)
+        assert len(forks) == n_forks
+        assert [r.getMessage() for r in caplog.records] == [
+            f"make_corpus: {n} speakers split across 2 processes: {n // 2} + {n - n // 2}"][:n_forks]
+        _assert_released(fds)
+        assert len(records) == 5 * n
+        assert _files(tmp_path / "split") == _serial(tmp_path / "serial", n, fs)
+
+    @pytest.mark.parametrize("case", ["one CPU", "another thread", "no fork"])
+    def test_no_split(self, tmp_path, serial_crowd, forks, monkeypatch, case):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(30,))
+        if case == "one CPU":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        elif case == "another thread":
+            thread.start()
+        else:
+            monkeypatch.delattr(os, "fork")
+        try:
+            v.make_corpus(_crowd(32), "aiueo", tmp_path, fs=44100.0)
+        finally:
+            release.set()
+            if thread.is_alive():
+                thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert forks == []
+        assert _files(tmp_path) == serial_crowd
+
+    def test_failing_child_falls_back_to_serial(self, tmp_path, serial_crowd, forks, monkeypatch,
+                                                capfd, caplog):
+        parent = os.getpid()
+        inner = synth.synth_vowel
+
+        def fails_in_a_child(*args, **kwargs):
+            if os.getpid() != parent:
+                raise InputError("no synthesis in a child")
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(synth, "synth_vowel", fails_in_a_child)
+        fds = _open_fds()
+        with caplog.at_level(logging.DEBUG, logger="vtlest"):
+            v.make_corpus(_crowd(32), "aiueo", tmp_path, fs=44100.0)
+        assert len(forks) == 1
+        _assert_released(fds)
+        assert _files(tmp_path) == serial_crowd
+        assert capfd.readouterr() == ("", "")
+        assert [r.getMessage() for r in caplog.records][1:] == [
+            "make_corpus: the child's 16 speakers dropped: exit status 1"]
+
+    @pytest.mark.parametrize("call", ["pipe", "fork"])
+    def test_failed_call_falls_back_to_serial(self, tmp_path, serial_crowd, monkeypatch, caplog,
+                                              call):
+        def refused():
+            raise OSError(f"{call} refused")
+
+        monkeypatch.setattr(os, call, refused)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        fds = _open_fds()
+        with caplog.at_level(logging.DEBUG, logger="vtlest"):
+            v.make_corpus(_crowd(32), "aiueo", tmp_path, fs=44100.0)
+        _assert_released(fds)
+        assert _files(tmp_path) == serial_crowd
+        assert [r.getMessage() for r in caplog.records][1:] == [
+            f"make_corpus: split dropped on the parent's error: {call} refused"]
+
+    @pytest.mark.parametrize("speaker", ["s03", "s30"])  # in the parent's half, in the child's
+    def test_error_raises_as_serial(self, tmp_path, forks, monkeypatch, speaker):
+        inner = synth.synth_vowel
+
+        def fails_at_speaker(spec, **kwargs):
+            if spec.f0 == _crowd(32)[int(speaker[1:]) - 1][0]:
+                raise InputError(f"no synthesis for {speaker}")
+            return inner(spec, **kwargs)
+
+        monkeypatch.setattr(synth, "synth_vowel", fails_at_speaker)
+        with pytest.raises(InputError, match=f"^no synthesis for {speaker}$"):
+            v.make_corpus(_crowd(32), "aiueo", tmp_path / "split", fs=44100.0)
+        assert len(forks) == 1
+        assert not (tmp_path / "split" / "manifest.csv").exists()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        with pytest.raises(InputError, match=f"^no synthesis for {speaker}$"):
+            v.make_corpus(_crowd(32), "aiueo", tmp_path / "serial", fs=44100.0)
+
+    def test_sigint_held_in_the_child_only(self, tmp_path, serial_crowd, forks, monkeypatch, caplog):
+        parent = os.getpid()
+        inner = synth.synth_vowel
+
+        def needs_sigint_held_in_a_child(*args, **kwargs):
+            held = signal.SIGINT in signal.pthread_sigmask(signal.SIG_BLOCK, ())
+            if held != (os.getpid() != parent):
+                raise InputError("SIGINT held in the parent or free in the child")
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(synth, "synth_vowel", needs_sigint_held_in_a_child)
+        with caplog.at_level(logging.DEBUG, logger="vtlest"):
+            v.make_corpus(_crowd(32), "aiueo", tmp_path, fs=44100.0)
+        assert len(forks) == 1
+        assert len(caplog.records) == 1  # the split's record, and no fallback
+        assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, ())
+        assert _files(tmp_path) == serial_crowd
+
+    def test_interrupt_kills_and_reaps_the_child(self, tmp_path, forks, monkeypatch):
+        parent = os.getpid()
+
+        def interrupted(*args, **kwargs):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(30)  # a child left running would hold the test this long
+
+        monkeypatch.setattr(synth, "synth_vowel", interrupted)
+        fds = _open_fds()
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            v.make_corpus(_crowd(32), "aiueo", tmp_path, fs=44100.0)
+        assert time.monotonic() - start < 10
+        assert len(forks) == 1
+        _assert_released(fds)
+        assert not (tmp_path / "manifest.csv").exists()
