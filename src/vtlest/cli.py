@@ -42,12 +42,14 @@ def _parse_speakers(value: str):
 
 
 def cmd_synth(args) -> int:
+    # an empty --vowels or --speakers goes on to be rejected, not read as the default
     if args.pair_demo:
         speakers = synth.pair_demo_speakers()
-        vowels = args.vowels.split(",") if args.vowels else ["a"]
+        vowels = args.vowels.split(",") if args.vowels is not None else ["a"]
     else:
-        speakers = _parse_speakers(args.speakers) if args.speakers else synth.default_speakers()
-        vowels = (args.vowels or DEFAULT_VOWELS).split(",")
+        speakers = (_parse_speakers(args.speakers) if args.speakers is not None
+                    else synth.default_speakers())
+        vowels = (args.vowels if args.vowels is not None else DEFAULT_VOWELS).split(",")
     records = synth.make_corpus(speakers, vowels, args.out, duration=args.duration, fs=args.fs)
     print(f"wrote {len(records)} utterances and manifest.csv to {args.out}")
     return 0

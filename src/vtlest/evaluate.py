@@ -302,6 +302,8 @@ def run_evaluation(config: EvalConfig):
 def run_sweep(config: EvalConfig):
     """Sweep the taper knee for every configured representation; write
     sweep.csv.  Returns the per-representation report lists."""
+    if not config.hmax_grid:  # before anything is written
+        raise ConfigurationError("hmax_grid must hold at least one taper knee")
     corpus = open_corpus(config)
     out = Path(config.out_dir)
     all_reports = []

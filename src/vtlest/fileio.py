@@ -244,7 +244,8 @@ def read_manifest(path) -> list[UtteranceRecord]:
 
 
 def read_f0_csv(path) -> dict[str, float]:
-    """Per-utterance pitch overrides: rows of (utterance_id, f0_hz)."""
+    """Per-utterance pitch overrides: rows of (utterance_id, f0_hz), each
+    F0 nonnegative and finite."""
     out = {}
     with open(path, newline="") as handle:
         for line, row in enumerate(csv.reader(handle), start=1):
@@ -253,9 +254,12 @@ def read_f0_csv(path) -> dict[str, float]:
             if line == 1 and row[0].strip().lower() in ("utterance_id", "id"):
                 continue
             try:
-                out[row[0].strip()] = float(row[1])
+                f0 = float(row[1])
             except (IndexError, ValueError) as exc:
                 raise InputError(f"{path}:{line}: bad F0 row {row!r}: {exc}") from exc
+            if not 0.0 <= f0 < math.inf:
+                raise InputError(f"{path}:{line}: F0 must be nonnegative and finite, got {f0}")
+            out[row[0].strip()] = f0
     return out
 
 

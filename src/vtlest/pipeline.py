@@ -331,39 +331,6 @@ class EstimationResult:
                 for s in dict.fromkeys(self.point_speakers)}
 
 
-def _fill_ep(analyzers: list[UtteranceAnalyzer], rep: Representation) -> None:
-    """Compute the Ep base spectra of ``analyzers`` in two contiguous halves,
-    the first in this process and the second in one forked child
-    (:func:`vtlest._split.split`), when there are at least
-    ``2 * EP_SPLIT_MIN`` of them.
-
-    The child sends its values as raw float64; they are checked for their
-    byte count and rebuilt here through :class:`Spectrum`.  This only fills
-    caches: a dropped split or a short read leaves one DEBUG record, and the
-    serial loop that follows meets any error again."""
-    if len(analyzers) < 2 * EP_SPLIT_MIN:
-        return
-    mine, theirs = analyzers[:len(analyzers) // 2], analyzers[len(analyzers) // 2:]
-    _log.debug("%s: %d missing spectra split across 2 processes: %d + %d",
-               rep.id, len(analyzers), len(mine), len(theirs))
-    data = _split.split(
-        rep.id,
-        lambda: [analyzer.base_spectrum(rep) for analyzer in mine],
-        lambda: b"".join(analyzer.base_spectrum(rep).values.tobytes() for analyzer in theirs),
-        f"{len(theirs)} spectra",
-    )
-    if data is None:
-        return
-    size = len(theirs) * EP_AXIS.channels * np.dtype(float).itemsize
-    if len(data) != size:
-        _log.debug("%s: the child's %d spectra dropped: short read, %d of %d bytes",
-                   rep.id, len(theirs), len(data), size)
-    else:
-        values = np.frombuffer(bytearray(data)).reshape(len(theirs), EP_AXIS.channels)
-        for analyzer, row in zip(theirs, values):
-            analyzer._spectra[rep.compression] = Spectrum(row, EP_AXIS, rep.compression)
-
-
 class CorpusAnalyzer:
     """Caches per-utterance spectra and pairwise shifts for a whole corpus.
 
@@ -373,6 +340,7 @@ class CorpusAnalyzer:
     all speakers; estimating on a speaker subset reuses the cached pairwise
     lags, which are independent of which other speakers are present.
     An input error raised while an utterance is analysed names its WAV file.
+    Per-utterance F0 overrides (a dict) may name only utterances of ``records``.
 
     A cold Ep estimate splits its gammatone banks across two processes.
     Before the vowel loop, :meth:`estimate` builds, in the loop's order, the
@@ -380,11 +348,12 @@ class CorpusAnalyzer:
     without a spectrum.  When ``os.fork`` exists, no other thread runs, two
     or more CPUs are available and at least ``2 * EP_SPLIT_MIN`` spectra are
     missing, it computes the first half here and the second in one forked
-    child, also on a machine with more CPUs: only two processes were
-    measured.  The spectra are bit for bit the serial ones, and the loop
-    then finds them cached; any error is left to the loop, which raises it
-    as before.  So a run that fails may already have read the WAVs of later
-    vowels.  F, M and W spectra (about 0.1 ms each, against 7-13 ms for a
+    child (:func:`vtlest._split.split`), also on a machine with more CPUs:
+    only two processes were measured.  The child's values come back pickled
+    and are cached here as spectra, bit for bit the serial ones, so the
+    loop finds them cached; any error is left to the loop, which raises it
+    as before.  So a run that fails, on any number of CPUs, may already
+    have read the WAVs of later vowels.  F, M and W spectra (about 0.1 ms each, against 7-13 ms for a
     fork) never split.
     """
 
@@ -404,6 +373,10 @@ class CorpusAnalyzer:
                     f"vowel {r.vowel!r} ({r.path})"
                 )
             seen[r.utterance_id] = r
+        unknown = sorted(set(f0_overrides) - set(seen)) if isinstance(f0_overrides, dict) else []
+        if unknown:
+            raise InputError("F0 overrides for no utterance of the manifest: "
+                             + ", ".join(map(repr, unknown)))
         self.records = records
         self.f0_overrides = f0_overrides
         self.external_dir = external_dir
@@ -497,8 +470,12 @@ class CorpusAnalyzer:
         if len(included) < 2:
             raise InputError(f"need at least 2 speakers, got {len(included)}")
         l_bar = float(np.mean([self.measured_vtl[s] for s in included]))
-        if rep.base == "Ep" and _split.can_split():
-            _fill_ep(self._missing_ep(rep, h_max), rep)
+        if rep.base == "Ep":
+            missing = self._missing_ep(rep, h_max)
+            values = _split.split(rep.id, missing, lambda analyzer: analyzer.base_spectrum(rep).values,
+                                  "spectra", EP_SPLIT_MIN)
+            for analyzer, row in zip(missing, values or ()):  # this process's half is cached
+                analyzer._spectra.setdefault(rep.compression, Spectrum(row, EP_AXIS, rep.compression))
         point_speakers: list[str] = []
         point_vowels: list[str] = []
         shifts = []

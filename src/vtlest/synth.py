@@ -10,7 +10,6 @@ with exactly known relative tract lengths are generated here.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,8 +50,6 @@ OUTPUT_PEAK = 0.5
 #: broke even (2-7 of 9, 11 of 18 medians faster).  The default ladder
 #: holds 480 000 per process, so it stays serial.
 SYNTH_SPLIT_MIN = 1_320_000
-
-_log = logging.getLogger("vtlest")
 
 
 @dataclass(frozen=True)
@@ -163,7 +160,8 @@ def _n_samples(spec: VowelSpec) -> int:
 
 def glottal_source(spec: VowelSpec) -> np.ndarray:
     """The Rosenberg pulse train at ``spec``'s pitch, rate and length."""
-    phase = (np.arange(_n_samples(spec)) * (spec.f0 / spec.fs)) % 1.0
+    phase = np.arange(_n_samples(spec)) * (spec.f0 / spec.fs)
+    phase -= np.floor(phase)  # the bits of ``% 1.0`` for phase >= 0, without its division
     return rosenberg_pulse(phase)
 
 
@@ -224,8 +222,8 @@ def make_corpus(speakers, vowels, out_dir, duration: float = DEFAULT_DURATION_S,
     of audio and :func:`vtlest._split.can_split` allows it, the first half is
     written here and the second in one forked child.  The manifest is written
     only after the child has exited with status 0; if the split is dropped,
-    this process writes what is not known to be written, and meets any error
-    as one process would.  The files are byte for byte the same either way.
+    this process writes every WAV again, and meets any error as one process
+    would.  The files are byte for byte the same either way.
     """
     speakers = list(speakers)
     vowels = list(vowels)
@@ -242,19 +240,9 @@ def make_corpus(speakers, vowels, out_dir, duration: float = DEFAULT_DURATION_S,
         speaker_id=speaker_id, vowel=spec.vowel, f0_hz=spec.f0, alpha=float(spec.alpha),
         vtl_cm=spec.vtl_cm, path=f"{speaker_id}_{spec.vowel}.wav",
     ) for speaker_id, speaker_specs in specs for spec in speaker_specs]
-    pending = specs
-    mine, theirs = specs[:len(specs) // 2], specs[len(specs) // 2:]
-    if len(mine) * len(vowels) * _n_samples(specs[0][1][0]) >= SYNTH_SPLIT_MIN and _split.can_split():
-        def write_mine():
-            nonlocal pending
-            _write_wavs(mine, out_dir, fs)
-            pending = theirs
-
-        _log.debug("make_corpus: %d speakers split across 2 processes: %d + %d",
-                   len(specs), len(mine), len(theirs))
-        if _split.split("make_corpus", write_mine, lambda: _write_wavs(theirs, out_dir, fs) or b"",
-                        f"{len(theirs)} speakers") is not None:
-            pending = []
-    _write_wavs(pending, out_dir, fs)
+    least = -(-SYNTH_SPLIT_MIN // (len(vowels) * _n_samples(specs[0][1][0])))  # speakers per half
+    if _split.split("make_corpus", specs, lambda speaker: _write_wavs([speaker], out_dir, fs),
+                    "speakers", least) is None:
+        _write_wavs(specs, out_dir, fs)
     fileio.write_manifest(out_dir, records)
     return records

@@ -61,6 +61,17 @@ class TestSynthCommand:
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (("--vowels", ""), "unknown vowel ''; expected one of ['a', 'e', 'i', 'o', 'u']"),
+        (("--speakers", ""), "speaker '' must look like F0:ALPHA"),
+        (("--pair-demo", "--vowels", ""), "unknown vowel ''; expected one of ['a', 'e', 'i', 'o', 'u']"),
+    ])
+    def test_empty_list_is_rejected_not_read_as_the_default(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "corpus"
+        assert run_cli("synth", "--out", out, *argv) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
     def test_late_resonance_check_writes_nothing(self, tmp_path, capsys):
         """Speaker 2's /i/ (7770 Hz, bandwidth 315 Hz) does not fit at 16 kHz;
         no WAV of speaker 1 or of speaker 2's /a/ is written either."""
@@ -331,6 +342,14 @@ class TestEvaluateAndSweep:
         assert run_cli("sweep", "--config", cfg) == 0
         with open(tmp_path / "sweep.csv") as handle:
             assert len(list(csv.DictReader(handle))) == 13
+
+    def test_sweep_rejects_an_empty_grid_before_writing(self, pair_corpus_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"manifest": str(pair_corpus_dir / "manifest.csv"), "hmax_grid": []}))
+        assert run_cli("sweep", "--config", cfg, "--out", tmp_path / "sw") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: hmax_grid must hold at least one taper knee"]
+        assert not (tmp_path / "sw").exists()
 
     def test_negative_trials_is_one_error_line(self, pair_corpus_dir, tmp_path, capsys):
         assert run_cli("evaluate", "--manifest", pair_corpus_dir / "manifest.csv", "--rep", "F_log",

@@ -270,6 +270,15 @@ class TestF0Csv:
             fileio.read_f0_csv(tmp_path / "f0.csv")
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-100"])
+    def test_non_finite_or_negative_f0_names_the_line(self, tmp_path, value):
+        (tmp_path / "f0.csv").write_text(f"utterance_id,f0_hz\ns01_a,182\ns02_a,{value}\n")
+        with pytest.raises(InputError) as info:
+            fileio.read_f0_csv(tmp_path / "f0.csv")
+        assert str(info.value) == (
+            f"{tmp_path / 'f0.csv'}:3: F0 must be nonnegative and finite, got {float(value)}")
+
+
 class TestF0Spec:
     def test_auto_is_none(self):
         assert fileio.parse_f0_spec("auto") is None

@@ -466,6 +466,15 @@ class TestCorpusEstimation:
         with pytest.raises(InputError, match=f"^{tmp_path / 'short.wav'}: .*averaging window"):
             v.load_corpus(tmp_path / "manifest.csv").estimate("F_log")
 
+    def test_f0_overrides_must_name_utterances_of_the_manifest(self, pair_corpus_dir):
+        """``S01_a`` is not ``s01_a``: an override that would be ignored is
+        rejected, naming every such id."""
+        records = fileio.read_manifest(pair_corpus_dir / "manifest.csv")
+        with pytest.raises(InputError) as info:
+            v.CorpusAnalyzer(records, f0_overrides={"S01_a": 182.0, "s02_a": 101.0, "s09_a": 90.0})
+        assert str(info.value) == "F0 overrides for no utterance of the manifest: 'S01_a', 's09_a'"
+        v.CorpusAnalyzer(records, f0_overrides={"s02_a": 101.0})
+
     def test_duplicate_utterance_rejected(self):
         records = [
             fileio.UtteranceRecord("s1", "a", 100.0, 1.0, 16.0, "x.wav"),
@@ -590,7 +599,7 @@ class TestEpSplit:
             result = corpus.estimate("Ep_SSI", 3.5)
         assert len(forks) == 1
         assert [r.getMessage() for r in caplog.records] == [
-            "Ep_SSI: 40 missing spectra split across 2 processes: 20 + 20"]
+            "Ep_SSI: 40 spectra split across 2 processes: 20 + 20"]
         assert caplog.records[0].levelno == logging.DEBUG
         _assert_released(fds)
         serial_corpus, serial = serial_ladder
@@ -610,7 +619,7 @@ class TestEpSplit:
             result = v.load_corpus(default_corpus_dir / "manifest.csv").estimate("Ep_SSI", 3.5)
         assert len(forks) == 1
         assert [r.getMessage() for r in caplog.records] == [
-            "Ep_SSI: 40 missing spectra split across 2 processes: 20 + 20"]
+            "Ep_SSI: 40 spectra split across 2 processes: 20 + 20"]
         _assert_same_estimate(result, serial_ladder[1])
 
     def test_sigint_held_in_the_child_only(self, default_corpus_dir, serial_ladder, forks,

@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.signal import lfilter
 
 import vtlest as v
@@ -188,6 +189,18 @@ class TestSectionCascade:
         for spec in specs:
             assert v.synth_vowel(spec, source=source).tobytes() == v.synth_vowel(spec).tobytes()
         assert source.tobytes() == before.tobytes()  # never filtered in place
+
+    @settings(max_examples=200, deadline=None)
+    @given(fs=st.integers(8000, 192000), f0=st.floats(50.0, 500.0), duration=st.floats(0.2, 2.0))
+    def test_phase_is_the_remainder_bit_for_bit(self, fs, f0, duration):
+        """The source's phase is ``t % 1.0`` of ``t = n * f0 / fs``, as the
+        reference computes it, to the last bit."""
+        spec = v.vowel_spec("a", f0, duration=duration, fs=float(fs))
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(synth, "rosenberg_pulse", lambda phase: phase)
+            phase = v.glottal_source(spec)
+        t = np.arange(int(round(duration * fs))) * (f0 / fs)
+        assert phase.tobytes() == (t % 1.0).tobytes()
 
     def test_wrong_source_length_rejected(self):
         spec = v.vowel_spec("a", 120.0)
