@@ -21,7 +21,7 @@ from scipy.io import wavfile
 from scipy.signal import firwin, resample_poly
 
 from .axes import F_HI, AxisKind, FrequencyAxis
-from .errors import InputError
+from .errors import ConfigurationError, InputError
 from .spectral import Spectrogram, Spectrum, as_compression
 
 CANONICAL_FS = 48000.0
@@ -245,8 +245,8 @@ def read_manifest(path) -> list[UtteranceRecord]:
 
 def read_f0_csv(path) -> dict[str, float]:
     """Per-utterance pitch overrides: rows of (utterance_id, f0_hz), each
-    F0 nonnegative and finite."""
-    out = {}
+    F0 nonnegative and finite and each id on one row."""
+    out, lines = {}, {}
     with open(path, newline="") as handle:
         for line, row in enumerate(csv.reader(handle), start=1):
             if not row or row[0].startswith("#"):
@@ -259,20 +259,28 @@ def read_f0_csv(path) -> dict[str, float]:
                 raise InputError(f"{path}:{line}: bad F0 row {row!r}: {exc}") from exc
             if not 0.0 <= f0 < math.inf:
                 raise InputError(f"{path}:{line}: F0 must be nonnegative and finite, got {f0}")
-            out[row[0].strip()] = f0
+            utterance = row[0].strip()
+            if utterance in lines:
+                raise InputError(f"{path}:{line}: F0 for {utterance!r} again, "
+                                 f"first given on line {lines[utterance]}")
+            out[utterance], lines[utterance] = f0, line
     return out
 
 
 def parse_f0_spec(value):
     """Pitch override spec: ``"auto"`` -> None (estimate from the audio), a
-    number or numeric string -> that pitch in Hz, anything else -> the
-    per-utterance overrides of :func:`read_f0_csv`."""
+    number or numeric string -> that pitch in Hz, which must be nonnegative
+    and finite, anything else -> the per-utterance overrides of
+    :func:`read_f0_csv`."""
     if value == "auto":
         return None
     try:
-        return float(value)
+        f0 = float(value)
     except (TypeError, ValueError):
         return read_f0_csv(value)
+    if not 0.0 <= f0 < math.inf:
+        raise ConfigurationError(f"f0 must be nonnegative and finite, got {f0}")
+    return f0
 
 
 # --------------------------------------------------------------------------

@@ -160,7 +160,10 @@ class UtteranceAnalyzer:
       path of a spectrogram CSV, read on first use; its cropped window
       replaces it.
 
-    F0 is estimated on the centre 50 ms, which lies inside every cut.
+    F0 is estimated on the centre 50 ms, which lies inside every cut.  Ep
+    has one compression, so once its pattern is computed nothing reads its
+    cut again but F0: the analyzer then keeps only the F0 window (a copy,
+    and ``start`` moves to it) until F0 is known, and no samples after.
     """
 
     def __init__(self, samples, fs, *, base: str, f0_override: float | None = None,
@@ -207,14 +210,29 @@ class UtteranceAnalyzer:
         start = max(0, (self.n_samples - F0_WINDOW_N) // 2)
         return slice(start, start + F0_WINDOW_N)
 
+    def _f0_window(self) -> np.ndarray:
+        """The F0 window's slice of the held samples."""
+        f0 = self._f0_samples()
+        return self.samples[f0.start - self.start:f0.stop - self.start]
+
     @property
     def f0(self) -> float:
         """Pitch used for weighting: the override if given, else estimated
         once from the F0 window's slice of the held samples."""
         if self._f0 is None:
-            f0 = self._f0_samples()
-            self._f0 = estimate_f0(self.samples[f0.start - self.start:f0.stop - self.start])
+            self._f0 = estimate_f0(self._f0_window())
+            self._release()
         return self._f0
+
+    def _release(self):
+        """Once an Ep pattern is computed, drop what only it read: keep the
+        F0 window while F0 is unknown, and no samples once it is known."""
+        if self.base != "Ep" or not self._spectra:
+            return
+        if self._f0 is None:
+            self.samples, self.start = self._f0_window().copy(), self._f0_samples().start
+        else:
+            self.samples = None
 
     def _external_window(self) -> Spectrogram:
         """The uncompressed W frames the averaging window picks."""
@@ -257,6 +275,7 @@ class UtteranceAnalyzer:
             sg = compress(frames, rep.compression)
             spec = resample_to_axis(center_average(sg, self.center), axis_for(rep.base))
         self._spectra[rep.compression] = spec
+        self._release()
         return spec
 
     def spectrum(self, rep: Representation, h_max: float | None = None) -> Spectrum:
@@ -343,18 +362,22 @@ class CorpusAnalyzer:
     Per-utterance F0 overrides (a dict) may name only utterances of ``records``.
 
     A cold Ep estimate splits its gammatone banks across two processes.
-    Before the vowel loop, :meth:`estimate` builds, in the loop's order, the
-    Ep analyzers of the vowels with no cached lag matrix and collects those
-    without a spectrum.  When ``os.fork`` exists, no other thread runs, two
-    or more CPUs are available and at least ``2 * EP_SPLIT_MIN`` spectra are
-    missing, it computes the first half here and the second in one forked
-    child (:func:`vtlest._split.split`), also on a machine with more CPUs:
-    only two processes were measured.  The child's values come back pickled
-    and are cached here as spectra, bit for bit the serial ones, so the
-    loop finds them cached; any error is left to the loop, which raises it
-    as before.  So a run that fails, on any number of CPUs, may already
-    have read the WAVs of later vowels.  F, M and W spectra (about 0.1 ms each, against 7-13 ms for a
-    fork) never split.
+    Before the vowel loop, :meth:`estimate` lists, in the loop's order and
+    without reading a file, the utterances of the vowels with no cached lag
+    matrix whose Ep pattern is missing.  When ``os.fork`` exists, no other
+    thread runs, two or more CPUs are available and at least
+    ``2 * EP_SPLIT_MIN`` patterns are missing, it builds the first half's
+    analyzers here and the second half's in one forked child
+    (:func:`vtlest._split.split`), also on a machine with more CPUs: only
+    two processes were measured.  Each process reads and analyses one
+    utterance at a time, and estimates its F0 when the estimate is
+    weighted, so each analyzer keeps at most its F0 window, and a weighted
+    estimate's keep no samples.  The child's analyzers come
+    back pickled, bit for bit the serial ones, and are cached here, so the
+    loop finds them; any error is left to the loop, which raises it as
+    before.  So a run that fails, on any number of CPUs, may already have
+    read the WAVs of later vowels.  F, M and W spectra (about 0.1 ms each,
+    against 7-13 ms for a fork) never split.
     """
 
     def __init__(self, records, *, f0_overrides=None, external_dir=None):
@@ -436,23 +459,29 @@ class CorpusAnalyzer:
             self._matrices[key] = build_shift_matrix(specs)
         return self._matrices[key]
 
-    def _missing_ep(self, rep: Representation, h_max: float) -> list[UtteranceAnalyzer]:
-        """The analyzers whose Ep base spectrum :meth:`estimate`'s vowel loop
-        would compute, in the loop's order: those of the vowels whose lag
-        matrix is not cached, up to the first analyzer whose construction
-        fails."""
+    def _missing_ep(self, rep: Representation, h_max: float) -> list:
+        """The records whose Ep pattern :meth:`estimate`'s vowel loop would
+        compute, in the loop's order: those of the vowels whose lag matrix
+        is not cached.  Reads no file."""
         missing = []
         for vowel in self.vowels:
             if self._matrix_key(vowel, rep, h_max) in self._matrices:
                 continue
             for s in self.vowel_speakers(vowel):
-                try:
-                    analyzer = self.analyzer(self._by_key[(s, vowel)], rep.base)
-                except Exception:  # left to the loop, which raises it again
-                    return missing
-                if rep.compression not in analyzer._spectra:
-                    missing.append(analyzer)
+                record = self._by_key[(s, vowel)]
+                analyzer = self._analyzers.get((record.utterance_id, rep.base))
+                if analyzer is None or rep.compression not in analyzer._spectra:
+                    missing.append(record)
         return missing
+
+    def _ep_analyzer(self, record, rep: Representation, h_max: float) -> UtteranceAnalyzer:
+        """The record's Ep analyzer with its pattern computed, and its F0
+        when the loop will weight the pattern, so it holds no samples then."""
+        analyzer = self.analyzer(record, rep.base)
+        analyzer.base_spectrum(rep)  # an error here is met again, and named, by the loop
+        if rep.ssi and h_max > 0.0:
+            analyzer.f0  # estimated and cached; the analyzer drops its window
+        return analyzer
 
     def estimate(self, rep, h_max: float | None = None, speakers=None) -> EstimationResult:
         """Full pipeline: shifts per vowel, joint q fit, lengths.
@@ -472,10 +501,10 @@ class CorpusAnalyzer:
         l_bar = float(np.mean([self.measured_vtl[s] for s in included]))
         if rep.base == "Ep":
             missing = self._missing_ep(rep, h_max)
-            values = _split.split(rep.id, missing, lambda analyzer: analyzer.base_spectrum(rep).values,
-                                  "spectra", EP_SPLIT_MIN)
-            for analyzer, row in zip(missing, values or ()):  # this process's half is cached
-                analyzer._spectra.setdefault(rep.compression, Spectrum(row, EP_AXIS, rep.compression))
+            analyzers = _split.split(rep.id, missing, lambda record: self._ep_analyzer(record, rep, h_max),
+                                     "spectra", EP_SPLIT_MIN)
+            for record, analyzer in zip(missing, analyzers or ()):  # this process's half is cached
+                self._analyzers[(record.utterance_id, rep.base)] = analyzer
         point_speakers: list[str] = []
         point_vowels: list[str] = []
         shifts = []

@@ -163,6 +163,16 @@ class TestEstimateCommand:
         assert capsys.readouterr().err.splitlines() == [
             f"error: {manifest}:{line}: bad manifest row: expected as many cells as the header"]
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-100"])
+    def test_bad_fixed_pitch_fails_before_any_file_is_read(self, tmp_path, capsys, value):
+        """The manifest does not exist: the pitch is checked first."""
+        out = tmp_path / "out"
+        assert run_cli("estimate", tmp_path / "manifest.csv", "--rep", "F_log", "--f0", value,
+                       "--out", out) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: f0 must be nonnegative and finite, got {float(value)}"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("rep_id", ["Ep_SSI", "F_SSI_log", "M_SSI_log"])
     def test_silent_file_is_one_error_line_naming_it(self, silent_wav_corpus, tmp_path, capsys, rep_id):
         manifest, silent = silent_wav_corpus
@@ -382,6 +392,16 @@ class TestEvaluateAndSweep:
         assert run_cli("evaluate", *argv) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: seed must be at least 0, got {seed}"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("f0", [-100.0, float("nan"), "inf"])
+    def test_bad_fixed_pitch_in_a_config_fails_before_any_file_is_read(self, tmp_path, capsys, f0):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"manifest": str(tmp_path / "manifest.csv"), "f0": f0,
+                                   "out_dir": str(tmp_path / "ev")}))
+        assert run_cli("evaluate", "--config", cfg) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: f0 must be nonnegative and finite, got {float(f0)}"]
+        assert not (tmp_path / "ev").exists()
 
     def test_config_file_driven(self, pair_corpus_dir, tmp_path):
         import json

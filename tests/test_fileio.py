@@ -8,7 +8,7 @@ from scipy.signal import resample_poly
 
 import vtlest as v
 from vtlest import fileio
-from vtlest.errors import InputError
+from vtlest.errors import ConfigurationError, InputError
 
 
 class TestWav:
@@ -278,6 +278,13 @@ class TestF0Csv:
         assert str(info.value) == (
             f"{tmp_path / 'f0.csv'}:3: F0 must be nonnegative and finite, got {float(value)}")
 
+    def test_repeated_id_names_the_line(self, tmp_path):
+        (tmp_path / "f0.csv").write_text("utterance_id,f0_hz\ns01_a,182\ns02_a,101\ns01_a,90\n")
+        with pytest.raises(InputError) as info:
+            fileio.read_f0_csv(tmp_path / "f0.csv")
+        assert str(info.value) == (
+            f"{tmp_path / 'f0.csv'}:4: F0 for 's01_a' again, first given on line 2")
+
 
 class TestF0Spec:
     def test_auto_is_none(self):
@@ -286,6 +293,12 @@ class TestF0Spec:
     @pytest.mark.parametrize("value", [150, 150.0, "150", "150.0"], ids=["int", "float", "str", "decimal-str"])
     def test_number_is_fixed_pitch(self, value):
         assert fileio.parse_f0_spec(value) == 150.0
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-100", float("nan"), -1.0])
+    def test_non_finite_or_negative_number_rejected(self, value):
+        with pytest.raises(ConfigurationError) as info:
+            fileio.parse_f0_spec(value)
+        assert str(info.value) == f"f0 must be nonnegative and finite, got {float(value)}"
 
     def test_anything_else_is_overrides_csv(self, tmp_path):
         (tmp_path / "f0.csv").write_text("s01_a,182\n")

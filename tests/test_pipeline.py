@@ -6,6 +6,7 @@ import shutil
 import signal
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -322,12 +323,13 @@ class TestWindowOnlyFrontEnds:
                 analyzer = v.UtteranceAnalyzer(samples, fs, base=base, external_sg=external)
                 for rep_id in rep_ids:
                     analyzer.spectrum(v.parse_representation(rep_id))
-                # the resampled cut, the averaged spectra and W's cropped
-                # window, and no F or M frames nor the waveform
+                # the resampled cut (none for Ep once its pattern and F0
+                # exist), the averaged spectra and W's cropped window, and no
+                # F or M frames nor the waveform
                 assert set(vars(analyzer)) == {"base", "n_samples", "center", "start",
                                                "samples", "_f0", "_external_sg", "_spectra"}
-                assert analyzer.samples.flags.owndata
-                held[base] = (analyzer.samples.shape,
+                assert analyzer.samples is None or analyzer.samples.flags.owndata
+                held[base] = (None if analyzer.samples is None else analyzer.samples.shape,
                               {key: s.values.shape for key, s in analyzer._spectra.items()})
             assert analyzer._external_sg.frames.flags.owndata
             return held, analyzer._external_sg.frames.shape
@@ -335,13 +337,25 @@ class TestWindowOnlyFrontEnds:
         for fs in (44100.0, 48000.0):
             short, long = cached(0.5, fs), cached(2.0, fs)
             assert short == long
-        # the 48 kHz analyzers, the loop's last: Ep from the 100 Hz channel's
-        # start, 148.5 ms before the centre, to the window end; F and M the
-        # STFT frames in the window; W the centre 50 ms
+        # the 48 kHz analyzers, the loop's last: Ep nothing, once its pattern
+        # and F0 exist; F and M the STFT frames in the window; W the centre 50 ms
         held, w_frames = short
         assert w_frames == (10, 601)
         assert {base: shape for base, (shape, _) in held.items()} == {
-            "Ep": (8328,), "F": (3360,), "M": (3360,), "W": (2400,)}
+            "Ep": None, "F": (3360,), "M": (3360,), "W": (2400,)}
+
+    def test_cold_ep_estimate_holds_one_cut_at_a_time(self, default_corpus_dir, monkeypatch):
+        """A one-CPU cold Ep_SSI estimate of the ladder reads, analyses and
+        releases each utterance in turn: its traced peak is 1.2 MB, against
+        3.8 MB when each Ep analyzer kept its 8 328-sample cut."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        tracemalloc.start()
+        try:
+            v.load_corpus(default_corpus_dir / "manifest.csv").estimate("Ep_SSI", 3.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
     def test_external_window_matches_fourier(self):
         samples = v.synth_vowel(v.vowel_spec("i", 200.0))
@@ -709,6 +723,53 @@ class TestEpSplit:
         with pytest.raises(DegenerateInputError) as serial:
             _serial(tmp_path / "manifest.csv")
         assert str(split.value) == str(serial.value) == f"{bad}: cannot log-compress all-zero data"
+
+    @pytest.mark.parametrize("position", [0, -1])  # in the parent's share, in the child's
+    def test_unreadable_wav_raises_as_serial(self, default_corpus_dir, tmp_path, forks, position):
+        """The child reads its own share of the WAVs, so a read error there
+        too is met again by the parent's vowel loop."""
+        shutil.copytree(default_corpus_dir, tmp_path, dirs_exist_ok=True)
+        corpus = v.load_corpus(tmp_path / "manifest.csv")
+        bad = corpus._by_key[(corpus.speakers[position], corpus.vowels[position])].path
+        with open(bad, "wb") as handle:
+            handle.write(b"not a WAV file")
+        fds = _open_fds()
+        with pytest.raises(InputError) as split:
+            corpus.estimate("Ep_SSI", 3.5)
+        assert len(forks) == 1
+        _assert_released(fds)
+        with pytest.raises(InputError) as serial:
+            _serial(tmp_path / "manifest.csv")
+        assert type(split.value) is type(serial.value)
+        assert str(split.value) == str(serial.value)
+        assert str(split.value).startswith(f"cannot read WAV file {bad}: ")
+
+    @pytest.mark.parametrize("cpus", [{0, 1}, {0}])
+    def test_no_ep_analyzer_holds_samples_after_a_weighted_estimate(self, default_corpus_dir, forks,
+                                                                     monkeypatch, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        corpus = v.load_corpus(default_corpus_dir / "manifest.csv")
+        corpus.estimate("Ep_SSI", 3.5)
+        assert len(forks) == len(cpus) - 1
+        assert len(corpus._analyzers) == len(corpus.records)
+        assert all(analyzer.samples is None for analyzer in corpus._analyzers.values())
+
+    def test_unweighted_estimate_keeps_only_the_f0_window(self, default_corpus_dir, serial_ladder,
+                                                          forks):
+        """A cold Ep estimate estimates no F0, so each Ep analyzer keeps its
+        F0 window, and a weighted estimate after it is the serial one."""
+        corpus = v.load_corpus(default_corpus_dir / "manifest.csv")
+        corpus.estimate("Ep", 3.5)
+        assert len(forks) == 1
+        for analyzer in corpus._analyzers.values():
+            window = analyzer._f0_samples()
+            held = analyzer.samples
+            assert (analyzer.start, held.size) == (window.start, ssi.F0_WINDOW_N)
+            # a copy, or unpickled from the child into a buffer of its own size
+            assert held.base is None or memoryview(held.base).nbytes == held.nbytes
+        _assert_same_estimate(corpus.estimate("Ep_SSI", 3.5), serial_ladder[1])
+        assert len(forks) == 1
+        assert all(analyzer.samples is None for analyzer in corpus._analyzers.values())
 
     def test_interrupt_kills_and_reaps_the_child(self, default_corpus_dir, forks, monkeypatch):
         parent = os.getpid()
