@@ -21,7 +21,7 @@ from .pipeline import (
     load_corpus,
     parse_representation,
 )
-from .ssi import DEFAULT_H_MAX
+from .ssi import DEFAULT_H_MAX, check_h_max
 
 DEFAULT_HMAX_GRID = tuple(np.arange(0.0, 6.5, 0.5))
 
@@ -304,6 +304,8 @@ def run_sweep(config: EvalConfig):
     sweep.csv.  Returns the per-representation report lists."""
     if not config.hmax_grid:  # before anything is written
         raise ConfigurationError("hmax_grid must hold at least one taper knee")
+    for knee in config.hmax_grid:  # every knee, before the first estimate
+        check_h_max(knee)
     corpus = open_corpus(config)
     out = Path(config.out_dir)
     all_reports = []

@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy.io import wavfile
-from scipy.signal import firwin, resample_poly
 
 from .axes import F_HI, AxisKind, FrequencyAxis
 from .errors import ConfigurationError, InputError
@@ -127,6 +126,8 @@ def _lowpass(up: int, down: int) -> np.ndarray:
     """The anti-alias filter ``resample_poly`` designs for ``up / down`` by
     default: Kaiser(5.0), cutoff at the lower Nyquist rate, 10 zero
     crossings either side of the centre."""
+    from scipy.signal import firwin  # loads scipy.signal: only input not at 48 kHz needs it
+
     max_rate = max(up, down)
     h = firwin(20 * max_rate + 1, 1.0 / max_rate, window=("kaiser", 5.0))
     h.flags.writeable = False
@@ -161,6 +162,8 @@ def ensure_rate(samples, fs: float) -> np.ndarray:
     x = np.asarray(samples, dtype=float)
     if up == down:
         return x
+    from scipy.signal import resample_poly  # see _lowpass
+
     return resample_poly(x, up, down, window=_lowpass(up, down))
 
 

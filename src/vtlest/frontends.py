@@ -6,8 +6,9 @@ downstream (see :mod:`vtlest.spectral` and :mod:`vtlest.pipeline`).  They
 analyse signals at :data:`~vtlest.fileio.CANONICAL_FS` only, on fixed grids,
 so every frame and window length is a whole number of samples defined once
 below, and the gammatone sections, the channel leads, the STFT window and
-the mel weights are computed once, at import (the envelope lowpass on first
-use).
+the mel weights are computed once, at import.  The envelope lowpass is not
+designed at all: its coefficients are written out below, and a test checks
+them against ``scipy.signal.butter``.
 
 An excitation pattern can start at a later frame than the signal's first
 (:func:`gammatone_ep`'s ``start``).  Each gammatone channel then starts from
@@ -17,7 +18,8 @@ than the slow 100 Hz one.
 
 The gammatone cascade runs through scipy's compiled second-order-section
 kernel (``scipy.signal._sosfilt._sosfilt``), the call that the public
-``scipy.signal.sosfilt`` ends with.  The public wrapper validates, reshapes
+``scipy.signal.sosfilt`` ends with, loaded by :mod:`vtlest._kernels` without
+the rest of ``scipy.signal``.  The public wrapper validates, reshapes
 and copies on each of the 100 per-channel calls an excitation pattern makes,
 which cost about as much as the filtering itself.  The kernel is private to
 scipy, so the wrapper's checks that still apply are made once, on the
@@ -43,13 +45,9 @@ half of a cold corpus's excitation patterns in a forked child.
 """
 from __future__ import annotations
 
-from functools import cache
-
 import numpy as np
-from scipy.signal import butter
-from scipy.signal._sigtools import _linear_filter
-from scipy.signal._sosfilt import _sosfilt
 
+from ._kernels import _linear_filter, _sosfilt
 from .axes import CHANNELS, F_HI, F_LO, AxisKind, FrequencyAxis, erb_bandwidth, hz_to_mel, make_axis
 from .errors import ConfigurationError, InputError
 from .fileio import CANONICAL_FS
@@ -89,12 +87,12 @@ STFT_AXIS = FrequencyAxis(AxisKind.LINEAR_HZ, STFT_WINDOW_N // 2 + 1, 0.0, CANON
 MEL_AXIS = make_axis(AxisKind.MEL_LINEAR, MEL_FILTERS, F_LO, F_HI)
 
 
-@cache
-def _envelope_lowpass():
-    """The envelope lowpass ``(b, a)``, designed on first use: the first
-    ``butter`` call pages in about 0.6 MB of library code (scipy 1.17.1),
-    which a run that computes no excitation pattern need not hold."""
-    return butter(2, ENVELOPE_LP_HZ / (CANONICAL_FS / 2.0))
+#: The envelope lowpass ``(b, a)``: ``scipy.signal.butter(2, ENVELOPE_LP_HZ /
+#: (CANONICAL_FS / 2))`` bit for bit, written out so that no filter is designed.
+_ENVELOPE_B = np.array([0.003916126660547369, 0.007832253321094738, 0.003916126660547369])
+_ENVELOPE_A = np.array([1.0, -1.815341082704568, 0.8310055893467575])
+_ENVELOPE_B.flags.writeable = False
+_ENVELOPE_A.flags.writeable = False
 
 
 def _gammatone_sos() -> np.ndarray:
@@ -152,6 +150,18 @@ def _checked_bank(sos: np.ndarray) -> np.ndarray:
 
 _GAMMATONE_SOS = _checked_bank(_gammatone_sos())
 
+# glibc's malloc maps each block above its mmap threshold (128 KiB at start)
+# on its own, raises the threshold to the size of such a block when it is
+# freed, and returns the top of the heap to the system once more than twice
+# the threshold is free there.  A block of the bank allocates three arrays of
+# up to 0.33 MB at the pipeline's Ep cut, so with the threshold that a 0.33 MB
+# free leaves, each block's arrays went back to the system and were faulted
+# in again: about 5 800 page faults and 15% more time per cold Ep_SSI
+# estimate of the default ladder, on one CPU.  Freeing one untouched 1 MiB
+# array raises the threshold past that; it costs no resident memory, and
+# under another allocator it is one allocation and one free.
+np.empty(1 << 17)
+
 
 def gammatone_ep(signal, *, start: int = 0) -> Spectrogram:
     """Excitation-pattern spectrogram from a gammatone filterbank.
@@ -204,7 +214,6 @@ def gammatone_ep(signal, *, start: int = 0) -> Spectrogram:
     n = end - start
     ep = np.empty((n // frame, EP_AXIS.channels))
     leads = np.minimum(EP_LEAD_FRAMES * frame, start).tolist()
-    b, a = _envelope_lowpass()
     for first in range(0, EP_AXIS.channels, EP_BLOCK):
         block = range(first, min(first + EP_BLOCK, EP_AXIS.channels))
         pad = leads[first]
@@ -215,7 +224,7 @@ def gammatone_ep(signal, *, start: int = 0) -> Spectrogram:
             y[0] = x[start - leads[c]:]
             _sosfilt(_GAMMATONE_SOS[c], y, zi[i:i + 1])
         np.maximum(rows, 0.0, out=rows)
-        env = _linear_filter(b, a, rows, -1)[:, pad:]
+        env = _linear_filter(_ENVELOPE_B, _ENVELOPE_A, rows, -1)[:, pad:]
         np.maximum(env, 0.0, out=env)
         ep[:, first:block.stop] = env.reshape(len(block), -1, frame).mean(axis=2).T
     return Spectrogram(ep, frame / CANONICAL_FS, EP_AXIS, NO_COMPRESSION,

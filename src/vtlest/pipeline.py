@@ -57,7 +57,7 @@ from .spectral import (
     resample_to_axis,
     window_frames,
 )
-from .ssi import DEFAULT_H_MAX, F0_WINDOW_N, apply_weight, estimate_f0, ssi_weight
+from .ssi import DEFAULT_H_MAX, F0_WINDOW_N, apply_weight, check_h_max, estimate_f0, ssi_weight
 
 #: Each base's channel grid, built once: Ep's is the gammatone bank's own,
 #: and W, treated like F, is compared on F's log10-Hz grid.
@@ -494,6 +494,7 @@ class CorpusAnalyzer:
         if isinstance(rep, str):
             rep = parse_representation(rep)
         h_max = DEFAULT_H_MAX if h_max is None else h_max
+        check_h_max(h_max)  # for every id, before any file is read
         wanted = set(self.speakers if speakers is None else speakers)
         included = [s for s in self.speakers if s in wanted]
         if len(included) < 2:

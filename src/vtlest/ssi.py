@@ -33,6 +33,13 @@ F0_WINDOW_N = round(F0_WINDOW_S * CANONICAL_FS)
 VOICING_THRESHOLD = 0.3
 
 
+def check_h_max(h_max: float) -> None:
+    """Reject a taper knee that is negative, infinite or NaN; ``0`` is
+    allowed and means "no weighting" to every estimate."""
+    if not 0.0 <= h_max < np.inf:  # NaN fails every comparison
+        raise ConfigurationError(f"h_max must be nonnegative and finite, got {h_max}")
+
+
 def ssi_weight(axis: FrequencyAxis, h_max: float, f0: float) -> np.ndarray:
     """Per-channel weight ``min(f_c / (h_max * f0), 1)``, the taper knee at
     ``h_max`` harmonics of ``f0``.

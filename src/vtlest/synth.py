@@ -2,8 +2,9 @@
 
 A glottal flow pulse train (Rosenberg shape, phase-accumulated so fractional
 periods stay exact) is filtered by a cascade of four second-order resonators,
-one ``sosfilt`` call.  The source depends only on pitch, rate and length, so
-a corpus builds it once per speaker.
+one call of the compiled kernel that ``scipy.signal.sosfilt`` ends with
+(:mod:`vtlest._kernels`).  The source depends only on pitch, rate and length,
+so a corpus builds it once per speaker.
 Scaling every resonance frequency and bandwidth by ``alpha`` models a vocal
 tract shortened to ``1/alpha`` of the baseline length, which is how corpora
 with exactly known relative tract lengths are generated here.
@@ -13,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import sosfilt
 
 from . import _split, fileio
+from ._kernels import _sosfilt
 from .errors import ConfigurationError, InputError
 
 #: Baseline formant centers in Hz (adult-male-like values; only their ratios
@@ -179,8 +180,11 @@ def synth_vowel(spec: VowelSpec, *, source: np.ndarray | None = None) -> np.ndar
         raise ConfigurationError(f"source must hold {n} samples, got shape {source.shape}")
     sos = np.array([_resonator_section(freq, bandwidth, spec.fs)
                     for freq, bandwidth in zip(spec.formants, spec.bandwidths)])
-    x = sosfilt(sos, source)
-    return OUTPUT_PEAK * x / np.abs(x).max()
+    # what sosfilt does with 1-D float64 input: filter a C-contiguous (1, n)
+    # copy in place, from rest
+    x = np.array(source, dtype=float, ndmin=2)
+    _sosfilt(sos, x, np.zeros((1, len(sos), 2)))
+    return OUTPUT_PEAK * x[0] / np.abs(x[0]).max()
 
 
 def default_speakers() -> list[tuple[float, float]]:

@@ -221,6 +221,21 @@ class TestConfigRuns:
             outputs.append((out / "report.csv").read_bytes() + (out / "trials.csv").read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_run_sweep_checks_every_knee_first(self, pair_corpus_dir, tmp_path, monkeypatch):
+        calls = []
+        for name in ("gammatone_ep", "stft_spectrum"):
+            monkeypatch.setattr(v.pipeline, name, lambda *a, **k: calls.append(a))
+        config = v.EvalConfig(
+            manifest=str(pair_corpus_dir / "manifest.csv"),
+            representations=("Ep_SSI", "F_SSI_log"),
+            hmax_grid=(3.5, -1.0),
+            out_dir=str(tmp_path),
+        )
+        with pytest.raises(ConfigurationError, match="^h_max must be nonnegative and finite, got -1.0$"):
+            v.run_sweep(config)
+        assert calls == []
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_run_sweep_rows(self, pair_corpus_dir, tmp_path):
         config = v.EvalConfig(
             manifest=str(pair_corpus_dir / "manifest.csv"),

@@ -4,8 +4,10 @@ import pytest
 from scipy.signal import butter, lfilter, sosfilt
 
 import vtlest as v
+from vtlest import frontends
 from vtlest.axes import AxisKind, erb_bandwidth
 from vtlest.errors import ConfigurationError, InputError
+from vtlest.fileio import CANONICAL_FS
 from vtlest.frontends import (
     _GAMMATONE_SOS,
     EP_LEAD_FRAMES,
@@ -191,6 +193,12 @@ class TestGammatoneKernel:
                     _GAMMATONE_SOS[:50], _GAMMATONE_SOS[:, :2], a0):
             with pytest.raises(RuntimeError, match="gammatone bank"):
                 _checked_bank(bad)
+
+
+class TestEnvelopeLowpass:
+    def test_constants_are_butters_design(self):
+        b, a = butter(2, frontends.ENVELOPE_LP_HZ / (CANONICAL_FS / 2))
+        assert (b.tobytes(), a.tobytes()) == (frontends._ENVELOPE_B.tobytes(), frontends._ENVELOPE_A.tobytes())
 
 
 class TestStft:

@@ -546,6 +546,24 @@ class TestCorpusEstimation:
         with pytest.raises(InputError):
             default_corpus.estimate("Ep", speakers=default_corpus.speakers[:1])
 
+    @pytest.mark.parametrize("rep", ["Ep_SSI", "Ep", "F_log"])
+    @pytest.mark.parametrize("h_max", [-1.0, float("nan"), float("inf")])
+    def test_bad_knee_rejected_before_any_read(self, default_corpus_dir, forks, monkeypatch, rep, h_max):
+        """For every id, a bad knee fails before a file is read, a bank is
+        run or a child is forked."""
+        calls = []
+        for module, name in ((pipeline, "gammatone_ep"), (fileio, "read_audio")):
+            func = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, func=func, **k: calls.append(a) or func(*a, **k))
+        corpus = v.load_corpus(default_corpus_dir / "manifest.csv")
+        with pytest.raises(ConfigurationError, match=f"^h_max must be nonnegative and finite, got {h_max}$"):
+            corpus.estimate(rep, h_max)
+        assert calls == [] and forks == []
+
+    def test_zero_knee_is_unweighted(self, pair_corpus):
+        weighted, plain = pair_corpus.estimate("F_SSI_log", 0.0), pair_corpus.estimate("F_log")
+        np.testing.assert_array_equal(weighted.estimated(), plain.estimated())
+
     def test_knee_sweep_runs_each_front_end_once_per_utterance(self, tmp_path, monkeypatch):
         """The averaged spectra are cached: of the 13 knees a sweep visits,
         only the first computes a front end."""
