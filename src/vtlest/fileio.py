@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
+from ._kernels import wavfile
 from .axes import F_HI, AxisKind, FrequencyAxis
 from .errors import ConfigurationError, InputError
 from .spectral import Spectrogram, Spectrum, as_compression
@@ -216,7 +216,8 @@ def write_manifest(out_dir, records):
 
 
 def read_manifest(path) -> list[UtteranceRecord]:
-    """Load a manifest; relative WAV paths are resolved against its directory."""
+    """Load a manifest; relative WAV paths are resolved against its directory,
+    and every ``vtl_cm`` must be positive and finite."""
     path = Path(path)
     base = path.parent
     records = []
@@ -241,6 +242,9 @@ def read_manifest(path) -> list[UtteranceRecord]:
                 ))
             except (KeyError, ValueError) as exc:
                 raise InputError(f"{path}:{line}: bad manifest row: {exc}") from exc
+            vtl_cm = records[-1].vtl_cm
+            if not 0.0 < vtl_cm < math.inf:  # NaN fails every comparison
+                raise InputError(f"{path}:{line}: vtl_cm must be positive and finite, got {vtl_cm}")
     if not records:
         raise InputError(f"{path}: manifest contains no utterances")
     return records

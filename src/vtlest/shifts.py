@@ -9,11 +9,10 @@ shifts to lengths through an exponential with a fitted coefficient.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.optimize import minimize_scalar
 
 from .axes import AxisKind, FrequencyAxis
 from .errors import (
@@ -30,6 +29,19 @@ MAX_LAG = 30
 INTERP = 10
 #: Correlations this close to a pair's peak count as tied with it.
 TIE_TOLERANCE = 1e-12
+
+
+def _next_fast_len(n: int) -> int:
+    """The smallest 5-smooth integer ``>= n``: a real FFT length with no
+    prime factor above 5, as ``scipy.fft.next_fast_len(n, real=True)`` gives."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
 
 
 def xcorr_shift(a: Spectrum, b: Spectrum) -> float:
@@ -86,13 +98,13 @@ def build_shift_matrix(spectra) -> ShiftMatrix:
         if not power[0] or not power[j]:  # flat, or too faint to square
             raise DegenerateInputError(f"pair (0, {j}): cannot align a flat (zero-variance) spectrum")
     reach = MAX_LAG * INTERP
-    size = next_fast_len(grid.size + reach, real=True)
-    spectra_f = rfft(np.array(fine) / np.sqrt(power)[:, None], size)
+    size = _next_fast_len(grid.size + reach)
+    spectra_f = np.fft.rfft(np.array(fine) / np.sqrt(power)[:, None], size)
     # lag columns in tie-break order 0, -1, +1, -2, +2, ...: argmax takes the first peak
     order = np.stack([-np.arange(reach + 1), np.arange(reach + 1)], axis=1).ravel()[1:]
     m = np.zeros((n, n))
     for i in range(n - 1):
-        corr = irfft(spectra_f[i].conj() * spectra_f[i + 1 :], size)[:, order]
+        corr = np.fft.irfft(spectra_f[i].conj() * spectra_f[i + 1 :], size)[:, order]
         best = corr.argmax(axis=1)
         peak = corr[np.arange(best.size), best]
         corr[np.arange(best.size), best] = -np.inf  # leaves each pair's runner-up
@@ -117,37 +129,64 @@ def relative_shifts(matrix: ShiftMatrix) -> np.ndarray:
 
 
 Q_SEARCH_RANGE = (-2.0, 2.0)
+#: An optimum this close to an end of :data:`Q_SEARCH_RANGE` lies on the bound.
 Q_TOLERANCE = 1e-6
+#: The refinement stops after a step this small, or after this many steps.
+_Q_STEP_TOL = 1e-13
+_Q_MAX_STEPS = 64
 
 
 def fit_q(shifts, measured_cm, mean_length_cm: float) -> float:
     """Coefficient ``q`` minimizing ``sum((L_bar * exp(q*S) - L_measured)^2)``.
 
     The error need not be unimodal in ``q``, so a 401-point grid over
-    :data:`Q_SEARCH_RANGE` brackets the global optimum; Brent's bounded
-    method then refines it to within :data:`Q_TOLERANCE`.  An optimum on an
-    end of the range is not a fit but the bound, and raises
+    :data:`Q_SEARCH_RANGE` brackets the global optimum between the grid
+    points either side of the best one.  Newton steps on the closed-form
+    first and second derivatives then find the stationary point in that
+    bracket; a step that would leave the bracket, or one where the error is
+    not convex, bisects it instead.  An optimum within :data:`Q_TOLERANCE`
+    of an end of the range is not a fit but the bound, and raises
     :class:`DegenerateFitError`.
     """
     s = np.asarray(shifts, dtype=float)
     l_meas = np.asarray(measured_cm, dtype=float)
     if s.shape != l_meas.shape or s.ndim != 1:
         raise InputError(f"shift and length vectors must match, got {s.shape} and {l_meas.shape}")
+    if not (np.isfinite(s).all() and np.isfinite(l_meas).all() and np.isfinite(mean_length_cm)):
+        raise InputError("shifts, measured lengths and the mean length must be finite")
     if np.ptp(s) == 0.0:
         raise DegenerateFitError("all relative shifts are identical; q is unconstrained")
     if (l_meas <= 0).any() or mean_length_cm <= 0:
         raise InputError("measured lengths must be positive")
 
-    def sq_err(q):
-        # q is a scalar or a 1-D grid
-        return np.sum((mean_length_cm * np.exp(np.multiply.outer(q, s)) - l_meas) ** 2, axis=-1)
+    def slope(q):
+        """Half the error's first and second derivatives at ``q``."""
+        model = mean_length_cm * np.exp(q * s)
+        resid, d_model = model - l_meas, model * s
+        return float(resid @ d_model), float(d_model @ d_model + resid @ (d_model * s))
 
     lo, hi = Q_SEARCH_RANGE
     grid = np.linspace(lo, hi, 401)
-    best = int(np.argmin(sq_err(grid)))
-    bracket = (grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)])
-    q = float(minimize_scalar(sq_err, bounds=bracket, method="bounded",
-                              options={"xatol": Q_TOLERANCE}).x)
+    err = np.sum((mean_length_cm * np.exp(np.multiply.outer(grid, s)) - l_meas) ** 2, axis=-1)
+    best = int(np.argmin(err))
+    left, right = float(grid[max(best - 1, 0)]), float(grid[min(best + 1, grid.size - 1)])
+    if slope(left)[0] >= 0.0:  # the error rises from the bracket's left end
+        q = left
+    elif slope(right)[0] <= 0.0:
+        q = right
+    else:
+        q = float(grid[best])
+        for _ in range(_Q_MAX_STEPS):
+            d1, d2 = slope(q)
+            if d1 == 0.0:
+                break
+            left, right = (q, right) if d1 < 0.0 else (left, q)
+            new = q - d1 / d2 if d2 > 0.0 else math.nan  # NaN fails the bracket test
+            if not left < new < right:
+                new = 0.5 * (left + right)
+            q, step = new, new - q
+            if abs(step) < _Q_STEP_TOL:
+                break
     if min(q - lo, hi - q) < Q_TOLERANCE:
         raise DegenerateFitError(f"q = {q:.9g} lies on the search bound {Q_SEARCH_RANGE}")
     return q

@@ -9,12 +9,11 @@ leaves it untouched above, suppressing exactly that harmonic-dominated region.
 from __future__ import annotations
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 
 from .axes import FrequencyAxis
 from .errors import ConfigurationError, InputError
 from .fileio import CANONICAL_FS
-from .shifts import TIE_TOLERANCE
+from .shifts import TIE_TOLERANCE, _next_fast_len
 from .spectral import Spectrum
 
 #: F0 value that encodes "unvoiced / unknown"; it yields an all-ones weight.
@@ -103,9 +102,9 @@ def estimate_f0(signal) -> float:
     if r0 <= 0.0:
         return UNVOICED
     # padding to F0_WINDOW_N + F0_LAG_HI keeps the circular wrap off every searched lag
-    size = next_fast_len(F0_WINDOW_N + F0_LAG_HI, real=True)
-    spectrum = rfft(frame, size)
-    acf = irfft(spectrum.real**2 + spectrum.imag**2, size)[F0_LAG_LO : F0_LAG_HI + 1]
+    size = _next_fast_len(F0_WINDOW_N + F0_LAG_HI)
+    spectrum = np.fft.rfft(frame, size)
+    acf = np.fft.irfft(spectrum.real**2 + spectrum.imag**2, size)[F0_LAG_LO : F0_LAG_HI + 1]
     peak = int(np.argmax(acf))
     value = acf[peak]
     tol = TIE_TOLERANCE * r0

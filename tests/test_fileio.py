@@ -178,6 +178,16 @@ class TestManifest:
         with pytest.raises(InputError, match="no utterances"):
             fileio.read_manifest(tmp_path / "empty.csv")
 
+    @pytest.mark.parametrize("vtl_cm", ["inf", "nan", "-1", "0"])
+    def test_length_that_is_not_positive_and_finite_names_the_line(self, tmp_path, vtl_cm):
+        (tmp_path / "m.csv").write_text(
+            "speaker_id,vowel,f0_hz,alpha,vtl_cm,path\n"
+            "s01,a,182,1.0,15.0,s01_a.wav\n"
+            f"s02,a,101,1.0,{vtl_cm},s02_a.wav\n"
+        )
+        with pytest.raises(InputError, match=rf"m\.csv:3: vtl_cm must be positive and finite, got "):
+            fileio.read_manifest(tmp_path / "m.csv")
+
     def test_utterance_id(self):
         r = fileio.UtteranceRecord("s03", "u", 150.0, 1.0, 16.0, "x.wav")
         assert r.utterance_id == "s03_u"

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import vtlest as v
@@ -15,7 +15,7 @@ from vtlest.errors import (
     DegenerateInputError,
     InputError,
 )
-from vtlest.shifts import INTERP, MAX_LAG, Q_SEARCH_RANGE
+from vtlest.shifts import INTERP, MAX_LAG, Q_SEARCH_RANGE, Q_TOLERANCE
 
 AXIS = v.make_axis("erb", 100, 100.0, 8000.0)
 
@@ -391,6 +391,14 @@ class TestFitQ:
         with pytest.raises(InputError):
             v.fit_q(np.array([-1.0, 1.0]), np.array([16.0, -2.0]), 16.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        s, measured = np.array([-1.0, 0.0, 1.0]), np.array([15.0, 16.0, 17.0])
+        for args in ((np.array([-1.0, bad, 1.0]), measured, 16.0),
+                     (s, np.array([15.0, bad, 17.0]), 16.0), (s, measured, bad)):
+            with pytest.raises(InputError, match="must be finite"):
+                v.fit_q(*args)
+
     @given(q_true=st.floats(min_value=-0.5, max_value=0.5))
     @settings(max_examples=25, deadline=None)
     def test_refinement_precision(self, q_true):
@@ -415,6 +423,57 @@ class TestFitQ:
         dense = np.arange(coarse[best - 1], coarse[best + 1], 1e-7)
         oracle = dense[np.argmin(sq_err(dense))]
         assert abs(v.fit_q(s, measured, l_bar) - oracle) <= 1e-6
+
+    @given(points=st.lists(st.tuples(st.floats(-6.0, 6.0), st.floats(-1.0, 1.0)),
+                           min_size=2, max_size=40),
+           q_true=st.floats(-2.5, 2.5), noise=st.floats(0.0, 1.0))
+    @example(points=[(-0.1, 0.0), (0.0, 0.0), (0.0, 0.0), (0.1, 0.9)], q_true=0.0, noise=1.0)
+    @example(points=[(-0.1, 0.9), (0.0, 0.0), (0.0, 0.0), (0.1, 0.0)], q_true=0.0, noise=1.0)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_bounded_brent(self, points, q_true, noise):
+        """The Newton refinement agrees with Brent's bounded method on the
+        same grid bracket, stopped at ``xatol = 1e-6``: both raise for an
+        optimum on the search bound, and both fit one well inside it."""
+        from scipy.optimize import minimize_scalar
+
+        s, jitter = np.array(points).T
+        log_ratio = q_true * s + noise * jitter
+        # shifts that can pin q down, and lengths of one order of magnitude:
+        # where some are negligible, the error is flat to rounding and Brent
+        # cannot resolve its minimum
+        assume(np.ptp(s) > 0.1 and np.abs(log_ratio).max() < 1.5)
+        measured = 16.0 * np.exp(log_ratio)
+        l_bar = float(measured.mean())
+
+        def sq_err(q):
+            return np.sum((l_bar * np.exp(np.multiply.outer(q, s)) - measured) ** 2, axis=-1)
+
+        def slope(q):
+            model = l_bar * np.exp(q * s)
+            return (model - measured) @ (model * s)
+
+        lo, hi = Q_SEARCH_RANGE
+        grid = np.linspace(lo, hi, 401)
+        best = int(np.argmin(sq_err(grid)))
+        bracket = (grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)])
+        ref = float(minimize_scalar(sq_err, bounds=bracket, method="bounded",
+                                    options={"xatol": Q_TOLERANCE}).x)
+        try:
+            q = v.fit_q(s, measured, l_bar)
+        except DegenerateFitError:
+            q = None
+        if (best == 0 and slope(lo) >= 0.0) or (best == grid.size - 1 and slope(hi) <= 0.0):
+            assert min(ref - lo, hi - ref) < Q_TOLERANCE and q is None
+        elif min(ref - lo, hi - ref) > 2 * Q_TOLERANCE:
+            assert type(q) is float
+            assert abs(q - ref) <= Q_TOLERANCE
+
+
+def test_next_fast_len_is_scipys_for_real_transforms():
+    from scipy.fft import next_fast_len
+
+    assert [shifts._next_fast_len(n) for n in range(1, 5001)] == \
+        [next_fast_len(n, real=True) for n in range(1, 5001)]
 
 
 class TestEstimateVtl:
