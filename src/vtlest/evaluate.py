@@ -130,6 +130,12 @@ def _check_seed(seed: int) -> None:
         raise ConfigurationError(f"seed must be at least 0, got {seed}")
 
 
+def _check_trials(trials: int) -> None:
+    """Reject a negative number of trials."""
+    if trials < 0:
+        raise ConfigurationError(f"trials must be at least 0, got {trials}")
+
+
 def exclusion_trials(corpus: CorpusAnalyzer, rep_id: str, *, k: int, trials: int, seed: int,
                      h_max: float | None = None) -> TrialsResult:
     """Stability check: drop ``k`` random speakers, re-estimate, record RMS.
@@ -137,6 +143,7 @@ def exclusion_trials(corpus: CorpusAnalyzer, rep_id: str, *, k: int, trials: int
     Exclusions are drawn uniformly without replacement from a generator
     seeded with ``seed``, so runs are reproducible.
     """
+    _check_trials(trials)
     _check_exclude(corpus, k)
     _check_seed(seed)
     rng = np.random.default_rng(seed)
@@ -278,8 +285,7 @@ def write_trials_csv(path, all_trials: list[TrialsResult]):
 def run_evaluation(config: EvalConfig):
     """Estimate every configured representation; write report, scatter, and
     trial CSVs to the output directory.  Returns the reports."""
-    if config.trials < 0:
-        raise ConfigurationError(f"trials must be at least 0, got {config.trials}")
+    _check_trials(config.trials)
     corpus = open_corpus(config)
     if config.trials > 0:  # before anything is written
         _check_exclude(corpus, config.exclude)

@@ -142,7 +142,7 @@ class UtteranceAnalyzer:
 
     The constructor resamples, once, only the native samples behind the cut
     its ``base`` reads, exactly as resampling the whole input would, and
-    keeps just that cut (``samples``, from canonical sample ``start``):
+    keeps at most that cut (``samples``, from canonical sample ``start``):
     nothing held grows with the duration.  ``fs`` is the input's own rate;
     ``n_samples`` and every cut count samples at
     :data:`~vtlest.fileio.CANONICAL_FS`, in the frame and window lengths the
@@ -161,9 +161,10 @@ class UtteranceAnalyzer:
       replaces it.
 
     F0 is estimated on the centre 50 ms, which lies inside every cut.  Ep
-    has one compression, so once its pattern is computed nothing reads its
-    cut again but F0: the analyzer then keeps only the F0 window (a copy,
-    and ``start`` moves to it) until F0 is known, and no samples after.
+    has one compression, so its pattern and F0 are all its cut is read
+    for: the constructor computes both, the pattern first, and keeps no
+    samples (``samples`` is None).  F, M and W keep their cut and estimate
+    F0 on first use.
     """
 
     def __init__(self, samples, fs, *, base: str, f0_override: float | None = None,
@@ -187,6 +188,14 @@ class UtteranceAnalyzer:
         # clipped to the input's end; a copy, as a view would keep the
         # whole waveform alive
         self.samples = fileio.ensure_rate(samples[native], fs)[cut.start - first:cut.stop - first].copy()
+        if base == "Ep":
+            # the cut keeps every frame the window picks, and center_average
+            # needs none past it; the samples before them only warm the bank up
+            frames = gammatone_ep(self.samples, start=self._ep_samples()[1] - self.start)
+            frames = replace(frames, t0=frames.t0 + self.start / fileio.CANONICAL_FS)
+            self._spectra[LOG_COMPRESSION] = compress(center_average(frames, self.center), LOG_COMPRESSION)
+            self.f0  # after the pattern, whose error a vowel too short for both meets first
+            self.samples = None
 
     def _ep_samples(self) -> tuple[slice, int]:
         """Whole EP frames from the slowest channel's start to the window
@@ -221,18 +230,7 @@ class UtteranceAnalyzer:
         once from the F0 window's slice of the held samples."""
         if self._f0 is None:
             self._f0 = estimate_f0(self._f0_window())
-            self._release()
         return self._f0
-
-    def _release(self):
-        """Once an Ep pattern is computed, drop what only it read: keep the
-        F0 window while F0 is unknown, and no samples once it is known."""
-        if self.base != "Ep" or not self._spectra:
-            return
-        if self._f0 is None:
-            self.samples, self.start = self._f0_window().copy(), self._f0_samples().start
-        else:
-            self.samples = None
 
     def _external_window(self) -> Spectrogram:
         """The uncompressed W frames the averaging window picks."""
@@ -259,23 +257,13 @@ class UtteranceAnalyzer:
         if rep.base == "W":
             frames = self._external_window()
         else:
-            if rep.base == "Ep":
-                # the cut keeps every frame the window picks, and center_average
-                # needs none past it; the samples before them only warm the bank up
-                first = self._ep_samples()[1]
-                frames = gammatone_ep(self.samples, start=first - self.start)
-            else:
-                frames = stft_spectrum(self.samples)
+            frames = stft_spectrum(self.samples)
             frames = replace(frames, t0=frames.t0 + self.start / fileio.CANONICAL_FS)
             if rep.base == "M":
                 frames = mel_spectrum(frames)
-        if rep.base == "Ep":
-            spec = compress(center_average(frames, self.center), rep.compression)
-        else:
-            sg = compress(frames, rep.compression)
-            spec = resample_to_axis(center_average(sg, self.center), axis_for(rep.base))
+        sg = compress(frames, rep.compression)
+        spec = resample_to_axis(center_average(sg, self.center), axis_for(rep.base))
         self._spectra[rep.compression] = spec
-        self._release()
         return spec
 
     def spectrum(self, rep: Representation, h_max: float | None = None) -> Spectrum:
@@ -283,7 +271,7 @@ class UtteranceAnalyzer:
 
         ``h_max = 0`` is read as "no weighting", so weighted representations
         degrade continuously to their unweighted baseline, and no F0 is
-        estimated for them.
+        estimated for them but Ep's, which its constructor estimated.
         """
         h_max = DEFAULT_H_MAX if h_max is None else h_max
         spec = self.base_spectrum(rep)
@@ -309,6 +297,7 @@ def analyze_wav(path, rep, *, h_max: float | None = None, f0_override: float | N
     """One-shot analysis of a WAV file into a representation spectrum."""
     if isinstance(rep, str):
         rep = parse_representation(rep)
+    check_h_max(DEFAULT_H_MAX if h_max is None else h_max)  # for every id, before the read
     samples, fs = fileio.read_audio(path)
     with _naming(path):
         return UtteranceAnalyzer(samples, fs, base=rep.base, f0_override=f0_override).spectrum(rep, h_max)
@@ -359,25 +348,23 @@ class CorpusAnalyzer:
     all speakers; estimating on a speaker subset reuses the cached pairwise
     lags, which are independent of which other speakers are present.
     An input error raised while an utterance is analysed names its WAV file.
-    Per-utterance F0 overrides (a dict) may name only utterances of ``records``.
+    F0 overrides, one value or a dict by utterance id, must be nonnegative
+    and finite, and a dict may name only utterances of ``records``.
 
     A cold Ep estimate splits its gammatone banks across two processes.
     Before the vowel loop, :meth:`estimate` lists, in the loop's order and
-    without reading a file, the utterances of the vowels with no cached lag
-    matrix whose Ep pattern is missing.  When ``os.fork`` exists, no other
-    thread runs, two or more CPUs are available and at least
-    ``2 * EP_SPLIT_MIN`` patterns are missing, it builds the first half's
-    analyzers here and the second half's in one forked child
+    without reading a file, the utterances with no cached Ep analyzer.  When
+    ``os.fork`` exists, no other thread runs, two or more CPUs are available
+    and at least ``2 * EP_SPLIT_MIN`` are missing, it builds the first
+    half's analyzers here and the second half's in one forked child
     (:func:`vtlest._split.split`), also on a machine with more CPUs: only
     two processes were measured.  Each process reads and analyses one
-    utterance at a time, and estimates its F0 when the estimate is
-    weighted, so each analyzer keeps at most its F0 window, and a weighted
-    estimate's keep no samples.  The child's analyzers come
-    back pickled, bit for bit the serial ones, and are cached here, so the
-    loop finds them; any error is left to the loop, which raises it as
-    before.  So a run that fails, on any number of CPUs, may already have
-    read the WAVs of later vowels.  F, M and W spectra (about 0.1 ms each,
-    against 7-13 ms for a fork) never split.
+    utterance at a time, and an Ep analyzer keeps no samples once built.
+    The child's analyzers come back pickled, bit for bit the serial ones,
+    and are cached here, so the loop finds them; any error is left to the
+    loop, which raises it as before.  So a run that fails, on any number of
+    CPUs, may already have read the WAVs of later vowels.  F, M and W
+    spectra (about 0.1 ms each, against 7-13 ms for a fork) never split.
     """
 
     def __init__(self, records, *, f0_overrides=None, external_dir=None):
@@ -400,6 +387,11 @@ class CorpusAnalyzer:
         if unknown:
             raise InputError("F0 overrides for no utterance of the manifest: "
                              + ", ".join(map(repr, unknown)))
+        overrides = f0_overrides.items() if isinstance(f0_overrides, dict) else [(None, f0_overrides)]
+        for utterance, f0 in overrides:
+            if f0 is not None and not 0.0 <= f0 < math.inf:  # NaN fails every comparison
+                where = "" if utterance is None else f" for utterance {utterance!r}"
+                raise ConfigurationError(f"f0 must be nonnegative and finite, got {f0}{where}")
         self.records = records
         self.f0_overrides = f0_overrides
         self.external_dir = external_dir
@@ -445,12 +437,8 @@ class CorpusAnalyzer:
     def vowel_speakers(self, vowel: str) -> list[str]:
         return [s for s in self.speakers if (s, vowel) in self._by_key]
 
-    @staticmethod
-    def _matrix_key(vowel: str, rep: Representation, h_max: float):
-        return vowel, rep, h_max if rep.ssi else None
-
     def shift_matrix(self, vowel: str, rep: Representation, h_max: float) -> ShiftMatrix:
-        key = self._matrix_key(vowel, rep, h_max)
+        key = vowel, rep, h_max if rep.ssi else None
         if key not in self._matrices:
             speakers = self.vowel_speakers(vowel)
             if len(speakers) < 2:
@@ -459,50 +447,38 @@ class CorpusAnalyzer:
             self._matrices[key] = build_shift_matrix(specs)
         return self._matrices[key]
 
-    def _missing_ep(self, rep: Representation, h_max: float) -> list:
-        """The records whose Ep pattern :meth:`estimate`'s vowel loop would
-        compute, in the loop's order: those of the vowels whose lag matrix
-        is not cached.  Reads no file."""
-        missing = []
-        for vowel in self.vowels:
-            if self._matrix_key(vowel, rep, h_max) in self._matrices:
-                continue
-            for s in self.vowel_speakers(vowel):
-                record = self._by_key[(s, vowel)]
-                analyzer = self._analyzers.get((record.utterance_id, rep.base))
-                if analyzer is None or rep.compression not in analyzer._spectra:
-                    missing.append(record)
-        return missing
-
-    def _ep_analyzer(self, record, rep: Representation, h_max: float) -> UtteranceAnalyzer:
-        """The record's Ep analyzer with its pattern computed, and its F0
-        when the loop will weight the pattern, so it holds no samples then."""
-        analyzer = self.analyzer(record, rep.base)
-        analyzer.base_spectrum(rep)  # an error here is met again, and named, by the loop
-        if rep.ssi and h_max > 0.0:
-            analyzer.f0  # estimated and cached; the analyzer drops its window
-        return analyzer
+    def _missing_ep(self) -> list:
+        """The records with no cached Ep analyzer, in :meth:`estimate`'s
+        vowel loop's order.  A cached one holds its pattern, and every cached
+        lag matrix was built from cached analyzers.  Reads no file."""
+        records = [self._by_key[(s, vowel)] for vowel in self.vowels for s in self.vowel_speakers(vowel)]
+        return [r for r in records if (r.utterance_id, "Ep") not in self._analyzers]
 
     def estimate(self, rep, h_max: float | None = None, speakers=None) -> EstimationResult:
         """Full pipeline: shifts per vowel, joint q fit, lengths.
 
-        ``speakers`` restricts the estimation to a subset; pairwise lags from
-        the full corpus are reused unchanged.  A fit that cannot pin q down
-        falls back to q = 0 and logs one INFO record on the ``vtlest``
-        logger that names the representation, ``h_max`` and the reason.
+        ``speakers`` restricts the estimation to a subset of the manifest's
+        speakers, and any other id is rejected before a file is read;
+        pairwise lags from the full corpus are reused unchanged.  A fit that
+        cannot pin q down falls back to q = 0 and logs one INFO record on
+        the ``vtlest`` logger that names the representation, ``h_max`` and
+        the reason.
         """
         if isinstance(rep, str):
             rep = parse_representation(rep)
         h_max = DEFAULT_H_MAX if h_max is None else h_max
         check_h_max(h_max)  # for every id, before any file is read
-        wanted = set(self.speakers if speakers is None else speakers)
+        wanted = dict.fromkeys(self.speakers if speakers is None else speakers)
+        unknown = [s for s in wanted if s not in self.measured_vtl]
+        if unknown:
+            raise InputError("speakers not in the manifest: " + ", ".join(map(repr, unknown)))
         included = [s for s in self.speakers if s in wanted]
         if len(included) < 2:
             raise InputError(f"need at least 2 speakers, got {len(included)}")
         l_bar = float(np.mean([self.measured_vtl[s] for s in included]))
         if rep.base == "Ep":
-            missing = self._missing_ep(rep, h_max)
-            analyzers = _split.split(rep.id, missing, lambda record: self._ep_analyzer(record, rep, h_max),
+            missing = self._missing_ep()
+            analyzers = _split.split(rep.id, missing, lambda record: self.analyzer(record, "Ep"),
                                      "spectra", EP_SPLIT_MIN)
             for record, analyzer in zip(missing, analyzers or ()):  # this process's half is cached
                 self._analyzers[(record.utterance_id, rep.base)] = analyzer

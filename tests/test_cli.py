@@ -124,9 +124,24 @@ class TestAnalyzeCommand:
         assert run_cli("analyze", pair_corpus_dir / "s01_a.wav", "--rep", "Ep_SSI", flag, value,
                        "--out", out) == 1
         err = capsys.readouterr().err.splitlines()
-        rule = {"--f0": "f0 must be nonnegative", "--hmax": "h_max must be positive"}[flag]
-        assert err == [f"error: {rule} and finite, got {value}"]
+        name = {"--f0": "f0", "--hmax": "h_max"}[flag]
+        assert err == [f"error: {name} must be nonnegative and finite, got {value}"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("rep", ["F_log", "Ep_SSI"])
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_bad_knee_rejected_before_the_read(self, pair_corpus_dir, tmp_path, monkeypatch, capsys,
+                                               rep, value):
+        """Also for an unweighted id, as ``estimate`` rejects it: ``F_log``
+        once wrote a spectrum."""
+        reads = []
+        monkeypatch.setattr(fileio, "read_audio", lambda *a: reads.append(a))
+        out = tmp_path / "spec.csv"
+        assert run_cli("analyze", pair_corpus_dir / "s01_a.wav", "--rep", rep, "--hmax", value,
+                       "--out", out) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: h_max must be nonnegative and finite, got {float(value)}"]
+        assert reads == [] and not out.exists()
 
     def test_zero_sample_rate_is_one_error_line(self, zero_rate_wav, tmp_path, capsys):
         assert run_cli("analyze", zero_rate_wav, "--out", tmp_path / "o.csv") == 1

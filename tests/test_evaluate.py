@@ -101,6 +101,11 @@ class TestExclusionTrials:
         with pytest.raises(ConfigurationError, match="^seed must be at least 0, got -1$"):
             v.exclusion_trials(default_corpus, "Ep_SSI", k=2, trials=2, seed=-1)
 
+    def test_negative_trials_rejected(self, pair_corpus):
+        """Once returned zero trials, whose mean RMS was NaN."""
+        with pytest.raises(ConfigurationError, match="^trials must be at least 0, got -3$"):
+            v.exclusion_trials(pair_corpus, "F_log", k=0, trials=-3, seed=0)
+
 
 class TestHmaxSweep:
     def test_grid_size_and_zero_point(self, default_corpus):

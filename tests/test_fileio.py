@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.signal import resample_poly
 
 import vtlest as v
-from vtlest import fileio
+from vtlest import fileio, ssi
 from vtlest.errors import ConfigurationError, InputError
 
 
@@ -100,29 +100,38 @@ class TestResampling:
            seed=st.integers(0, 2**32 - 1))
     def test_every_cut_read_equals_whole_file_resampling(self, fs, duration, seed):
         """From inputs shorter than Ep's 174 ms cut up: each sample a base
-        (and F0) reads is that of resampling the whole input."""
+        (and F0) reads is that of resampling the whole input.  Ep keeps no
+        samples, so its cut is what its bank reads."""
         x = 0.1 * np.random.default_rng(seed).normal(size=int(duration * fs))
         expected = resample_poly(x, 48000, fs)
-        held = 0
-        for base in ("Ep", "F", "M", "W"):
-            try:
-                analyzer = v.UtteranceAnalyzer(x, float(fs), base=base)
-            except InputError:  # too short for an STFT frame in the window
-                continue
-            assert analyzer.n_samples == expected.size
-            got, start = analyzer.samples, analyzer.start
-            assert got.size and np.array_equal(got, expected[start:start + got.size])
-            held += 1
-        assert held >= 2  # Ep and W hold a cut of any input
+        read, held = [], set()
+        bank = v.pipeline.gammatone_ep
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(v.pipeline, "gammatone_ep", lambda cut, **kw: read.append(cut) or bank(cut, **kw))
+            for base in ("Ep", "F", "M", "W"):
+                try:
+                    analyzer = v.UtteranceAnalyzer(x, float(fs), base=base)
+                except InputError:  # too short for Ep's averaging window or an STFT frame in it
+                    continue
+                assert analyzer.n_samples == expected.size
+                got, start = read.pop() if base == "Ep" else analyzer.samples, analyzer.start
+                assert got.size and np.array_equal(got, expected[start:start + got.size])
+                held.add(base)
+        # W holds a cut of any input, and Ep reads one of any it can average
+        assert "W" in held and ("Ep" in held) == (expected.size >= ssi.F0_WINDOW_N)
 
-    def test_tone_above_the_canonical_nyquist_is_filtered_out(self):
+    def test_tone_above_the_canonical_nyquist_is_filtered_out(self, monkeypatch):
         """A 30 kHz tone at 96 kHz would alias to 18 kHz: linear
         interpolation kept it at full amplitude."""
         fs = 96000.0
         tone = np.sin(2 * np.pi * 30000.0 * np.arange(48000) / fs)
-        # each base's cut, which F0 is also taken from
-        held = [v.UtteranceAnalyzer(tone, fs, base=base).samples for base in ("Ep", "F")]
-        assert max(np.abs(x).max() for x in held) <= 0.01
+        # each base's cut, which F0 is also taken from: Ep's is what its bank reads
+        held = []
+        bank = v.pipeline.gammatone_ep
+        monkeypatch.setattr(v.pipeline, "gammatone_ep", lambda cut, **kw: held.append(cut) or bank(cut, **kw))
+        v.UtteranceAnalyzer(tone, fs, base="Ep")
+        held.append(v.UtteranceAnalyzer(tone, fs, base="F").samples)
+        assert len(held) == 2 and max(np.abs(x).max() for x in held) <= 0.01
 
     @pytest.mark.parametrize("fs,message", [
         (44100.5, "sample rate 44100.5 Hz is not a whole number of Hz"),

@@ -129,6 +129,26 @@ class TestUtteranceAnalyzer:
         b = v.UtteranceAnalyzer(samples, 48000.0, base="Ep").spectrum(v.parse_representation("Ep_SSI"))
         assert a.values.tobytes() == b.values.tobytes()
 
+    @pytest.mark.parametrize("f0_override", [None, 0.0, 150.0])
+    def test_ep_analyzer_keeps_no_samples(self, monkeypatch, f0_override):
+        """The constructor computes the pattern, then F0 from the centre
+        50 ms unless it is overridden, and keeps no samples."""
+        samples = v.synth_vowel(v.vowel_spec("o", 120.0))
+        estimated = []
+        f0 = pipeline.estimate_f0
+        monkeypatch.setattr(pipeline, "estimate_f0", lambda x: estimated.append(x) or f0(x))
+        analyzer = v.UtteranceAnalyzer(samples, 48000.0, base="Ep", f0_override=f0_override)
+        assert analyzer.samples is None and len(analyzer._spectra) == 1
+        if f0_override is None:
+            [window] = estimated
+            assert window.tobytes() == samples[10800:13200].tobytes()
+            assert analyzer.f0 == f0(window) > 0.0
+        else:
+            assert estimated == [] and analyzer.f0 == f0_override
+        for rep_id, h_max in (("Ep", 3.5), ("Ep_SSI", 0.0), ("Ep_SSI", 3.5)):
+            analyzer.spectrum(v.parse_representation(rep_id), h_max)
+        assert len(estimated) == (f0_override is None)
+
     def test_w_without_external_data_rejected(self, analyzers):
         with pytest.raises(InputError):
             analyzers["W"].base_spectrum(v.parse_representation("W_log"))
@@ -137,15 +157,23 @@ class TestUtteranceAnalyzer:
         with pytest.raises(ConfigurationError, match="this analyzer computes Ep representations, not F_log"):
             analyzers["Ep"].spectrum(v.parse_representation("F_log"))
 
-    def test_each_analyzer_holds_only_its_cut(self, tmp_path):
-        """A 0.5 s vowel's Ep reads samples 4872-13199, F and M read
-        10320-13679, and W (for F0) the centre 50 ms, 10800-13199."""
+    def test_each_analyzer_holds_only_its_cut(self, tmp_path, monkeypatch):
+        """A 0.5 s vowel's Ep reads samples 4872-13199 into its bank and
+        keeps none, F and M hold 10320-13679, and W (for F0) the centre
+        50 ms, 10800-13199."""
         samples = v.synth_vowel(v.vowel_spec("o", 120.0))
+        read = []
+        bank = pipeline.gammatone_ep
+        monkeypatch.setattr(pipeline, "gammatone_ep", lambda cut, **kw: read.append(cut) or bank(cut, **kw))
         for base, start, size in (("Ep", 4872, 8328), ("F", 10320, 3360), ("M", 10320, 3360),
                                   ("W", 10800, 2400)):
             analyzer = v.UtteranceAnalyzer(samples, 48000.0, base=base)
-            assert (analyzer.start, analyzer.samples.size) == (start, size)
-            assert analyzer.samples.tobytes() == samples[start:start + size].tobytes()
+            held = analyzer.samples
+            if base == "Ep":
+                assert held is None
+                [held] = read
+            assert (analyzer.start, held.size) == (start, size)
+            assert held.tobytes() == samples[start:start + size].tobytes()
         v.make_corpus(v.pair_demo_speakers(), ["a"], tmp_path)
         corpus = v.load_corpus(tmp_path / "manifest.csv")
         corpus.estimate("F_SSI_log")
@@ -230,18 +258,23 @@ class TestF0Window:
     def test_f0_window_lies_inside_the_ep_and_f_cuts(self, fs, n_native):
         for base in ("Ep", "F"):
             try:
-                analyzer = v.UtteranceAnalyzer(np.zeros(n_native), fs, base=base)
-            except InputError:  # too short for a single STFT frame in the window
+                # F0 given, as Ep's pattern is computed at once and all-zero
+                # data cannot be log-compressed
+                analyzer = v.UtteranceAnalyzer(np.full(n_native, 0.1), fs, base=base, f0_override=0.0)
+            except InputError:  # too short for a single STFT frame or Ep's window
                 continue
             f0 = analyzer._f0_samples()
-            held = slice(analyzer.start, analyzer.start + analyzer.samples.size)
+            # Ep keeps no samples: it estimated F0 from its cut, clipped to the input
+            size = (min(analyzer._ep_samples()[0].stop, analyzer.n_samples) - analyzer.start
+                    if base == "Ep" else analyzer.samples.size)
+            held = slice(analyzer.start, analyzer.start + size)
             assert held.start <= f0.start and min(f0.stop, analyzer.n_samples) <= held.stop
 
     @pytest.mark.filterwarnings("ignore:resampling input")
     def test_one_read_and_one_f0_estimate_per_utterance(self, tmp_path, monkeypatch):
         """At 44.1 kHz a weighted F spectrum resamples once and estimates F0
-        once per utterance, in the analyzer's constructor and ``f0``; at
-        h_max 0 no F0 is estimated."""
+        once per utterance, in the analyzer's constructor and ``f0``.  An Ep
+        analyzer estimates F0 in its constructor, also at h_max 0."""
         v.make_corpus(v.pair_demo_speakers(), ["a"], tmp_path, fs=44100.0)
         calls = {"ensure_rate": 0, "estimate_f0": 0}
 
@@ -261,7 +294,21 @@ class TestF0Window:
         corpus.estimate("F_SSI_log", 2.0)
         assert calls == {"ensure_rate": n, "estimate_f0": n}
         v.load_corpus(tmp_path / "manifest.csv").estimate("Ep_SSI", 0.0)
-        assert calls == {"ensure_rate": 2 * n, "estimate_f0": n}
+        assert calls == {"ensure_rate": 2 * n, "estimate_f0": 2 * n}
+
+    @pytest.mark.parametrize("rep_id,knees,per_utterance", [
+        ("Ep", (0.0, 3.5, 6.0), 1), ("Ep_SSI", (0.0, 3.5, 6.0), 1),
+        ("F_SSI_log", (0.0,), 0), ("M_SSI_log", (0.0,), 0), ("F_log", (3.5,), 0), ("M_log", (3.5,), 0)])
+    def test_f0_estimates_per_utterance(self, pair_corpus_dir, monkeypatch, rep_id, knees, per_utterance):
+        """Ep estimates F0 once per utterance at any knee; F and M estimate
+        none unweighted or at h_max 0."""
+        calls = []
+        f0 = pipeline.estimate_f0
+        monkeypatch.setattr(pipeline, "estimate_f0", lambda x: calls.append(x) or f0(x))
+        corpus = v.load_corpus(pair_corpus_dir / "manifest.csv")
+        for h_max in knees:
+            corpus.estimate(rep_id, h_max)
+        assert len(calls) == per_utterance * len(corpus.records)
 
 
 class TestWindowOnlyFrontEnds:
@@ -489,6 +536,19 @@ class TestCorpusEstimation:
         assert str(info.value) == "F0 overrides for no utterance of the manifest: 'S01_a', 's09_a'"
         v.CorpusAnalyzer(records, f0_overrides={"s02_a": 101.0})
 
+    @pytest.mark.parametrize("f0", [float("nan"), -5.0, float("inf")])
+    def test_bad_f0_override_rejected_before_any_read(self, default_corpus_dir, f0):
+        """Rejected when the corpus is opened, which reads no WAV.  Such an
+        override once let a weighted Ep estimate run every bank, in both
+        processes, before it failed, and an unweighted one pass."""
+        manifest = default_corpus_dir / "manifest.csv"
+        with pytest.raises(ConfigurationError,
+                           match=f"^f0 must be nonnegative and finite, got {f0} for utterance 's08_o'$"):
+            v.load_corpus(manifest, f0_overrides={"s01_a": 120.0, "s08_o": f0})
+        with pytest.raises(ConfigurationError, match=f"^f0 must be nonnegative and finite, got {f0}$"):
+            v.load_corpus(manifest, f0_overrides=f0)
+        v.load_corpus(manifest, f0_overrides={"s01_a": 0.0})  # unvoiced
+
     def test_duplicate_utterance_rejected(self):
         records = [
             fileio.UtteranceRecord("s1", "a", 100.0, 1.0, 16.0, "x.wav"),
@@ -545,6 +605,16 @@ class TestCorpusEstimation:
     def test_single_speaker_rejected(self, default_corpus):
         with pytest.raises(InputError):
             default_corpus.estimate("Ep", speakers=default_corpus.speakers[:1])
+
+    def test_unknown_speakers_rejected_before_any_read(self, default_corpus_dir, forks, monkeypatch):
+        """Ids that name no speaker were once ignored, and the others estimated."""
+        reads = []
+        read = fileio.read_audio
+        monkeypatch.setattr(fileio, "read_audio", lambda *a: reads.append(a) or read(*a))
+        corpus = v.load_corpus(default_corpus_dir / "manifest.csv")
+        with pytest.raises(InputError, match="^speakers not in the manifest: 'bogus', 'S01'$"):
+            corpus.estimate("Ep_SSI", speakers=["s01", "s02", "bogus", "S01", "bogus"])
+        assert reads == [] and forks == []
 
     @pytest.mark.parametrize("rep", ["Ep_SSI", "Ep", "F_log"])
     @pytest.mark.parametrize("h_max", [-1.0, float("nan"), float("inf")])
@@ -772,22 +842,31 @@ class TestEpSplit:
         assert len(corpus._analyzers) == len(corpus.records)
         assert all(analyzer.samples is None for analyzer in corpus._analyzers.values())
 
-    def test_unweighted_estimate_keeps_only_the_f0_window(self, default_corpus_dir, serial_ladder,
-                                                          forks):
-        """A cold Ep estimate estimates no F0, so each Ep analyzer keeps its
-        F0 window, and a weighted estimate after it is the serial one."""
+    @pytest.mark.parametrize("cpus", [{0, 1}, {0}])
+    @pytest.mark.parametrize("rep_id,h_max,f0", [("Ep", 3.5, None), ("Ep_SSI", 0.0, None),
+                                                 ("Ep_SSI", 3.5, 150.0)])
+    def test_no_ep_analyzer_holds_samples_after_any_estimate(self, default_corpus_dir, forks,
+                                                             monkeypatch, cpus, rep_id, h_max, f0):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        corpus = v.load_corpus(default_corpus_dir / "manifest.csv", f0_overrides=f0)
+        corpus.estimate(rep_id, h_max)
+        assert len(forks) == len(cpus) - 1
+        assert len(corpus._analyzers) == len(corpus.records)
+        assert all(analyzer.samples is None for analyzer in corpus._analyzers.values())
+        if f0 is not None:
+            assert {analyzer.f0 for analyzer in corpus._analyzers.values()} == {f0}
+
+    def test_unweighted_estimate_keeps_no_samples(self, default_corpus_dir, serial_ladder, forks):
+        """A cold Ep estimate estimates F0 too, in both processes, so a
+        weighted estimate after it is the serial one, with no second fork."""
         corpus = v.load_corpus(default_corpus_dir / "manifest.csv")
         corpus.estimate("Ep", 3.5)
         assert len(forks) == 1
-        for analyzer in corpus._analyzers.values():
-            window = analyzer._f0_samples()
-            held = analyzer.samples
-            assert (analyzer.start, held.size) == (window.start, ssi.F0_WINDOW_N)
-            # a copy, or unpickled from the child into a buffer of its own size
-            assert held.base is None or memoryview(held.base).nbytes == held.nbytes
+        assert all(a.samples is None for a in corpus._analyzers.values())
+        assert {key: a._f0 for key, a in corpus._analyzers.items()} == {
+            key: a._f0 for key, a in serial_ladder[0]._analyzers.items()}
         _assert_same_estimate(corpus.estimate("Ep_SSI", 3.5), serial_ladder[1])
         assert len(forks) == 1
-        assert all(analyzer.samples is None for analyzer in corpus._analyzers.values())
 
     def test_interrupt_kills_and_reaps_the_child(self, default_corpus_dir, forks, monkeypatch):
         parent = os.getpid()
