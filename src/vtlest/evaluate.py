@@ -141,9 +141,12 @@ def exclusion_trials(corpus: CorpusAnalyzer, rep_id: str, *, k: int, trials: int
     """Stability check: drop ``k`` random speakers, re-estimate, record RMS.
 
     Exclusions are drawn uniformly without replacement from a generator
-    seeded with ``seed``, so runs are reproducible.
+    seeded with ``seed``, so runs are reproducible.  ``trials`` must be at
+    least 1: no trials have no mean RMS.
     """
     _check_trials(trials)
+    if trials == 0:
+        raise ConfigurationError("trials must be at least 1 to run exclusion trials, got 0")
     _check_exclude(corpus, k)
     _check_seed(seed)
     rng = np.random.default_rng(seed)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._kernels import wavfile
+from ._kernels import _load, wavfile
 from .axes import F_HI, AxisKind, FrequencyAxis
 from .errors import ConfigurationError, InputError
 from .spectral import Spectrogram, Spectrum, as_compression
@@ -124,12 +124,22 @@ def resample_ratio(fs) -> tuple[int, int]:
 @functools.lru_cache(maxsize=4)
 def _lowpass(up: int, down: int) -> np.ndarray:
     """The anti-alias filter ``resample_poly`` designs for ``up / down`` by
-    default: Kaiser(5.0), cutoff at the lower Nyquist rate, 10 zero
-    crossings either side of the centre."""
-    from scipy.signal import firwin  # loads scipy.signal: only input not at 48 kHz needs it
+    default, bit for bit ``firwin(20 * r + 1, 1 / r, window=("kaiser", 5.0))``
+    for ``r = max(up, down)``: a sinc with its cutoff at the lower Nyquist
+    rate and 10 zero crossings either side of the centre, times a Kaiser(5.0)
+    window, scaled to unit gain at DC.
 
+    The window's Bessel function is scipy's ``i0``, loaded on the first call
+    (numpy's ``np.i0`` differs from it in the last bits).
+    """
+    i0 = _load("_special_ufuncs", "scipy.special").i0
     max_rate = max(up, down)
-    h = firwin(20 * max_rate + 1, 1.0 / max_rate, window=("kaiser", 5.0))
+    cutoff, beta = 1.0 / max_rate, 5.0
+    alpha = 10.0 * max_rate
+    m = np.arange(0, 20 * max_rate + 1, dtype=float) - alpha
+    h = cutoff * np.sinc(cutoff * m)
+    h *= i0(beta * np.sqrt(1 - (m / alpha) ** 2.0)) / i0(beta)
+    h /= np.sum(h)
     h.flags.writeable = False
     return h
 
@@ -153,18 +163,36 @@ def native_cut(cut: slice, fs, size: int) -> tuple[slice, int]:
 def ensure_rate(samples, fs: float) -> np.ndarray:
     """Resample to :data:`CANONICAL_FS` if needed.
 
-    Polyphase resampling (``scipy.signal.resample_poly``) with its default
-    Kaiser(5.0) anti-alias filter, designed once per ratio: the result is
-    bit for bit that of the default call, ``ceil(n * up / down)`` samples.
-    The rate is checked by :func:`resample_ratio` first.
+    Polyphase resampling, bit for bit the default
+    ``scipy.signal.resample_poly(x, up, down)``, ``ceil(n * up / down)``
+    samples, in its steps: the :func:`_lowpass` filter (designed once per
+    ratio) times ``up``, zero-padded so the output samples sit at its
+    centre, split into its ``up`` phases, each transposed and flipped, and
+    applied with zeros beyond both ends of the input by scipy's compiled
+    ``upfirdn`` core (``scipy.signal._upfirdn_apply``, loaded on the first
+    call without ``scipy.signal``).  The rate is checked by
+    :func:`resample_ratio` first.
     """
     up, down = resample_ratio(fs)
     x = np.asarray(samples, dtype=float)
     if up == down:
         return x
-    from scipy.signal import resample_poly  # see _lowpass
-
-    return resample_poly(x, up, down, window=_lowpass(up, down))
+    upfirdn = _load("_upfirdn_apply")
+    h = _lowpass(up, down) * up
+    half_len = (h.size - 1) // 2
+    n_out = -(-x.size * up // down)
+    n_pre_pad = down - half_len % down
+    n_post_pad = 0
+    n_pre_remove = (half_len + n_pre_pad) // down
+    while upfirdn._output_len(h.size + n_pre_pad + n_post_pad, x.size, up, down) < n_out + n_pre_remove:
+        n_post_pad += 1
+    taps = h.size + n_pre_pad + n_post_pad
+    # and zeros to a whole number of taps per phase, as upfirdn pads
+    h = np.concatenate((np.zeros(n_pre_pad), h, np.zeros(n_post_pad + -taps % up)))
+    phases = h.reshape(-1, up).T[:, ::-1].ravel()
+    y = np.zeros(upfirdn._output_len(taps, x.size, up, down))
+    upfirdn._apply(x, phases, y, up, down, 0, upfirdn.mode_enum("constant"), 0)
+    return y[n_pre_remove:n_pre_remove + n_out]
 
 
 def read_audio(path):

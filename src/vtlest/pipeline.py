@@ -136,6 +136,13 @@ def representation_catalog(include_external: bool = False) -> list[str]:
     return [rep_id for rep_id, rep in _CATALOG.items() if include_external or rep.base != "W"]
 
 
+def _check_f0(f0: float | None, where: str = "") -> None:
+    """Reject an F0 override that is negative, infinite or NaN (``None``
+    is no override)."""
+    if f0 is not None and not 0.0 <= f0 < math.inf:  # NaN fails every comparison
+        raise ConfigurationError(f"f0 must be nonnegative and finite, got {f0}{where}")
+
+
 class UtteranceAnalyzer:
     """Computes one base's spectral representations of one utterance and
     caches the averaged spectra and F0, which weight sweeps read again.
@@ -169,6 +176,7 @@ class UtteranceAnalyzer:
 
     def __init__(self, samples, fs, *, base: str, f0_override: float | None = None,
                  external_sg=None):
+        _check_f0(f0_override)
         up, down = fileio.resample_ratio(fs)
         samples = np.asarray(samples, dtype=float)
         self.base = base
@@ -298,6 +306,7 @@ def analyze_wav(path, rep, *, h_max: float | None = None, f0_override: float | N
     if isinstance(rep, str):
         rep = parse_representation(rep)
     check_h_max(DEFAULT_H_MAX if h_max is None else h_max)  # for every id, before the read
+    _check_f0(f0_override)
     samples, fs = fileio.read_audio(path)
     with _naming(path):
         return UtteranceAnalyzer(samples, fs, base=rep.base, f0_override=f0_override).spectrum(rep, h_max)
@@ -389,9 +398,7 @@ class CorpusAnalyzer:
                              + ", ".join(map(repr, unknown)))
         overrides = f0_overrides.items() if isinstance(f0_overrides, dict) else [(None, f0_overrides)]
         for utterance, f0 in overrides:
-            if f0 is not None and not 0.0 <= f0 < math.inf:  # NaN fails every comparison
-                where = "" if utterance is None else f" for utterance {utterance!r}"
-                raise ConfigurationError(f"f0 must be nonnegative and finite, got {f0}{where}")
+            _check_f0(f0, "" if utterance is None else f" for utterance {utterance!r}")
         self.records = records
         self.f0_overrides = f0_overrides
         self.external_dir = external_dir

@@ -101,6 +101,13 @@ class TestExclusionTrials:
         with pytest.raises(ConfigurationError, match="^seed must be at least 0, got -1$"):
             v.exclusion_trials(default_corpus, "Ep_SSI", k=2, trials=2, seed=-1)
 
+    def test_zero_trials_rejected(self, pair_corpus):
+        """Once returned no trials, whose mean RMS was NaN, with two numpy
+        warnings; ``trials = 0`` of a configured run still means none."""
+        with pytest.raises(ConfigurationError,
+                           match="^trials must be at least 1 to run exclusion trials, got 0$"):
+            v.exclusion_trials(pair_corpus, "F_log", k=1, trials=0, seed=0)
+
     def test_negative_trials_rejected(self, pair_corpus):
         """Once returned zero trials, whose mean RMS was NaN."""
         with pytest.raises(ConfigurationError, match="^trials must be at least 0, got -3$"):

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.signal import resample_poly
+from scipy.signal import firwin, resample_poly
 
 import vtlest as v
 from vtlest import fileio, ssi
@@ -94,6 +94,23 @@ class TestResampling:
             got = fileio.ensure_rate(x, float(fs))
             assert got.tobytes() == resample_poly(x, 48000, fs).tobytes()
         assert fileio._lowpass.cache_info().currsize <= fileio._lowpass.cache_info().maxsize
+
+    @settings(max_examples=40, deadline=None)
+    @given(fs=st.sampled_from([16000, 22050, 44100, 44101, 47999, 48001, 96000, 176400]),
+           n=st.integers(1, 30000), seed=st.integers(0, 2**32 - 1))
+    def test_bytes_of_resample_poly(self, fs, n, seed):
+        """Upsampling, downsampling, 960 001-tap filters and inputs shorter
+        than one filter phase."""
+        x = np.random.default_rng(seed).normal(size=n)
+        assert fileio.ensure_rate(x, float(fs)).tobytes() == resample_poly(x, 48000, fs).tobytes()
+
+    @pytest.mark.parametrize("up,down", [(3, 1), (1, 2), (320, 147), (160, 147), (40, 147),
+                                         (48000, 44101), (48000, 47999), (48000, 48001)])
+    def test_lowpass_bytes_of_firwin(self, up, down):
+        r = max(up, down)
+        h = fileio._lowpass(up, down)
+        assert h.tobytes() == firwin(20 * r + 1, 1.0 / r, window=("kaiser", 5.0)).tobytes()
+        assert not h.flags.writeable
 
     @settings(max_examples=20, deadline=None)
     @given(fs=st.sampled_from([16000, 22050, 44100, 96000]), duration=st.floats(0.04, 0.6),

@@ -20,22 +20,27 @@ def run_python(code: str, *args) -> str:
     return proc.stdout
 
 
-NO_SCIPY_SIGNAL = """
+NO_SCIPY_PACKAGE = """
 import sys, warnings
 from pathlib import Path
 import vtlest, vtlest.cli
 
 out = Path(sys.argv[1])
+reps = ("Ep_SSI", "F_SSI_log", "M_SSI_log")
+resampler = ["scipy.signal._upfirdn_apply", "scipy.special._special_ufuncs"]
 for fs in (48000, 44100):
     vtlest.make_corpus(vtlest.default_speakers()[:3], ["a"], out / str(fs), fs=fs)
 corpus = vtlest.load_corpus(out / "48000" / "manifest.csv")
-for rep in ("Ep_SSI", "F_SSI_log", "M_SSI_log"):
+for rep in reps:
     corpus.estimate(rep)
-heavy = [f"scipy.{name}" for name in ("fft", "optimize", "io", "sparse", "linalg", "signal")]
-print(",".join(name for name in heavy if name in sys.modules) or "none")
+print(",".join(name for name in resampler if name in sys.modules) or "none")
 warnings.simplefilter("ignore")  # the resampling warning
-vtlest.load_corpus(out / "44100" / "manifest.csv").estimate("F_SSI_log")
-print("scipy.signal" in sys.modules)
+corpus = vtlest.load_corpus(out / "44100" / "manifest.csv")
+for rep in reps:
+    corpus.estimate(rep)
+heavy = [f"scipy.{name}" for name in ("signal", "special", "fft", "optimize", "io", "sparse", "linalg")]
+print(",".join(name for name in heavy if name in sys.modules) or "none")
+print(all(name in sys.modules for name in resampler))
 """
 
 LATER_SCIPY_IO = """
@@ -53,6 +58,33 @@ import scipy.io
 assert scipy.io.wavfile is _kernels.wavfile
 rate, data = scipy.io.wavfile.read(f"{sys.argv[1]}/x.wav")
 assert rate == fs and (data / 32768.0).tobytes() == samples.tobytes()
+print("ok")
+"""
+
+LATER_RESAMPLER_IMPORT = """
+import sys, warnings
+import numpy as np
+import vtlest
+from vtlest import _kernels, fileio
+
+rng = np.random.default_rng(0)
+fileio.write_wav(sys.argv[1], "x.wav", rng.uniform(-1.0, 1.0, 4410), 44100.0)
+warnings.simplefilter("ignore")  # the resampling warning
+samples, fs = fileio.read_audio(f"{sys.argv[1]}/x.wav")
+cut = vtlest.UtteranceAnalyzer(samples, fs, base="F").samples
+y = fileio.ensure_rate(samples, fs)
+assert "scipy.signal" not in sys.modules and "scipy.special" not in sys.modules
+
+import scipy.signal, scipy.special
+from scipy.signal import _upfirdn_apply, resample_poly
+from scipy.special import _special_ufuncs
+
+assert _upfirdn_apply is _kernels._load("_upfirdn_apply")
+assert _special_ufuncs is _kernels._load("_special_ufuncs", "scipy.special")
+assert scipy.special.i0 is _special_ufuncs.i0
+assert resample_poly(samples, 160, 147).tobytes() == y.tobytes()
+assert fileio.ensure_rate(samples, fs).tobytes() == y.tobytes()
+assert vtlest.UtteranceAnalyzer(samples, fs, base="F").samples.tobytes() == cut.tobytes()
 print("ok")
 """
 
@@ -105,11 +137,12 @@ print("ok")
 
 
 class TestKernelLoader:
-    def test_scipy_signal_loads_only_to_resample(self, tmp_path):
-        """A 48 kHz corpus is written and estimated through all three bases
-        without ``scipy.signal``, ``fft``, ``optimize``, ``io``, ``sparse``
-        or ``linalg``; a 44.1 kHz one loads ``scipy.signal`` to resample."""
-        assert run_python(NO_SCIPY_SIGNAL, tmp_path).split() == ["none", "True"]
+    def test_no_scipy_package_loads_to_resample(self, tmp_path):
+        """A 44.1 kHz corpus is written and estimated through all three
+        bases without ``scipy.signal``, ``special``, ``fft``, ``optimize``,
+        ``io``, ``sparse`` or ``linalg``: the resampler's two compiled
+        modules load on its first call, so a 48 kHz run loads neither."""
+        assert run_python(NO_SCIPY_PACKAGE, tmp_path).split() == ["none", "none", "True"]
 
     def test_later_import_of_scipy_io_reuses_wavfile(self, tmp_path):
         """After a WAV read, ``import scipy.io`` works, binds the ``wavfile``
@@ -130,6 +163,20 @@ class TestKernelLoader:
         works, takes the modules loaded here, and its public ``sosfilt`` and
         ``lfilter`` give the kernels' bits."""
         assert run_python(LATER_IMPORT).split() == ["ok"]
+
+    def test_later_import_of_scipy_signal_and_special_reuses_the_resampler(self, tmp_path):
+        """After a 44.1 kHz read is resampled, ``import scipy.signal`` and
+        ``import scipy.special`` work, take the modules loaded here, and the
+        public ``resample_poly`` gives the resampler's bits."""
+        assert run_python(LATER_RESAMPLER_IMPORT, tmp_path).split() == ["ok"]
+
+    def test_resampler_taken_from_its_packages_when_imported_first(self):
+        code = ("import numpy as np, scipy.signal, scipy.special, sys;"
+                "from vtlest import fileio;"
+                "fileio.ensure_rate(np.ones(100), 44100.0);"
+                "print(sys.modules['scipy.signal._upfirdn_apply'] is scipy.signal._upfirdn_apply,"
+                " sys.modules['scipy.special._special_ufuncs'] is scipy.special._special_ufuncs)")
+        assert run_python(code).split() == ["True", "True"]
 
     def test_taken_from_scipy_signal_when_imported_first(self):
         code = ("import scipy.signal, vtlest._kernels as k;"

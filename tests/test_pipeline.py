@@ -467,6 +467,18 @@ class TestAnalyzeWav:
             v.analyze_wav(one_hz_wav, "Ep_SSI")
         assert str(info.value) == f"{one_hz_wav}: sample rate 1 Hz is too low for channels up to 8000 Hz"
 
+    @pytest.mark.parametrize("rep_id,h_max", [("F_log", None), ("Ep_SSI", 0.0), ("M_SSI_log", 3.5)])
+    @pytest.mark.parametrize("f0", [float("nan"), -5.0, float("inf")])
+    def test_bad_f0_override_rejected_before_the_read(self, pair_corpus_dir, monkeypatch, rep_id, h_max, f0):
+        """An unweighted spectrum, or a knee of 0, once went through with
+        such an override; a direct analyzer rejects it too."""
+        monkeypatch.setattr(fileio, "read_audio", lambda path: pytest.fail("read before the check"))
+        message = f"^f0 must be nonnegative and finite, got {f0}$"
+        with pytest.raises(ConfigurationError, match=message):
+            v.analyze_wav(pair_corpus_dir / "s01_a.wav", rep_id, h_max=h_max, f0_override=f0)
+        with pytest.raises(ConfigurationError, match=message):
+            v.UtteranceAnalyzer(np.zeros(24000), 48000.0, base=rep_id.split("_")[0], f0_override=f0)
+
 
 class TestCorpusEstimation:
     def test_identical_speakers_give_zero_shifts(self, tmp_path):
