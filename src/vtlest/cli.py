@@ -193,8 +193,8 @@ def main(argv=None) -> int:
     warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         return args.func(args)
-    except (VtlestError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (VtlestError, OSError, MemoryError) as exc:  # such as a corpus too large to synthesize
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     finally:
         warnings.formatwarning = format_warning

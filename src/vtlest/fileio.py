@@ -12,6 +12,7 @@ import functools
 import math
 import os
 import tempfile
+import traceback
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -66,32 +67,72 @@ def write_csv(path, header, rows):
             writer.writerow([fmt(x) for x in row])
 
 
+@contextlib.contextmanager
+def naming(path):
+    """Re-raise an :class:`InputError` from reading or analysing the file at
+    ``path`` as the same type, its message prefixed with the path.  A
+    :class:`ConfigurationError` is about a setting, not the file, and
+    passes unchanged."""
+    try:
+        yield
+    except InputError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
 # --------------------------------------------------------------------------
 # audio
 
-def read_wav(path):
-    """Read a mono WAV file as (float64 samples in [-1, 1], sample rate)."""
+def _read_native(path, select=None) -> tuple[np.ndarray, float]:
+    """The one WAV decode path: ``(samples, rate)`` of a mono WAV file, the
+    samples a copy in the file's own format, and only the slice
+    ``select(rate, samples in the file)`` of them (all without ``select``).
+
+    The file is memory-mapped (``wavfile.read(path, mmap=True)``), and the
+    map is closed before this returns, whatever it raises: each read opens
+    one map and keeps no file descriptor.  Errors name the file: one that
+    cannot be read so (not a WAV file, one shorter than its header says,
+    or 24-bit PCM, whose 3-byte samples no array can map), a rate that is
+    not positive, more than one channel, a format other than int16, int32,
+    float32 and float64, and float samples that are NaN or infinite among
+    those read.
+    """
     try:
-        fs, data = wavfile.read(path)
+        fs, data = wavfile.read(path, mmap=True)
     except FileNotFoundError:
         raise
     except Exception as exc:
+        # the frames hold the map if it was made before the error
+        traceback.clear_frames(exc.__traceback__)
         raise InputError(f"cannot read WAV file {path}: {exc}") from exc
-    if fs <= 0:
-        raise InputError(f"{path}: sample rate must be positive, got {fs}")
-    if data.ndim != 1:
-        raise InputError(f"{path}: expected mono audio, got {data.shape[1]} channels")
-    if data.dtype == np.int16:
-        samples = data / 32768.0
-    elif data.dtype == np.int32:
-        samples = data / 2147483648.0
-    elif data.dtype in (np.float32, np.float64):
-        samples = data.astype(float)
-        if not np.isfinite(samples).all():  # integer PCM is always finite
-            raise InputError(f"{path}: audio holds NaN or infinite samples")
-    else:
-        raise InputError(f"{path}: unsupported sample format {data.dtype}")
+    try:
+        if fs <= 0:
+            raise InputError(f"{path}: sample rate must be positive, got {fs}")
+        if data.ndim != 1:
+            raise InputError(f"{path}: expected mono audio, got {data.shape[1]} channels")
+        if data.dtype not in (np.int16, np.int32, np.float32, np.float64):
+            raise InputError(f"{path}: unsupported sample format {data.dtype}")
+        samples = np.array(data[slice(None) if select is None else select(float(fs), data.size)])
+    finally:
+        del data  # the last reference to the map, which closes it
+    if samples.dtype.kind == "f" and not np.isfinite(samples).all():  # integer PCM is always finite
+        raise InputError(f"{path}: audio holds NaN or infinite samples")
     return samples, float(fs)
+
+
+def as_float(samples) -> np.ndarray:
+    """Samples of a WAV file's format as float64 in [-1, 1]: int16 over
+    32768, int32 over 2**31, float as it is."""
+    if samples.dtype == np.int16:
+        return samples / 32768.0
+    if samples.dtype == np.int32:
+        return samples / 2147483648.0
+    return np.asarray(samples, dtype=float)
+
+
+def read_wav(path):
+    """Read a mono WAV file as (float64 samples in [-1, 1], sample rate)."""
+    samples, fs = _read_native(path)
+    return as_float(samples), fs
 
 
 def write_wav(out_dir, rel_path, samples, fs: float):
@@ -195,19 +236,37 @@ def ensure_rate(samples, fs: float) -> np.ndarray:
     return y[n_pre_remove:n_pre_remove + n_out]
 
 
+def read_cut(path, select) -> tuple[np.ndarray, float]:
+    """The reader of analysis: ``(samples, rate)`` of the WAV file at
+    ``path``, only the slice ``select(rate, samples in the file)`` of its
+    samples, copied in the file's own format (int16 for a 16-bit file).
+
+    The rate must be one :func:`resample_ratio` accepts, and a file not at
+    :data:`CANONICAL_FS` gets one warning that it will be resampled, both
+    before ``select`` is called.  Every error, an :class:`InputError` that
+    ``select`` raises too, names the file, and so does the warning.  The
+    file is memory-mapped and the map closed before this returns, so what
+    is read, copied and checked is bounded by the slice, not by the file:
+    a float file's finiteness is checked on the slice.
+    """
+    def accepted(fs, size):
+        with naming(path):
+            resample_ratio(fs)
+            if fs != CANONICAL_FS:
+                warnings.warn(f"resampling input {path} from {fs:g} Hz to the canonical "
+                              f"{CANONICAL_FS:g} Hz", stacklevel=4)  # read_cut's caller
+            return select(fs, size)
+
+    return _read_native(path, accepted)
+
+
 def read_audio(path):
-    """Read a WAV file at its own rate, once :func:`resample_ratio` has
-    accepted the rate; errors name the file, and so does the one warning
-    that a file not at :data:`CANONICAL_FS` will be resampled."""
-    samples, fs = read_wav(path)
-    try:
-        resample_ratio(fs)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None
-    if fs != CANONICAL_FS:
-        warnings.warn(f"resampling input {path} from {fs:g} Hz to the canonical "
-                      f"{CANONICAL_FS:g} Hz", stacklevel=2)
-    return samples, fs
+    """Read a whole WAV file at its own rate as float64 samples, once
+    :func:`resample_ratio` has accepted the rate, through :func:`read_cut`:
+    errors name the file, and so does the one warning that a file not at
+    :data:`CANONICAL_FS` will be resampled."""
+    samples, fs = read_cut(path, lambda fs, size: slice(None))
+    return as_float(samples), fs
 
 
 # --------------------------------------------------------------------------

@@ -16,9 +16,10 @@ resolved harmonics) to the correlator.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import math
-from contextlib import contextmanager
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -147,13 +148,18 @@ class UtteranceAnalyzer:
     """Computes one base's spectral representations of one utterance and
     caches the averaged spectra and F0, which weight sweeps read again.
 
-    The constructor resamples, once, only the native samples behind the cut
-    its ``base`` reads, exactly as resampling the whole input would, and
-    keeps at most that cut (``samples``, from canonical sample ``start``):
-    nothing held grows with the duration.  ``fs`` is the input's own rate;
-    ``n_samples`` and every cut count samples at
-    :data:`~vtlest.fileio.CANONICAL_FS`, in the frame and window lengths the
-    front ends define.  The cuts:
+    ``samples`` is the input at rate ``fs``, or the path of a WAV file
+    (``fs`` None).  Of a file, only the native samples behind the cut its
+    ``base`` reads are read (:func:`fileio.read_cut`), in the file's own
+    format; of an array, they are copied out of it as float64.  Those
+    native samples, from canonical sample ``start`` on, are all the
+    analyzer reads and all it keeps (``native``, read-only, at ``fs``):
+    nothing read or held grows with the duration.  Converted to float and
+    resampled (:func:`fileio.ensure_rate`), they are the cut, bit for bit
+    the samples of resampling the whole input (``samples``, computed anew
+    on each access, None once nothing is held).  ``n_samples`` and every
+    cut count samples at :data:`~vtlest.fileio.CANONICAL_FS`, in the frame
+    and window lengths the front ends define.  The cuts:
 
     * Ep: the whole frames from the slowest channel's start to the window
       end.  Each gammatone channel starts
@@ -169,41 +175,70 @@ class UtteranceAnalyzer:
 
     F0 is estimated on the centre 50 ms, which lies inside every cut.  Ep
     has one compression, so its pattern and F0 are all its cut is read
-    for: the constructor computes both, the pattern first, and keeps no
-    samples (``samples`` is None).  F, M and W keep their cut and estimate
-    F0 on first use.
+    for: the constructor computes both from one resampled cut, the pattern
+    first, and keeps nothing (``native`` is None).  F, M and W keep their
+    native samples and resample them when a spectrum or the F0 needs the
+    cut, at most once per :meth:`spectrum` call, which takes a first
+    weighted spectrum's base spectrum and F0 from the same cut; F0 is
+    estimated on first use.  Of a file, every input error the constructor
+    raises names the file.
     """
 
-    def __init__(self, samples, fs, *, base: str, f0_override: float | None = None,
+    def __init__(self, samples, fs=None, *, base: str, f0_override: float | None = None,
                  external_sg=None):
         _check_f0(f0_override)
-        up, down = fileio.resample_ratio(fs)
-        samples = np.asarray(samples, dtype=float)
         self.base = base
-        self.n_samples = -(-samples.size * up // down)
-        self.center = self.n_samples / fileio.CANONICAL_FS / 2.0
         self._f0 = f0_override
         self._external_sg = external_sg
         self._spectra: dict[Compression, Spectrum] = {}
+        if fs is None:
+            self.native, self.fs = fileio.read_cut(samples, self._locate)
+            naming = fileio.naming(samples)
+        else:
+            samples = np.asarray(samples, dtype=float)
+            # a copy, as a view would keep the whole waveform alive
+            self.native, self.fs = samples[self._locate(fs, samples.size)].copy(), fs
+            naming = nullcontext()
+        self.native.flags.writeable = False
         if base == "Ep":
+            with naming:
+                cut = self.samples
+                # the cut keeps every frame the window picks, and center_average
+                # needs none past it; the samples before them only warm the bank up
+                frames = gammatone_ep(cut, start=self._ep_samples()[1] - self.start)
+                frames = replace(frames, t0=frames.t0 + self.start / fileio.CANONICAL_FS)
+                self._spectra[LOG_COMPRESSION] = compress(center_average(frames, self.center),
+                                                          LOG_COMPRESSION)
+                # after the pattern, whose error a vowel too short for both meets first
+                self._pitch(lambda: cut)
+            self.native = None
+
+    def _locate(self, fs, size: int) -> slice:
+        """From the input's rate and native length, set this analyzer's
+        cut; return the native samples behind it (:func:`fileio.native_cut`)."""
+        up, down = fileio.resample_ratio(fs)
+        self.n_samples = -(-size * up // down)
+        self.center = self.n_samples / fileio.CANONICAL_FS / 2.0
+        if self.base == "Ep":
             cut = self._ep_samples()[0]
-        elif base == "W":
+        elif self.base == "W":
             cut = self._f0_samples()
         else:
             cut = self._f_samples()
-        native, first = fileio.native_cut(cut, fs, samples.size)
+        native, first = fileio.native_cut(cut, fs, size)
         self.start = cut.start
-        # clipped to the input's end; a copy, as a view would keep the
-        # whole waveform alive
-        self.samples = fileio.ensure_rate(samples[native], fs)[cut.start - first:cut.stop - first].copy()
-        if base == "Ep":
-            # the cut keeps every frame the window picks, and center_average
-            # needs none past it; the samples before them only warm the bank up
-            frames = gammatone_ep(self.samples, start=self._ep_samples()[1] - self.start)
-            frames = replace(frames, t0=frames.t0 + self.start / fileio.CANONICAL_FS)
-            self._spectra[LOG_COMPRESSION] = compress(center_average(frames, self.center), LOG_COMPRESSION)
-            self.f0  # after the pattern, whose error a vowel too short for both meets first
-            self.samples = None
+        # the cut in the resampled native samples, clipped to the input's end
+        self._span = slice(cut.start - first, cut.stop - first)
+        return native
+
+    @property
+    def samples(self) -> np.ndarray | None:
+        """The cut at :data:`~vtlest.fileio.CANONICAL_FS`: the held native
+        samples converted to float and resampled, on each access; None
+        when nothing is held."""
+        if self.native is None:
+            return None
+        return fileio.ensure_rate(fileio.as_float(self.native), self.fs)[self._span]
 
     def _ep_samples(self) -> tuple[slice, int]:
         """Whole EP frames from the slowest channel's start to the window
@@ -227,18 +262,19 @@ class UtteranceAnalyzer:
         start = max(0, (self.n_samples - F0_WINDOW_N) // 2)
         return slice(start, start + F0_WINDOW_N)
 
-    def _f0_window(self) -> np.ndarray:
-        """The F0 window's slice of the held samples."""
-        f0 = self._f0_samples()
-        return self.samples[f0.start - self.start:f0.stop - self.start]
+    def _pitch(self, cut) -> float:
+        """:attr:`f0`, estimated if need be from the F0 window's slice of
+        ``cut()``, the cut."""
+        if self._f0 is None:
+            f0 = self._f0_samples()
+            self._f0 = estimate_f0(cut()[f0.start - self.start:f0.stop - self.start])
+        return self._f0
 
     @property
     def f0(self) -> float:
         """Pitch used for weighting: the override if given, else estimated
-        once from the F0 window's slice of the held samples."""
-        if self._f0 is None:
-            self._f0 = estimate_f0(self._f0_window())
-        return self._f0
+        once from the F0 window's slice of the cut."""
+        return self._pitch(lambda: self.samples)
 
     def _external_window(self) -> Spectrogram:
         """The uncompressed W frames the averaging window picks."""
@@ -258,6 +294,10 @@ class UtteranceAnalyzer:
     def base_spectrum(self, rep: Representation) -> Spectrum:
         """Compressed, time-averaged spectrum on the representation's grid,
         before any weighting."""
+        return self._base_spectrum(rep, lambda: self.samples)
+
+    def _base_spectrum(self, rep: Representation, cut) -> Spectrum:
+        """:meth:`base_spectrum`, of ``cut()``, the cut, if it is not cached."""
         if rep.base != self.base:
             raise ConfigurationError(f"this analyzer computes {self.base} representations, not {rep.id}")
         if rep.compression in self._spectra:
@@ -265,7 +305,7 @@ class UtteranceAnalyzer:
         if rep.base == "W":
             frames = self._external_window()
         else:
-            frames = stft_spectrum(self.samples)
+            frames = stft_spectrum(cut())
             frames = replace(frames, t0=frames.t0 + self.start / fileio.CANONICAL_FS)
             if rep.base == "M":
                 frames = mel_spectrum(frames)
@@ -282,23 +322,11 @@ class UtteranceAnalyzer:
         estimated for them but Ep's, which its constructor estimated.
         """
         h_max = DEFAULT_H_MAX if h_max is None else h_max
-        spec = self.base_spectrum(rep)
+        cut = functools.cache(lambda: self.samples)  # resampled once, if at all
+        spec = self._base_spectrum(rep, cut)
         if not rep.ssi or h_max == 0.0:
             return spec
-        return apply_weight(spec, ssi_weight(spec.axis, h_max, self.f0))
-
-
-@contextmanager
-def _naming(path):
-    """Re-raise an :class:`InputError` from analysing the file at ``path``
-    as the same type, its message prefixed with the path.  Wraps only the
-    analysis: :func:`fileio.read_audio`'s errors name the file already.  A
-    :class:`ConfigurationError` is about a setting, not the file, and
-    passes unchanged."""
-    try:
-        yield
-    except InputError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+        return apply_weight(spec, ssi_weight(spec.axis, h_max, self._pitch(cut)))
 
 
 def analyze_wav(path, rep, *, h_max: float | None = None, f0_override: float | None = None) -> Spectrum:
@@ -307,9 +335,9 @@ def analyze_wav(path, rep, *, h_max: float | None = None, f0_override: float | N
         rep = parse_representation(rep)
     check_h_max(DEFAULT_H_MAX if h_max is None else h_max)  # for every id, before the read
     _check_f0(f0_override)
-    samples, fs = fileio.read_audio(path)
-    with _naming(path):
-        return UtteranceAnalyzer(samples, fs, base=rep.base, f0_override=f0_override).spectrum(rep, h_max)
+    analyzer = UtteranceAnalyzer(path, base=rep.base, f0_override=f0_override)
+    with fileio.naming(path):  # the analysis: the reader's errors name the file already
+        return analyzer.spectrum(rep, h_max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,7 +380,10 @@ class CorpusAnalyzer:
     """Caches per-utterance spectra and pairwise shifts for a whole corpus.
 
     Each utterance gets one :class:`UtteranceAnalyzer` per base it is read
-    with; only W analyzers are given the utterance's external CSV.
+    with, built from its WAV file, of which it reads only the native
+    samples behind its base's cut; F, M and W analyzers keep those in the
+    file's own format (int16 for a 16-bit file) and Ep analyzers keep
+    none.  Only W analyzers are given the utterance's external CSV.
     Shift matrices are computed once per (vowel, representation, h_max) over
     all speakers; estimating on a speaker subset reuses the cached pairwise
     lags, which are independent of which other speakers are present.
@@ -424,13 +455,10 @@ class CorpusAnalyzer:
     def analyzer(self, record, base: str) -> UtteranceAnalyzer:
         key = (record.utterance_id, base)
         if key not in self._analyzers:
-            samples, fs = fileio.read_audio(record.path)
             external = (f"{self.external_dir}/{record.utterance_id}.csv"
                         if base == "W" and self.external_dir is not None else None)
-            with _naming(record.path):
-                self._analyzers[key] = UtteranceAnalyzer(
-                    samples, fs, base=base, f0_override=self._f0_for(record), external_sg=external
-                )
+            self._analyzers[key] = UtteranceAnalyzer(record.path, base=base, f0_override=self._f0_for(record),
+                                                     external_sg=external)
         return self._analyzers[key]
 
     def spectrum(self, speaker_id: str, vowel: str, rep: Representation, h_max: float) -> Spectrum:
@@ -438,7 +466,7 @@ class CorpusAnalyzer:
         if record is None:
             raise InputError(f"no utterance for speaker {speaker_id}, vowel {vowel!r}")
         analyzer = self.analyzer(record, rep.base)
-        with _naming(record.path):
+        with fileio.naming(record.path):
             return analyzer.spectrum(rep, h_max)
 
     def vowel_speakers(self, vowel: str) -> list[str]:

@@ -240,6 +240,8 @@ def make_corpus(speakers, vowels, out_dir, duration: float = DEFAULT_DURATION_S,
     # every spec is checked before the first WAV is written
     specs = [(f"s{idx:0{width}d}", [vowel_spec(vowel, f0, alpha, duration, fs) for vowel in vowels])
              for idx, (f0, alpha) in enumerate(speakers, start=1)]
+    if fs >= 2**31:  # a 16-bit WAV header holds the byte rate, 2 * fs, in 32 bits
+        raise ConfigurationError(f"fs must be below 2**31 Hz to fit a WAV header, got {fs:g}")
     records = [fileio.UtteranceRecord(
         speaker_id=speaker_id, vowel=spec.vowel, f0_hz=spec.f0, alpha=float(spec.alpha),
         vtl_cm=spec.vtl_cm, path=f"{speaker_id}_{spec.vowel}.wav",

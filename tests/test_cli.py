@@ -82,6 +82,24 @@ class TestSynthCommand:
         ]
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value,message", [
+        # 4.8e13 samples, which numpy fails to allocate at once
+        ("--duration", "1e9", "error: Unable to allocate 349. TiB for an array with shape (48000000000000,)"),
+        # 5e14 samples, and a rate no WAV header holds, rejected first
+        ("--fs", "1e15", "error: fs must be below 2**31 Hz to fit a WAV header, got 1e+15"),
+        # the lowest such rate, whose 2 * fs bytes per second overflow the
+        # header's 32-bit field once 1e9 samples were made
+        ("--fs", "2147483648", "error: fs must be below 2**31 Hz to fit a WAV header, got 2.14748e+09"),
+    ])
+    def test_impossible_size_is_one_error_line_and_writes_nothing(self, tmp_path, capsys, flag, value,
+                                                                  message):
+        """Both once ended in numpy's traceback; one speaker, so nothing forks."""
+        out = tmp_path / "corpus"
+        assert run_cli("synth", "--out", out, "--speakers", "120:1.0", "--vowels", "a", flag, value) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(message)
+        assert not out.exists()
+
     def test_custom_speakers(self, tmp_path):
         assert run_cli("synth", "--out", tmp_path, "--speakers", "120:1.0,180:1.1",
                        "--vowels", "a,i") == 0
@@ -135,7 +153,7 @@ class TestAnalyzeCommand:
         """Also for an unweighted id, as ``estimate`` rejects it: ``F_log``
         once wrote a spectrum."""
         reads = []
-        monkeypatch.setattr(fileio, "read_audio", lambda *a: reads.append(a))
+        monkeypatch.setattr(fileio, "read_cut", lambda *a: reads.append(a))
         out = tmp_path / "spec.csv"
         assert run_cli("analyze", pair_corpus_dir / "s01_a.wav", "--rep", rep, "--hmax", value,
                        "--out", out) == 1
@@ -274,7 +292,7 @@ class TestEvaluateAndSweep:
     def test_bad_id_fails_before_any_read(self, default_corpus_dir, tmp_path, monkeypatch, capsys,
                                           command, output):
         reads = []
-        monkeypatch.setattr(fileio, "read_audio", lambda *a, **k: reads.append(a))
+        monkeypatch.setattr(fileio, "read_cut", lambda *a, **k: reads.append(a))
         argv = ["--manifest", default_corpus_dir / "manifest.csv", "--rep", "Ep_SSI,F_SSI_bogus",
                 "--out", tmp_path / "ev"]
         assert run_cli(command, *argv, *(("--trials", "0") if command == "evaluate" else ())) == 1

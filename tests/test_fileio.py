@@ -1,4 +1,7 @@
 """WAV and CSV round trips, resampling policy, atomic writes."""
+import os
+import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +11,7 @@ from scipy.signal import firwin, resample_poly
 
 import vtlest as v
 from vtlest import fileio, ssi
-from vtlest.errors import ConfigurationError, InputError
+from vtlest.errors import ConfigurationError, DegenerateInputError, InputError
 
 
 class TestWav:
@@ -83,6 +86,191 @@ class TestWav:
         assert len(y) == 100
 
 
+def _open_fds():
+    return sorted(os.listdir("/dev/fd"))
+
+
+def _wav24(path, n: int):
+    """A 48 kHz mono WAV file of ``n`` 24-bit (3-byte) zero samples."""
+    fmt = struct.pack("<HHIIHH", 1, 1, 48000, 3 * 48000, 3, 24)
+    body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", 3 * n) + bytes(3 * n))
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+
+
+class TestReadCut:
+    """The one WAV reader: the file memory-mapped, only the slice its
+    caller works out from the header copied out in the file's own format,
+    and the map closed before it returns."""
+
+    @pytest.mark.parametrize("dtype,scale", [(np.int16, 32768.0), (np.int32, 2147483648.0),
+                                             (np.float32, None), (np.float64, None)])
+    def test_slice_in_the_files_own_format(self, tmp_path, dtype, scale):
+        from scipy.io import wavfile
+
+        x = np.random.default_rng(0).uniform(-0.5, 0.5, 4410)
+        data = (x * scale).astype(dtype) if scale else x.astype(dtype)
+        wavfile.write(tmp_path / "t.wav", 44100, data)
+        asked = []
+        with pytest.warns(UserWarning, match=r"t\.wav from 44100 Hz"):
+            got, fs = fileio.read_cut(tmp_path / "t.wav",
+                                      lambda fs, size: asked.append((fs, size)) or slice(100, 300))
+        assert asked == [(44100.0, 4410)] and fs == 44100.0
+        assert got.dtype == dtype and got.flags.owndata and got.tobytes() == data[100:300].tobytes()
+        # the conversion read_wav made before it read through this reader
+        whole = data / scale if scale else data.astype(float)
+        assert fileio.as_float(got).tobytes() == whole[100:300].tobytes()
+        assert fileio.read_wav(tmp_path / "t.wav")[0].tobytes() == whole.tobytes()
+        with pytest.warns(UserWarning, match=r"t\.wav from 44100 Hz"):
+            assert fileio.read_audio(tmp_path / "t.wav")[0].tobytes() == whole.tobytes()
+
+    def test_rate_is_checked_before_the_slice_is_asked_for(self, one_hz_wav):
+        with pytest.raises(InputError, match=r"slow\.wav: sample rate 1 Hz is too low"):
+            fileio.read_cut(one_hz_wav, lambda fs, size: pytest.fail("slice asked for"))
+
+    def test_errors_of_the_caller_name_the_file(self, tmp_path):
+        fileio.write_wav(tmp_path, "t.wav", np.zeros(100), 48000.0)
+
+        def select(fs, size):
+            raise DegenerateInputError("too short")
+        with pytest.raises(DegenerateInputError) as info:
+            fileio.read_cut(tmp_path / "t.wav", select)
+        assert str(info.value) == f"{tmp_path / 't.wav'}: too short"
+
+    @pytest.mark.parametrize("case", ["read", "caller's error", "NaN", "chunk error after the data"])
+    def test_no_map_or_file_is_left_open(self, tmp_path, case):
+        """The map holds a descriptor of its own until it is closed, also
+        while an error raised after it was made is alive."""
+        from scipy.io import wavfile
+
+        x = np.zeros(4800, dtype=np.float32)
+        x[10] = np.nan
+        wavfile.write(tmp_path / "t.wav", 48000, x)
+        if case == "chunk error after the data":  # a chunk whose size field is cut short
+            data = bytearray((tmp_path / "t.wav").read_bytes() + b"LIST\x01\x00")
+            data[4:8] = struct.pack("<I", len(data) - 8)
+            (tmp_path / "t.wav").write_bytes(bytes(data))
+
+        def select(fs, size):
+            if case == "caller's error":
+                raise InputError("no cut")
+            return slice(0, 10 if case == "read" else 20)
+        fds = _open_fds()
+        if case == "read":
+            assert fileio.read_cut(tmp_path / "t.wav", select)[0].size == 10
+        else:
+            with pytest.raises(InputError, match=r"t\.wav") as info:
+                fileio.read_cut(tmp_path / "t.wav", select)
+            assert info.value.__traceback__ is not None
+        assert _open_fds() == fds
+
+    def test_nan_is_checked_among_the_samples_read(self, tmp_path):
+        """A NaN at the start of a 0.5 s float WAV lies outside every
+        base's cut, so the file now analyses, as the same file without it
+        does; in the centre, inside every cut, it is still an error that
+        names the file.  ``read_wav`` reads, and checks, the whole file."""
+        from scipy.io import wavfile
+
+        x = v.synth_vowel(v.vowel_spec("a", 150.0)).astype(np.float32)
+        wavfile.write(tmp_path / "clean.wav", 48000, x)
+        x[0] = np.nan
+        wavfile.write(tmp_path / "edge.wav", 48000, x)
+        x[12000] = np.nan
+        wavfile.write(tmp_path / "centre.wav", 48000, x)
+        for name in ("edge.wav", "centre.wav"):
+            with pytest.raises(InputError, match=rf"{name}: audio holds NaN or infinite samples"):
+                fileio.read_wav(tmp_path / name)
+        for rep_id in ("Ep_SSI", "F_SSI_log", "M_SSI_log"):
+            clean = v.analyze_wav(tmp_path / "clean.wav", rep_id).values
+            assert v.analyze_wav(tmp_path / "edge.wav", rep_id).values.tobytes() == clean.tobytes()
+            with pytest.raises(InputError) as info:
+                v.analyze_wav(tmp_path / "centre.wav", rep_id)
+            assert str(info.value) == f"{tmp_path / 'centre.wav'}: audio holds NaN or infinite samples"
+
+    def test_files_that_cannot_be_mapped_are_rejected(self, tmp_path):
+        """A 24-bit file, whose 3-byte samples no array can map, and a file
+        shorter than its header says; both were once read whole."""
+        _wav24(tmp_path / "deep.wav", 4800)
+        with pytest.raises(InputError, match=rf"^cannot read WAV file {tmp_path / 'deep.wav'}: "
+                                             "mmap=True not compatible with 3-byte container size"):
+            fileio.read_wav(tmp_path / "deep.wav")
+        fileio.write_wav(tmp_path, "short.wav", np.zeros(4800), 48000.0)
+        data = (tmp_path / "short.wav").read_bytes()
+        (tmp_path / "short.wav").write_bytes(data[:-100])
+        with pytest.raises(InputError, match=rf"^cannot read WAV file {tmp_path / 'short.wav'}: "):
+            v.analyze_wav(tmp_path / "short.wav", "F_log")
+
+    def test_path_backed_analyzer_is_the_array_one(self, tmp_path):
+        """Built from a 44.1 kHz file, an analyzer holds its 16-bit
+        samples, and every spectrum is bit for bit that of the analyzer
+        built from the whole file's float samples."""
+        fileio.write_wav(tmp_path, "t.wav", v.synth_vowel(v.vowel_spec("e", 130.0, fs=44100.0)), 44100.0)
+        with pytest.warns(UserWarning, match="resampling input"):
+            samples, fs = fileio.read_audio(tmp_path / "t.wav")
+        for rep_id in v.representation_catalog():
+            rep = v.parse_representation(rep_id)
+            with pytest.warns(UserWarning, match="resampling input"):
+                from_file = v.UtteranceAnalyzer(tmp_path / "t.wav", base=rep.base)
+            from_array = v.UtteranceAnalyzer(samples, fs, base=rep.base)
+            assert from_file.native is None if rep.base == "Ep" else from_file.native.dtype == np.int16
+            assert from_file.spectrum(rep).values.tobytes() == from_array.spectrum(rep).values.tobytes()
+            assert from_file.f0 == from_array.f0
+
+    def test_one_resampling_per_spectrum(self, tmp_path, monkeypatch):
+        """A first weighted spectrum takes its base spectrum and its F0
+        from one resampled cut; another compression resamples again, and
+        so does an F0 first needed after an unweighted spectrum."""
+        fileio.write_wav(tmp_path, "t.wav", v.synth_vowel(v.vowel_spec("e", 130.0, fs=44100.0)), 44100.0)
+        calls = []
+        resample = fileio.ensure_rate
+        monkeypatch.setattr(fileio, "ensure_rate", lambda *a: calls.append(a) or resample(*a))
+        with pytest.warns(UserWarning, match="resampling input"):
+            analyzer = v.UtteranceAnalyzer(tmp_path / "t.wav", base="F")
+        assert calls == []
+        for rep_id, h_max, resampled in (("F_SSI_log", 3.5, 1), ("F_SSI_log", 2.0, 1), ("F_0.4", 3.5, 2),
+                                         ("F_SSI_0.4", 3.5, 2)):
+            analyzer.spectrum(v.parse_representation(rep_id), h_max)
+            assert len(calls) == resampled
+        with pytest.warns(UserWarning, match="resampling input"):
+            analyzer = v.UtteranceAnalyzer(tmp_path / "t.wav", base="M")
+        analyzer.spectrum(v.parse_representation("M_SSI_log"), 0.0)
+        analyzer.spectrum(v.parse_representation("M_SSI_log"), 3.5)
+        assert len(calls) == 4
+
+    def test_ep_analyzer_of_a_long_file_reads_only_its_cut(self, tmp_path):
+        """Building one from a 10 s, 48 kHz file peaks below the file's
+        float64 size, 3.84 MB: the whole file was once read, converted and
+        kept alive while the bank ran."""
+        fileio.write_wav(tmp_path, "long.wav", v.synth_vowel(v.vowel_spec("o", 120.0, duration=10.0)), 48000.0)
+        v.UtteranceAnalyzer(tmp_path / "long.wav", base="Ep")  # whatever a first analyzer sets up
+        tracemalloc.start()
+        try:
+            v.UtteranceAnalyzer(tmp_path / "long.wav", base="Ep")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 480_000 * 8
+
+    def test_analysis_of_a_minute_peaks_as_that_of_half_a_second(self, tmp_path):
+        """An F_SSI_log spectrum of a 60 s, 44.1 kHz, 16-bit file: the whole
+        file was once converted to 21 MB of float64."""
+        for name, duration in (("short.wav", 0.5), ("long.wav", 60.0)):
+            samples = v.synth_vowel(v.vowel_spec("a", 150.0, duration=duration, fs=44100.0))
+            fileio.write_wav(tmp_path, name, samples, 44100.0)
+        del samples
+        peaks = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the resampling warnings
+            for name in ("short.wav", "short.wav", "long.wav"):  # the first loads the resampler
+                tracemalloc.start()
+                try:
+                    v.analyze_wav(tmp_path / name, "F_SSI_log")
+                    peaks[name] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+        assert abs(peaks["long.wav"] - peaks["short.wav"]) < 500_000
+
+
 class TestResampling:
     """Polyphase resampling with scipy's default filter, applied by each
     analyzer only to the native samples behind the cut its base reads."""
@@ -118,7 +306,8 @@ class TestResampling:
     def test_every_cut_read_equals_whole_file_resampling(self, fs, duration, seed):
         """From inputs shorter than Ep's 174 ms cut up: each sample a base
         (and F0) reads is that of resampling the whole input.  Ep keeps no
-        samples, so its cut is what its bank reads."""
+        samples, so its cut is what its bank reads; the others hold the
+        native samples behind their cut and resample them when read."""
         x = 0.1 * np.random.default_rng(seed).normal(size=int(duration * fs))
         expected = resample_poly(x, 48000, fs)
         read, held = [], set()
@@ -133,6 +322,9 @@ class TestResampling:
                 assert analyzer.n_samples == expected.size
                 got, start = read.pop() if base == "Ep" else analyzer.samples, analyzer.start
                 assert got.size and np.array_equal(got, expected[start:start + got.size])
+                if base != "Ep":
+                    native = fileio.native_cut(slice(start, start + got.size), float(fs), x.size)[0]
+                    assert analyzer.native.tobytes() == x[native].tobytes()
                 held.add(base)
         # W holds a cut of any input, and Ep reads one of any it can average
         assert "W" in held and ("Ep" in held) == (expected.size >= ssi.F0_WINDOW_N)
@@ -147,7 +339,7 @@ class TestResampling:
         bank = v.pipeline.gammatone_ep
         monkeypatch.setattr(v.pipeline, "gammatone_ep", lambda cut, **kw: held.append(cut) or bank(cut, **kw))
         v.UtteranceAnalyzer(tone, fs, base="Ep")
-        held.append(v.UtteranceAnalyzer(tone, fs, base="F").samples)
+        held.append(v.UtteranceAnalyzer(tone, fs, base="F").samples)  # F's, resampled from its native samples
         assert len(held) == 2 and max(np.abs(x).max() for x in held) <= 0.01
 
     @pytest.mark.parametrize("fs,message", [

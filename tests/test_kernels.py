@@ -71,7 +71,9 @@ rng = np.random.default_rng(0)
 fileio.write_wav(sys.argv[1], "x.wav", rng.uniform(-1.0, 1.0, 4410), 44100.0)
 warnings.simplefilter("ignore")  # the resampling warning
 samples, fs = fileio.read_audio(f"{sys.argv[1]}/x.wav")
-cut = vtlest.UtteranceAnalyzer(samples, fs, base="F").samples
+analyzer = vtlest.UtteranceAnalyzer(f"{sys.argv[1]}/x.wav", base="F")
+assert analyzer.native.dtype == np.int16
+cut = analyzer.samples
 y = fileio.ensure_rate(samples, fs)
 assert "scipy.signal" not in sys.modules and "scipy.special" not in sys.modules
 
@@ -84,7 +86,8 @@ assert _special_ufuncs is _kernels._load("_special_ufuncs", "scipy.special")
 assert scipy.special.i0 is _special_ufuncs.i0
 assert resample_poly(samples, 160, 147).tobytes() == y.tobytes()
 assert fileio.ensure_rate(samples, fs).tobytes() == y.tobytes()
-assert vtlest.UtteranceAnalyzer(samples, fs, base="F").samples.tobytes() == cut.tobytes()
+assert analyzer.samples.tobytes() == cut.tobytes()
+assert cut.tobytes() == y[analyzer.start:analyzer.start + cut.size].tobytes()
 print("ok")
 """
 

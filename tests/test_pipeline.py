@@ -160,7 +160,7 @@ class TestUtteranceAnalyzer:
     def test_each_analyzer_holds_only_its_cut(self, tmp_path, monkeypatch):
         """A 0.5 s vowel's Ep reads samples 4872-13199 into its bank and
         keeps none, F and M hold 10320-13679, and W (for F0) the centre
-        50 ms, 10800-13199."""
+        50 ms, 10800-13199: at 48 kHz the native samples are the cut."""
         samples = v.synth_vowel(v.vowel_spec("o", 120.0))
         read = []
         bank = pipeline.gammatone_ep
@@ -168,18 +168,23 @@ class TestUtteranceAnalyzer:
         for base, start, size in (("Ep", 4872, 8328), ("F", 10320, 3360), ("M", 10320, 3360),
                                   ("W", 10800, 2400)):
             analyzer = v.UtteranceAnalyzer(samples, 48000.0, base=base)
-            held = analyzer.samples
+            cut = analyzer.samples
             if base == "Ep":
-                assert held is None
-                [held] = read
-            assert (analyzer.start, held.size) == (start, size)
-            assert held.tobytes() == samples[start:start + size].tobytes()
+                assert analyzer.native is None and cut is None
+                [cut] = read
+            else:
+                assert analyzer.native.tobytes() == samples[start:start + size].tobytes()
+            assert (analyzer.start, cut.size) == (start, size)
+            assert cut.tobytes() == samples[start:start + size].tobytes()
         v.make_corpus(v.pair_demo_speakers(), ["a"], tmp_path)
         corpus = v.load_corpus(tmp_path / "manifest.csv")
         corpus.estimate("F_SSI_log")
-        # no analyzer holds Ep's lead
-        assert {key: a.samples.size for key, a in corpus._analyzers.items()} == {
-            ("s01_a", "F"): 3360, ("s02_a", "F"): 3360}
+        # no analyzer holds Ep's lead, and each holds its file's 16-bit samples
+        assert {key: (a.native.dtype, a.native.size) for key, a in corpus._analyzers.items()} == {
+            ("s01_a", "F"): (np.int16, 3360), ("s02_a", "F"): (np.int16, 3360)}
+        for (utterance, _), analyzer in corpus._analyzers.items():
+            whole = fileio.read_wav(tmp_path / f"{utterance}.wav")[0]
+            assert analyzer.samples.tobytes() == whole[10320:13680].tobytes()
 
 
 class TestEpWindowCut:
@@ -370,13 +375,17 @@ class TestWindowOnlyFrontEnds:
                 analyzer = v.UtteranceAnalyzer(samples, fs, base=base, external_sg=external)
                 for rep_id in rep_ids:
                     analyzer.spectrum(v.parse_representation(rep_id))
-                # the resampled cut (none for Ep once its pattern and F0
-                # exist), the averaged spectra and W's cropped window, and no
-                # F or M frames nor the waveform
-                assert set(vars(analyzer)) == {"base", "n_samples", "center", "start",
-                                               "samples", "_f0", "_external_sg", "_spectra"}
-                assert analyzer.samples is None or analyzer.samples.flags.owndata
-                held[base] = (None if analyzer.samples is None else analyzer.samples.shape,
+                # the native samples behind the cut (none for Ep once its
+                # pattern and F0 exist), the averaged spectra and W's cropped
+                # window, and no resampled cut, F or M frames nor the waveform
+                assert set(vars(analyzer)) == {"base", "n_samples", "center", "start", "native", "fs",
+                                               "_span", "_f0", "_external_sg", "_spectra"}
+                if base != "Ep":
+                    assert analyzer.native.flags.owndata
+                    cut = analyzer.samples
+                    whole = fileio.ensure_rate(samples, fs)
+                    assert cut.tobytes() == whole[analyzer.start:analyzer.start + cut.size].tobytes()
+                held[base] = (None if analyzer.native is None else analyzer.native.shape,
                               {key: s.values.shape for key, s in analyzer._spectra.items()})
             assert analyzer._external_sg.frames.flags.owndata
             return held, analyzer._external_sg.frames.shape
@@ -472,7 +481,7 @@ class TestAnalyzeWav:
     def test_bad_f0_override_rejected_before_the_read(self, pair_corpus_dir, monkeypatch, rep_id, h_max, f0):
         """An unweighted spectrum, or a knee of 0, once went through with
         such an override; a direct analyzer rejects it too."""
-        monkeypatch.setattr(fileio, "read_audio", lambda path: pytest.fail("read before the check"))
+        monkeypatch.setattr(fileio, "read_cut", lambda path, select: pytest.fail("read before the check"))
         message = f"^f0 must be nonnegative and finite, got {f0}$"
         with pytest.raises(ConfigurationError, match=message):
             v.analyze_wav(pair_corpus_dir / "s01_a.wav", rep_id, h_max=h_max, f0_override=f0)
@@ -621,8 +630,8 @@ class TestCorpusEstimation:
     def test_unknown_speakers_rejected_before_any_read(self, default_corpus_dir, forks, monkeypatch):
         """Ids that name no speaker were once ignored, and the others estimated."""
         reads = []
-        read = fileio.read_audio
-        monkeypatch.setattr(fileio, "read_audio", lambda *a: reads.append(a) or read(*a))
+        read = fileio.read_cut
+        monkeypatch.setattr(fileio, "read_cut", lambda *a: reads.append(a) or read(*a))
         corpus = v.load_corpus(default_corpus_dir / "manifest.csv")
         with pytest.raises(InputError, match="^speakers not in the manifest: 'bogus', 'S01'$"):
             corpus.estimate("Ep_SSI", speakers=["s01", "s02", "bogus", "S01", "bogus"])
@@ -634,7 +643,7 @@ class TestCorpusEstimation:
         """For every id, a bad knee fails before a file is read, a bank is
         run or a child is forked."""
         calls = []
-        for module, name in ((pipeline, "gammatone_ep"), (fileio, "read_audio")):
+        for module, name in ((pipeline, "gammatone_ep"), (fileio, "read_cut")):
             func = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *a, func=func, **k: calls.append(a) or func(*a, **k))
         corpus = v.load_corpus(default_corpus_dir / "manifest.csv")
