@@ -4,8 +4,9 @@ The excitation-pattern bank and the vowel synthesizer filter through two
 private extension modules of ``scipy.signal``: ``_sosfilt``, whose
 ``_sosfilt`` is the second-order-section cascade that the public ``sosfilt``
 ends with, and ``_sigtools``, whose ``_linear_filter`` is the direct-form
-core of ``lfilter``.  WAV files are read and written by ``scipy.io.wavfile``,
-a pure-Python module that imports only the standard library and numpy.
+core of ``lfilter``.  WAV files are written, and their headers parsed, by
+``scipy.io.wavfile``, a pure-Python module that imports only the standard
+library and numpy.
 These three load with this module.  The resampler
 (:func:`vtlest.fileio.ensure_rate`) runs two more, which load on its first
 call, so a process that reads only 48 kHz files never loads them:

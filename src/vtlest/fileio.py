@@ -11,8 +11,8 @@ import csv
 import functools
 import math
 import os
+import struct
 import tempfile
-import traceback
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -82,38 +82,87 @@ def naming(path):
 # --------------------------------------------------------------------------
 # audio
 
+def _data_chunk(fid) -> tuple[int, int, np.dtype, int, int]:
+    """Walk the chunks of the WAV file open in ``fid`` as ``wavfile.read``
+    does, with its own helpers, up to the start of the samples; return the
+    rate, the channels, the samples' type and width in bytes, and the size
+    in bytes the header gives them.  Chunks after the samples are not read.
+
+    The type is the one ``wavfile.read`` gives: a 16-bit PCM file's is
+    int16, a 24-bit one's int32 (:func:`_read_native` widens its 3-byte
+    samples) and a 64-bit float file's float64.
+    """
+    _, big_endian, rf64, rf64_size = wavfile._read_riff_chunk(fid)
+    fmt = None
+    while (chunk := fid.read(4)) != b"data":
+        if len(chunk) < 4:
+            raise ValueError("no data chunk")
+        if chunk == b"fmt ":
+            fmt = wavfile._read_fmt_chunk(fid, big_endian)
+        else:
+            wavfile._skip_unknown_chunk(fid, big_endian)
+    if fmt is None:
+        raise ValueError("No fmt chunk before data")
+    _, format_tag, channels, fs, _, block_align, bits = fmt
+    size = struct.unpack(">I" if big_endian else "<I", fid.read(4))[0]
+    width = block_align // channels
+    order = ">" if big_endian else "<"
+    if format_tag == wavfile.WAVE_FORMAT.PCM and bits <= 8:
+        dtype = np.dtype(np.uint8)
+    elif format_tag == wavfile.WAVE_FORMAT.PCM and bits <= 64:
+        dtype = np.dtype(f"{order}i{4 if width == 3 else 8 if width > 4 else width}")
+    elif format_tag == wavfile.WAVE_FORMAT.IEEE_FLOAT and bits in (32, 64):
+        dtype = np.dtype(f"{order}f{width}")
+    else:
+        raise ValueError(f"unsupported format tag {format_tag} with {bits}-bit samples")
+    return fs, channels, dtype, width, rf64_size if rf64 else size
+
+
 def _read_native(path, select=None) -> tuple[np.ndarray, float]:
     """The one WAV decode path: ``(samples, rate)`` of a mono WAV file, the
-    samples a copy in the file's own format, and only the slice
-    ``select(rate, samples in the file)`` of them (all without ``select``).
+    samples in the file's own format (int16 for 16-bit PCM, int32 for 24-
+    and 32-bit, float32 and float64), and only the slice ``select(rate,
+    samples in the file)`` of them (all without ``select``).
 
-    The file is memory-mapped (``wavfile.read(path, mmap=True)``), and the
-    map is closed before this returns, whatever it raises: each read opens
-    one map and keeps no file descriptor.  Errors name the file: one that
-    cannot be read so (not a WAV file, one shorter than its header says,
-    or 24-bit PCM, whose 3-byte samples no array can map), a rate that is
-    not positive, more than one channel, a format other than int16, int32,
-    float32 and float64, and float samples that are NaN or infinite among
-    those read.
+    Only the header and the bytes of that slice are read, from their
+    place in the file, which is closed before this returns: what is read
+    and checked is bounded by the slice, not by the file.  A file that ends
+    before its samples do gets a warning, and the whole samples it holds
+    are read.  Errors name the file: one that cannot be read as a WAV file,
+    a rate that is not positive, more than one channel, another sample
+    format, and float samples that are NaN or infinite among those read.
     """
     try:
-        fs, data = wavfile.read(path, mmap=True)
+        fid = open(path, "rb")
     except FileNotFoundError:
         raise
-    except Exception as exc:
-        # the frames hold the map if it was made before the error
-        traceback.clear_frames(exc.__traceback__)
+    except OSError as exc:
         raise InputError(f"cannot read WAV file {path}: {exc}") from exc
-    try:
+    with fid:
+        try:
+            fs, channels, dtype, width, size = _data_chunk(fid)
+        except Exception as exc:
+            raise InputError(f"cannot read WAV file {path}: {exc}") from exc
         if fs <= 0:
             raise InputError(f"{path}: sample rate must be positive, got {fs}")
-        if data.ndim != 1:
-            raise InputError(f"{path}: expected mono audio, got {data.shape[1]} channels")
-        if data.dtype not in (np.int16, np.int32, np.float32, np.float64):
-            raise InputError(f"{path}: unsupported sample format {data.dtype}")
-        samples = np.array(data[slice(None) if select is None else select(float(fs), data.size)])
-    finally:
-        del data  # the last reference to the map, which closes it
+        if channels != 1:
+            raise InputError(f"{path}: expected mono audio, got {channels} channels")
+        if dtype not in (np.int16, np.int32, np.float32, np.float64):
+            raise InputError(f"{path}: unsupported sample format {dtype}")
+        held = os.fstat(fid.fileno()).st_size - fid.tell()
+        if held < size:
+            warnings.warn(f"{path} ends {size - held} bytes before its samples do; reading the "
+                          f"{held // width} whole samples it holds", stacklevel=3)  # the reader's caller
+        count = min(size, held) // width
+        first, stop, _ = (slice(None) if select is None else select(float(fs), count)).indices(count)
+        n = max(0, stop - first)
+        fid.seek(first * width, os.SEEK_CUR)
+        if width == 3:  # 24-bit PCM, widened as wavfile.read does: the top 3 bytes of an int32
+            samples = np.zeros((n, 4), dtype=np.uint8)
+            samples[:, 1:] = np.fromfile(fid, dtype=np.uint8, count=3 * n).reshape(n, 3)
+            samples = samples.view(dtype)[:, 0]
+        else:
+            samples = np.fromfile(fid, dtype=dtype, count=n)
     if samples.dtype.kind == "f" and not np.isfinite(samples).all():  # integer PCM is always finite
         raise InputError(f"{path}: audio holds NaN or infinite samples")
     return samples, float(fs)
@@ -236,36 +285,43 @@ def ensure_rate(samples, fs: float) -> np.ndarray:
     return y[n_pre_remove:n_pre_remove + n_out]
 
 
-def read_cut(path, select) -> tuple[np.ndarray, float]:
-    """The reader of analysis: ``(samples, rate)`` of the WAV file at
-    ``path``, only the slice ``select(rate, samples in the file)`` of its
-    samples, copied in the file's own format (int16 for a 16-bit file).
-
-    The rate must be one :func:`resample_ratio` accepts, and a file not at
-    :data:`CANONICAL_FS` gets one warning that it will be resampled, both
-    before ``select`` is called.  Every error, an :class:`InputError` that
-    ``select`` raises too, names the file, and so does the warning.  The
-    file is memory-mapped and the map closed before this returns, so what
-    is read, copied and checked is bounded by the slice, not by the file:
-    a float file's finiteness is checked on the slice.
-    """
+def _accepting(path, select):
+    """``select``, once :func:`resample_ratio` has accepted the file's rate
+    and a file not at :data:`CANONICAL_FS` has been warned of, with every
+    :class:`InputError` naming the file; the warning names it too."""
     def accepted(fs, size):
         with naming(path):
             resample_ratio(fs)
             if fs != CANONICAL_FS:
                 warnings.warn(f"resampling input {path} from {fs:g} Hz to the canonical "
-                              f"{CANONICAL_FS:g} Hz", stacklevel=4)  # read_cut's caller
+                              f"{CANONICAL_FS:g} Hz", stacklevel=4)  # the reader's caller
             return select(fs, size)
 
-    return _read_native(path, accepted)
+    return accepted
+
+
+def read_cut(path, select) -> tuple[np.ndarray, float]:
+    """The reader of analysis: ``(samples, rate)`` of the WAV file at
+    ``path``, only the slice ``select(rate, samples in the file)`` of its
+    samples, in the file's own format (int16 for a 16-bit file).
+
+    The rate must be one :func:`resample_ratio` accepts, and a file not at
+    :data:`CANONICAL_FS` gets one warning that it will be resampled, both
+    before ``select`` is called.  Every error, an :class:`InputError` that
+    ``select`` raises too, names the file, and so does the warning.  Only
+    the slice's bytes are read, so what is read and checked is bounded by
+    the slice, not by the file: a float file's finiteness is checked on
+    the slice.
+    """
+    return _read_native(path, _accepting(path, select))
 
 
 def read_audio(path):
     """Read a whole WAV file at its own rate as float64 samples, once
-    :func:`resample_ratio` has accepted the rate, through :func:`read_cut`:
-    errors name the file, and so does the one warning that a file not at
-    :data:`CANONICAL_FS` will be resampled."""
-    samples, fs = read_cut(path, lambda fs, size: slice(None))
+    :func:`resample_ratio` has accepted the rate, as :func:`read_cut` reads
+    a slice: errors name the file, and so does the one warning that a file
+    not at :data:`CANONICAL_FS` will be resampled."""
+    samples, fs = _read_native(path, _accepting(path, lambda fs, size: slice(None)))
     return as_float(samples), fs
 
 

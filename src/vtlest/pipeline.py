@@ -16,7 +16,6 @@ resolved harmonics) to the correlator.
 """
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from contextlib import nullcontext
@@ -151,15 +150,16 @@ class UtteranceAnalyzer:
     ``samples`` is the input at rate ``fs``, or the path of a WAV file
     (``fs`` None).  Of a file, only the native samples behind the cut its
     ``base`` reads are read (:func:`fileio.read_cut`), in the file's own
-    format; of an array, they are copied out of it as float64.  Those
-    native samples, from canonical sample ``start`` on, are all the
-    analyzer reads and all it keeps (``native``, read-only, at ``fs``):
-    nothing read or held grows with the duration.  Converted to float and
-    resampled (:func:`fileio.ensure_rate`), they are the cut, bit for bit
-    the samples of resampling the whole input (``samples``, computed anew
-    on each access, None once nothing is held).  ``n_samples`` and every
-    cut count samples at :data:`~vtlest.fileio.CANONICAL_FS`, in the frame
-    and window lengths the front ends define.  The cuts:
+    format (int16 for 16-bit PCM, int32 for 24- and 32-bit, float32 or
+    float64); of an array, they are copied out of it as float64.  Those
+    native samples are all the analyzer reads and all it keeps
+    (``native``, read-only, at ``fs``): nothing read or held grows with the
+    duration.  Converted to float64 and resampled, the native samples
+    behind any samples inside the cut give those samples bit for bit as
+    resampling the whole input does (:func:`fileio.native_cut`).  The cut
+    starts at canonical sample ``start``; ``n_samples`` and every cut count
+    samples at :data:`~vtlest.fileio.CANONICAL_FS`, in the frame and window
+    lengths the front ends define.  The cuts:
 
     * Ep: the whole frames from the slowest channel's start to the window
       end.  Each gammatone channel starts
@@ -176,12 +176,11 @@ class UtteranceAnalyzer:
     F0 is estimated on the centre 50 ms, which lies inside every cut.  Ep
     has one compression, so its pattern and F0 are all its cut is read
     for: the constructor computes both from one resampled cut, the pattern
-    first, and keeps nothing (``native`` is None).  F, M and W keep their
-    native samples and resample them when a spectrum or the F0 needs the
-    cut, at most once per :meth:`spectrum` call, which takes a first
-    weighted spectrum's base spectrum and F0 from the same cut; F0 is
-    estimated on first use.  Of a file, every input error the constructor
-    raises names the file.
+    first, and keeps nothing (``native`` is None).  F and M resample their
+    cut for each spectrum they compute; a weighted one takes F0, while it
+    is unknown, from the same cut.  An F0 needed later (and W's) is
+    estimated from the native samples behind the F0 window alone.  Of a
+    file, every input error the constructor raises names the file.
     """
 
     def __init__(self, samples, fs=None, *, base: str, f0_override: float | None = None,
@@ -210,13 +209,14 @@ class UtteranceAnalyzer:
                 self._spectra[LOG_COMPRESSION] = compress(center_average(frames, self.center),
                                                           LOG_COMPRESSION)
                 # after the pattern, whose error a vowel too short for both meets first
-                self._pitch(lambda: cut)
+                self._estimate_f0(cut)
             self.native = None
 
     def _locate(self, fs, size: int) -> slice:
         """From the input's rate and native length, set this analyzer's
-        cut; return the native samples behind it (:func:`fileio.native_cut`)."""
+        cut; return the native samples behind it."""
         up, down = fileio.resample_ratio(fs)
+        self._size = size
         self.n_samples = -(-size * up // down)
         self.center = self.n_samples / fileio.CANONICAL_FS / 2.0
         if self.base == "Ep":
@@ -225,20 +225,24 @@ class UtteranceAnalyzer:
             cut = self._f0_samples()
         else:
             cut = self._f_samples()
-        native, first = fileio.native_cut(cut, fs, size)
-        self.start = cut.start
-        # the cut in the resampled native samples, clipped to the input's end
-        self._span = slice(cut.start - first, cut.stop - first)
+        self.start, self._stop = cut.start, cut.stop
+        native = fileio.native_cut(cut, fs, size)[0]
+        self._first = native.start
         return native
+
+    def _read(self, cut: slice) -> np.ndarray:
+        """Samples ``cut`` of the resampled input, inside this analyzer's
+        cut and clipped to the input's end: the held native samples behind
+        them alone, converted to float64 and resampled."""
+        native, first = fileio.native_cut(cut, self.fs, self._size)
+        held = self.native[native.start - self._first:native.stop - self._first]
+        return fileio.ensure_rate(fileio.as_float(held), self.fs)[cut.start - first:cut.stop - first]
 
     @property
     def samples(self) -> np.ndarray | None:
-        """The cut at :data:`~vtlest.fileio.CANONICAL_FS`: the held native
-        samples converted to float and resampled, on each access; None
-        when nothing is held."""
-        if self.native is None:
-            return None
-        return fileio.ensure_rate(fileio.as_float(self.native), self.fs)[self._span]
+        """The cut at :data:`~vtlest.fileio.CANONICAL_FS`, resampled from the
+        held native samples on each access; None when nothing is held."""
+        return None if self.native is None else self._read(slice(self.start, self._stop))
 
     def _ep_samples(self) -> tuple[slice, int]:
         """Whole EP frames from the slowest channel's start to the window
@@ -262,19 +266,20 @@ class UtteranceAnalyzer:
         start = max(0, (self.n_samples - F0_WINDOW_N) // 2)
         return slice(start, start + F0_WINDOW_N)
 
-    def _pitch(self, cut) -> float:
-        """:attr:`f0`, estimated if need be from the F0 window's slice of
-        ``cut()``, the cut."""
+    def _estimate_f0(self, cut: np.ndarray) -> None:
+        """Estimate F0, unless it is known, from the F0 window's slice of
+        ``cut``, this analyzer's cut at the canonical rate."""
         if self._f0 is None:
             f0 = self._f0_samples()
-            self._f0 = estimate_f0(cut()[f0.start - self.start:f0.stop - self.start])
-        return self._f0
+            self._f0 = estimate_f0(cut[f0.start - self.start:f0.stop - self.start])
 
     @property
     def f0(self) -> float:
         """Pitch used for weighting: the override if given, else estimated
-        once from the F0 window's slice of the cut."""
-        return self._pitch(lambda: self.samples)
+        once from the F0 window."""
+        if self._f0 is None:
+            self._f0 = estimate_f0(self._read(self._f0_samples()))
+        return self._f0
 
     def _external_window(self) -> Spectrogram:
         """The uncompressed W frames the averaging window picks."""
@@ -293,11 +298,8 @@ class UtteranceAnalyzer:
 
     def base_spectrum(self, rep: Representation) -> Spectrum:
         """Compressed, time-averaged spectrum on the representation's grid,
-        before any weighting."""
-        return self._base_spectrum(rep, lambda: self.samples)
-
-    def _base_spectrum(self, rep: Representation, cut) -> Spectrum:
-        """:meth:`base_spectrum`, of ``cut()``, the cut, if it is not cached."""
+        before any weighting.  Of a weighted F or M id, F0 is estimated
+        too, while it is unknown, from the cut the spectrum was computed of."""
         if rep.base != self.base:
             raise ConfigurationError(f"this analyzer computes {self.base} representations, not {rep.id}")
         if rep.compression in self._spectra:
@@ -305,13 +307,16 @@ class UtteranceAnalyzer:
         if rep.base == "W":
             frames = self._external_window()
         else:
-            frames = stft_spectrum(cut())
+            cut = self.samples
+            frames = stft_spectrum(cut)
             frames = replace(frames, t0=frames.t0 + self.start / fileio.CANONICAL_FS)
             if rep.base == "M":
                 frames = mel_spectrum(frames)
         sg = compress(frames, rep.compression)
         spec = resample_to_axis(center_average(sg, self.center), axis_for(rep.base))
         self._spectra[rep.compression] = spec
+        if rep.ssi and rep.base != "W":  # the weighting needs F0 next
+            self._estimate_f0(cut)
         return spec
 
     def spectrum(self, rep: Representation, h_max: float | None = None) -> Spectrum:
@@ -322,11 +327,10 @@ class UtteranceAnalyzer:
         estimated for them but Ep's, which its constructor estimated.
         """
         h_max = DEFAULT_H_MAX if h_max is None else h_max
-        cut = functools.cache(lambda: self.samples)  # resampled once, if at all
-        spec = self._base_spectrum(rep, cut)
         if not rep.ssi or h_max == 0.0:
-            return spec
-        return apply_weight(spec, ssi_weight(spec.axis, h_max, self._pitch(cut)))
+            return self.base_spectrum(replace(rep, ssi=False))  # the same spectrum, with no F0
+        spec = self.base_spectrum(rep)
+        return apply_weight(spec, ssi_weight(spec.axis, h_max, self.f0))
 
 
 def analyze_wav(path, rep, *, h_max: float | None = None, f0_override: float | None = None) -> Spectrum:
@@ -381,9 +385,10 @@ class CorpusAnalyzer:
 
     Each utterance gets one :class:`UtteranceAnalyzer` per base it is read
     with, built from its WAV file, of which it reads only the native
-    samples behind its base's cut; F, M and W analyzers keep those in the
-    file's own format (int16 for a 16-bit file) and Ep analyzers keep
-    none.  Only W analyzers are given the utterance's external CSV.
+    samples behind its base's cut.  F, M and W analyzers keep those samples
+    in the file's own format (int16 for a 16-bit file), Ep analyzers keep
+    none, and no whole waveform is read.  Only W analyzers are given the
+    utterance's external CSV.
     Shift matrices are computed once per (vowel, representation, h_max) over
     all speakers; estimating on a speaker subset reuses the cached pairwise
     lags, which are independent of which other speakers are present.

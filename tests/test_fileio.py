@@ -90,18 +90,20 @@ def _open_fds():
     return sorted(os.listdir("/dev/fd"))
 
 
-def _wav24(path, n: int):
-    """A 48 kHz mono WAV file of ``n`` 24-bit (3-byte) zero samples."""
+def _wav24(path, samples):
+    """A 48 kHz mono WAV file of 24-bit (3-byte) PCM samples: the top three
+    bytes of each of the int32 ``samples``."""
+    data = samples.astype("<i4").view(np.uint8).reshape(-1, 4)[:, 1:].tobytes()
     fmt = struct.pack("<HHIIHH", 1, 1, 48000, 3 * 48000, 3, 24)
     body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
-            + b"data" + struct.pack("<I", 3 * n) + bytes(3 * n))
+            + b"data" + struct.pack("<I", len(data)) + data)
     path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
 
 
 class TestReadCut:
-    """The one WAV reader: the file memory-mapped, only the slice its
-    caller works out from the header copied out in the file's own format,
-    and the map closed before it returns."""
+    """The one WAV reader: only the header and the bytes of the slice its
+    caller works out from the header are read, in the file's own format,
+    and the file is closed before it returns."""
 
     @pytest.mark.parametrize("dtype,scale", [(np.int16, 32768.0), (np.int32, 2147483648.0),
                                              (np.float32, None), (np.float64, None)])
@@ -112,17 +114,19 @@ class TestReadCut:
         data = (x * scale).astype(dtype) if scale else x.astype(dtype)
         wavfile.write(tmp_path / "t.wav", 44100, data)
         asked = []
-        with pytest.warns(UserWarning, match=r"t\.wav from 44100 Hz"):
+        with pytest.warns(UserWarning, match=r"t\.wav from 44100 Hz") as record:
             got, fs = fileio.read_cut(tmp_path / "t.wav",
                                       lambda fs, size: asked.append((fs, size)) or slice(100, 300))
+        assert record[0].filename == __file__  # the reader's caller
         assert asked == [(44100.0, 4410)] and fs == 44100.0
         assert got.dtype == dtype and got.flags.owndata and got.tobytes() == data[100:300].tobytes()
         # the conversion read_wav made before it read through this reader
         whole = data / scale if scale else data.astype(float)
         assert fileio.as_float(got).tobytes() == whole[100:300].tobytes()
         assert fileio.read_wav(tmp_path / "t.wav")[0].tobytes() == whole.tobytes()
-        with pytest.warns(UserWarning, match=r"t\.wav from 44100 Hz"):
+        with pytest.warns(UserWarning, match=r"t\.wav from 44100 Hz") as record:
             assert fileio.read_audio(tmp_path / "t.wav")[0].tobytes() == whole.tobytes()
+        assert record[0].filename == __file__
 
     def test_rate_is_checked_before_the_slice_is_asked_for(self, one_hz_wav):
         with pytest.raises(InputError, match=r"slow\.wav: sample rate 1 Hz is too low"):
@@ -137,19 +141,16 @@ class TestReadCut:
             fileio.read_cut(tmp_path / "t.wav", select)
         assert str(info.value) == f"{tmp_path / 't.wav'}: too short"
 
-    @pytest.mark.parametrize("case", ["read", "caller's error", "NaN", "chunk error after the data"])
-    def test_no_map_or_file_is_left_open(self, tmp_path, case):
-        """The map holds a descriptor of its own until it is closed, also
-        while an error raised after it was made is alive."""
+    @pytest.mark.parametrize("case", ["read", "caller's error", "NaN", "not a WAV file"])
+    def test_no_file_is_left_open(self, tmp_path, case):
+        """Also while an error raised after the file was opened is alive."""
         from scipy.io import wavfile
 
         x = np.zeros(4800, dtype=np.float32)
         x[10] = np.nan
         wavfile.write(tmp_path / "t.wav", 48000, x)
-        if case == "chunk error after the data":  # a chunk whose size field is cut short
-            data = bytearray((tmp_path / "t.wav").read_bytes() + b"LIST\x01\x00")
-            data[4:8] = struct.pack("<I", len(data) - 8)
-            (tmp_path / "t.wav").write_bytes(bytes(data))
+        if case == "not a WAV file":
+            (tmp_path / "t.wav").write_bytes(b"RIFF\x00\x00\x00\x00AIFF")
 
         def select(fs, size):
             if case == "caller's error":
@@ -187,18 +188,44 @@ class TestReadCut:
                 v.analyze_wav(tmp_path / "centre.wav", rep_id)
             assert str(info.value) == f"{tmp_path / 'centre.wav'}: audio holds NaN or infinite samples"
 
-    def test_files_that_cannot_be_mapped_are_rejected(self, tmp_path):
-        """A 24-bit file, whose 3-byte samples no array can map, and a file
-        shorter than its header says; both were once read whole."""
-        _wav24(tmp_path / "deep.wav", 4800)
-        with pytest.raises(InputError, match=rf"^cannot read WAV file {tmp_path / 'deep.wav'}: "
-                                             "mmap=True not compatible with 3-byte container size"):
-            fileio.read_wav(tmp_path / "deep.wav")
-        fileio.write_wav(tmp_path, "short.wav", np.zeros(4800), 48000.0)
+    def test_24_bit_samples_are_read_as_wavfile_widens_them(self, tmp_path):
+        """As int32, the top three bytes of each; a memory map cannot hold
+        3-byte samples, so once no cut of such a file could be read."""
+        from scipy.io import wavfile
+
+        x = v.synth_vowel(v.vowel_spec("a", 150.0))
+        _wav24(tmp_path / "deep.wav", np.round(x * 2**23).astype(np.int32) << 8)
+        whole = wavfile.read(tmp_path / "deep.wav")[1]
+        assert whole.dtype == np.int32 and np.abs(whole).max() >= 2**29 and not (whole & 0xFF).any()
+        assert fileio.read_wav(tmp_path / "deep.wav")[0].tobytes() == (whole / 2147483648.0).tobytes()
+        got = fileio.read_cut(tmp_path / "deep.wav", lambda fs, size: slice(100, 300))[0]
+        assert got.dtype == np.int32 and got.tobytes() == whole[100:300].tobytes()
+        for rep_id in ("Ep_SSI", "F_SSI_log", "M_SSI_log"):
+            analyzer = v.UtteranceAnalyzer(whole / 2147483648.0, 48000.0, base=rep_id.split("_")[0])
+            expected = analyzer.spectrum(v.parse_representation(rep_id)).values
+            assert v.analyze_wav(tmp_path / "deep.wav", rep_id).values.tobytes() == expected.tobytes()
+
+    def test_file_shorter_than_its_header_says_is_read_to_its_end(self, tmp_path):
+        """With a warning naming it: its whole samples, as ``wavfile.read``
+        reads them; a memory map of the size the header gives cannot be
+        made, so once no such file could be read."""
+        from scipy.io import wavfile
+
+        fileio.write_wav(tmp_path, "short.wav", v.synth_vowel(v.vowel_spec("a", 150.0)), 48000.0)
         data = (tmp_path / "short.wav").read_bytes()
-        (tmp_path / "short.wav").write_bytes(data[:-100])
-        with pytest.raises(InputError, match=rf"^cannot read WAV file {tmp_path / 'short.wav'}: "):
-            v.analyze_wav(tmp_path / "short.wav", "F_log")
+        (tmp_path / "short.wav").write_bytes(data[:-101])
+        with pytest.warns(wavfile.WavFileWarning, match="Reached EOF prematurely"):
+            whole = wavfile.read(tmp_path / "short.wav")[1]
+        assert whole.size == 24000 - 51
+        message = rf"short\.wav ends 101 bytes before its samples do; reading the {whole.size} whole samples"
+        with pytest.warns(UserWarning, match=message) as record:
+            got, fs = fileio.read_wav(tmp_path / "short.wav")
+        assert record[0].filename == __file__
+        assert got.tobytes() == (whole / 32768.0).tobytes()
+        with pytest.warns(UserWarning, match=message):
+            spectrum = v.analyze_wav(tmp_path / "short.wav", "F_log")
+        expected = v.UtteranceAnalyzer(got, fs, base="F").spectrum(v.parse_representation("F_log"))
+        assert spectrum.values.tobytes() == expected.values.tobytes()
 
     def test_path_backed_analyzer_is_the_array_one(self, tmp_path):
         """Built from a 44.1 kHz file, an analyzer holds its 16-bit
@@ -218,8 +245,9 @@ class TestReadCut:
 
     def test_one_resampling_per_spectrum(self, tmp_path, monkeypatch):
         """A first weighted spectrum takes its base spectrum and its F0
-        from one resampled cut; another compression resamples again, and
-        so does an F0 first needed after an unweighted spectrum."""
+        from one resampled cut; another compression resamples again.  An
+        F0 first needed after an unweighted spectrum resamples only the
+        native samples behind the F0 window."""
         fileio.write_wav(tmp_path, "t.wav", v.synth_vowel(v.vowel_spec("e", 130.0, fs=44100.0)), 44100.0)
         calls = []
         resample = fileio.ensure_rate
@@ -236,6 +264,7 @@ class TestReadCut:
         analyzer.spectrum(v.parse_representation("M_SSI_log"), 0.0)
         analyzer.spectrum(v.parse_representation("M_SSI_log"), 3.5)
         assert len(calls) == 4
+        assert calls[3][0].size < calls[2][0].size == calls[0][0].size == analyzer.native.size
 
     def test_ep_analyzer_of_a_long_file_reads_only_its_cut(self, tmp_path):
         """Building one from a 10 s, 48 kHz file peaks below the file's

@@ -379,7 +379,8 @@ class TestWindowOnlyFrontEnds:
                 # pattern and F0 exist), the averaged spectra and W's cropped
                 # window, and no resampled cut, F or M frames nor the waveform
                 assert set(vars(analyzer)) == {"base", "n_samples", "center", "start", "native", "fs",
-                                               "_span", "_f0", "_external_sg", "_spectra"}
+                                               "_size", "_first", "_stop", "_f0", "_external_sg",
+                                               "_spectra"}
                 if base != "Ep":
                     assert analyzer.native.flags.owndata
                     cut = analyzer.samples
