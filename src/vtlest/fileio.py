@@ -82,11 +82,11 @@ def naming(path):
 # --------------------------------------------------------------------------
 # audio
 
-def _data_chunk(fid) -> tuple[int, int, np.dtype, int, int]:
+def _data_chunk(fid) -> tuple[int, np.dtype, int, int]:
     """Walk the chunks of the WAV file open in ``fid`` as ``wavfile.read``
     does, with its own helpers, up to the start of the samples; return the
-    rate, the channels, the samples' type and width in bytes, and the size
-    in bytes the header gives them.  Chunks after the samples are not read.
+    rate, the samples' type and width in bytes, and the size in bytes the
+    header gives them.  Chunks after the samples are not read.
 
     The type is the one ``wavfile.read`` gives: a 16-bit PCM file's is
     int16, a 24-bit one's int32 (:func:`_read_native` widens its 3-byte
@@ -104,6 +104,10 @@ def _data_chunk(fid) -> tuple[int, int, np.dtype, int, int]:
     if fmt is None:
         raise ValueError("No fmt chunk before data")
     _, format_tag, channels, fs, _, block_align, bits = fmt
+    if channels != 1:  # checked, as the block align is, before either is divided by
+        raise InputError(f"expected mono audio, got {channels} channels")
+    if block_align == 0:
+        raise InputError("block align must be positive, got 0")
     size = struct.unpack(">I" if big_endian else "<I", fid.read(4))[0]
     width = block_align // channels
     order = ">" if big_endian else "<"
@@ -115,7 +119,7 @@ def _data_chunk(fid) -> tuple[int, int, np.dtype, int, int]:
         dtype = np.dtype(f"{order}f{width}")
     else:
         raise ValueError(f"unsupported format tag {format_tag} with {bits}-bit samples")
-    return fs, channels, dtype, width, rf64_size if rf64 else size
+    return fs, dtype, width, rf64_size if rf64 else size
 
 
 def _read_native(path, select=None) -> tuple[np.ndarray, float]:
@@ -129,8 +133,9 @@ def _read_native(path, select=None) -> tuple[np.ndarray, float]:
     and checked is bounded by the slice, not by the file.  A file that ends
     before its samples do gets a warning, and the whole samples it holds
     are read.  Errors name the file: one that cannot be read as a WAV file,
-    a rate that is not positive, more than one channel, another sample
-    format, and float samples that are NaN or infinite among those read.
+    a rate that is not positive, other than one channel, a block align of
+    0, another sample format, and float samples that are NaN or infinite
+    among those read.
     """
     try:
         fid = open(path, "rb")
@@ -140,13 +145,13 @@ def _read_native(path, select=None) -> tuple[np.ndarray, float]:
         raise InputError(f"cannot read WAV file {path}: {exc}") from exc
     with fid:
         try:
-            fs, channels, dtype, width, size = _data_chunk(fid)
+            fs, dtype, width, size = _data_chunk(fid)
+        except InputError as exc:
+            raise InputError(f"{path}: {exc}") from exc
         except Exception as exc:
             raise InputError(f"cannot read WAV file {path}: {exc}") from exc
         if fs <= 0:
             raise InputError(f"{path}: sample rate must be positive, got {fs}")
-        if channels != 1:
-            raise InputError(f"{path}: expected mono audio, got {channels} channels")
         if dtype not in (np.int16, np.int32, np.float32, np.float64):
             raise InputError(f"{path}: unsupported sample format {dtype}")
         held = os.fstat(fid.fileno()).st_size - fid.tell()

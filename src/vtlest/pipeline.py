@@ -147,19 +147,11 @@ class UtteranceAnalyzer:
     """Computes one base's spectral representations of one utterance and
     caches the averaged spectra and F0, which weight sweeps read again.
 
-    ``samples`` is the input at rate ``fs``, or the path of a WAV file
-    (``fs`` None).  Of a file, only the native samples behind the cut its
-    ``base`` reads are read (:func:`fileio.read_cut`), in the file's own
-    format (int16 for 16-bit PCM, int32 for 24- and 32-bit, float32 or
-    float64); of an array, they are copied out of it as float64.  Those
-    native samples are all the analyzer reads and all it keeps
-    (``native``, read-only, at ``fs``): nothing read or held grows with the
-    duration.  Converted to float64 and resampled, the native samples
-    behind any samples inside the cut give those samples bit for bit as
-    resampling the whole input does (:func:`fileio.native_cut`).  The cut
-    starts at canonical sample ``start``; ``n_samples`` and every cut count
-    samples at :data:`~vtlest.fileio.CANONICAL_FS`, in the frame and window
-    lengths the front ends define.  The cuts:
+    ``source`` is the input at rate ``fs``, or the path of a WAV file (``fs``
+    None).  The analyzer keeps its source (a path, or the caller's array by
+    reference), the cut geometry (``start``, ``n_samples``, ``center`` and
+    ``fs``; samples count at :data:`~vtlest.fileio.CANONICAL_FS`), the
+    spectra, F0 and W's cropped external window: no samples.  The cuts:
 
     * Ep: the whole frames from the slowest channel's start to the window
       end.  Each gammatone channel starts
@@ -170,79 +162,44 @@ class UtteranceAnalyzer:
     * F and M: the STFT frames the +-25 ms averaging window picks, bit for
       bit those of the whole-signal STFT; log compression floors at their peak.
     * W: the F0 window.  ``external_sg`` is a :class:`Spectrogram` or the
-      path of a spectrogram CSV, read on first use; its cropped window
-      replaces it.
+      path of a spectrogram CSV, read on first use and then cropped.
 
-    F0 is estimated on the centre 50 ms, which lies inside every cut.  Ep
-    has one compression, so its pattern and F0 are all its cut is read
-    for: the constructor computes both from one resampled cut, the pattern
-    first, and keeps nothing (``native`` is None).  F and M resample their
-    cut for each spectrum they compute; a weighted one takes F0, while it
-    is unknown, from the same cut.  An F0 needed later (and W's) is
-    estimated from the native samples behind the F0 window alone.  Of a
-    file, every input error the constructor raises names the file.
+    Spectra and F0 come from passes.  A pass opens the source once, reads
+    only the native samples behind the cut (:func:`fileio.read_cut`),
+    resamples them once, bit for bit as resampling the whole input does
+    (:func:`fileio.native_cut`), and runs the front end once; from that it
+    computes every compression asked for, then F0 if asked for, on the
+    centre 50 ms, which lies inside every cut.  A pass for F0 alone reads
+    the F0 window alone.  The constructor's pass is for ``plan``, the
+    (representation, h_max) pairs about to be asked for: every planned
+    compression of ``base``, and F0 when a weighted one is planned at a
+    nonzero knee.  Ep ignores the plan and computes its one pattern and F0.
+    A later request outside the plan makes one more pass.  Of a file, the
+    input errors of a pass name it once.
     """
 
-    def __init__(self, samples, fs=None, *, base: str, f0_override: float | None = None,
-                 external_sg=None):
+    def __init__(self, source, fs=None, *, base: str, f0_override: float | None = None,
+                 external_sg=None, plan=()):
         _check_f0(f0_override)
         self.base = base
+        self.fs = fs
+        self._source = source if fs is None else np.asarray(source)
         self._f0 = f0_override
         self._external_sg = external_sg
         self._spectra: dict[Compression, Spectrum] = {}
-        if fs is None:
-            self.native, self.fs = fileio.read_cut(samples, self._locate)
-            naming = fileio.naming(samples)
-        else:
-            samples = np.asarray(samples, dtype=float)
-            # a copy, as a view would keep the whole waveform alive
-            self.native, self.fs = samples[self._locate(fs, samples.size)].copy(), fs
-            naming = nullcontext()
-        self.native.flags.writeable = False
+        self.n_samples = None  # the first pass sets the cut geometry
         if base == "Ep":
-            with naming:
-                cut = self.samples
-                # the cut keeps every frame the window picks, and center_average
-                # needs none past it; the samples before them only warm the bank up
-                frames = gammatone_ep(cut, start=self._ep_samples()[1] - self.start)
-                frames = replace(frames, t0=frames.t0 + self.start / fileio.CANONICAL_FS)
-                self._spectra[LOG_COMPRESSION] = compress(center_average(frames, self.center),
-                                                          LOG_COMPRESSION)
-                # after the pattern, whose error a vowel too short for both meets first
-                self._estimate_f0(cut)
-            self.native = None
-
-    def _locate(self, fs, size: int) -> slice:
-        """From the input's rate and native length, set this analyzer's
-        cut; return the native samples behind it."""
-        up, down = fileio.resample_ratio(fs)
-        self._size = size
-        self.n_samples = -(-size * up // down)
-        self.center = self.n_samples / fileio.CANONICAL_FS / 2.0
-        if self.base == "Ep":
-            cut = self._ep_samples()[0]
-        elif self.base == "W":
-            cut = self._f0_samples()
+            self._pass([LOG_COMPRESSION], True)
         else:
-            cut = self._f_samples()
-        self.start, self._stop = cut.start, cut.stop
-        native = fileio.native_cut(cut, fs, size)[0]
-        self._first = native.start
-        return native
+            planned = [(rep, h_max) for rep, h_max in plan if rep.base == base]
+            self._pass([rep.compression for rep, _ in planned],
+                       any(rep.ssi and h_max != 0.0 for rep, h_max in planned))
 
-    def _read(self, cut: slice) -> np.ndarray:
-        """Samples ``cut`` of the resampled input, inside this analyzer's
-        cut and clipped to the input's end: the held native samples behind
-        them alone, converted to float64 and resampled."""
-        native, first = fileio.native_cut(cut, self.fs, self._size)
-        held = self.native[native.start - self._first:native.stop - self._first]
-        return fileio.ensure_rate(fileio.as_float(held), self.fs)[cut.start - first:cut.stop - first]
-
-    @property
-    def samples(self) -> np.ndarray | None:
-        """The cut at :data:`~vtlest.fileio.CANONICAL_FS`, resampled from the
-        held native samples on each access; None when nothing is held."""
-        return None if self.native is None else self._read(slice(self.start, self._stop))
+    def _cut(self) -> slice:
+        """The samples this analyzer's base reads."""
+        if self.base == "Ep":
+            return self._ep_samples()[0]
+        return self._f0_samples() if self.base == "W" else self._f_samples()
 
     def _ep_samples(self) -> tuple[slice, int]:
         """Whole EP frames from the slowest channel's start to the window
@@ -266,58 +223,84 @@ class UtteranceAnalyzer:
         start = max(0, (self.n_samples - F0_WINDOW_N) // 2)
         return slice(start, start + F0_WINDOW_N)
 
-    def _estimate_f0(self, cut: np.ndarray) -> None:
-        """Estimate F0, unless it is known, from the F0 window's slice of
-        ``cut``, this analyzer's cut at the canonical rate."""
-        if self._f0 is None:
-            f0 = self._f0_samples()
-            self._f0 = estimate_f0(cut[f0.start - self.start:f0.stop - self.start])
+    def _pass(self, compressions, f0: bool) -> None:
+        """Compute ``compressions`` not yet known and, if ``f0``, F0 while
+        it is unknown, from one read of the source."""
+        compressions = [c for c in dict.fromkeys(compressions) if c not in self._spectra]
+        f0 = f0 and self._f0 is None
+        if not (compressions or f0 or self.n_samples is None):
+            return
+        cut = first = None
+
+        def locate(fs, size):  # from the input's rate and native length
+            nonlocal cut, first
+            up, down = fileio.resample_ratio(fs)
+            self.fs, self.n_samples = fs, -(-size * up // down)
+            self.center = self.n_samples / fileio.CANONICAL_FS / 2.0
+            cut = self._cut()
+            self.start = cut.start
+            if not compressions or self.base == "W":  # W's front end reads no samples
+                cut = self._f0_samples() if f0 else None
+            if cut is None:
+                return slice(0, 0)
+            native, first = fileio.native_cut(cut, fs, size)
+            return native
+
+        path = not isinstance(self._source, np.ndarray)
+        native = (fileio.read_cut(self._source, locate)[0] if path
+                  else np.asarray(self._source[locate(self.fs, self._source.size)], dtype=float))
+        with fileio.naming(self._source) if path else nullcontext():
+            x = None if cut is None else fileio.ensure_rate(fileio.as_float(native), self.fs)[
+                cut.start - first:cut.stop - first]
+            frames = self._front_end(x) if compressions else None
+            for compression in compressions:
+                if self.base == "Ep":  # averaged linear, then compressed
+                    spec = compress(center_average(frames, self.center), compression)
+                else:
+                    spec = resample_to_axis(center_average(compress(frames, compression), self.center),
+                                            axis_for(self.base))
+                self._spectra[compression] = spec
+            if f0:  # after the spectra, whose error a vowel too short for both meets first
+                window = self._f0_samples()
+                self._f0 = estimate_f0(x[window.start - cut.start:window.stop - cut.start])
+
+    def _front_end(self, cut: np.ndarray | None) -> Spectrogram:
+        """The uncompressed frames of the base's front end, of ``cut``, the
+        base's cut at the canonical rate (W's come from its external
+        spectrogram, cropped to the frames the averaging window picks)."""
+        if self.base == "W":
+            sg = self._external_sg
+            if sg is None:
+                raise InputError("no external spectrogram was supplied for a W representation")
+            if not isinstance(sg, Spectrogram):
+                sg = fileio.read_spectrogram_csv(sg)
+            if sg.compression.mode != "none":
+                raise InputError("external spectrograms must hold uncompressed amplitudes")
+            # cropping the cropped window again picks all of its frames
+            picked = window_frames(sg.t0, sg.frame_period, sg.frames.shape[0], self.center)
+            self._external_sg = replace(sg, frames=sg.frames[picked].copy(),
+                                        t0=sg.t0 + picked.start * sg.frame_period)
+            return self._external_sg
+        if self.base == "Ep":
+            # the cut keeps every frame the window picks, and center_average
+            # needs none past it; the samples before them only warm the bank up
+            frames = gammatone_ep(cut, start=self._ep_samples()[1] - self.start)
+        else:
+            frames = stft_spectrum(cut)
+        frames = replace(frames, t0=frames.t0 + self.start / fileio.CANONICAL_FS)
+        return mel_spectrum(frames) if self.base == "M" else frames
 
     @property
     def f0(self) -> float:
         """Pitch used for weighting: the override if given, else estimated
         once from the F0 window."""
-        if self._f0 is None:
-            self._f0 = estimate_f0(self._read(self._f0_samples()))
+        self._pass((), True)
         return self._f0
-
-    def _external_window(self) -> Spectrogram:
-        """The uncompressed W frames the averaging window picks."""
-        sg = self._external_sg
-        if sg is None:
-            raise InputError("no external spectrogram was supplied for a W representation")
-        if not isinstance(sg, Spectrogram):
-            sg = fileio.read_spectrogram_csv(sg)
-        if sg.compression.mode != "none":
-            raise InputError("external spectrograms must hold uncompressed amplitudes")
-        # cropping the cropped window again picks all of its frames
-        picked = window_frames(sg.t0, sg.frame_period, sg.frames.shape[0], self.center)
-        self._external_sg = replace(sg, frames=sg.frames[picked].copy(),
-                                    t0=sg.t0 + picked.start * sg.frame_period)
-        return self._external_sg
 
     def base_spectrum(self, rep: Representation) -> Spectrum:
         """Compressed, time-averaged spectrum on the representation's grid,
-        before any weighting.  Of a weighted F or M id, F0 is estimated
-        too, while it is unknown, from the cut the spectrum was computed of."""
-        if rep.base != self.base:
-            raise ConfigurationError(f"this analyzer computes {self.base} representations, not {rep.id}")
-        if rep.compression in self._spectra:
-            return self._spectra[rep.compression]
-        if rep.base == "W":
-            frames = self._external_window()
-        else:
-            cut = self.samples
-            frames = stft_spectrum(cut)
-            frames = replace(frames, t0=frames.t0 + self.start / fileio.CANONICAL_FS)
-            if rep.base == "M":
-                frames = mel_spectrum(frames)
-        sg = compress(frames, rep.compression)
-        spec = resample_to_axis(center_average(sg, self.center), axis_for(rep.base))
-        self._spectra[rep.compression] = spec
-        if rep.ssi and rep.base != "W":  # the weighting needs F0 next
-            self._estimate_f0(cut)
-        return spec
+        before any weighting."""
+        return self.spectrum(replace(rep, ssi=False))
 
     def spectrum(self, rep: Representation, h_max: float | None = None) -> Spectrum:
         """The spectrum the estimator correlates; weighted when ``rep.ssi``.
@@ -326,11 +309,13 @@ class UtteranceAnalyzer:
         degrade continuously to their unweighted baseline, and no F0 is
         estimated for them but Ep's, which its constructor estimated.
         """
+        if rep.base != self.base:
+            raise ConfigurationError(f"this analyzer computes {self.base} representations, not {rep.id}")
         h_max = DEFAULT_H_MAX if h_max is None else h_max
-        if not rep.ssi or h_max == 0.0:
-            return self.base_spectrum(replace(rep, ssi=False))  # the same spectrum, with no F0
-        spec = self.base_spectrum(rep)
-        return apply_weight(spec, ssi_weight(spec.axis, h_max, self.f0))
+        weighted = rep.ssi and h_max != 0.0
+        self._pass([rep.compression], weighted)
+        spec = self._spectra[rep.compression]
+        return apply_weight(spec, ssi_weight(spec.axis, h_max, self._f0)) if weighted else spec
 
 
 def analyze_wav(path, rep, *, h_max: float | None = None, f0_override: float | None = None) -> Spectrum:
@@ -338,10 +323,8 @@ def analyze_wav(path, rep, *, h_max: float | None = None, f0_override: float | N
     if isinstance(rep, str):
         rep = parse_representation(rep)
     check_h_max(DEFAULT_H_MAX if h_max is None else h_max)  # for every id, before the read
-    _check_f0(f0_override)
-    analyzer = UtteranceAnalyzer(path, base=rep.base, f0_override=f0_override)
-    with fileio.naming(path):  # the analysis: the reader's errors name the file already
-        return analyzer.spectrum(rep, h_max)
+    analyzer = UtteranceAnalyzer(path, base=rep.base, f0_override=f0_override, plan=[(rep, h_max)])
+    return analyzer.spectrum(rep, h_max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -384,11 +367,8 @@ class CorpusAnalyzer:
     """Caches per-utterance spectra and pairwise shifts for a whole corpus.
 
     Each utterance gets one :class:`UtteranceAnalyzer` per base it is read
-    with, built from its WAV file, of which it reads only the native
-    samples behind its base's cut.  F, M and W analyzers keep those samples
-    in the file's own format (int16 for a 16-bit file), Ep analyzers keep
-    none, and no whole waveform is read.  Only W analyzers are given the
-    utterance's external CSV.
+    with, built from its WAV file's path for the :meth:`plan`; it keeps no
+    samples.  Only W analyzers are given the utterance's external CSV.
     Shift matrices are computed once per (vowel, representation, h_max) over
     all speakers; estimating on a speaker subset reuses the cached pairwise
     lags, which are independent of which other speakers are present.
@@ -404,12 +384,12 @@ class CorpusAnalyzer:
     half's analyzers here and the second half's in one forked child
     (:func:`vtlest._split.split`), also on a machine with more CPUs: only
     two processes were measured.  Each process reads and analyses one
-    utterance at a time, and an Ep analyzer keeps no samples once built.
-    The child's analyzers come back pickled, bit for bit the serial ones,
-    and are cached here, so the loop finds them; any error is left to the
-    loop, which raises it as before.  So a run that fails, on any number of
-    CPUs, may already have read the WAVs of later vowels.  F, M and W
-    spectra (about 0.1 ms each, against 7-13 ms for a fork) never split.
+    utterance at a time.  The child's analyzers come back pickled, bit for
+    bit the serial ones, and are cached here, so the loop finds them; any
+    error is left to the loop, which raises it as before.  So a run that
+    fails, on any number of CPUs, may already have read the WAVs of later
+    vowels.  F, M and W spectra (about 0.1 ms each, against 7-13 ms for a
+    fork) never split.
     """
 
     def __init__(self, records, *, f0_overrides=None, external_dir=None):
@@ -443,6 +423,7 @@ class CorpusAnalyzer:
         self._by_key = {(r.speaker_id, r.vowel): r for r in records}
         self._analyzers: dict = {}
         self._matrices: dict = {}
+        self._plan: dict = {}
         vtls = {}
         for r in records:
             if r.speaker_id in vtls and vtls[r.speaker_id] != r.vtl_cm:
@@ -457,22 +438,29 @@ class CorpusAnalyzer:
             return self.f0_overrides.get(record.utterance_id)
         return float(self.f0_overrides)
 
+    def plan(self, pairs) -> None:
+        """Add (representation id, h_max) pairs about to be estimated to the
+        plan, which each analyzer built from now on computes in its first
+        pass.  Each lag matrix not yet cached plans its own request, so with
+        no call to this the request at hand is the plan.  A plan changes no
+        result."""
+        for rep, h_max in pairs:
+            self._plan[parse_representation(rep) if isinstance(rep, str) else rep, h_max] = None
+
     def analyzer(self, record, base: str) -> UtteranceAnalyzer:
         key = (record.utterance_id, base)
         if key not in self._analyzers:
             external = (f"{self.external_dir}/{record.utterance_id}.csv"
                         if base == "W" and self.external_dir is not None else None)
             self._analyzers[key] = UtteranceAnalyzer(record.path, base=base, f0_override=self._f0_for(record),
-                                                     external_sg=external)
+                                                     external_sg=external, plan=self._plan)
         return self._analyzers[key]
 
     def spectrum(self, speaker_id: str, vowel: str, rep: Representation, h_max: float) -> Spectrum:
         record = self._by_key.get((speaker_id, vowel))
         if record is None:
             raise InputError(f"no utterance for speaker {speaker_id}, vowel {vowel!r}")
-        analyzer = self.analyzer(record, rep.base)
-        with fileio.naming(record.path):
-            return analyzer.spectrum(rep, h_max)
+        return self.analyzer(record, rep.base).spectrum(rep, h_max)
 
     def vowel_speakers(self, vowel: str) -> list[str]:
         return [s for s in self.speakers if (s, vowel) in self._by_key]
@@ -483,6 +471,7 @@ class CorpusAnalyzer:
             speakers = self.vowel_speakers(vowel)
             if len(speakers) < 2:
                 raise InputError(f"vowel {vowel!r} has fewer than 2 speakers")
+            self.plan([(rep, h_max)])
             specs = [self.spectrum(s, vowel, rep, h_max) for s in speakers]
             self._matrices[key] = build_shift_matrix(specs)
         return self._matrices[key]

@@ -45,6 +45,26 @@ def forks(monkeypatch):
 
 
 @pytest.fixture(scope="session")
+def analyzer_keeps():
+    """Every attribute of an analyzer: its source (a path, or the caller's
+    array by reference), the cut geometry, F0, W's external window and the
+    averaged spectra.  No samples."""
+    return {"base", "fs", "n_samples", "center", "start", "_source", "_f0", "_external_sg", "_spectra"}
+
+
+@pytest.fixture
+def front_ends(monkeypatch):
+    """The samples the pipeline hands its gammatone bank, its STFT and its
+    F0 estimator, in call order, by function name."""
+    inputs = {}
+    for name in ("gammatone_ep", "stft_spectrum", "estimate_f0"):
+        func, seen = getattr(v.pipeline, name), inputs.setdefault(name, [])
+        monkeypatch.setattr(v.pipeline, name, lambda x, *args, _func=func, _seen=seen, **kwargs:
+                            _seen.append(x) or _func(x, *args, **kwargs))
+    return inputs
+
+
+@pytest.fixture(scope="session")
 def erb_axis():
     return v.make_axis("erb", 100, 100.0, 8000.0)
 

@@ -90,14 +90,19 @@ def _open_fds():
     return sorted(os.listdir("/dev/fd"))
 
 
+def _packed_wav(path, data: bytes, *, channels: int, block_align: int, bits: int):
+    """A 48 kHz PCM WAV file of ``data``, its ``fmt `` chunk packed by hand."""
+    fmt = struct.pack("<HHIIHH", 1, channels, 48000, block_align * 48000, block_align, bits)
+    body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+            + b"data" + struct.pack("<I", len(data)) + data)
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+
+
 def _wav24(path, samples):
     """A 48 kHz mono WAV file of 24-bit (3-byte) PCM samples: the top three
     bytes of each of the int32 ``samples``."""
     data = samples.astype("<i4").view(np.uint8).reshape(-1, 4)[:, 1:].tobytes()
-    fmt = struct.pack("<HHIIHH", 1, 1, 48000, 3 * 48000, 3, 24)
-    body = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
-            + b"data" + struct.pack("<I", len(data)) + data)
-    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    _packed_wav(path, data, channels=1, block_align=3, bits=24)
 
 
 class TestReadCut:
@@ -205,6 +210,20 @@ class TestReadCut:
             expected = analyzer.spectrum(v.parse_representation(rep_id)).values
             assert v.analyze_wav(tmp_path / "deep.wav", rep_id).values.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("channels,block_align,message", [
+        (0, 2, "expected mono audio, got 0 channels"),
+        (1, 0, "block align must be positive, got 0"),
+    ])
+    def test_malformed_fmt_fields_are_named(self, tmp_path, channels, block_align, message):
+        """A 16-bit mono-sized file whose ``fmt `` chunk gives 0 channels
+        once failed with "integer division or modulo by zero", and one with
+        block align 0 with "data type '<i0' not understood"."""
+        _packed_wav(tmp_path / "x.wav", bytes(960), channels=channels, block_align=block_align, bits=16)
+        for read in (fileio.read_wav, lambda path: fileio.read_cut(path, lambda fs, size: slice(0, 10))):
+            with pytest.raises(InputError) as info:
+                read(tmp_path / "x.wav")
+            assert str(info.value) == f"{tmp_path / 'x.wav'}: {message}"
+
     def test_file_shorter_than_its_header_says_is_read_to_its_end(self, tmp_path):
         """With a warning naming it: its whole samples, as ``wavfile.read``
         reads them; a memory map of the size the header gives cannot be
@@ -227,44 +246,62 @@ class TestReadCut:
         expected = v.UtteranceAnalyzer(got, fs, base="F").spectrum(v.parse_representation("F_log"))
         assert spectrum.values.tobytes() == expected.values.tobytes()
 
-    def test_path_backed_analyzer_is_the_array_one(self, tmp_path):
-        """Built from a 44.1 kHz file, an analyzer holds its 16-bit
-        samples, and every spectrum is bit for bit that of the analyzer
-        built from the whole file's float samples."""
+    def test_path_backed_analyzer_is_the_array_one(self, tmp_path, monkeypatch, analyzer_keeps):
+        """Built from a 44.1 kHz file, an analyzer reads its 16-bit samples
+        and keeps the path alone, and every spectrum is bit for bit that of
+        the analyzer built from the whole file's float samples."""
         fileio.write_wav(tmp_path, "t.wav", v.synth_vowel(v.vowel_spec("e", 130.0, fs=44100.0)), 44100.0)
         with pytest.warns(UserWarning, match="resampling input"):
             samples, fs = fileio.read_audio(tmp_path / "t.wav")
+        read = []
+        reader = fileio.read_cut
+        monkeypatch.setattr(fileio, "read_cut", lambda path, select: read.append(reader(path, select)) or read[-1])
         for rep_id in v.representation_catalog():
             rep = v.parse_representation(rep_id)
+            read.clear()
             with pytest.warns(UserWarning, match="resampling input"):
-                from_file = v.UtteranceAnalyzer(tmp_path / "t.wav", base=rep.base)
+                from_file = v.UtteranceAnalyzer(tmp_path / "t.wav", base=rep.base, plan=[(rep, None)])
             from_array = v.UtteranceAnalyzer(samples, fs, base=rep.base)
-            assert from_file.native is None if rep.base == "Ep" else from_file.native.dtype == np.int16
+            [(native, _)] = read
+            assert native.dtype == np.int16 and native.size
+            assert set(vars(from_file)) == analyzer_keeps and from_file._source == tmp_path / "t.wav"
             assert from_file.spectrum(rep).values.tobytes() == from_array.spectrum(rep).values.tobytes()
-            assert from_file.f0 == from_array.f0
+            with warnings.catch_warnings(record=True) as later:
+                warnings.simplefilter("always")
+                assert from_file.f0 == from_array.f0
+            # F0 after an unweighted F or M spectrum is one more pass, of the F0 window alone
+            assert len(later) == len(read) - 1 == (rep.base != "Ep" and not rep.ssi)
 
-    def test_one_resampling_per_spectrum(self, tmp_path, monkeypatch):
-        """A first weighted spectrum takes its base spectrum and its F0
-        from one resampled cut; another compression resamples again.  An
-        F0 first needed after an unweighted spectrum resamples only the
-        native samples behind the F0 window."""
+    def test_one_resampling_per_spectrum(self, tmp_path, monkeypatch, front_ends):
+        """A pass reads, resamples and analyses the cut once for every
+        compression planned, and F0 with them when a weighted one is
+        planned at a nonzero knee; a later request outside the plan makes
+        one more pass.  An F0 first needed after the spectra resamples only
+        the native samples behind the F0 window."""
         fileio.write_wav(tmp_path, "t.wav", v.synth_vowel(v.vowel_spec("e", 130.0, fs=44100.0)), 44100.0)
         calls = []
         resample = fileio.ensure_rate
         monkeypatch.setattr(fileio, "ensure_rate", lambda *a: calls.append(a) or resample(*a))
+        plan = [(v.parse_representation(rep_id), h_max)
+                for rep_id, h_max in (("F_log", 3.5), ("F_0.4", 3.5), ("F_SSI_log", 0.0), ("F_SSI_log", 2.0))]
         with pytest.warns(UserWarning, match="resampling input"):
-            analyzer = v.UtteranceAnalyzer(tmp_path / "t.wav", base="F")
-        assert calls == []
-        for rep_id, h_max, resampled in (("F_SSI_log", 3.5, 1), ("F_SSI_log", 2.0, 1), ("F_0.4", 3.5, 2),
-                                         ("F_SSI_0.4", 3.5, 2)):
-            analyzer.spectrum(v.parse_representation(rep_id), h_max)
-            assert len(calls) == resampled
+            analyzer = v.UtteranceAnalyzer(tmp_path / "t.wav", base="F", plan=plan)
+        assert (len(calls), len(front_ends["stft_spectrum"]), len(front_ends["estimate_f0"])) == (1, 1, 1)
+        for rep, h_max in plan:
+            analyzer.spectrum(rep, h_max)
+        assert (len(calls), len(front_ends["stft_spectrum"]), len(front_ends["estimate_f0"])) == (1, 1, 1)
         with pytest.warns(UserWarning, match="resampling input"):
-            analyzer = v.UtteranceAnalyzer(tmp_path / "t.wav", base="M")
+            analyzer.spectrum(v.parse_representation("F_0.2"))  # outside the plan
+        assert (len(calls), len(front_ends["stft_spectrum"]), len(front_ends["estimate_f0"])) == (2, 2, 1)
+        with pytest.warns(UserWarning, match="resampling input"):
+            analyzer = v.UtteranceAnalyzer(tmp_path / "t.wav", base="M",
+                                           plan=[(v.parse_representation("M_SSI_log"), 0.0)])
         analyzer.spectrum(v.parse_representation("M_SSI_log"), 0.0)
-        analyzer.spectrum(v.parse_representation("M_SSI_log"), 3.5)
-        assert len(calls) == 4
-        assert calls[3][0].size < calls[2][0].size == calls[0][0].size == analyzer.native.size
+        assert len(front_ends["estimate_f0"]) == 1
+        with pytest.warns(UserWarning, match="resampling input"):
+            analyzer.spectrum(v.parse_representation("M_SSI_log"), 3.5)
+        assert (len(calls), len(front_ends["stft_spectrum"]), len(front_ends["estimate_f0"])) == (4, 3, 2)
+        assert calls[3][0].size < calls[2][0].size == calls[0][0].size
 
     def test_ep_analyzer_of_a_long_file_reads_only_its_cut(self, tmp_path):
         """Building one from a 10 s, 48 kHz file peaks below the file's
@@ -333,43 +370,49 @@ class TestResampling:
     @given(fs=st.sampled_from([16000, 22050, 44100, 96000]), duration=st.floats(0.04, 0.6),
            seed=st.integers(0, 2**32 - 1))
     def test_every_cut_read_equals_whole_file_resampling(self, fs, duration, seed):
-        """From inputs shorter than Ep's 174 ms cut up: each sample a base
-        (and F0) reads is that of resampling the whole input.  Ep keeps no
-        samples, so its cut is what its bank reads; the others hold the
-        native samples behind their cut and resample them when read."""
+        """From inputs shorter than Ep's 174 ms cut up: each sample a base's
+        front end (and F0) is handed is that of resampling the whole input,
+        and only the native samples behind the cut are read."""
         x = 0.1 * np.random.default_rng(seed).normal(size=int(duration * fs))
         expected = resample_poly(x, 48000, fs)
-        read, held = [], set()
-        bank = v.pipeline.gammatone_ep
+        front_end = {"Ep": "gammatone_ep", "F": "stft_spectrum", "M": "stft_spectrum", "W": "estimate_f0"}
+        rep_ids = {"Ep": "Ep", "F": "F_log", "M": "M_log"}
+        cuts, converted, held = {name: [] for name in front_end.values()}, [], set()
+        convert = fileio.as_float
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(v.pipeline, "gammatone_ep", lambda cut, **kw: read.append(cut) or bank(cut, **kw))
+            for name, seen in cuts.items():
+                func = getattr(v.pipeline, name)
+                m.setattr(v.pipeline, name, lambda cut, _f=func, _s=seen, **kw: _s.append(cut) or _f(cut, **kw))
+            m.setattr(fileio, "as_float", lambda native: converted.append(native) or convert(native))
             for base in ("Ep", "F", "M", "W"):
+                for seen in (*cuts.values(), converted):
+                    seen.clear()
+                plan = [(v.parse_representation(rep_ids[base]), 3.5)] if base != "W" else []
                 try:
-                    analyzer = v.UtteranceAnalyzer(x, float(fs), base=base)
-                except InputError:  # too short for Ep's averaging window or an STFT frame in it
+                    analyzer = v.UtteranceAnalyzer(x, float(fs), base=base, plan=plan)
+                    if base == "W":
+                        analyzer.f0  # a pass of the F0 window alone
+                except InputError:  # too short for Ep's averaging window, an STFT frame in it or F0
                     continue
                 assert analyzer.n_samples == expected.size
-                got, start = read.pop() if base == "Ep" else analyzer.samples, analyzer.start
+                got, start = cuts[front_end[base]][0], analyzer.start
                 assert got.size and np.array_equal(got, expected[start:start + got.size])
-                if base != "Ep":
-                    native = fileio.native_cut(slice(start, start + got.size), float(fs), x.size)[0]
-                    assert analyzer.native.tobytes() == x[native].tobytes()
+                [native] = converted
+                assert native.tobytes() == x[fileio.native_cut(analyzer._cut(), float(fs), x.size)[0]].tobytes()
                 held.add(base)
-        # W holds a cut of any input, and Ep reads one of any it can average
-        assert "W" in held and ("Ep" in held) == (expected.size >= ssi.F0_WINDOW_N)
+        # Ep reads a cut of any input it can average, and W of any F0 can be estimated of
+        assert ("Ep" in held) == ("W" in held) == (expected.size >= ssi.F0_WINDOW_N)
 
-    def test_tone_above_the_canonical_nyquist_is_filtered_out(self, monkeypatch):
+    def test_tone_above_the_canonical_nyquist_is_filtered_out(self, front_ends):
         """A 30 kHz tone at 96 kHz would alias to 18 kHz: linear
         interpolation kept it at full amplitude."""
         fs = 96000.0
         tone = np.sin(2 * np.pi * 30000.0 * np.arange(48000) / fs)
-        # each base's cut, which F0 is also taken from: Ep's is what its bank reads
-        held = []
-        bank = v.pipeline.gammatone_ep
-        monkeypatch.setattr(v.pipeline, "gammatone_ep", lambda cut, **kw: held.append(cut) or bank(cut, **kw))
-        v.UtteranceAnalyzer(tone, fs, base="Ep")
-        held.append(v.UtteranceAnalyzer(tone, fs, base="F").samples)  # F's, resampled from its native samples
-        assert len(held) == 2 and max(np.abs(x).max() for x in held) <= 0.01
+        # what each base's front end is handed, and F0 too
+        for base, rep_id in (("Ep", "Ep"), ("F", "F_SSI_0.4")):
+            v.UtteranceAnalyzer(tone, fs, base=base, plan=[(v.parse_representation(rep_id), 3.5)])
+        cuts = [cut for seen in front_ends.values() for cut in seen]
+        assert len(cuts) == 4 and max(np.abs(x).max() for x in cuts) <= 0.01
 
     @pytest.mark.parametrize("fs,message", [
         (44100.5, "sample rate 44100.5 Hz is not a whole number of Hz"),

@@ -71,9 +71,12 @@ rng = np.random.default_rng(0)
 fileio.write_wav(sys.argv[1], "x.wav", rng.uniform(-1.0, 1.0, 4410), 44100.0)
 warnings.simplefilter("ignore")  # the resampling warning
 samples, fs = fileio.read_audio(f"{sys.argv[1]}/x.wav")
-analyzer = vtlest.UtteranceAnalyzer(f"{sys.argv[1]}/x.wav", base="F")
-assert analyzer.native.dtype == np.int16
-cut = analyzer.samples
+cuts = []
+stft = vtlest.pipeline.stft_spectrum
+vtlest.pipeline.stft_spectrum = lambda cut: cuts.append(cut) or stft(cut)
+rep = vtlest.parse_representation("F_log")
+analyzer = vtlest.UtteranceAnalyzer(f"{sys.argv[1]}/x.wav", base="F", plan=[(rep, None)])
+spectrum = analyzer.spectrum(rep)
 y = fileio.ensure_rate(samples, fs)
 assert "scipy.signal" not in sys.modules and "scipy.special" not in sys.modules
 
@@ -86,8 +89,10 @@ assert _special_ufuncs is _kernels._load("_special_ufuncs", "scipy.special")
 assert scipy.special.i0 is _special_ufuncs.i0
 assert resample_poly(samples, 160, 147).tobytes() == y.tobytes()
 assert fileio.ensure_rate(samples, fs).tobytes() == y.tobytes()
-assert analyzer.samples.tobytes() == cut.tobytes()
-assert cut.tobytes() == y[analyzer.start:analyzer.start + cut.size].tobytes()
+again = vtlest.UtteranceAnalyzer(f"{sys.argv[1]}/x.wav", base="F", plan=[(rep, None)])
+assert again.spectrum(rep).values.tobytes() == spectrum.values.tobytes()
+assert len(cuts) == 2 and cuts[1].tobytes() == cuts[0].tobytes()
+assert cuts[0].tobytes() == y[analyzer.start:analyzer.start + cuts[0].size].tobytes()
 print("ok")
 """
 

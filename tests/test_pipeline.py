@@ -7,6 +7,7 @@ import signal
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -130,15 +131,17 @@ class TestUtteranceAnalyzer:
         assert a.values.tobytes() == b.values.tobytes()
 
     @pytest.mark.parametrize("f0_override", [None, 0.0, 150.0])
-    def test_ep_analyzer_keeps_no_samples(self, monkeypatch, f0_override):
+    def test_ep_analyzer_keeps_no_samples(self, monkeypatch, analyzer_keeps, f0_override):
         """The constructor computes the pattern, then F0 from the centre
-        50 ms unless it is overridden, and keeps no samples."""
+        50 ms unless it is overridden, and keeps no samples: only the
+        caller's array, by reference."""
         samples = v.synth_vowel(v.vowel_spec("o", 120.0))
         estimated = []
         f0 = pipeline.estimate_f0
         monkeypatch.setattr(pipeline, "estimate_f0", lambda x: estimated.append(x) or f0(x))
         analyzer = v.UtteranceAnalyzer(samples, 48000.0, base="Ep", f0_override=f0_override)
-        assert analyzer.samples is None and len(analyzer._spectra) == 1
+        assert set(vars(analyzer)) == analyzer_keeps and len(analyzer._spectra) == 1
+        assert analyzer._source is samples
         if f0_override is None:
             [window] = estimated
             assert window.tobytes() == samples[10800:13200].tobytes()
@@ -157,34 +160,37 @@ class TestUtteranceAnalyzer:
         with pytest.raises(ConfigurationError, match="this analyzer computes Ep representations, not F_log"):
             analyzers["Ep"].spectrum(v.parse_representation("F_log"))
 
-    def test_each_analyzer_holds_only_its_cut(self, tmp_path, monkeypatch):
-        """A 0.5 s vowel's Ep reads samples 4872-13199 into its bank and
-        keeps none, F and M hold 10320-13679, and W (for F0) the centre
-        50 ms, 10800-13199: at 48 kHz the native samples are the cut."""
+    def test_each_analyzer_holds_only_its_cut(self, tmp_path, monkeypatch, analyzer_keeps, front_ends):
+        """A 0.5 s vowel's Ep hands samples 4872-13199 to its bank, F and M
+        10320-13679 to the STFT, and W (for F0) the centre 50 ms,
+        10800-13199 to the F0 estimator: at 48 kHz the native samples are
+        the cut.  Each reads its file once, only its 16-bit samples behind
+        the cut, and no analyzer keeps any samples."""
         samples = v.synth_vowel(v.vowel_spec("o", 120.0))
-        read = []
-        bank = pipeline.gammatone_ep
-        monkeypatch.setattr(pipeline, "gammatone_ep", lambda cut, **kw: read.append(cut) or bank(cut, **kw))
-        for base, start, size in (("Ep", 4872, 8328), ("F", 10320, 3360), ("M", 10320, 3360),
-                                  ("W", 10800, 2400)):
-            analyzer = v.UtteranceAnalyzer(samples, 48000.0, base=base)
-            cut = analyzer.samples
-            if base == "Ep":
-                assert analyzer.native is None and cut is None
-                [cut] = read
-            else:
-                assert analyzer.native.tobytes() == samples[start:start + size].tobytes()
-            assert (analyzer.start, cut.size) == (start, size)
-            assert cut.tobytes() == samples[start:start + size].tobytes()
+        for base, rep_id, start, size, front_end in (
+                ("Ep", "Ep", 4872, 8328, "gammatone_ep"), ("F", "F_log", 10320, 3360, "stft_spectrum"),
+                ("M", "M_log", 10320, 3360, "stft_spectrum"), ("W", "W_SSI_log", 10800, 2400, "estimate_f0")):
+            for seen in front_ends.values():
+                seen.clear()
+            external = v.stft_spectrum(samples) if base == "W" else None
+            analyzer = v.UtteranceAnalyzer(samples, 48000.0, base=base, external_sg=external,
+                                           plan=[(v.parse_representation(rep_id), 3.5)])
+            [cut] = front_ends[front_end]
+            assert (analyzer.start, cut.tobytes()) == (start, samples[start:start + size].tobytes())
+            assert set(vars(analyzer)) == analyzer_keeps and analyzer._source is samples
         v.make_corpus(v.pair_demo_speakers(), ["a"], tmp_path)
+        read = []
+        reader = fileio.read_cut
+        monkeypatch.setattr(fileio, "read_cut", lambda path, select: read.append(reader(path, select)) or read[-1])
         corpus = v.load_corpus(tmp_path / "manifest.csv")
         corpus.estimate("F_SSI_log")
-        # no analyzer holds Ep's lead, and each holds its file's 16-bit samples
-        assert {key: (a.native.dtype, a.native.size) for key, a in corpus._analyzers.items()} == {
-            ("s01_a", "F"): (np.int16, 3360), ("s02_a", "F"): (np.int16, 3360)}
-        for (utterance, _), analyzer in corpus._analyzers.items():
+        # one read of each file, of its 16-bit samples behind F's cut alone
+        assert [(native.dtype, native.size) for native, _ in read] == [(np.int16, 3360)] * 2
+        for (utterance, _), analyzer, cut in zip(corpus._analyzers, corpus._analyzers.values(),
+                                                front_ends["stft_spectrum"]):
             whole = fileio.read_wav(tmp_path / f"{utterance}.wav")[0]
-            assert analyzer.samples.tobytes() == whole[10320:13680].tobytes()
+            assert cut.tobytes() == whole[10320:13680].tobytes()
+            assert set(vars(analyzer)) == analyzer_keeps and analyzer._source == str(tmp_path / f"{utterance}.wav")
 
 
 class TestEpWindowCut:
@@ -254,8 +260,8 @@ class TestEpWindowCut:
 
 
 class TestF0Window:
-    """Every analyzer estimates F0 from the samples it holds, which works
-    only while the F0 window lies inside its base's cut."""
+    """A pass that computes a spectrum and F0 takes F0 from the cut it
+    read, which works only while the F0 window lies inside its base's cut."""
 
     @settings(max_examples=300, deadline=None)
     @given(fs=st.sampled_from([16000.0, 22050.0, 44100.0, 48000.0, 96000.0]),
@@ -269,11 +275,10 @@ class TestF0Window:
             except InputError:  # too short for a single STFT frame or Ep's window
                 continue
             f0 = analyzer._f0_samples()
-            # Ep keeps no samples: it estimated F0 from its cut, clipped to the input
-            size = (min(analyzer._ep_samples()[0].stop, analyzer.n_samples) - analyzer.start
-                    if base == "Ep" else analyzer.samples.size)
-            held = slice(analyzer.start, analyzer.start + size)
-            assert held.start <= f0.start and min(f0.stop, analyzer.n_samples) <= held.stop
+            # a pass that computes a spectrum and F0 reads the cut, clipped to the input
+            cut = analyzer._cut()
+            assert cut.start == analyzer.start <= f0.start
+            assert min(f0.stop, analyzer.n_samples) <= min(cut.stop, analyzer.n_samples)
 
     @pytest.mark.filterwarnings("ignore:resampling input")
     def test_one_read_and_one_f0_estimate_per_utterance(self, tmp_path, monkeypatch):
@@ -363,30 +368,30 @@ class TestWindowOnlyFrontEnds:
             got = v.UtteranceAnalyzer(clicked, 48000.0, base=rep.base).base_spectrum(rep)
             assert got.values.tobytes() == clean.values.tobytes()
 
-    def test_cache_does_not_grow_with_duration(self):
+    def test_cache_does_not_grow_with_duration(self, analyzer_keeps, front_ends):
         reads = {"Ep": ("Ep", "Ep_SSI"), "F": ("F_log", "F_0.4", "F_SSI_log"), "M": ("M_log",),
                  "W": ("W_log", "W_0.4", "W_SSI_log")}
+        front_end = {"Ep": "gammatone_ep", "F": "stft_spectrum", "M": "stft_spectrum", "W": "estimate_f0"}
 
         def cached(duration, fs):
             samples = v.synth_vowel(v.vowel_spec("e", 150.0, duration=duration, fs=fs))
+            whole = fileio.ensure_rate(samples, fs)
             held = {}
             for base, rep_ids in reads.items():
-                external = v.stft_spectrum(fileio.ensure_rate(samples, fs)) if base == "W" else None
+                for seen in front_ends.values():
+                    seen.clear()
+                external = v.stft_spectrum(whole) if base == "W" else None
                 analyzer = v.UtteranceAnalyzer(samples, fs, base=base, external_sg=external)
                 for rep_id in rep_ids:
                     analyzer.spectrum(v.parse_representation(rep_id))
-                # the native samples behind the cut (none for Ep once its
-                # pattern and F0 exist), the averaged spectra and W's cropped
-                # window, and no resampled cut, F or M frames nor the waveform
-                assert set(vars(analyzer)) == {"base", "n_samples", "center", "start", "native", "fs",
-                                               "_size", "_first", "_stop", "_f0", "_external_sg",
-                                               "_spectra"}
-                if base != "Ep":
-                    assert analyzer.native.flags.owndata
-                    cut = analyzer.samples
-                    whole = fileio.ensure_rate(samples, fs)
+                # the averaged spectra and W's cropped window, and no samples,
+                # F or M frames nor the waveform
+                assert set(vars(analyzer)) == analyzer_keeps and analyzer._source is samples
+                # what the front end was handed: the cut, resampled as the whole input is
+                cuts = front_ends[front_end[base]]
+                for cut in cuts:
                     assert cut.tobytes() == whole[analyzer.start:analyzer.start + cut.size].tobytes()
-                held[base] = (None if analyzer.native is None else analyzer.native.shape,
+                held[base] = ([cut.size for cut in cuts],
                               {key: s.values.shape for key, s in analyzer._spectra.items()})
             assert analyzer._external_sg.frames.flags.owndata
             return held, analyzer._external_sg.frames.shape
@@ -394,12 +399,14 @@ class TestWindowOnlyFrontEnds:
         for fs in (44100.0, 48000.0):
             short, long = cached(0.5, fs), cached(2.0, fs)
             assert short == long
-        # the 48 kHz analyzers, the loop's last: Ep nothing, once its pattern
-        # and F0 exist; F and M the STFT frames in the window; W the centre 50 ms
+        # the 48 kHz analyzers, the loop's last: with no plan, one pass per
+        # request that needs one.  Ep's bank ran once, on its cut; F's STFT
+        # once per compression, on the frames in the window, and M's once;
+        # W took its F0 from the centre 50 ms
         held, w_frames = short
         assert w_frames == (10, 601)
-        assert {base: shape for base, (shape, _) in held.items()} == {
-            "Ep": None, "F": (3360,), "M": (3360,), "W": (2400,)}
+        assert {base: sizes for base, (sizes, _) in held.items()} == {
+            "Ep": [8328], "F": [3360, 3360], "M": [3360], "W": [2400]}
 
     def test_cold_ep_estimate_holds_one_cut_at_a_time(self, default_corpus_dir, monkeypatch):
         """A one-CPU cold Ep_SSI estimate of the ladder reads, analyses and
@@ -856,35 +863,37 @@ class TestEpSplit:
 
     @pytest.mark.parametrize("cpus", [{0, 1}, {0}])
     def test_no_ep_analyzer_holds_samples_after_a_weighted_estimate(self, default_corpus_dir, forks,
-                                                                     monkeypatch, cpus):
+                                                                     monkeypatch, analyzer_keeps, cpus):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         corpus = v.load_corpus(default_corpus_dir / "manifest.csv")
         corpus.estimate("Ep_SSI", 3.5)
         assert len(forks) == len(cpus) - 1
         assert len(corpus._analyzers) == len(corpus.records)
-        assert all(analyzer.samples is None for analyzer in corpus._analyzers.values())
+        # the child's analyzers too came back with their path, not samples
+        assert {key: (set(vars(a)), a._source) for key, a in corpus._analyzers.items()} == {
+            (r.utterance_id, "Ep"): (analyzer_keeps, r.path) for r in corpus.records}
 
     @pytest.mark.parametrize("cpus", [{0, 1}, {0}])
     @pytest.mark.parametrize("rep_id,h_max,f0", [("Ep", 3.5, None), ("Ep_SSI", 0.0, None),
                                                  ("Ep_SSI", 3.5, 150.0)])
-    def test_no_ep_analyzer_holds_samples_after_any_estimate(self, default_corpus_dir, forks,
-                                                             monkeypatch, cpus, rep_id, h_max, f0):
+    def test_no_ep_analyzer_holds_samples_after_any_estimate(self, default_corpus_dir, forks, monkeypatch,
+                                                             analyzer_keeps, cpus, rep_id, h_max, f0):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         corpus = v.load_corpus(default_corpus_dir / "manifest.csv", f0_overrides=f0)
         corpus.estimate(rep_id, h_max)
         assert len(forks) == len(cpus) - 1
         assert len(corpus._analyzers) == len(corpus.records)
-        assert all(analyzer.samples is None for analyzer in corpus._analyzers.values())
+        assert all(set(vars(analyzer)) == analyzer_keeps for analyzer in corpus._analyzers.values())
         if f0 is not None:
             assert {analyzer.f0 for analyzer in corpus._analyzers.values()} == {f0}
 
-    def test_unweighted_estimate_keeps_no_samples(self, default_corpus_dir, serial_ladder, forks):
+    def test_unweighted_estimate_keeps_no_samples(self, default_corpus_dir, serial_ladder, forks, analyzer_keeps):
         """A cold Ep estimate estimates F0 too, in both processes, so a
         weighted estimate after it is the serial one, with no second fork."""
         corpus = v.load_corpus(default_corpus_dir / "manifest.csv")
         corpus.estimate("Ep", 3.5)
         assert len(forks) == 1
-        assert all(a.samples is None for a in corpus._analyzers.values())
+        assert all(set(vars(a)) == analyzer_keeps for a in corpus._analyzers.values())
         assert {key: a._f0 for key, a in corpus._analyzers.items()} == {
             key: a._f0 for key, a in serial_ladder[0]._analyzers.items()}
         _assert_same_estimate(corpus.estimate("Ep_SSI", 3.5), serial_ladder[1])
@@ -906,6 +915,81 @@ class TestEpSplit:
         assert time.monotonic() - start < 10
         assert len(forks) == 1
         _assert_released(fds)
+
+
+@pytest.fixture(scope="module")
+def corpus44_dir(tmp_path_factory):
+    """Two speakers saying /a/ and /i/ at 44.1 kHz: every read resamples."""
+    out = tmp_path_factory.mktemp("pair44")
+    v.make_corpus(v.pair_demo_speakers(), ["a", "i"], out, fs=44100.0)
+    return out
+
+
+class TestPasses:
+    """A pass reads the native samples behind an analyzer's cut once,
+    resamples them once and runs the front end once, for every planned
+    compression and F0."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """The native samples read from each file, and the number of
+        resamplings and STFTs."""
+        calls = {"read": {}, "ensure_rate": 0, "stft_spectrum": 0}
+        read_cut, ensure_rate, stft = fileio.read_cut, fileio.ensure_rate, pipeline.stft_spectrum
+
+        def read(path, select):
+            native, fs = read_cut(path, select)
+            calls["read"].setdefault(os.path.basename(path), []).append(native.size)
+            return native, fs
+
+        def count(name, func):
+            def wrapper(*args):
+                calls[name] += 1
+                return func(*args)
+            return wrapper
+        monkeypatch.setattr(fileio, "read_cut", read)
+        monkeypatch.setattr(fileio, "ensure_rate", count("ensure_rate", ensure_rate))
+        monkeypatch.setattr(pipeline, "stft_spectrum", count("stft_spectrum", stft))
+        return calls
+
+    @pytest.mark.filterwarnings("ignore:resampling input")
+    @pytest.mark.parametrize("run", ["evaluate F_log,F_0.4,F_SSI_log", "sweep F_SSI_log", "hmax_sweep M_SSI_log"])
+    def test_planned_run_makes_one_pass_per_utterance(self, corpus44_dir, tmp_path, counted, run):
+        """A multi-compression evaluate once resampled and ran the STFT three
+        times per utterance, and a knee sweep of a weighted id resampled
+        twice (the first knee is 0, where no F0 is needed)."""
+        from vtlest.evaluate import EvalConfig, hmax_sweep, run_evaluation, run_sweep
+
+        command, rep_ids = run.split()
+        config = EvalConfig(manifest=str(corpus44_dir / "manifest.csv"), representations=tuple(rep_ids.split(",")),
+                            trials=0, out_dir=str(tmp_path))
+        if command == "evaluate":
+            run_evaluation(config)
+        elif command == "sweep":
+            run_sweep(config)
+        else:
+            hmax_sweep(v.load_corpus(config.manifest), rep_ids)
+        n = len(fileio.read_manifest(config.manifest))
+        assert len(counted["read"]) == n and all(len(sizes) == 1 for sizes in counted["read"].values())
+        assert (counted["ensure_rate"], counted["stft_spectrum"]) == (n, n)
+
+    def test_unplanned_compression_makes_one_more_pass(self, corpus44_dir, counted):
+        """With no plan, the request at hand is the plan: ``F_log`` then
+        ``F_0.4`` read each file twice, each time only the samples behind
+        F's cut, and Python's default filter shows each file's resampling
+        warning once."""
+        corpus = v.load_corpus(corpus44_dir / "manifest.csv")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            corpus.estimate("F_log")
+            assert (counted["ensure_rate"], counted["stft_spectrum"]) == (4, 4)
+            corpus.estimate("F_0.4")
+        assert (counted["ensure_rate"], counted["stft_spectrum"]) == (8, 8)
+        # 3 170 of each file's 22 050 samples: the 3 087 behind F's 3 360
+        # canonical ones, with half a filter of margin
+        assert counted["read"] == {f"{r.utterance_id}.wav": [3170, 3170] for r in corpus.records}
+        assert sorted(str(w.message) for w in caught) == sorted(
+            f"resampling input {r.path} from 44100 Hz to the canonical 48000 Hz" for r in corpus.records)
 
 
 class TestExternalSpectra:
