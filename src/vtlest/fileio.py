@@ -1,4 +1,4 @@
-"""WAV and CSV input/output.
+"""WAV and CSV input/output; analysis reads audio a cut at a time through :class:`Recording`.
 
 All CSV writers emit full numeric precision (12 significant digits) and write
 atomically (temp file in the target directory, then rename), so interrupted
@@ -12,6 +12,7 @@ import functools
 import math
 import os
 import struct
+import sys
 import tempfile
 import warnings
 from dataclasses import dataclass
@@ -72,10 +73,12 @@ def naming(path):
     """Re-raise an :class:`InputError` from reading or analysing the file at
     ``path`` as the same type, its message prefixed with the path.  A
     :class:`ConfigurationError` is about a setting, not the file, and
-    passes unchanged."""
+    passes unchanged, as every error does when ``path`` is None."""
     try:
         yield
     except InputError as exc:
+        if path is None:
+            raise
         raise type(exc)(f"{path}: {exc}") from exc
 
 
@@ -89,7 +92,7 @@ def _data_chunk(fid) -> tuple[int, np.dtype, int, int]:
     header gives them.  Chunks after the samples are not read.
 
     The type is the one ``wavfile.read`` gives: a 16-bit PCM file's is
-    int16, a 24-bit one's int32 (:func:`_read_native` widens its 3-byte
+    int16, a 24-bit one's int32 (:func:`_samples` widens its 3-byte
     samples) and a 64-bit float file's float64.
     """
     _, big_endian, rf64, rf64_size = wavfile._read_riff_chunk(fid)
@@ -108,6 +111,8 @@ def _data_chunk(fid) -> tuple[int, np.dtype, int, int]:
         raise InputError(f"expected mono audio, got {channels} channels")
     if block_align == 0:
         raise InputError("block align must be positive, got 0")
+    if block_align != -(-bits // 8):
+        raise InputError(f"block align {block_align} does not fit {bits}-bit mono samples")
     size = struct.unpack(">I" if big_endian else "<I", fid.read(4))[0]
     width = block_align // channels
     order = ">" if big_endian else "<"
@@ -122,55 +127,69 @@ def _data_chunk(fid) -> tuple[int, np.dtype, int, int]:
     return fs, dtype, width, rf64_size if rf64 else size
 
 
-def _read_native(path, select=None) -> tuple[np.ndarray, float]:
-    """The one WAV decode path: ``(samples, rate)`` of a mono WAV file, the
-    samples in the file's own format (int16 for 16-bit PCM, int32 for 24-
-    and 32-bit, float32 and float64), and only the slice ``select(rate,
-    samples in the file)`` of them (all without ``select``).
-
-    Only the header and the bytes of that slice are read, from their
-    place in the file, which is closed before this returns: what is read
-    and checked is bounded by the slice, not by the file.  A file that ends
-    before its samples do gets a warning, and the whole samples it holds
-    are read.  Errors name the file: one that cannot be read as a WAV file,
-    a rate that is not positive, other than one channel, a block align of
-    0, another sample format, and float samples that are NaN or infinite
-    among those read.
-    """
+def _open(path):
+    """``path`` open for reading bytes; an error but its absence names it."""
     try:
-        fid = open(path, "rb")
+        return open(path, "rb")
     except FileNotFoundError:
         raise
     except OSError as exc:
         raise InputError(f"cannot read WAV file {path}: {exc}") from exc
-    with fid:
+
+
+def _warn(message: str) -> None:
+    """Warn of ``message`` at the first caller outside this module."""
+    depth = 1
+    while sys._getframe(depth).f_globals["__name__"] == __name__:
+        depth += 1
+    warnings.warn(message, stacklevel=depth + 1)
+
+
+def _header(path) -> tuple[float, tuple, int]:
+    """``(rate, layout, whole samples held)`` of the mono WAV file at
+    ``path`` from its header alone, the layout being the samples' offset,
+    type and width.  A file that ends before its samples do gets a warning.
+    Errors name the file: one that is not a WAV file, a rate that is not
+    positive, other than one channel, a block align of 0 or one that does
+    not fit the bits per sample, and another sample format."""
+    with _open(path) as fid:
         try:
             fs, dtype, width, size = _data_chunk(fid)
         except InputError as exc:
             raise InputError(f"{path}: {exc}") from exc
         except Exception as exc:
             raise InputError(f"cannot read WAV file {path}: {exc}") from exc
-        if fs <= 0:
-            raise InputError(f"{path}: sample rate must be positive, got {fs}")
-        if dtype not in (np.int16, np.int32, np.float32, np.float64):
-            raise InputError(f"{path}: unsupported sample format {dtype}")
-        held = os.fstat(fid.fileno()).st_size - fid.tell()
-        if held < size:
-            warnings.warn(f"{path} ends {size - held} bytes before its samples do; reading the "
-                          f"{held // width} whole samples it holds", stacklevel=3)  # the reader's caller
-        count = min(size, held) // width
-        first, stop, _ = (slice(None) if select is None else select(float(fs), count)).indices(count)
-        n = max(0, stop - first)
-        fid.seek(first * width, os.SEEK_CUR)
-        if width == 3:  # 24-bit PCM, widened as wavfile.read does: the top 3 bytes of an int32
-            samples = np.zeros((n, 4), dtype=np.uint8)
-            samples[:, 1:] = np.fromfile(fid, dtype=np.uint8, count=3 * n).reshape(n, 3)
-            samples = samples.view(dtype)[:, 0]
-        else:
-            samples = np.fromfile(fid, dtype=dtype, count=n)
+        offset = fid.tell()
+        held = os.fstat(fid.fileno()).st_size - offset
+    if fs <= 0:
+        raise InputError(f"{path}: sample rate must be positive, got {fs}")
+    if dtype not in (np.int16, np.int32, np.float32, np.float64):
+        raise InputError(f"{path}: unsupported sample format {dtype}")
+    if held < size:
+        _warn(f"{path} ends {size - held} bytes before its samples do; reading the "
+              f"{held // width} whole samples it holds")
+    return float(fs), (offset, dtype, width), min(size, held) // width
+
+
+def _samples(path, layout, native: slice) -> np.ndarray:
+    """Samples ``native`` of the WAV file at ``path`` of ``layout``
+    (:func:`_header`), from their bytes alone, in the file's own format:
+    int16 for 16-bit PCM, int32 for 24- and 32-bit, float32 and float64.
+    Errors name the file: one that no longer holds them, and float samples
+    that are NaN or infinite."""
+    offset, dtype, width = layout
+    n = max(0, native.stop - native.start)
+    with _open(path) as fid:
+        fid.seek(offset + native.start * width)
+        data = np.fromfile(fid, dtype=np.uint8, count=n * width)
+    if data.size < n * width:
+        raise InputError(f"{path}: the file ends before the samples its header gave")
+    if width == 3:  # 24-bit PCM, widened as wavfile.read does: the top 3 bytes of an int32
+        data = np.pad(data.reshape(n, 3), ((0, 0), (1, 0))).ravel()
+    samples = data.view(dtype)
     if samples.dtype.kind == "f" and not np.isfinite(samples).all():  # integer PCM is always finite
         raise InputError(f"{path}: audio holds NaN or infinite samples")
-    return samples, float(fs)
+    return samples
 
 
 def as_float(samples) -> np.ndarray:
@@ -184,9 +203,9 @@ def as_float(samples) -> np.ndarray:
 
 
 def read_wav(path):
-    """Read a mono WAV file as (float64 samples in [-1, 1], sample rate)."""
-    samples, fs = _read_native(path)
-    return as_float(samples), fs
+    """(float64 samples in [-1, 1], sample rate) of a mono WAV file at any positive rate."""
+    fs, layout, n = _header(path)
+    return as_float(_samples(path, layout, slice(0, n))), fs
 
 
 def write_wav(out_dir, rel_path, samples, fs: float):
@@ -290,44 +309,49 @@ def ensure_rate(samples, fs: float) -> np.ndarray:
     return y[n_pre_remove:n_pre_remove + n_out]
 
 
-def _accepting(path, select):
-    """``select``, once :func:`resample_ratio` has accepted the file's rate
-    and a file not at :data:`CANONICAL_FS` has been warned of, with every
-    :class:`InputError` naming the file; the warning names it too."""
-    def accepted(fs, size):
-        with naming(path):
-            resample_ratio(fs)
-            if fs != CANONICAL_FS:
-                warnings.warn(f"resampling input {path} from {fs:g} Hz to the canonical "
-                              f"{CANONICAL_FS:g} Hz", stacklevel=4)  # the reader's caller
-            return select(fs, size)
+class Recording:
+    """One mono recording, read a cut at a time at :data:`CANONICAL_FS`:
+    the path of a WAV file (``fs`` None), or a 1-D array of samples at rate
+    ``fs``, kept by reference.  A file's header is read here and the file
+    closed; each :meth:`read` opens it again.  The rate must be one
+    :func:`resample_ratio` accepts, and a file not at the canonical rate
+    gets one warning; every error of a file, and each warning, names it.
+    ``size`` is the length at the canonical rate, and ``center`` the time
+    in seconds the analysis centres on: the midpoint."""
 
-    return accepted
+    def __init__(self, source, fs=None):
+        if fs is None:
+            if not isinstance(source, (str, os.PathLike)):
+                raise ConfigurationError("an array of samples needs its sample rate fs")
+            self.path, self._array = source, None
+            self.fs, self._layout, self.native_size = _header(source)
+        else:
+            self.path, self._array, self._layout = None, np.asarray(source), None
+            if self._array.ndim != 1:
+                raise InputError(f"expected mono audio, got an array of shape {self._array.shape}")
+            self.fs, self.native_size = fs, self._array.size
+        with naming(self.path):
+            up, down = resample_ratio(self.fs)
+        if self.path is not None and self.fs != CANONICAL_FS:
+            _warn(f"resampling input {self.path} from {self.fs:g} Hz to the canonical {CANONICAL_FS:g} Hz")
+        self.size = -(-self.native_size * up // down)
+        self.center = self.size / CANONICAL_FS / 2.0
 
-
-def read_cut(path, select) -> tuple[np.ndarray, float]:
-    """The reader of analysis: ``(samples, rate)`` of the WAV file at
-    ``path``, only the slice ``select(rate, samples in the file)`` of its
-    samples, in the file's own format (int16 for a 16-bit file).
-
-    The rate must be one :func:`resample_ratio` accepts, and a file not at
-    :data:`CANONICAL_FS` gets one warning that it will be resampled, both
-    before ``select`` is called.  Every error, an :class:`InputError` that
-    ``select`` raises too, names the file, and so does the warning.  Only
-    the slice's bytes are read, so what is read and checked is bounded by
-    the slice, not by the file: a float file's finiteness is checked on
-    the slice.
-    """
-    return _read_native(path, _accepting(path, select))
+    def read(self, cut: slice) -> np.ndarray:
+        """Samples ``cut``, bit for bit those of resampling the whole
+        recording: only the native samples behind them (:func:`native_cut`)
+        are read and resampled."""
+        native, first = native_cut(cut, self.fs, self.native_size)
+        samples = (np.asarray(self._array[native], dtype=float) if self.path is None
+                   else as_float(_samples(self.path, self._layout, native)))
+        return ensure_rate(samples, self.fs)[cut.start - first:cut.stop - first]
 
 
 def read_audio(path):
-    """Read a whole WAV file at its own rate as float64 samples, once
-    :func:`resample_ratio` has accepted the rate, as :func:`read_cut` reads
-    a slice: errors name the file, and so does the one warning that a file
-    not at :data:`CANONICAL_FS` will be resampled."""
-    samples, fs = _read_native(path, _accepting(path, lambda fs, size: slice(None)))
-    return as_float(samples), fs
+    """:func:`read_wav`, once a :class:`Recording` of the file has accepted
+    its rate, with its errors and warnings."""
+    recording = Recording(path)
+    return as_float(_samples(path, recording._layout, slice(0, recording.native_size))), recording.fs
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import logging
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -148,10 +147,10 @@ class UtteranceAnalyzer:
     caches the averaged spectra and F0, which weight sweeps read again.
 
     ``source`` is the input at rate ``fs``, or the path of a WAV file (``fs``
-    None).  The analyzer keeps its source (a path, or the caller's array by
-    reference), the cut geometry (``start``, ``n_samples``, ``center`` and
-    ``fs``; samples count at :data:`~vtlest.fileio.CANONICAL_FS`), the
-    spectra, F0 and W's cropped external window: no samples.  The cuts:
+    None), kept as a :class:`~vtlest.fileio.Recording`.  The analyzer also
+    keeps its base's ``cut`` (a slice of samples at the canonical rate), set
+    once here from the recording's length and centre, the spectra, F0 and
+    W's cropped external window: no samples.  The cuts:
 
     * Ep: the whole frames from the slowest channel's start to the window
       end.  Each gammatone channel starts
@@ -164,30 +163,30 @@ class UtteranceAnalyzer:
     * W: the F0 window.  ``external_sg`` is a :class:`Spectrogram` or the
       path of a spectrogram CSV, read on first use and then cropped.
 
-    Spectra and F0 come from passes.  A pass opens the source once, reads
-    only the native samples behind the cut (:func:`fileio.read_cut`),
-    resamples them once, bit for bit as resampling the whole input does
-    (:func:`fileio.native_cut`), and runs the front end once; from that it
-    computes every compression asked for, then F0 if asked for, on the
-    centre 50 ms, which lies inside every cut.  A pass for F0 alone reads
-    the F0 window alone.  The constructor's pass is for ``plan``, the
-    (representation, h_max) pairs about to be asked for: every planned
-    compression of ``base``, and F0 when a weighted one is planned at a
-    nonzero knee.  Ep ignores the plan and computes its one pattern and F0.
-    A later request outside the plan makes one more pass.  Of a file, the
-    input errors of a pass name it once.
+    Spectra and F0 come from passes.  A pass reads the cut once
+    (:meth:`fileio.Recording.read`, bit for bit as resampling the whole
+    input) and runs the front end once; from that it computes every
+    compression asked for, then F0 if asked for, on the centre 50 ms, which
+    lies inside every cut.  A pass for F0 alone reads the F0 window alone.
+    The constructor's pass is for ``plan``, the (representation, h_max)
+    pairs about to be asked for: every planned compression of ``base``,
+    and F0 when a weighted one is planned at a nonzero knee.  Ep ignores
+    the plan and computes its one pattern and F0.  A later request outside
+    the plan makes one more pass, which opens the file once.  Of a file,
+    the input errors of a pass name it once.
     """
 
     def __init__(self, source, fs=None, *, base: str, f0_override: float | None = None,
                  external_sg=None, plan=()):
         _check_f0(f0_override)
         self.base = base
-        self.fs = fs
-        self._source = source if fs is None else np.asarray(source)
+        self.recording = fileio.Recording(source, fs)
         self._f0 = f0_override
         self._external_sg = external_sg
         self._spectra: dict[Compression, Spectrum] = {}
-        self.n_samples = None  # the first pass sets the cut geometry
+        with fileio.naming(self.recording.path):
+            self.cut = (self._ep_samples()[0] if base == "Ep" else self._f0_samples() if base == "W"
+                        else self._f_samples())
         if base == "Ep":
             self._pass([LOG_COMPRESSION], True)
         else:
@@ -195,77 +194,52 @@ class UtteranceAnalyzer:
             self._pass([rep.compression for rep, _ in planned],
                        any(rep.ssi and h_max != 0.0 for rep, h_max in planned))
 
-    def _cut(self) -> slice:
-        """The samples this analyzer's base reads."""
-        if self.base == "Ep":
-            return self._ep_samples()[0]
-        return self._f0_samples() if self.base == "W" else self._f_samples()
-
     def _ep_samples(self) -> tuple[slice, int]:
         """Whole EP frames from the slowest channel's start to the window
         end, and the first sample of the frame holding the window start."""
-        first = max(0, math.floor((self.center - AVG_HALF_WIDTH) / EP_FRAME_PERIOD))
+        first = max(0, math.floor((self.recording.center - AVG_HALF_WIDTH) / EP_FRAME_PERIOD))
         lead = int(EP_LEAD_FRAMES.max())
-        stop = math.ceil((self.center + AVG_HALF_WIDTH) / EP_FRAME_PERIOD)
+        stop = math.ceil((self.recording.center + AVG_HALF_WIDTH) / EP_FRAME_PERIOD)
         return slice(max(0, first - lead) * EP_FRAME_N, stop * EP_FRAME_N), first * EP_FRAME_N
 
     def _f_samples(self) -> slice:
         """The samples of the STFT frames the averaging window picks."""
         win_n, hop_n = STFT_WINDOW_N, STFT_HOP_N
-        n_frames = (self.n_samples - win_n) // hop_n + 1
+        n_frames = (self.recording.size - win_n) // hop_n + 1
         picked = window_frames(win_n / (2.0 * fileio.CANONICAL_FS), hop_n / fileio.CANONICAL_FS,
-                               n_frames, self.center)
+                               n_frames, self.recording.center)
         return slice(picked.start * hop_n, (picked.stop - 1) * hop_n + win_n)
 
     def _f0_samples(self) -> slice:
         """The centre :data:`~vtlest.ssi.F0_WINDOW_N` samples, or every
         sample of a shorter input (which :func:`estimate_f0` rejects)."""
-        start = max(0, (self.n_samples - F0_WINDOW_N) // 2)
+        start = max(0, (self.recording.size - F0_WINDOW_N) // 2)
         return slice(start, start + F0_WINDOW_N)
 
     def _pass(self, compressions, f0: bool) -> None:
         """Compute ``compressions`` not yet known and, if ``f0``, F0 while
-        it is unknown, from one read of the source."""
+        it is unknown, from one read of the recording."""
         compressions = [c for c in dict.fromkeys(compressions) if c not in self._spectra]
         f0 = f0 and self._f0 is None
-        if not (compressions or f0 or self.n_samples is None):
+        if not (compressions or f0):
             return
-        cut = first = None
-
-        def locate(fs, size):  # from the input's rate and native length
-            nonlocal cut, first
-            up, down = fileio.resample_ratio(fs)
-            self.fs, self.n_samples = fs, -(-size * up // down)
-            self.center = self.n_samples / fileio.CANONICAL_FS / 2.0
-            cut = self._cut()
-            self.start = cut.start
-            if not compressions or self.base == "W":  # W's front end reads no samples
-                cut = self._f0_samples() if f0 else None
-            if cut is None:
-                return slice(0, 0)
-            native, first = fileio.native_cut(cut, fs, size)
-            return native
-
-        path = not isinstance(self._source, np.ndarray)
-        native = (fileio.read_cut(self._source, locate)[0] if path
-                  else np.asarray(self._source[locate(self.fs, self._source.size)], dtype=float))
-        with fileio.naming(self._source) if path else nullcontext():
-            x = None if cut is None else fileio.ensure_rate(fileio.as_float(native), self.fs)[
-                cut.start - first:cut.stop - first]
+        cut = self.cut if compressions and self.base != "W" else self._f0_samples()
+        x = self.recording.read(cut) if f0 or self.base != "W" else None  # W's front end reads no samples
+        with fileio.naming(self.recording.path):
             frames = self._front_end(x) if compressions else None
             for compression in compressions:
                 if self.base == "Ep":  # averaged linear, then compressed
-                    spec = compress(center_average(frames, self.center), compression)
+                    spec = compress(center_average(frames, self.recording.center), compression)
                 else:
-                    spec = resample_to_axis(center_average(compress(frames, compression), self.center),
-                                            axis_for(self.base))
+                    spec = compress(frames, compression)
+                    spec = resample_to_axis(center_average(spec, self.recording.center), axis_for(self.base))
                 self._spectra[compression] = spec
             if f0:  # after the spectra, whose error a vowel too short for both meets first
                 window = self._f0_samples()
                 self._f0 = estimate_f0(x[window.start - cut.start:window.stop - cut.start])
 
-    def _front_end(self, cut: np.ndarray | None) -> Spectrogram:
-        """The uncompressed frames of the base's front end, of ``cut``, the
+    def _front_end(self, x: np.ndarray | None) -> Spectrogram:
+        """The uncompressed frames of the base's front end, of ``x``, the
         base's cut at the canonical rate (W's come from its external
         spectrogram, cropped to the frames the averaging window picks)."""
         if self.base == "W":
@@ -277,17 +251,17 @@ class UtteranceAnalyzer:
             if sg.compression.mode != "none":
                 raise InputError("external spectrograms must hold uncompressed amplitudes")
             # cropping the cropped window again picks all of its frames
-            picked = window_frames(sg.t0, sg.frame_period, sg.frames.shape[0], self.center)
+            picked = window_frames(sg.t0, sg.frame_period, sg.frames.shape[0], self.recording.center)
             self._external_sg = replace(sg, frames=sg.frames[picked].copy(),
                                         t0=sg.t0 + picked.start * sg.frame_period)
             return self._external_sg
         if self.base == "Ep":
             # the cut keeps every frame the window picks, and center_average
             # needs none past it; the samples before them only warm the bank up
-            frames = gammatone_ep(cut, start=self._ep_samples()[1] - self.start)
+            frames = gammatone_ep(x, start=self._ep_samples()[1] - self.cut.start)
         else:
-            frames = stft_spectrum(cut)
-        frames = replace(frames, t0=frames.t0 + self.start / fileio.CANONICAL_FS)
+            frames = stft_spectrum(x)
+        frames = replace(frames, t0=frames.t0 + self.cut.start / fileio.CANONICAL_FS)
         return mel_spectrum(frames) if self.base == "M" else frames
 
     @property

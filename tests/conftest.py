@@ -46,10 +46,18 @@ def forks(monkeypatch):
 
 @pytest.fixture(scope="session")
 def analyzer_keeps():
-    """Every attribute of an analyzer: its source (a path, or the caller's
-    array by reference), the cut geometry, F0, W's external window and the
-    averaged spectra.  No samples."""
-    return {"base", "fs", "n_samples", "center", "start", "_source", "_f0", "_external_sg", "_spectra"}
+    """Whether an analyzer keeps exactly its recording, its base's cut, F0,
+    W's external window and the averaged spectra, and its recording exactly
+    ``source`` (a path and the file's header, or the caller's array by
+    reference), its length and its centre.  No samples."""
+    def keeps(analyzer, source):
+        recording = analyzer.recording
+        return (set(vars(analyzer)) == {"base", "recording", "cut", "_f0", "_external_sg", "_spectra"}
+                and set(vars(recording)) == {"path", "_array", "_layout", "fs", "native_size", "size",
+                                             "center"}
+                and (recording._array is source if recording.path is None
+                     else recording._array is None and str(recording.path) == str(source)))
+    return keeps
 
 
 @pytest.fixture

@@ -153,7 +153,7 @@ class TestAnalyzeCommand:
         """Also for an unweighted id, as ``estimate`` rejects it: ``F_log``
         once wrote a spectrum."""
         reads = []
-        monkeypatch.setattr(fileio, "read_cut", lambda *a: reads.append(a))
+        monkeypatch.setattr(fileio, "Recording", lambda *a: reads.append(a))
         out = tmp_path / "spec.csv"
         assert run_cli("analyze", pair_corpus_dir / "s01_a.wav", "--rep", rep, "--hmax", value,
                        "--out", out) == 1
@@ -292,7 +292,7 @@ class TestEvaluateAndSweep:
     def test_bad_id_fails_before_any_read(self, default_corpus_dir, tmp_path, monkeypatch, capsys,
                                           command, output):
         reads = []
-        monkeypatch.setattr(fileio, "read_cut", lambda *a, **k: reads.append(a))
+        monkeypatch.setattr(fileio, "Recording", lambda *a, **k: reads.append(a))
         argv = ["--manifest", default_corpus_dir / "manifest.csv", "--rep", "Ep_SSI,F_SSI_bogus",
                 "--out", tmp_path / "ev"]
         assert run_cli(command, *argv, *(("--trials", "0") if command == "evaluate" else ())) == 1

@@ -1,5 +1,6 @@
 """WAV and CSV round trips, resampling policy, atomic writes."""
 import os
+import re
 import struct
 import tracemalloc
 import warnings
@@ -11,7 +12,7 @@ from scipy.signal import firwin, resample_poly
 
 import vtlest as v
 from vtlest import fileio, ssi
-from vtlest.errors import ConfigurationError, DegenerateInputError, InputError
+from vtlest.errors import ConfigurationError, InputError, VtlestError
 
 
 class TestWav:
@@ -106,68 +107,138 @@ def _wav24(path, samples):
 
 
 class TestReadCut:
-    """The one WAV reader: only the header and the bytes of the slice its
-    caller works out from the header are read, in the file's own format,
-    and the file is closed before it returns."""
+    """The one WAV reader, :class:`fileio.Recording`: the header once, then
+    for each cut only the bytes of the native samples behind it, in the
+    file's own format, the file closed after each read; every cut bit for
+    bit what resampling the whole input gives."""
 
     @pytest.mark.parametrize("dtype,scale", [(np.int16, 32768.0), (np.int32, 2147483648.0),
                                              (np.float32, None), (np.float64, None)])
-    def test_slice_in_the_files_own_format(self, tmp_path, dtype, scale):
+    def test_slice_in_the_files_own_format(self, tmp_path, monkeypatch, dtype, scale):
         from scipy.io import wavfile
 
         x = np.random.default_rng(0).uniform(-0.5, 0.5, 4410)
         data = (x * scale).astype(dtype) if scale else x.astype(dtype)
         wavfile.write(tmp_path / "t.wav", 44100, data)
-        asked = []
+        read = []
+        samples = fileio._samples
+        monkeypatch.setattr(fileio, "_samples", lambda *a: read.append(samples(*a)) or read[-1])
         with pytest.warns(UserWarning, match=r"t\.wav from 44100 Hz") as record:
-            got, fs = fileio.read_cut(tmp_path / "t.wav",
-                                      lambda fs, size: asked.append((fs, size)) or slice(100, 300))
+            recording = fileio.Recording(tmp_path / "t.wav")
         assert record[0].filename == __file__  # the reader's caller
-        assert asked == [(44100.0, 4410)] and fs == 44100.0
-        assert got.dtype == dtype and got.flags.owndata and got.tobytes() == data[100:300].tobytes()
-        # the conversion read_wav made before it read through this reader
+        assert (recording.fs, recording.native_size) == (44100.0, 4410)
+        assert (recording.size, recording.center) == (4800, 0.05)
+        assert read == []  # the header alone
+        got = recording.read(slice(100, 300))
+        [native] = read
+        assert native.dtype == dtype
+        assert native.tobytes() == data[fileio.native_cut(slice(100, 300), 44100.0, 4410)[0]].tobytes()
+        # the conversion read_wav makes, then the whole input resampled
         whole = data / scale if scale else data.astype(float)
-        assert fileio.as_float(got).tobytes() == whole[100:300].tobytes()
+        assert got.tobytes() == resample_poly(whole, 160, 147)[100:300].tobytes()
         assert fileio.read_wav(tmp_path / "t.wav")[0].tobytes() == whole.tobytes()
         with pytest.warns(UserWarning, match=r"t\.wav from 44100 Hz") as record:
             assert fileio.read_audio(tmp_path / "t.wav")[0].tobytes() == whole.tobytes()
         assert record[0].filename == __file__
 
-    def test_rate_is_checked_before_the_slice_is_asked_for(self, one_hz_wav):
+    def test_rate_is_checked_before_the_slice_is_asked_for(self, one_hz_wav, monkeypatch):
+        monkeypatch.setattr(fileio, "_samples", lambda *a: pytest.fail("samples read"))
         with pytest.raises(InputError, match=r"slow\.wav: sample rate 1 Hz is too low"):
-            fileio.read_cut(one_hz_wav, lambda fs, size: pytest.fail("slice asked for"))
+            fileio.Recording(one_hz_wav)
 
     def test_errors_of_the_caller_name_the_file(self, tmp_path):
+        """An analyzer's own error, here that a file of 100 samples has no
+        STFT frame in F's averaging window, names the file once."""
         fileio.write_wav(tmp_path, "t.wav", np.zeros(100), 48000.0)
-
-        def select(fs, size):
-            raise DegenerateInputError("too short")
-        with pytest.raises(DegenerateInputError) as info:
-            fileio.read_cut(tmp_path / "t.wav", select)
-        assert str(info.value) == f"{tmp_path / 't.wav'}: too short"
+        with pytest.raises(InputError) as info:
+            v.UtteranceAnalyzer(tmp_path / "t.wav", base="F")
+        assert str(info.value).startswith(f"{tmp_path / 't.wav'}: averaging window [")
+        assert str(info.value).count("t.wav") == 1
 
     @pytest.mark.parametrize("case", ["read", "caller's error", "NaN", "not a WAV file"])
     def test_no_file_is_left_open(self, tmp_path, case):
         """Also while an error raised after the file was opened is alive."""
         from scipy.io import wavfile
 
-        x = np.zeros(4800, dtype=np.float32)
+        x = np.zeros(4800 if case != "caller's error" else 100, dtype=np.float32)
         x[10] = np.nan
         wavfile.write(tmp_path / "t.wav", 48000, x)
         if case == "not a WAV file":
             (tmp_path / "t.wav").write_bytes(b"RIFF\x00\x00\x00\x00AIFF")
-
-        def select(fs, size):
-            if case == "caller's error":
-                raise InputError("no cut")
-            return slice(0, 10 if case == "read" else 20)
         fds = _open_fds()
         if case == "read":
-            assert fileio.read_cut(tmp_path / "t.wav", select)[0].size == 10
+            assert fileio.Recording(tmp_path / "t.wav").read(slice(0, 10)).size == 10
         else:
             with pytest.raises(InputError, match=r"t\.wav") as info:
-                fileio.read_cut(tmp_path / "t.wav", select)
+                if case == "caller's error":  # no STFT frame in the averaging window
+                    v.UtteranceAnalyzer(tmp_path / "t.wav", base="F")
+                fileio.Recording(tmp_path / "t.wav").read(slice(0, 20))
             assert info.value.__traceback__ is not None
+        assert _open_fds() == fds
+
+    def test_opened_for_the_header_then_once_per_read(self, tmp_path, monkeypatch):
+        """The first pass of an analyzer built from a path opens the file
+        twice, for the header and the cut, and a later pass once; no
+        descriptor is kept between them."""
+        fileio.write_wav(tmp_path, "t.wav", v.synth_vowel(v.vowel_spec("e", 130.0)), 48000.0)
+        opened = []
+        open_ = fileio._open
+        monkeypatch.setattr(fileio, "_open", lambda path: opened.append(path) or open_(path))
+        fds = _open_fds()
+        plan = [(v.parse_representation("F_log"), None)]
+        analyzer = v.UtteranceAnalyzer(tmp_path / "t.wav", base="F", plan=plan)
+        assert len(opened) == 2 and _open_fds() == fds
+        analyzer.spectrum(v.parse_representation("F_0.4"))  # outside the plan
+        assert len(opened) == 3 and _open_fds() == fds
+        analyzer.spectrum(v.parse_representation("F_log"))
+        assert opened == [tmp_path / "t.wav"] * 3
+
+    def test_file_cut_short_after_its_header_was_read_is_named(self, tmp_path):
+        fileio.write_wav(tmp_path, "t.wav", np.zeros(4800), 48000.0)
+        recording = fileio.Recording(tmp_path / "t.wav")
+        (tmp_path / "t.wav").write_bytes((tmp_path / "t.wav").read_bytes()[:1000])
+        with pytest.raises(InputError, match=r"t\.wav: the file ends before the samples its header gave"):
+            recording.read(slice(0, 4800))
+
+    @pytest.mark.parametrize("shape", [(24000, 2), (1, 24000), ()])
+    def test_array_that_is_not_mono_is_named_by_its_shape(self, shape):
+        """A (24000, 2) array once failed as 48 000 samples too long for one
+        window of their 3 360, and a (1, n) one with a cut of 0."""
+        message = f"expected mono audio, got an array of shape {shape}"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            v.UtteranceAnalyzer(np.zeros(shape), 48000.0, base="F")
+
+    def test_array_without_a_rate_rejected(self):
+        """It once ended in a ``TypeError`` from the resampling ratio."""
+        with pytest.raises(ConfigurationError, match="^an array of samples needs its sample rate fs$"):
+            v.UtteranceAnalyzer(np.zeros(24000), base="F")
+
+    @settings(max_examples=150, deadline=None)
+    @given(deep=st.booleans(), edits=st.lists(st.tuples(st.integers(0, 43), st.integers(0, 255)),
+                                              min_size=1, max_size=3))
+    def test_mutated_header_reads_or_fails_typed(self, tmp_path_factory, deep, edits):
+        """One to three bytes of the 44-byte header of a 16-bit or a 24-bit
+        file changed: the recording and a cut of it are read, or a
+        :class:`VtlestError` is raised, and no file is left open."""
+        path = tmp_path_factory.mktemp("fuzz") / "t.wav"
+        x = np.random.default_rng(0).uniform(-0.5, 0.5, 480)
+        if deep:
+            _wav24(path, np.round(x * 2**23).astype(np.int32) << 8)
+        else:
+            fileio.write_wav(path.parent, path.name, x, 48000.0)
+        data = bytearray(path.read_bytes())
+        for offset, value in edits:
+            data[offset] = value
+        path.write_bytes(bytes(data))
+        fds = _open_fds()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a file shorter than its header says, or resampled
+            try:
+                recording = fileio.Recording(path)
+                cut = recording.read(slice(recording.size // 3, 2 * recording.size // 3))
+                assert cut.dtype == np.float64 and cut.size == 2 * recording.size // 3 - recording.size // 3
+            except VtlestError:
+                pass
         assert _open_fds() == fds
 
     def test_nan_is_checked_among_the_samples_read(self, tmp_path):
@@ -203,8 +274,8 @@ class TestReadCut:
         whole = wavfile.read(tmp_path / "deep.wav")[1]
         assert whole.dtype == np.int32 and np.abs(whole).max() >= 2**29 and not (whole & 0xFF).any()
         assert fileio.read_wav(tmp_path / "deep.wav")[0].tobytes() == (whole / 2147483648.0).tobytes()
-        got = fileio.read_cut(tmp_path / "deep.wav", lambda fs, size: slice(100, 300))[0]
-        assert got.dtype == np.int32 and got.tobytes() == whole[100:300].tobytes()
+        got = fileio.Recording(tmp_path / "deep.wav").read(slice(100, 300))
+        assert got.tobytes() == (whole / 2147483648.0)[100:300].tobytes()
         for rep_id in ("Ep_SSI", "F_SSI_log", "M_SSI_log"):
             analyzer = v.UtteranceAnalyzer(whole / 2147483648.0, 48000.0, base=rep_id.split("_")[0])
             expected = analyzer.spectrum(v.parse_representation(rep_id)).values
@@ -213,13 +284,16 @@ class TestReadCut:
     @pytest.mark.parametrize("channels,block_align,message", [
         (0, 2, "expected mono audio, got 0 channels"),
         (1, 0, "block align must be positive, got 0"),
+        (1, 3, "block align 3 does not fit 16-bit mono samples"),
     ])
     def test_malformed_fmt_fields_are_named(self, tmp_path, channels, block_align, message):
         """A 16-bit mono-sized file whose ``fmt `` chunk gives 0 channels
-        once failed with "integer division or modulo by zero", and one with
-        block align 0 with "data type '<i0' not understood"."""
+        once failed with "integer division or modulo by zero", one with
+        block align 0 with "data type '<i0' not understood", and one with
+        block align 3 was read as 320 wrong 24-bit samples in place of its
+        480."""
         _packed_wav(tmp_path / "x.wav", bytes(960), channels=channels, block_align=block_align, bits=16)
-        for read in (fileio.read_wav, lambda path: fileio.read_cut(path, lambda fs, size: slice(0, 10))):
+        for read in (fileio.read_wav, lambda path: fileio.Recording(path).read(slice(0, 10))):
             with pytest.raises(InputError) as info:
                 read(tmp_path / "x.wav")
             assert str(info.value) == f"{tmp_path / 'x.wav'}: {message}"
@@ -254,23 +328,24 @@ class TestReadCut:
         with pytest.warns(UserWarning, match="resampling input"):
             samples, fs = fileio.read_audio(tmp_path / "t.wav")
         read = []
-        reader = fileio.read_cut
-        monkeypatch.setattr(fileio, "read_cut", lambda path, select: read.append(reader(path, select)) or read[-1])
+        reader = fileio._samples
+        monkeypatch.setattr(fileio, "_samples", lambda *a: read.append(reader(*a)) or read[-1])
         for rep_id in v.representation_catalog():
             rep = v.parse_representation(rep_id)
             read.clear()
             with pytest.warns(UserWarning, match="resampling input"):
                 from_file = v.UtteranceAnalyzer(tmp_path / "t.wav", base=rep.base, plan=[(rep, None)])
             from_array = v.UtteranceAnalyzer(samples, fs, base=rep.base)
-            [(native, _)] = read
+            [native] = read
             assert native.dtype == np.int16 and native.size
-            assert set(vars(from_file)) == analyzer_keeps and from_file._source == tmp_path / "t.wav"
+            assert analyzer_keeps(from_file, tmp_path / "t.wav")
             assert from_file.spectrum(rep).values.tobytes() == from_array.spectrum(rep).values.tobytes()
             with warnings.catch_warnings(record=True) as later:
                 warnings.simplefilter("always")
                 assert from_file.f0 == from_array.f0
-            # F0 after an unweighted F or M spectrum is one more pass, of the F0 window alone
-            assert len(later) == len(read) - 1 == (rep.base != "Ep" and not rep.ssi)
+            # F0 after an unweighted F or M spectrum is one more pass, of the
+            # F0 window alone; the recording warned of resampling once, when built
+            assert later == [] and len(read) - 1 == (rep.base != "Ep" and not rep.ssi)
 
     def test_one_resampling_per_spectrum(self, tmp_path, monkeypatch, front_ends):
         """A pass reads, resamples and analyses the cut once for every
@@ -290,16 +365,14 @@ class TestReadCut:
         for rep, h_max in plan:
             analyzer.spectrum(rep, h_max)
         assert (len(calls), len(front_ends["stft_spectrum"]), len(front_ends["estimate_f0"])) == (1, 1, 1)
-        with pytest.warns(UserWarning, match="resampling input"):
-            analyzer.spectrum(v.parse_representation("F_0.2"))  # outside the plan
+        analyzer.spectrum(v.parse_representation("F_0.2"))  # outside the plan
         assert (len(calls), len(front_ends["stft_spectrum"]), len(front_ends["estimate_f0"])) == (2, 2, 1)
         with pytest.warns(UserWarning, match="resampling input"):
             analyzer = v.UtteranceAnalyzer(tmp_path / "t.wav", base="M",
                                            plan=[(v.parse_representation("M_SSI_log"), 0.0)])
         analyzer.spectrum(v.parse_representation("M_SSI_log"), 0.0)
         assert len(front_ends["estimate_f0"]) == 1
-        with pytest.warns(UserWarning, match="resampling input"):
-            analyzer.spectrum(v.parse_representation("M_SSI_log"), 3.5)
+        analyzer.spectrum(v.parse_representation("M_SSI_log"), 3.5)
         assert (len(calls), len(front_ends["stft_spectrum"]), len(front_ends["estimate_f0"])) == (4, 3, 2)
         assert calls[3][0].size < calls[2][0].size == calls[0][0].size
 
@@ -378,12 +451,12 @@ class TestResampling:
         front_end = {"Ep": "gammatone_ep", "F": "stft_spectrum", "M": "stft_spectrum", "W": "estimate_f0"}
         rep_ids = {"Ep": "Ep", "F": "F_log", "M": "M_log"}
         cuts, converted, held = {name: [] for name in front_end.values()}, [], set()
-        convert = fileio.as_float
+        resample = fileio.ensure_rate
         with pytest.MonkeyPatch.context() as m:
             for name, seen in cuts.items():
                 func = getattr(v.pipeline, name)
                 m.setattr(v.pipeline, name, lambda cut, _f=func, _s=seen, **kw: _s.append(cut) or _f(cut, **kw))
-            m.setattr(fileio, "as_float", lambda native: converted.append(native) or convert(native))
+            m.setattr(fileio, "ensure_rate", lambda *a: converted.append(a[0]) or resample(*a))
             for base in ("Ep", "F", "M", "W"):
                 for seen in (*cuts.values(), converted):
                     seen.clear()
@@ -394,11 +467,11 @@ class TestResampling:
                         analyzer.f0  # a pass of the F0 window alone
                 except InputError:  # too short for Ep's averaging window, an STFT frame in it or F0
                     continue
-                assert analyzer.n_samples == expected.size
-                got, start = cuts[front_end[base]][0], analyzer.start
+                assert analyzer.recording.size == expected.size
+                got, start = cuts[front_end[base]][0], analyzer.cut.start
                 assert got.size and np.array_equal(got, expected[start:start + got.size])
-                [native] = converted
-                assert native.tobytes() == x[fileio.native_cut(analyzer._cut(), float(fs), x.size)[0]].tobytes()
+                [native] = converted  # the native samples resampled
+                assert native.tobytes() == x[fileio.native_cut(analyzer.cut, float(fs), x.size)[0]].tobytes()
                 held.add(base)
         # Ep reads a cut of any input it can average, and W of any F0 can be estimated of
         assert ("Ep" in held) == ("W" in held) == (expected.size >= ssi.F0_WINDOW_N)

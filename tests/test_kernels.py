@@ -92,7 +92,7 @@ assert fileio.ensure_rate(samples, fs).tobytes() == y.tobytes()
 again = vtlest.UtteranceAnalyzer(f"{sys.argv[1]}/x.wav", base="F", plan=[(rep, None)])
 assert again.spectrum(rep).values.tobytes() == spectrum.values.tobytes()
 assert len(cuts) == 2 and cuts[1].tobytes() == cuts[0].tobytes()
-assert cuts[0].tobytes() == y[analyzer.start:analyzer.start + cuts[0].size].tobytes()
+assert cuts[0].tobytes() == y[analyzer.cut.start:analyzer.cut.start + cuts[0].size].tobytes()
 print("ok")
 """
 

@@ -140,8 +140,7 @@ class TestUtteranceAnalyzer:
         f0 = pipeline.estimate_f0
         monkeypatch.setattr(pipeline, "estimate_f0", lambda x: estimated.append(x) or f0(x))
         analyzer = v.UtteranceAnalyzer(samples, 48000.0, base="Ep", f0_override=f0_override)
-        assert set(vars(analyzer)) == analyzer_keeps and len(analyzer._spectra) == 1
-        assert analyzer._source is samples
+        assert analyzer_keeps(analyzer, samples) and len(analyzer._spectra) == 1
         if f0_override is None:
             [window] = estimated
             assert window.tobytes() == samples[10800:13200].tobytes()
@@ -176,21 +175,21 @@ class TestUtteranceAnalyzer:
             analyzer = v.UtteranceAnalyzer(samples, 48000.0, base=base, external_sg=external,
                                            plan=[(v.parse_representation(rep_id), 3.5)])
             [cut] = front_ends[front_end]
-            assert (analyzer.start, cut.tobytes()) == (start, samples[start:start + size].tobytes())
-            assert set(vars(analyzer)) == analyzer_keeps and analyzer._source is samples
+            assert (analyzer.cut.start, cut.tobytes()) == (start, samples[start:start + size].tobytes())
+            assert analyzer_keeps(analyzer, samples)
         v.make_corpus(v.pair_demo_speakers(), ["a"], tmp_path)
         read = []
-        reader = fileio.read_cut
-        monkeypatch.setattr(fileio, "read_cut", lambda path, select: read.append(reader(path, select)) or read[-1])
+        reader = fileio._samples
+        monkeypatch.setattr(fileio, "_samples", lambda *a: read.append(reader(*a)) or read[-1])
         corpus = v.load_corpus(tmp_path / "manifest.csv")
         corpus.estimate("F_SSI_log")
         # one read of each file, of its 16-bit samples behind F's cut alone
-        assert [(native.dtype, native.size) for native, _ in read] == [(np.int16, 3360)] * 2
+        assert [(native.dtype, native.size) for native in read] == [(np.int16, 3360)] * 2
         for (utterance, _), analyzer, cut in zip(corpus._analyzers, corpus._analyzers.values(),
                                                 front_ends["stft_spectrum"]):
             whole = fileio.read_wav(tmp_path / f"{utterance}.wav")[0]
             assert cut.tobytes() == whole[10320:13680].tobytes()
-            assert set(vars(analyzer)) == analyzer_keeps and analyzer._source == str(tmp_path / f"{utterance}.wav")
+            assert analyzer_keeps(analyzer, tmp_path / f"{utterance}.wav")
 
 
 class TestEpWindowCut:
@@ -276,9 +275,8 @@ class TestF0Window:
                 continue
             f0 = analyzer._f0_samples()
             # a pass that computes a spectrum and F0 reads the cut, clipped to the input
-            cut = analyzer._cut()
-            assert cut.start == analyzer.start <= f0.start
-            assert min(f0.stop, analyzer.n_samples) <= min(cut.stop, analyzer.n_samples)
+            cut, size = analyzer.cut, analyzer.recording.size
+            assert cut.start <= f0.start and min(f0.stop, size) <= min(cut.stop, size)
 
     @pytest.mark.filterwarnings("ignore:resampling input")
     def test_one_read_and_one_f0_estimate_per_utterance(self, tmp_path, monkeypatch):
@@ -386,11 +384,11 @@ class TestWindowOnlyFrontEnds:
                     analyzer.spectrum(v.parse_representation(rep_id))
                 # the averaged spectra and W's cropped window, and no samples,
                 # F or M frames nor the waveform
-                assert set(vars(analyzer)) == analyzer_keeps and analyzer._source is samples
+                assert analyzer_keeps(analyzer, samples)
                 # what the front end was handed: the cut, resampled as the whole input is
                 cuts = front_ends[front_end[base]]
                 for cut in cuts:
-                    assert cut.tobytes() == whole[analyzer.start:analyzer.start + cut.size].tobytes()
+                    assert cut.tobytes() == whole[analyzer.cut.start:analyzer.cut.start + cut.size].tobytes()
                 held[base] = ([cut.size for cut in cuts],
                               {key: s.values.shape for key, s in analyzer._spectra.items()})
             assert analyzer._external_sg.frames.flags.owndata
@@ -489,7 +487,7 @@ class TestAnalyzeWav:
     def test_bad_f0_override_rejected_before_the_read(self, pair_corpus_dir, monkeypatch, rep_id, h_max, f0):
         """An unweighted spectrum, or a knee of 0, once went through with
         such an override; a direct analyzer rejects it too."""
-        monkeypatch.setattr(fileio, "read_cut", lambda path, select: pytest.fail("read before the check"))
+        monkeypatch.setattr(fileio, "Recording", lambda *a: pytest.fail("read before the check"))
         message = f"^f0 must be nonnegative and finite, got {f0}$"
         with pytest.raises(ConfigurationError, match=message):
             v.analyze_wav(pair_corpus_dir / "s01_a.wav", rep_id, h_max=h_max, f0_override=f0)
@@ -638,8 +636,8 @@ class TestCorpusEstimation:
     def test_unknown_speakers_rejected_before_any_read(self, default_corpus_dir, forks, monkeypatch):
         """Ids that name no speaker were once ignored, and the others estimated."""
         reads = []
-        read = fileio.read_cut
-        monkeypatch.setattr(fileio, "read_cut", lambda *a: reads.append(a) or read(*a))
+        recording = fileio.Recording
+        monkeypatch.setattr(fileio, "Recording", lambda *a: reads.append(a) or recording(*a))
         corpus = v.load_corpus(default_corpus_dir / "manifest.csv")
         with pytest.raises(InputError, match="^speakers not in the manifest: 'bogus', 'S01'$"):
             corpus.estimate("Ep_SSI", speakers=["s01", "s02", "bogus", "S01", "bogus"])
@@ -651,7 +649,7 @@ class TestCorpusEstimation:
         """For every id, a bad knee fails before a file is read, a bank is
         run or a child is forked."""
         calls = []
-        for module, name in ((pipeline, "gammatone_ep"), (fileio, "read_cut")):
+        for module, name in ((pipeline, "gammatone_ep"), (fileio, "Recording")):
             func = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *a, func=func, **k: calls.append(a) or func(*a, **k))
         corpus = v.load_corpus(default_corpus_dir / "manifest.csv")
@@ -870,8 +868,8 @@ class TestEpSplit:
         assert len(forks) == len(cpus) - 1
         assert len(corpus._analyzers) == len(corpus.records)
         # the child's analyzers too came back with their path, not samples
-        assert {key: (set(vars(a)), a._source) for key, a in corpus._analyzers.items()} == {
-            (r.utterance_id, "Ep"): (analyzer_keeps, r.path) for r in corpus.records}
+        assert set(corpus._analyzers) == {(r.utterance_id, "Ep") for r in corpus.records}
+        assert all(analyzer_keeps(corpus._analyzers[r.utterance_id, "Ep"], r.path) for r in corpus.records)
 
     @pytest.mark.parametrize("cpus", [{0, 1}, {0}])
     @pytest.mark.parametrize("rep_id,h_max,f0", [("Ep", 3.5, None), ("Ep_SSI", 0.0, None),
@@ -883,7 +881,7 @@ class TestEpSplit:
         corpus.estimate(rep_id, h_max)
         assert len(forks) == len(cpus) - 1
         assert len(corpus._analyzers) == len(corpus.records)
-        assert all(set(vars(analyzer)) == analyzer_keeps for analyzer in corpus._analyzers.values())
+        assert all(analyzer_keeps(corpus._analyzers[r.utterance_id, "Ep"], r.path) for r in corpus.records)
         if f0 is not None:
             assert {analyzer.f0 for analyzer in corpus._analyzers.values()} == {f0}
 
@@ -893,7 +891,7 @@ class TestEpSplit:
         corpus = v.load_corpus(default_corpus_dir / "manifest.csv")
         corpus.estimate("Ep", 3.5)
         assert len(forks) == 1
-        assert all(set(vars(a)) == analyzer_keeps for a in corpus._analyzers.values())
+        assert all(analyzer_keeps(corpus._analyzers[r.utterance_id, "Ep"], r.path) for r in corpus.records)
         assert {key: a._f0 for key, a in corpus._analyzers.items()} == {
             key: a._f0 for key, a in serial_ladder[0]._analyzers.items()}
         _assert_same_estimate(corpus.estimate("Ep_SSI", 3.5), serial_ladder[1])
@@ -935,19 +933,18 @@ class TestPasses:
         """The native samples read from each file, and the number of
         resamplings and STFTs."""
         calls = {"read": {}, "ensure_rate": 0, "stft_spectrum": 0}
-        read_cut, ensure_rate, stft = fileio.read_cut, fileio.ensure_rate, pipeline.stft_spectrum
+        samples, ensure_rate, stft = fileio._samples, fileio.ensure_rate, pipeline.stft_spectrum
 
-        def read(path, select):
-            native, fs = read_cut(path, select)
-            calls["read"].setdefault(os.path.basename(path), []).append(native.size)
-            return native, fs
+        def read(path, layout, native):
+            calls["read"].setdefault(os.path.basename(path), []).append(native.stop - native.start)
+            return samples(path, layout, native)
 
         def count(name, func):
             def wrapper(*args):
                 calls[name] += 1
                 return func(*args)
             return wrapper
-        monkeypatch.setattr(fileio, "read_cut", read)
+        monkeypatch.setattr(fileio, "_samples", read)
         monkeypatch.setattr(fileio, "ensure_rate", count("ensure_rate", ensure_rate))
         monkeypatch.setattr(pipeline, "stft_spectrum", count("stft_spectrum", stft))
         return calls
