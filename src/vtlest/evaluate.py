@@ -213,7 +213,7 @@ class EvalConfig:
     def fields_from_json(cls, path) -> dict:
         """The fields a JSON config file sets, each checked against its type;
         a bad file raises ``ConfigurationError`` naming it and the key."""
-        with open(path) as handle:
+        with fileio.open_text(path, ConfigurationError) as handle:
             try:
                 raw = json.load(handle)
             except json.JSONDecodeError as exc:
@@ -243,8 +243,11 @@ class EvalConfig:
 
 
 def open_corpus(config: EvalConfig) -> CorpusAnalyzer:
-    """The configured corpus; a bad representation id fails before any file is read."""
-    for rep_id in config.representations:
+    """The configured corpus; a bad representation list fails before any file is read."""
+    reps = config.representations
+    if not reps or len(set(reps)) < len(reps):
+        raise ConfigurationError(f"representations must name one or more ids, each once, got {list(reps)}")
+    for rep_id in reps:
         parse_representation(rep_id)
     return load_corpus(
         config.manifest, f0_overrides=config.f0_overrides(), external_dir=config.external_dir

@@ -69,6 +69,16 @@ def write_csv(path, header, rows):
 
 
 @contextlib.contextmanager
+def open_text(path, error=InputError):
+    """``path`` open as UTF-8 text, past a byte-order mark; a byte that does not decode raises ``error``."""
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as handle:
+            yield handle
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text: {exc}") from None
+
+
+@contextlib.contextmanager
 def naming(path):
     """Re-raise an :class:`InputError` from reading or analysing the file at
     ``path`` as the same type, its message prefixed with the path.  A
@@ -128,12 +138,12 @@ def _data_chunk(fid) -> tuple[int, np.dtype, int, int]:
 
 
 def _open(path):
-    """``path`` open for reading bytes; an error but its absence names it."""
+    """``path`` open for reading bytes; an error but its absence (a NUL byte in it too) names it."""
     try:
         return open(path, "rb")
     except FileNotFoundError:
         raise
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise InputError(f"cannot read WAV file {path}: {exc}") from exc
 
 
@@ -393,7 +403,7 @@ def read_manifest(path) -> list[UtteranceRecord]:
     path = Path(path)
     base = path.parent
     records = []
-    with open(path, newline="") as handle:
+    with open_text(path) as handle:
         reader = csv.DictReader(handle)
         missing = set(_MANIFEST_HEADER) - set(reader.fieldnames or [])
         if missing:
@@ -426,7 +436,7 @@ def read_f0_csv(path) -> dict[str, float]:
     """Per-utterance pitch overrides: rows of (utterance_id, f0_hz), each
     F0 nonnegative and finite and each id on one row."""
     out, lines = {}, {}
-    with open(path, newline="") as handle:
+    with open_text(path) as handle:
         for line, row in enumerate(csv.reader(handle), start=1):
             if not row or row[0].startswith("#"):
                 continue
@@ -539,7 +549,7 @@ def write_spectrum_csv(path, spectrum: Spectrum):
 
 
 def read_spectrum_csv(path) -> Spectrum:
-    with open(path, newline="") as handle:
+    with open_text(path) as handle:
         meta = _parse_meta(handle.readline(), path)
         axis, compression = _axis_from_meta(meta, path)
         rows = _value_rows(handle, path)
@@ -559,7 +569,7 @@ def write_spectrogram_csv(path, sg: Spectrogram):
 
 
 def read_spectrogram_csv(path) -> Spectrogram:
-    with open(path, newline="") as handle:
+    with open_text(path) as handle:
         meta = _parse_meta(handle.readline(), path)
         axis, compression = _axis_from_meta(meta, path)
         try:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import _split, fileio
 from .axes import CHANNELS, F_HI, F_LO, AxisKind, FrequencyAxis, make_axis
-from .errors import ConfigurationError, DegenerateFitError, InputError
+from .errors import ConfigurationError, DegenerateFitError, InputError, VtlestError
 from .frontends import (
     EP_AXIS,
     EP_FRAME_N,
@@ -36,13 +36,7 @@ from .frontends import (
     mel_spectrum,
     stft_spectrum,
 )
-from .shifts import (
-    ShiftMatrix,
-    build_shift_matrix,
-    estimate_vtl,
-    fit_q,
-    relative_shifts,
-)
+from .shifts import ShiftMatrix, build_shift_matrix, estimate_vtl, fit_q, relative_shifts
 from .spectral import (
     AVG_HALF_WIDTH,
     Compression,
@@ -143,56 +137,47 @@ def _check_f0(f0: float | None, where: str = "") -> None:
 
 
 class UtteranceAnalyzer:
-    """Computes one base's spectral representations of one utterance and
-    caches the averaged spectra and F0, which weight sweeps read again.
+    """Computes one utterance's spectral representations, of every base,
+    and caches the averaged spectra and F0, which weight sweeps read again.
 
     ``source`` is the input at rate ``fs``, or the path of a WAV file (``fs``
-    None), kept as a :class:`~vtlest.fileio.Recording`.  The analyzer also
-    keeps its base's ``cut`` (a slice of samples at the canonical rate), set
-    once here from the recording's length and centre, the spectra, F0 and
-    W's cropped external window: no samples.  The cuts:
+    None), kept as a :class:`~vtlest.fileio.Recording`; no samples are kept.
+    Each base's front end reads its :meth:`cut`:
 
     * Ep: the whole frames from the slowest channel's start to the window
-      end.  Each gammatone channel starts
-      :data:`~vtlest.frontends.EP_PREROLL_TAUS` of its own time constants
-      before the frame holding the window start (or at sample 0), so the
-      100 Hz channel starts 123.5 ms early.  Ep averages its linear pattern
-      before compressing it.
+      end.  Each channel starts :data:`~vtlest.frontends.EP_PREROLL_TAUS` of
+      its time constants before the frame holding the window start (or at
+      sample 0): 123.5 ms at 100 Hz.  Ep averages, then compresses.
     * F and M: the STFT frames the +-25 ms averaging window picks, bit for
       bit those of the whole-signal STFT; log compression floors at their peak.
-    * W: the F0 window.  ``external_sg`` is a :class:`Spectrogram` or the
-      path of a spectrogram CSV, read on first use and then cropped.
+    * W: none.  ``external_sg`` is a :class:`Spectrogram` or the path of a
+      spectrogram CSV, read on first use and then cropped.
 
-    Spectra and F0 come from passes.  A pass reads the cut once
-    (:meth:`fileio.Recording.read`, bit for bit as resampling the whole
-    input) and runs the front end once; from that it computes every
-    compression asked for, then F0 if asked for, on the centre 50 ms, which
-    lies inside every cut.  A pass for F0 alone reads the F0 window alone.
-    The constructor's pass is for ``plan``, the (representation, h_max)
-    pairs about to be asked for: every planned compression of ``base``,
-    and F0 when a weighted one is planned at a nonzero knee.  Ep ignores
-    the plan and computes its one pattern and F0.  A later request outside
-    the plan makes one more pass, which opens the file once.  Of a file,
-    the input errors of a pass name it once.
+    Spectra and F0 come from passes.  A pass reads once the span of the cuts
+    it needs, and of the centre 50 ms for F0 (:meth:`fileio.Recording.read`:
+    bit for bit whole-input resampling), runs each base's front end on its
+    cut and computes every compression asked for, then F0.  The constructor's
+    pass is for ``plan`` (:meth:`prepare`); a later request outside it makes
+    one more.  A pass meets its bases' errors in plan order, cuts' before
+    front ends', and names a file once in them.
     """
 
-    def __init__(self, source, fs=None, *, base: str, f0_override: float | None = None,
-                 external_sg=None, plan=()):
+    def __init__(self, source, fs=None, *, f0_override: float | None = None, external_sg=None, plan=()):
         _check_f0(f0_override)
-        self.base = base
         self.recording = fileio.Recording(source, fs)
         self._f0 = f0_override
         self._external_sg = external_sg
-        self._spectra: dict[Compression, Spectrum] = {}
-        with fileio.naming(self.recording.path):
-            self.cut = (self._ep_samples()[0] if base == "Ep" else self._f0_samples() if base == "W"
-                        else self._f_samples())
-        if base == "Ep":
-            self._pass([LOG_COMPRESSION], True)
-        else:
-            planned = [(rep, h_max) for rep, h_max in plan if rep.base == base]
-            self._pass([rep.compression for rep, _ in planned],
-                       any(rep.ssi and h_max != 0.0 for rep, h_max in planned))
+        self._spectra: dict[tuple[str, Compression], Spectrum] = {}
+        self.prepare(plan)
+
+    def prepare(self, plan) -> None:
+        """One pass for ``plan``'s (representation, h_max) pairs: each (base,
+        compression) not yet known, and F0 for a weighted id at a nonzero knee."""
+        self._pass([(rep.base, rep.compression) for rep, _ in plan],
+                   any(rep.ssi and h_max != 0.0 for rep, h_max in plan))
+
+    def has(self, base: str, compression: Compression) -> bool:
+        return (base, compression) in self._spectra
 
     def _ep_samples(self) -> tuple[slice, int]:
         """Whole EP frames from the slowest channel's start to the window
@@ -202,8 +187,11 @@ class UtteranceAnalyzer:
         stop = math.ceil((self.recording.center + AVG_HALF_WIDTH) / EP_FRAME_PERIOD)
         return slice(max(0, first - lead) * EP_FRAME_N, stop * EP_FRAME_N), first * EP_FRAME_N
 
-    def _f_samples(self) -> slice:
-        """The samples of the STFT frames the averaging window picks."""
+    def cut(self, base: str) -> slice:
+        """The samples the Ep, F or M front end reads (F's and M's: those of
+        the STFT frames the averaging window picks)."""
+        if base == "Ep":
+            return self._ep_samples()[0]
         win_n, hop_n = STFT_WINDOW_N, STFT_HOP_N
         n_frames = (self.recording.size - win_n) // hop_n + 1
         picked = window_frames(win_n / (2.0 * fileio.CANONICAL_FS), hop_n / fileio.CANONICAL_FS,
@@ -216,33 +204,38 @@ class UtteranceAnalyzer:
         start = max(0, (self.recording.size - F0_WINDOW_N) // 2)
         return slice(start, start + F0_WINDOW_N)
 
-    def _pass(self, compressions, f0: bool) -> None:
-        """Compute ``compressions`` not yet known and, if ``f0``, F0 while
-        it is unknown, from one read of the recording."""
-        compressions = [c for c in dict.fromkeys(compressions) if c not in self._spectra]
+    def _pass(self, keys, f0: bool) -> None:
+        """Compute the (base, compression) ``keys`` not yet known and, if
+        ``f0``, F0 while it is unknown, from one read of the recording."""
+        keys = [key for key in dict.fromkeys(keys) if key not in self._spectra]
         f0 = f0 and self._f0 is None
-        if not (compressions or f0):
+        if not (keys or f0):
             return
-        cut = self.cut if compressions and self.base != "W" else self._f0_samples()
-        x = self.recording.read(cut) if f0 or self.base != "W" else None  # W's front end reads no samples
+        with fileio.naming(self.recording.path):  # W's front end reads no samples
+            cuts = {base: None if base == "W" else self.cut(base) for base, _ in keys}
+        needed = [cut for cut in cuts.values() if cut is not None] + ([self._f0_samples()] if f0 else [])
+        first = min((cut.start for cut in needed), default=0)
+        x = self.recording.read(slice(first, max(cut.stop for cut in needed))) if needed else None
         with fileio.naming(self.recording.path):
-            frames = self._front_end(x) if compressions else None
-            for compression in compressions:
-                if self.base == "Ep":  # averaged linear, then compressed
-                    spec = compress(center_average(frames, self.recording.center), compression)
-                else:
-                    spec = compress(frames, compression)
-                    spec = resample_to_axis(center_average(spec, self.recording.center), axis_for(self.base))
-                self._spectra[compression] = spec
+            for base, cut in cuts.items():
+                frames = self._front_end(base, cut, None if cut is None
+                                         else x[cut.start - first:cut.stop - first])
+                for compression in [c for b, c in keys if b == base]:
+                    if base == "Ep":  # averaged linear, then compressed
+                        spec = compress(center_average(frames, self.recording.center), compression)
+                    else:
+                        spec = compress(frames, compression)
+                        spec = resample_to_axis(center_average(spec, self.recording.center), axis_for(base))
+                    self._spectra[base, compression] = spec
             if f0:  # after the spectra, whose error a vowel too short for both meets first
                 window = self._f0_samples()
-                self._f0 = estimate_f0(x[window.start - cut.start:window.stop - cut.start])
+                self._f0 = estimate_f0(x[window.start - first:window.stop - first])
 
-    def _front_end(self, x: np.ndarray | None) -> Spectrogram:
-        """The uncompressed frames of the base's front end, of ``x``, the
-        base's cut at the canonical rate (W's come from its external
+    def _front_end(self, base: str, cut: slice | None, x: np.ndarray | None) -> Spectrogram:
+        """The uncompressed frames of ``base``'s front end, of ``x``, its
+        ``cut`` at the canonical rate (W's come from its external
         spectrogram, cropped to the frames the averaging window picks)."""
-        if self.base == "W":
+        if base == "W":
             sg = self._external_sg
             if sg is None:
                 raise InputError("no external spectrogram was supplied for a W representation")
@@ -255,14 +248,14 @@ class UtteranceAnalyzer:
             self._external_sg = replace(sg, frames=sg.frames[picked].copy(),
                                         t0=sg.t0 + picked.start * sg.frame_period)
             return self._external_sg
-        if self.base == "Ep":
+        if base == "Ep":
             # the cut keeps every frame the window picks, and center_average
             # needs none past it; the samples before them only warm the bank up
-            frames = gammatone_ep(x, start=self._ep_samples()[1] - self.cut.start)
+            frames = gammatone_ep(x, start=self._ep_samples()[1] - cut.start)
         else:
             frames = stft_spectrum(x)
-        frames = replace(frames, t0=frames.t0 + self.cut.start / fileio.CANONICAL_FS)
-        return mel_spectrum(frames) if self.base == "M" else frames
+        frames = replace(frames, t0=frames.t0 + cut.start / fileio.CANONICAL_FS)
+        return mel_spectrum(frames) if base == "M" else frames
 
     @property
     def f0(self) -> float:
@@ -281,14 +274,12 @@ class UtteranceAnalyzer:
 
         ``h_max = 0`` is read as "no weighting", so weighted representations
         degrade continuously to their unweighted baseline, and no F0 is
-        estimated for them but Ep's, which its constructor estimated.
+        estimated for them.
         """
-        if rep.base != self.base:
-            raise ConfigurationError(f"this analyzer computes {self.base} representations, not {rep.id}")
         h_max = DEFAULT_H_MAX if h_max is None else h_max
         weighted = rep.ssi and h_max != 0.0
-        self._pass([rep.compression], weighted)
-        spec = self._spectra[rep.compression]
+        self._pass([(rep.base, rep.compression)], weighted)
+        spec = self._spectra[rep.base, rep.compression]
         return apply_weight(spec, ssi_weight(spec.axis, h_max, self._f0)) if weighted else spec
 
 
@@ -297,8 +288,7 @@ def analyze_wav(path, rep, *, h_max: float | None = None, f0_override: float | N
     if isinstance(rep, str):
         rep = parse_representation(rep)
     check_h_max(DEFAULT_H_MAX if h_max is None else h_max)  # for every id, before the read
-    analyzer = UtteranceAnalyzer(path, base=rep.base, f0_override=f0_override, plan=[(rep, h_max)])
-    return analyzer.spectrum(rep, h_max)
+    return UtteranceAnalyzer(path, f0_override=f0_override, plan=[(rep, h_max)]).spectrum(rep, h_max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,30 +330,28 @@ class EstimationResult:
 class CorpusAnalyzer:
     """Caches per-utterance spectra and pairwise shifts for a whole corpus.
 
-    Each utterance gets one :class:`UtteranceAnalyzer` per base it is read
-    with, built from its WAV file's path for the :meth:`plan`; it keeps no
-    samples.  Only W analyzers are given the utterance's external CSV.
-    Shift matrices are computed once per (vowel, representation, h_max) over
-    all speakers; estimating on a speaker subset reuses the cached pairwise
-    lags, which are independent of which other speakers are present.
-    An input error raised while an utterance is analysed names its WAV file.
+    Each utterance gets one :class:`UtteranceAnalyzer` for every base, built
+    from its WAV file's path and its external CSV (read by W alone).  Shift
+    matrices are computed once per (vowel, representation, h_max) over all
+    speakers; estimating on a speaker subset reuses the cached pairwise
+    lags, which are independent of which other speakers are present.  An
+    input error raised while an utterance is analysed names its WAV file.
     F0 overrides, one value or a dict by utterance id, must be nonnegative
     and finite, and a dict may name only utterances of ``records``.
 
     A cold Ep estimate splits its gammatone banks across two processes.
-    Before the vowel loop, :meth:`estimate` lists, in the loop's order and
-    without reading a file, the utterances with no cached Ep analyzer.  When
-    ``os.fork`` exists, no other thread runs, two or more CPUs are available
-    and at least ``2 * EP_SPLIT_MIN`` are missing, it builds the first
-    half's analyzers here and the second half's in one forked child
-    (:func:`vtlest._split.split`), also on a machine with more CPUs: only
+    When the estimate or the :meth:`plan` holds Ep, :meth:`estimate` lists,
+    in its vowel loop's order and reading no file, the utterances whose
+    analyzer is missing or lacks the Ep pattern.  When ``os.fork`` exists,
+    no other thread runs, two or more CPUs are available and at least
+    ``2 * EP_SPLIT_MIN`` are listed, it brings the first half's analyzers up
+    to the plan here, F and M spectra and F0 too, and the second half's in
+    one forked child (:func:`vtlest._split.split`), also on more CPUs: only
     two processes were measured.  Each process reads and analyses one
     utterance at a time.  The child's analyzers come back pickled, bit for
-    bit the serial ones, and are cached here, so the loop finds them; any
-    error is left to the loop, which raises it as before.  So a run that
-    fails, on any number of CPUs, may already have read the WAVs of later
-    vowels.  F, M and W spectra (about 0.1 ms each, against 7-13 ms for a
-    fork) never split.
+    bit the serial ones, and are cached here; any error is left to the vowel
+    loop, which raises it as before.  So a run that fails, on any number of
+    CPUs, may already have read the WAVs of later vowels.
     """
 
     def __init__(self, records, *, f0_overrides=None, external_dir=None):
@@ -414,27 +402,32 @@ class CorpusAnalyzer:
 
     def plan(self, pairs) -> None:
         """Add (representation id, h_max) pairs about to be estimated to the
-        plan, which each analyzer built from now on computes in its first
-        pass.  Each lag matrix not yet cached plans its own request, so with
-        no call to this the request at hand is the plan.  A plan changes no
-        result."""
+        plan, which :meth:`analyzer` computes in one pass per utterance; each
+        estimate plans its own request.  A plan changes no result: a spectrum
+        meets only its own request's error, not another planned pair's."""
         for rep, h_max in pairs:
             self._plan[parse_representation(rep) if isinstance(rep, str) else rep, h_max] = None
 
-    def analyzer(self, record, base: str) -> UtteranceAnalyzer:
-        key = (record.utterance_id, base)
-        if key not in self._analyzers:
-            external = (f"{self.external_dir}/{record.utterance_id}.csv"
-                        if base == "W" and self.external_dir is not None else None)
-            self._analyzers[key] = UtteranceAnalyzer(record.path, base=base, f0_override=self._f0_for(record),
-                                                     external_sg=external, plan=self._plan)
-        return self._analyzers[key]
+    def analyzer(self, record) -> UtteranceAnalyzer:
+        """The record's analyzer, built if missing and brought up to the plan in one pass."""
+        analyzer = self._analyzers.get(record.utterance_id)
+        if analyzer is None:
+            external = None if self.external_dir is None else f"{self.external_dir}/{record.utterance_id}.csv"
+            analyzer = self._analyzers[record.utterance_id] = UtteranceAnalyzer(
+                record.path, f0_override=self._f0_for(record), external_sg=external)
+        analyzer.prepare(self._plan)
+        return analyzer
 
     def spectrum(self, speaker_id: str, vowel: str, rep: Representation, h_max: float) -> Spectrum:
         record = self._by_key.get((speaker_id, vowel))
         if record is None:
             raise InputError(f"no utterance for speaker {speaker_id}, vowel {vowel!r}")
-        return self.analyzer(record, rep.base).spectrum(rep, h_max)
+        try:
+            analyzer = self.analyzer(record)
+        except VtlestError:  # maybe another planned pair's: the request meets only its own
+            if (analyzer := self._analyzers.get(record.utterance_id)) is None:  # not built
+                raise
+        return analyzer.spectrum(rep, h_max)
 
     def vowel_speakers(self, vowel: str) -> list[str]:
         return [s for s in self.speakers if (s, vowel) in self._by_key]
@@ -445,17 +438,9 @@ class CorpusAnalyzer:
             speakers = self.vowel_speakers(vowel)
             if len(speakers) < 2:
                 raise InputError(f"vowel {vowel!r} has fewer than 2 speakers")
-            self.plan([(rep, h_max)])
             specs = [self.spectrum(s, vowel, rep, h_max) for s in speakers]
             self._matrices[key] = build_shift_matrix(specs)
         return self._matrices[key]
-
-    def _missing_ep(self) -> list:
-        """The records with no cached Ep analyzer, in :meth:`estimate`'s
-        vowel loop's order.  A cached one holds its pattern, and every cached
-        lag matrix was built from cached analyzers.  Reads no file."""
-        records = [self._by_key[(s, vowel)] for vowel in self.vowels for s in self.vowel_speakers(vowel)]
-        return [r for r in records if (r.utterance_id, "Ep") not in self._analyzers]
 
     def estimate(self, rep, h_max: float | None = None, speakers=None) -> EstimationResult:
         """Full pipeline: shifts per vowel, joint q fit, lengths.
@@ -479,12 +464,14 @@ class CorpusAnalyzer:
         if len(included) < 2:
             raise InputError(f"need at least 2 speakers, got {len(included)}")
         l_bar = float(np.mean([self.measured_vtl[s] for s in included]))
-        if rep.base == "Ep":
-            missing = self._missing_ep()
-            analyzers = _split.split(rep.id, missing, lambda record: self.analyzer(record, "Ep"),
-                                     "spectra", EP_SPLIT_MIN)
-            for record, analyzer in zip(missing, analyzers or ()):  # this process's half is cached
-                self._analyzers[(record.utterance_id, rep.base)] = analyzer
+        self.plan([(rep, h_max)])
+        if any(planned.base == "Ep" for planned, _ in self._plan):
+            # the records whose analyzer lacks the Ep pattern, in the vowel loop's order
+            have = {u for u, a in self._analyzers.items() if a.has("Ep", LOG_COMPRESSION)}
+            records = (self._by_key[s, vowel] for vowel in self.vowels for s in self.vowel_speakers(vowel))
+            missing = [r for r in records if r.utterance_id not in have]
+            analyzers = _split.split(rep.id, missing, self.analyzer, "spectra", EP_SPLIT_MIN)
+            self._analyzers.update(zip((r.utterance_id for r in missing), analyzers or ()))  # the child's
         point_speakers: list[str] = []
         point_vowels: list[str] = []
         shifts = []

@@ -46,13 +46,13 @@ def forks(monkeypatch):
 
 @pytest.fixture(scope="session")
 def analyzer_keeps():
-    """Whether an analyzer keeps exactly its recording, its base's cut, F0,
-    W's external window and the averaged spectra, and its recording exactly
+    """Whether an analyzer keeps exactly its recording, F0, W's external
+    window and the averaged spectra, and its recording exactly
     ``source`` (a path and the file's header, or the caller's array by
     reference), its length and its centre.  No samples."""
     def keeps(analyzer, source):
         recording = analyzer.recording
-        return (set(vars(analyzer)) == {"base", "recording", "cut", "_f0", "_external_sg", "_spectra"}
+        return (set(vars(analyzer)) == {"recording", "_f0", "_external_sg", "_spectra"}
                 and set(vars(recording)) == {"path", "_array", "_layout", "fs", "native_size", "size",
                                              "center"}
                 and (recording._array is source if recording.path is None
@@ -87,6 +87,16 @@ def default_corpus_dir(tmp_path_factory):
 @pytest.fixture(scope="session")
 def default_corpus(default_corpus_dir):
     return v.load_corpus(default_corpus_dir / "manifest.csv")
+
+
+@pytest.fixture(scope="session")
+def crowd_dir(tmp_path_factory):
+    """The benchmark's 32-speaker crowd at 44.1 kHz (``bench/workloads.py``)."""
+    alphas = np.random.default_rng(0).uniform(0.80, 1.25, 32)
+    speakers = [(100.0 + 120.0 * (a - 0.80) / 0.45, a) for a in alphas]
+    out = tmp_path_factory.mktemp("crowd")
+    v.make_corpus(speakers, list("aiueo"), out, fs=44100.0)
+    return out
 
 
 @pytest.fixture(scope="session")

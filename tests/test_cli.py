@@ -2,6 +2,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -9,10 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import vtlest as v
-from vtlest import fileio
+from vtlest import fileio, spectral
 from vtlest.cli import main
+from vtlest.errors import VtlestError
 
 
 def run_cli(*argv):
@@ -326,18 +329,18 @@ class TestEvaluateAndSweep:
             for name in names)
 
     def test_each_resampled_file_warns_once_naming_it(self, tmp_path):
-        """Two bases read each 44.1 kHz file, one analyzer each: every read
-        warns, and Python's default filter shows each file's warning once."""
+        """Two bases read each 44.1 kHz file through one analyzer, which
+        warns once, also when every warning is shown."""
         v.make_corpus(v.pair_demo_speakers(), ["a"], tmp_path / "pair", fs=44100.0)
-        for action, per_file in (("always", 2), ("default", 1)):
+        for action in ("always", "default"):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter(action)
                 assert run_cli("evaluate", "--manifest", tmp_path / "pair" / "manifest.csv",
                                "--rep", "Ep_SSI,F_SSI_log", "--trials", "0",
                                "--out", tmp_path / action) == 0
             messages = sorted(str(w.message) for w in caught)
-            assert len(messages) == 2 * per_file
-            for message, name in zip(messages, sorted(("s01_a.wav", "s02_a.wav") * per_file)):
+            assert len(messages) == 2
+            for message, name in zip(messages, ("s01_a.wav", "s02_a.wav")):
                 assert message.startswith("resampling input ")
                 assert message.endswith(f"{name} from 44100 Hz to the canonical 48000 Hz")
 
@@ -393,6 +396,23 @@ class TestEvaluateAndSweep:
         assert capsys.readouterr().err.splitlines() == [
             "error: hmax_grid must hold at least one taper knee"]
         assert not (tmp_path / "sw").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
+    @pytest.mark.parametrize("reps", [[], ["Ep_SSI", "F_log", "Ep_SSI"]])
+    def test_empty_or_repeated_representations_write_nothing(self, pair_corpus_dir, tmp_path, capsys,
+                                                             monkeypatch, command, reps):
+        """An empty list once wrote header-only CSVs (or "0 rows"), and a
+        repeated id every row twice; both fail before the manifest is read."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"manifest": str(pair_corpus_dir / "manifest.csv"), "representations": reps}))
+        monkeypatch.setattr(fileio, "read_manifest", lambda path: pytest.fail("manifest read"))
+        for argv in (["--config", cfg], ["--manifest", pair_corpus_dir / "manifest.csv", "--rep", ",".join(reps)]):
+            if not reps and "--rep" in argv:  # an empty --rep is one empty id
+                continue
+            assert run_cli(command, *argv, "--out", tmp_path / "out") == 1
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: representations must name one or more ids, each once, got {reps}"]
+        assert not (tmp_path / "out").exists()
 
     def test_negative_trials_is_one_error_line(self, pair_corpus_dir, tmp_path, capsys):
         assert run_cli("evaluate", "--manifest", pair_corpus_dir / "manifest.csv", "--rep", "F_log",
@@ -495,3 +515,98 @@ class TestEvaluateAndSweep:
     def test_missing_manifest_and_config_fails(self, tmp_path, capsys):
         assert run_cli("evaluate", "--out", tmp_path) != 0
         assert "error" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def text_inputs(pair_corpus_dir, tmp_path_factory):
+    """Valid text inputs by kind: a manifest of the pair demo's WAVs by
+    absolute path, an F0 CSV, a spectrum CSV, the external spectrogram
+    CSVs (cropped to the frames the averaging window picks) and a config
+    JSON.  ``(directory, {kind: file})``; the spectrograms sit in
+    ``ext/``, and the one of ``s01_a`` is the file."""
+    out = tmp_path_factory.mktemp("text")
+    records = fileio.read_manifest(pair_corpus_dir / "manifest.csv")
+    fileio.write_manifest(out, records)
+    (out / "f0.csv").write_text("utterance_id,f0_hz\ns01_a,182\ns02_a,101\n")
+    fileio.write_spectrum_csv(out / "spectrum.csv", v.analyze_wav(records[0].path, "F_log"))
+    for r in records:
+        sg = v.stft_spectrum(v.read_audio(r.path)[0])
+        picked = spectral.window_frames(sg.t0, sg.frame_period, sg.frames.shape[0], 0.25)
+        sg = v.Spectrogram(sg.frames[picked], sg.frame_period, sg.axis, t0=sg.t0 + picked.start * sg.frame_period)
+        fileio.write_spectrogram_csv(out / "ext" / f"{r.utterance_id}.csv", sg)
+    (out / "config.json").write_text(json.dumps({"manifest": str(out / "manifest.csv"),
+                                                 "representations": ["F_SSI_log"], "trials": 0}))
+    return out, {"manifest": out / "manifest.csv", "f0": out / "f0.csv", "spectrum": out / "spectrum.csv",
+                 "spectrogram": out / "ext" / "s01_a.csv", "config": out / "config.json"}
+
+
+#: Each reader of a text input, and the command that reads it (none reads a spectrum CSV).
+_TEXT_READERS = {
+    "manifest": (fileio.read_manifest, ["estimate", "{file}", "--rep", "F_log"]),
+    "f0": (fileio.read_f0_csv, ["estimate", "{dir}/manifest.csv", "--rep", "F_SSI_log", "--f0", "{file}"]),
+    "spectrum": (fileio.read_spectrum_csv, None),
+    "spectrogram": (fileio.read_spectrogram_csv,
+                    ["estimate", "{dir}/manifest.csv", "--rep", "W_SSI_log", "--external-dir", "{dir}/ext"]),
+    "config": (v.EvalConfig.fields_from_json, ["evaluate", "--config", "{file}"]),
+}
+
+
+class TestTextInputs:
+    """Every text input is read as UTF-8, and no byte of it ends in a traceback."""
+
+    @pytest.mark.parametrize("kind", ["manifest", "f0", "spectrogram", "config"])
+    def test_byte_that_is_not_utf8_is_one_error_line(self, text_inputs, tmp_path, capsys, kind):
+        """It once ended in a ``UnicodeDecodeError`` traceback."""
+        directory, files = text_inputs
+        work = tmp_path / "in"
+        shutil.copytree(directory, work)
+        bad = work / files[kind].relative_to(directory)
+        bad.write_bytes(bad.read_bytes().replace(b"s", b"s\xff", 1))
+        argv = [a.format(file=bad, dir=work) for a in _TEXT_READERS[kind][1]]
+        assert run_cli(*argv, "--out", tmp_path / "out") == 1
+        [err] = capsys.readouterr().err.splitlines()
+        assert err.startswith("error: ") and f"{bad}: not UTF-8 text: 'utf-8' codec can't decode byte 0xff" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["manifest", "f0", "spectrum", "spectrogram", "config"])
+    def test_byte_order_mark_is_skipped(self, text_inputs, tmp_path, kind):
+        """As spreadsheet programs write UTF-8 CSV; a manifest with one once
+        lacked its ``speaker_id`` column."""
+        read, path = _TEXT_READERS[kind][0], text_inputs[1][kind]
+        marked = tmp_path / path.name
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert repr(read(marked)) == repr(read(path))
+
+    @pytest.mark.parametrize("kind", ["spectrum", "spectrogram"])
+    def test_spectrum_readers_name_the_file(self, text_inputs, tmp_path, kind):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(text_inputs[1][kind].read_bytes().replace(b"0", b"\xe9", 1))
+        with pytest.raises(v.InputError, match=f"^{bad}: not UTF-8 text: "):
+            _TEXT_READERS[kind][0](bad)
+
+    @pytest.mark.filterwarnings("ignore")
+    @pytest.mark.parametrize("kind", list(_TEXT_READERS))
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.integers(0, 255)),
+                          min_size=1, max_size=3))
+    def test_mutated_input_reads_or_fails_typed(self, text_inputs, tmp_path_factory, capsys, kind, edits):
+        """One to three bytes of a valid input changed to any byte: its
+        reader returns or raises a :class:`VtlestError`, and the command
+        that reads it exits 0 or 1."""
+        directory, files = text_inputs
+        work = tmp_path_factory.mktemp("fuzz")
+        shutil.copytree(directory, work, dirs_exist_ok=True)
+        path = work / files[kind].relative_to(directory)
+        data = bytearray(path.read_bytes())
+        for where, value in edits:
+            data[int(where * len(data))] = value
+        path.write_bytes(bytes(data))
+        read, command = _TEXT_READERS[kind]
+        try:
+            read(path)
+        except VtlestError:
+            pass
+        if command is not None:
+            argv = [a.format(file=path, dir=work) for a in command]
+            assert run_cli(*argv, "--out", work / "out") in (0, 1)
+        capsys.readouterr()

@@ -151,7 +151,7 @@ class TestReadCut:
         STFT frame in F's averaging window, names the file once."""
         fileio.write_wav(tmp_path, "t.wav", np.zeros(100), 48000.0)
         with pytest.raises(InputError) as info:
-            v.UtteranceAnalyzer(tmp_path / "t.wav", base="F")
+            v.UtteranceAnalyzer(tmp_path / "t.wav", plan=[(v.parse_representation("F_log"), None)])
         assert str(info.value).startswith(f"{tmp_path / 't.wav'}: averaging window [")
         assert str(info.value).count("t.wav") == 1
 
@@ -171,7 +171,7 @@ class TestReadCut:
         else:
             with pytest.raises(InputError, match=r"t\.wav") as info:
                 if case == "caller's error":  # no STFT frame in the averaging window
-                    v.UtteranceAnalyzer(tmp_path / "t.wav", base="F")
+                    v.UtteranceAnalyzer(tmp_path / "t.wav", plan=[(v.parse_representation("F_log"), None)])
                 fileio.Recording(tmp_path / "t.wav").read(slice(0, 20))
             assert info.value.__traceback__ is not None
         assert _open_fds() == fds
@@ -186,7 +186,7 @@ class TestReadCut:
         monkeypatch.setattr(fileio, "_open", lambda path: opened.append(path) or open_(path))
         fds = _open_fds()
         plan = [(v.parse_representation("F_log"), None)]
-        analyzer = v.UtteranceAnalyzer(tmp_path / "t.wav", base="F", plan=plan)
+        analyzer = v.UtteranceAnalyzer(tmp_path / "t.wav", plan=plan)
         assert len(opened) == 2 and _open_fds() == fds
         analyzer.spectrum(v.parse_representation("F_0.4"))  # outside the plan
         assert len(opened) == 3 and _open_fds() == fds
@@ -206,12 +206,12 @@ class TestReadCut:
         window of their 3 360, and a (1, n) one with a cut of 0."""
         message = f"expected mono audio, got an array of shape {shape}"
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
-            v.UtteranceAnalyzer(np.zeros(shape), 48000.0, base="F")
+            v.UtteranceAnalyzer(np.zeros(shape), 48000.0)
 
     def test_array_without_a_rate_rejected(self):
         """It once ended in a ``TypeError`` from the resampling ratio."""
         with pytest.raises(ConfigurationError, match="^an array of samples needs its sample rate fs$"):
-            v.UtteranceAnalyzer(np.zeros(24000), base="F")
+            v.UtteranceAnalyzer(np.zeros(24000))
 
     @settings(max_examples=150, deadline=None)
     @given(deep=st.booleans(), edits=st.lists(st.tuples(st.integers(0, 43), st.integers(0, 255)),
@@ -277,7 +277,7 @@ class TestReadCut:
         got = fileio.Recording(tmp_path / "deep.wav").read(slice(100, 300))
         assert got.tobytes() == (whole / 2147483648.0)[100:300].tobytes()
         for rep_id in ("Ep_SSI", "F_SSI_log", "M_SSI_log"):
-            analyzer = v.UtteranceAnalyzer(whole / 2147483648.0, 48000.0, base=rep_id.split("_")[0])
+            analyzer = v.UtteranceAnalyzer(whole / 2147483648.0, 48000.0)
             expected = analyzer.spectrum(v.parse_representation(rep_id)).values
             assert v.analyze_wav(tmp_path / "deep.wav", rep_id).values.tobytes() == expected.tobytes()
 
@@ -317,7 +317,7 @@ class TestReadCut:
         assert got.tobytes() == (whole / 32768.0).tobytes()
         with pytest.warns(UserWarning, match=message):
             spectrum = v.analyze_wav(tmp_path / "short.wav", "F_log")
-        expected = v.UtteranceAnalyzer(got, fs, base="F").spectrum(v.parse_representation("F_log"))
+        expected = v.UtteranceAnalyzer(got, fs).spectrum(v.parse_representation("F_log"))
         assert spectrum.values.tobytes() == expected.values.tobytes()
 
     def test_path_backed_analyzer_is_the_array_one(self, tmp_path, monkeypatch, analyzer_keeps):
@@ -334,8 +334,8 @@ class TestReadCut:
             rep = v.parse_representation(rep_id)
             read.clear()
             with pytest.warns(UserWarning, match="resampling input"):
-                from_file = v.UtteranceAnalyzer(tmp_path / "t.wav", base=rep.base, plan=[(rep, None)])
-            from_array = v.UtteranceAnalyzer(samples, fs, base=rep.base)
+                from_file = v.UtteranceAnalyzer(tmp_path / "t.wav", plan=[(rep, None)])
+            from_array = v.UtteranceAnalyzer(samples, fs)
             [native] = read
             assert native.dtype == np.int16 and native.size
             assert analyzer_keeps(from_file, tmp_path / "t.wav")
@@ -343,9 +343,9 @@ class TestReadCut:
             with warnings.catch_warnings(record=True) as later:
                 warnings.simplefilter("always")
                 assert from_file.f0 == from_array.f0
-            # F0 after an unweighted F or M spectrum is one more pass, of the
-            # F0 window alone; the recording warned of resampling once, when built
-            assert later == [] and len(read) - 1 == (rep.base != "Ep" and not rep.ssi)
+            # F0 after an unweighted spectrum is one more pass, of the F0
+            # window alone; the recording warned of resampling once, when built
+            assert later == [] and len(read) - 1 == (not rep.ssi)
 
     def test_one_resampling_per_spectrum(self, tmp_path, monkeypatch, front_ends):
         """A pass reads, resamples and analyses the cut once for every
@@ -360,7 +360,7 @@ class TestReadCut:
         plan = [(v.parse_representation(rep_id), h_max)
                 for rep_id, h_max in (("F_log", 3.5), ("F_0.4", 3.5), ("F_SSI_log", 0.0), ("F_SSI_log", 2.0))]
         with pytest.warns(UserWarning, match="resampling input"):
-            analyzer = v.UtteranceAnalyzer(tmp_path / "t.wav", base="F", plan=plan)
+            analyzer = v.UtteranceAnalyzer(tmp_path / "t.wav", plan=plan)
         assert (len(calls), len(front_ends["stft_spectrum"]), len(front_ends["estimate_f0"])) == (1, 1, 1)
         for rep, h_max in plan:
             analyzer.spectrum(rep, h_max)
@@ -368,7 +368,7 @@ class TestReadCut:
         analyzer.spectrum(v.parse_representation("F_0.2"))  # outside the plan
         assert (len(calls), len(front_ends["stft_spectrum"]), len(front_ends["estimate_f0"])) == (2, 2, 1)
         with pytest.warns(UserWarning, match="resampling input"):
-            analyzer = v.UtteranceAnalyzer(tmp_path / "t.wav", base="M",
+            analyzer = v.UtteranceAnalyzer(tmp_path / "t.wav",
                                            plan=[(v.parse_representation("M_SSI_log"), 0.0)])
         analyzer.spectrum(v.parse_representation("M_SSI_log"), 0.0)
         assert len(front_ends["estimate_f0"]) == 1
@@ -381,10 +381,10 @@ class TestReadCut:
         float64 size, 3.84 MB: the whole file was once read, converted and
         kept alive while the bank ran."""
         fileio.write_wav(tmp_path, "long.wav", v.synth_vowel(v.vowel_spec("o", 120.0, duration=10.0)), 48000.0)
-        v.UtteranceAnalyzer(tmp_path / "long.wav", base="Ep")  # whatever a first analyzer sets up
+        v.UtteranceAnalyzer(tmp_path / "long.wav")  # whatever a first analyzer sets up
         tracemalloc.start()
         try:
-            v.UtteranceAnalyzer(tmp_path / "long.wav", base="Ep")
+            v.UtteranceAnalyzer(tmp_path / "long.wav")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -462,16 +462,17 @@ class TestResampling:
                     seen.clear()
                 plan = [(v.parse_representation(rep_ids[base]), 3.5)] if base != "W" else []
                 try:
-                    analyzer = v.UtteranceAnalyzer(x, float(fs), base=base, plan=plan)
+                    analyzer = v.UtteranceAnalyzer(x, float(fs), plan=plan)
                     if base == "W":
                         analyzer.f0  # a pass of the F0 window alone
                 except InputError:  # too short for Ep's averaging window, an STFT frame in it or F0
                     continue
                 assert analyzer.recording.size == expected.size
-                got, start = cuts[front_end[base]][0], analyzer.cut.start
-                assert got.size and np.array_equal(got, expected[start:start + got.size])
+                cut = analyzer._f0_samples() if base == "W" else analyzer.cut(base)
+                got = cuts[front_end[base]][0]
+                assert got.size and np.array_equal(got, expected[cut.start:cut.start + got.size])
                 [native] = converted  # the native samples resampled
-                assert native.tobytes() == x[fileio.native_cut(analyzer.cut, float(fs), x.size)[0]].tobytes()
+                assert native.tobytes() == x[fileio.native_cut(cut, float(fs), x.size)[0]].tobytes()
                 held.add(base)
         # Ep reads a cut of any input it can average, and W of any F0 can be estimated of
         assert ("Ep" in held) == ("W" in held) == (expected.size >= ssi.F0_WINDOW_N)
@@ -482,8 +483,8 @@ class TestResampling:
         fs = 96000.0
         tone = np.sin(2 * np.pi * 30000.0 * np.arange(48000) / fs)
         # what each base's front end is handed, and F0 too
-        for base, rep_id in (("Ep", "Ep"), ("F", "F_SSI_0.4")):
-            v.UtteranceAnalyzer(tone, fs, base=base, plan=[(v.parse_representation(rep_id), 3.5)])
+        for rep_id in ("Ep_SSI", "F_SSI_0.4"):
+            v.UtteranceAnalyzer(tone, fs, plan=[(v.parse_representation(rep_id), 3.5)])
         cuts = [cut for seen in front_ends.values() for cut in seen]
         assert len(cuts) == 4 and max(np.abs(x).max() for x in cuts) <= 0.01
 
@@ -496,7 +497,7 @@ class TestResampling:
         with pytest.raises(InputError, match=message):
             fileio.ensure_rate(np.zeros(100), fs)
         with pytest.raises(InputError, match=message):
-            v.UtteranceAnalyzer(np.zeros(100), fs, base="F")
+            v.UtteranceAnalyzer(np.zeros(100), fs)
 
     def test_header_rate_with_a_huge_ratio_names_the_file(self, tmp_path):
         """A prime rate of 2**31 - 1 Hz would need a 4.3e10-tap filter."""

@@ -1,4 +1,5 @@
 """Representation vocabulary and the corpus estimation pipeline."""
+import collections
 import inspect
 import logging
 import os
@@ -78,68 +79,72 @@ class TestRepresentationIds:
 
 
 @pytest.fixture(scope="module")
-def analyzers():
-    """One analyzer per base of the same utterance."""
-    samples = v.synth_vowel(v.vowel_spec("a", 182.0, 16.0 / 15.0))
-    return {base: v.UtteranceAnalyzer(samples, 48000.0, base=base) for base in ("Ep", "F", "M", "W")}
+def analyzer():
+    """One utterance's analyzer, for every base."""
+    return v.UtteranceAnalyzer(v.synth_vowel(v.vowel_spec("a", 182.0, 16.0 / 15.0)), 48000.0)
 
 
 class TestUtteranceAnalyzer:
-    def test_ep_spectrum_grid_and_tag(self, analyzers):
-        s = analyzers["Ep"].base_spectrum(v.parse_representation("Ep"))
+    def test_ep_spectrum_grid_and_tag(self, analyzer):
+        s = analyzer.base_spectrum(v.parse_representation("Ep"))
         assert s.axis.kind is AxisKind.ERB_LINEAR
         assert s.axis.channels == 100
         assert s.compression == v.LOG_COMPRESSION
 
-    def test_fourier_spectrum_grid(self, analyzers):
-        s = analyzers["F"].base_spectrum(v.parse_representation("F_log"))
+    def test_fourier_spectrum_grid(self, analyzer):
+        s = analyzer.base_spectrum(v.parse_representation("F_log"))
         assert s.axis.kind is AxisKind.LOG10_HZ
         assert s.axis.channels == 100
 
-    def test_mel_power_spectrum_grid(self, analyzers):
-        s = analyzers["M"].base_spectrum(v.parse_representation("M_0.4"))
+    def test_mel_power_spectrum_grid(self, analyzer):
+        s = analyzer.base_spectrum(v.parse_representation("M_0.4"))
         assert s.axis.kind is AxisKind.MEL_LINEAR
         assert s.axis.channels == 100
         assert s.compression.exponent == 0.4
 
-    def test_f0_estimated_once(self, analyzers):
-        for analyzer in analyzers.values():
-            assert analyzer.f0 == pytest.approx(182.0, abs=4.0)
-        assert len({analyzer.f0 for analyzer in analyzers.values()}) == 1
+    def test_f0_estimated_once(self, monkeypatch):
+        estimated = []
+        f0 = pipeline.estimate_f0
+        monkeypatch.setattr(pipeline, "estimate_f0", lambda x: estimated.append(x) or f0(x))
+        analyzer = v.UtteranceAnalyzer(v.synth_vowel(v.vowel_spec("a", 182.0, 16.0 / 15.0)), 48000.0)
+        for rep_id in ("Ep_SSI", "F_SSI_log", "M_SSI_log"):
+            analyzer.spectrum(v.parse_representation(rep_id))
+        assert len(estimated) == 1 and analyzer.f0 == pytest.approx(182.0, abs=4.0)
 
-    def test_hmax_zero_is_unweighted(self, analyzers):
+    def test_hmax_zero_is_unweighted(self, analyzer):
         rep = v.parse_representation("Ep_SSI")
-        unweighted = analyzers["Ep"].base_spectrum(v.parse_representation("Ep"))
-        weighted_off = analyzers["Ep"].spectrum(rep, h_max=0.0)
+        unweighted = analyzer.base_spectrum(v.parse_representation("Ep"))
+        weighted_off = analyzer.spectrum(rep, h_max=0.0)
         np.testing.assert_array_equal(weighted_off.values, unweighted.values)
-        weighted_on = analyzers["Ep"].spectrum(rep, h_max=3.5)
+        weighted_on = analyzer.spectrum(rep, h_max=3.5)
         assert not np.array_equal(weighted_on.values, unweighted.values)
 
-    def test_weighting_suppresses_low_channels(self, analyzers):
+    def test_weighting_suppresses_low_channels(self, analyzer):
         rep_w = v.parse_representation("Ep_SSI")
         rep_u = v.parse_representation("Ep")
-        w = analyzers["Ep"].spectrum(rep_w, 3.5).values
-        u = analyzers["Ep"].spectrum(rep_u).values
+        w = analyzer.spectrum(rep_w, 3.5).values
+        u = analyzer.spectrum(rep_u).values
         u_shifted = u - u.min()
         low = slice(0, 10)
         assert (w[low] < u_shifted[low]).all()
 
     def test_determinism(self):
         samples = v.synth_vowel(v.vowel_spec("u", 140.0))
-        a = v.UtteranceAnalyzer(samples, 48000.0, base="Ep").spectrum(v.parse_representation("Ep_SSI"))
-        b = v.UtteranceAnalyzer(samples, 48000.0, base="Ep").spectrum(v.parse_representation("Ep_SSI"))
+        a = v.UtteranceAnalyzer(samples, 48000.0).spectrum(v.parse_representation("Ep_SSI"))
+        b = v.UtteranceAnalyzer(samples, 48000.0).spectrum(v.parse_representation("Ep_SSI"))
         assert a.values.tobytes() == b.values.tobytes()
 
     @pytest.mark.parametrize("f0_override", [None, 0.0, 150.0])
     def test_ep_analyzer_keeps_no_samples(self, monkeypatch, analyzer_keeps, f0_override):
-        """The constructor computes the pattern, then F0 from the centre
-        50 ms unless it is overridden, and keeps no samples: only the
-        caller's array, by reference."""
+        """The constructor's pass for a weighted Ep plan computes the
+        pattern, then F0 from the centre 50 ms unless it is overridden, and
+        keeps no samples: only the caller's array, by reference."""
         samples = v.synth_vowel(v.vowel_spec("o", 120.0))
         estimated = []
         f0 = pipeline.estimate_f0
         monkeypatch.setattr(pipeline, "estimate_f0", lambda x: estimated.append(x) or f0(x))
-        analyzer = v.UtteranceAnalyzer(samples, 48000.0, base="Ep", f0_override=f0_override)
+        analyzer = v.UtteranceAnalyzer(samples, 48000.0, f0_override=f0_override,
+                                       plan=[(v.parse_representation("Ep_SSI"), 3.5)])
         assert analyzer_keeps(analyzer, samples) and len(analyzer._spectra) == 1
         if f0_override is None:
             [window] = estimated
@@ -151,20 +156,17 @@ class TestUtteranceAnalyzer:
             analyzer.spectrum(v.parse_representation(rep_id), h_max)
         assert len(estimated) == (f0_override is None)
 
-    def test_w_without_external_data_rejected(self, analyzers):
+    def test_w_without_external_data_rejected(self, analyzer):
         with pytest.raises(InputError):
-            analyzers["W"].base_spectrum(v.parse_representation("W_log"))
+            analyzer.base_spectrum(v.parse_representation("W_log"))
 
-    def test_other_base_rejected(self, analyzers):
-        with pytest.raises(ConfigurationError, match="this analyzer computes Ep representations, not F_log"):
-            analyzers["Ep"].spectrum(v.parse_representation("F_log"))
-
-    def test_each_analyzer_holds_only_its_cut(self, tmp_path, monkeypatch, analyzer_keeps, front_ends):
+    def test_each_base_reads_only_its_cut(self, tmp_path, monkeypatch, analyzer_keeps, front_ends):
         """A 0.5 s vowel's Ep hands samples 4872-13199 to its bank, F and M
         10320-13679 to the STFT, and W (for F0) the centre 50 ms,
         10800-13199 to the F0 estimator: at 48 kHz the native samples are
-        the cut.  Each reads its file once, only its 16-bit samples behind
-        the cut, and no analyzer keeps any samples."""
+        the cut.  Each file is read once, only its 16-bit samples behind the
+        cut, or behind the span of Ep's and F's cuts when both are planned,
+        and no analyzer keeps any samples."""
         samples = v.synth_vowel(v.vowel_spec("o", 120.0))
         for base, rep_id, start, size, front_end in (
                 ("Ep", "Ep", 4872, 8328, "gammatone_ep"), ("F", "F_log", 10320, 3360, "stft_spectrum"),
@@ -172,10 +174,11 @@ class TestUtteranceAnalyzer:
             for seen in front_ends.values():
                 seen.clear()
             external = v.stft_spectrum(samples) if base == "W" else None
-            analyzer = v.UtteranceAnalyzer(samples, 48000.0, base=base, external_sg=external,
+            analyzer = v.UtteranceAnalyzer(samples, 48000.0, external_sg=external,
                                            plan=[(v.parse_representation(rep_id), 3.5)])
             [cut] = front_ends[front_end]
-            assert (analyzer.cut.start, cut.tobytes()) == (start, samples[start:start + size].tobytes())
+            assert (analyzer._f0_samples() if base == "W" else analyzer.cut(base)).start == start
+            assert cut.tobytes() == samples[start:start + size].tobytes()
             assert analyzer_keeps(analyzer, samples)
         v.make_corpus(v.pair_demo_speakers(), ["a"], tmp_path)
         read = []
@@ -185,11 +188,17 @@ class TestUtteranceAnalyzer:
         corpus.estimate("F_SSI_log")
         # one read of each file, of its 16-bit samples behind F's cut alone
         assert [(native.dtype, native.size) for native in read] == [(np.int16, 3360)] * 2
-        for (utterance, _), analyzer, cut in zip(corpus._analyzers, corpus._analyzers.values(),
-                                                front_ends["stft_spectrum"]):
+        for utterance, analyzer, cut in zip(corpus._analyzers, corpus._analyzers.values(),
+                                           front_ends["stft_spectrum"]):
             whole = fileio.read_wav(tmp_path / f"{utterance}.wav")[0]
             assert cut.tobytes() == whole[10320:13680].tobytes()
             assert analyzer_keeps(analyzer, tmp_path / f"{utterance}.wav")
+        read.clear()
+        corpus = v.load_corpus(tmp_path / "manifest.csv")
+        corpus.plan([("Ep_SSI", 3.5), ("M_log", 3.5)])
+        corpus.estimate("F_SSI_log")
+        # one read of each file for all three bases, from Ep's first sample to F's last
+        assert [(native.dtype, native.size) for native in read] == [(np.int16, 13680 - 4872)] * 2
 
 
 class TestEpWindowCut:
@@ -218,7 +227,7 @@ class TestEpWindowCut:
         samples = v.synth_vowel(v.vowel_spec("e", 150.0, duration=2.0))[:n_samples]
         full = v.gammatone_ep(samples)
         expected = v.compress(v.center_average(full, n_samples / 48000.0 / 2.0), "log")
-        got = v.UtteranceAnalyzer(samples, 48000.0, base="Ep").base_spectrum(v.parse_representation("Ep"))
+        got = v.UtteranceAnalyzer(samples, 48000.0).base_spectrum(v.parse_representation("Ep"))
         if tolerance_db == 0.0:  # the pre-roll reaches sample 0: nothing is cut
             assert got.values.tobytes() == expected.values.tobytes()
         else:
@@ -228,15 +237,15 @@ class TestEpWindowCut:
     def test_vowel_shorter_than_the_window_rejected(self):
         samples = v.synth_vowel(v.vowel_spec("e", 150.0))[:2352]  # 49 ms
         with pytest.raises(InputError, match="averaging window"):
-            v.UtteranceAnalyzer(samples, 48000.0, base="Ep").base_spectrum(v.parse_representation("Ep"))
+            v.UtteranceAnalyzer(samples, 48000.0).base_spectrum(v.parse_representation("Ep"))
 
     def test_samples_after_window_end_are_not_read(self):
         samples = v.synth_vowel(v.vowel_spec("o", 120.0))
         rep = v.parse_representation("Ep")
-        clean = v.UtteranceAnalyzer(samples, 48000.0, base="Ep").base_spectrum(rep)
+        clean = v.UtteranceAnalyzer(samples, 48000.0).base_spectrum(rep)
         tail = samples.copy()
         tail[13200:] = np.nan  # the 0.5 s window ends at 275 ms
-        cut = v.UtteranceAnalyzer(tail, 48000.0, base="Ep").base_spectrum(rep)
+        cut = v.UtteranceAnalyzer(tail, 48000.0).base_spectrum(rep)
         assert cut.values.tobytes() == clean.values.tobytes()
 
     def test_samples_before_the_preroll_are_not_read(self):
@@ -245,44 +254,43 @@ class TestEpWindowCut:
         window start at 225 ms, to the window end at 275 ms."""
         samples = v.synth_vowel(v.vowel_spec("o", 120.0))
         rep = v.parse_representation("Ep")
-        clean = v.UtteranceAnalyzer(samples, 48000.0, base="Ep").base_spectrum(rep)
+        clean = v.UtteranceAnalyzer(samples, 48000.0).base_spectrum(rep)
         cut = samples.copy()
         cut[:4872] = np.nan
         cut[13200:] = np.nan
-        got = v.UtteranceAnalyzer(cut, 48000.0, base="Ep").base_spectrum(rep)
+        got = v.UtteranceAnalyzer(cut, 48000.0).base_spectrum(rep)
         assert got.values.tobytes() == clean.values.tobytes()
         for edge in (4872, 13199):  # both ends of the span are read
             poked = samples.copy()
             poked[edge] = np.nan
             with pytest.raises(InputError, match="finite"):
-                v.UtteranceAnalyzer(poked, 48000.0, base="Ep").base_spectrum(rep)
+                v.UtteranceAnalyzer(poked, 48000.0).base_spectrum(rep)
 
 
 class TestF0Window:
-    """A pass that computes a spectrum and F0 takes F0 from the cut it
-    read, which works only while the F0 window lies inside its base's cut."""
+    """A pass that computes one base's spectrum and F0 reads the span of
+    the base's cut and the F0 window, which is the cut alone while the F0
+    window lies inside it."""
 
     @settings(max_examples=300, deadline=None)
     @given(fs=st.sampled_from([16000.0, 22050.0, 44100.0, 48000.0, 96000.0]),
            n_native=st.integers(2400, 200_000))
     def test_f0_window_lies_inside_the_ep_and_f_cuts(self, fs, n_native):
-        for base in ("Ep", "F"):
+        analyzer = v.UtteranceAnalyzer(np.full(n_native, 0.1), fs)
+        f0, size = analyzer._f0_samples(), analyzer.recording.size
+        for rep in map(v.parse_representation, ("Ep", "F_log")):
             try:
-                # F0 given, as Ep's pattern is computed at once and all-zero
-                # data cannot be log-compressed
-                analyzer = v.UtteranceAnalyzer(np.full(n_native, 0.1), fs, base=base, f0_override=0.0)
+                analyzer.spectrum(rep)
             except InputError:  # too short for a single STFT frame or Ep's window
                 continue
-            f0 = analyzer._f0_samples()
-            # a pass that computes a spectrum and F0 reads the cut, clipped to the input
-            cut, size = analyzer.cut, analyzer.recording.size
+            cut = analyzer.cut(rep.base)  # clipped to the input, as a read is
             assert cut.start <= f0.start and min(f0.stop, size) <= min(cut.stop, size)
 
     @pytest.mark.filterwarnings("ignore:resampling input")
     def test_one_read_and_one_f0_estimate_per_utterance(self, tmp_path, monkeypatch):
         """At 44.1 kHz a weighted F spectrum resamples once and estimates F0
-        once per utterance, in the analyzer's constructor and ``f0``.  An Ep
-        analyzer estimates F0 in its constructor, also at h_max 0."""
+        once per utterance, in the analyzer's constructor.  Ep at h_max 0
+        estimates none."""
         v.make_corpus(v.pair_demo_speakers(), ["a"], tmp_path, fs=44100.0)
         calls = {"ensure_rate": 0, "estimate_f0": 0}
 
@@ -302,13 +310,13 @@ class TestF0Window:
         corpus.estimate("F_SSI_log", 2.0)
         assert calls == {"ensure_rate": n, "estimate_f0": n}
         v.load_corpus(tmp_path / "manifest.csv").estimate("Ep_SSI", 0.0)
-        assert calls == {"ensure_rate": 2 * n, "estimate_f0": 2 * n}
+        assert calls == {"ensure_rate": 2 * n, "estimate_f0": n}
 
     @pytest.mark.parametrize("rep_id,knees,per_utterance", [
-        ("Ep", (0.0, 3.5, 6.0), 1), ("Ep_SSI", (0.0, 3.5, 6.0), 1),
+        ("Ep", (0.0, 3.5, 6.0), 0), ("Ep_SSI", (0.0, 3.5, 6.0), 1),
         ("F_SSI_log", (0.0,), 0), ("M_SSI_log", (0.0,), 0), ("F_log", (3.5,), 0), ("M_log", (3.5,), 0)])
     def test_f0_estimates_per_utterance(self, pair_corpus_dir, monkeypatch, rep_id, knees, per_utterance):
-        """Ep estimates F0 once per utterance at any knee; F and M estimate
+        """A weighted id estimates F0 once per utterance over its knees, and
         none unweighted or at h_max 0."""
         calls = []
         f0 = pipeline.estimate_f0
@@ -332,7 +340,7 @@ class TestWindowOnlyFrontEnds:
         compressed = []
         compress = v.pipeline.compress
         monkeypatch.setattr(v.pipeline, "compress", lambda sg, c: compressed.append(sg) or compress(sg, c))
-        v.UtteranceAnalyzer(samples, 48000.0, base="F").base_spectrum(v.parse_representation("F_log"))
+        v.UtteranceAnalyzer(samples, 48000.0).base_spectrum(v.parse_representation("F_log"))
         [window] = compressed
         assert window.frames.tobytes() == full.frames[43:53].tobytes()
         k = np.arange(10)
@@ -343,17 +351,17 @@ class TestWindowOnlyFrontEnds:
     def test_samples_outside_the_window_span_are_not_read(self, rep_id):
         samples = v.synth_vowel(v.vowel_spec("o", 120.0))
         rep = v.parse_representation(rep_id)
-        clean = v.UtteranceAnalyzer(samples, 48000.0, base=rep.base).base_spectrum(rep)
+        clean = v.UtteranceAnalyzer(samples, 48000.0).base_spectrum(rep)
         cut = samples.copy()
         cut[:10320] = np.nan
         cut[13680:] = np.nan
-        got = v.UtteranceAnalyzer(cut, 48000.0, base=rep.base).base_spectrum(rep)
+        got = v.UtteranceAnalyzer(cut, 48000.0).base_spectrum(rep)
         assert got.values.tobytes() == clean.values.tobytes()
         for edge in (10320, 13679):  # both ends of the span are read
             poked = samples.copy()
             poked[edge] = np.nan
             with pytest.raises(InputError, match="finite"):
-                v.UtteranceAnalyzer(poked, 48000.0, base=rep.base).base_spectrum(rep)
+                v.UtteranceAnalyzer(poked, 48000.0).base_spectrum(rep)
 
     def test_click_before_the_window_leaves_log_spectra_unchanged(self):
         """The log floor is taken over the window's frames, not the file's."""
@@ -362,8 +370,8 @@ class TestWindowOnlyFrontEnds:
         clicked[1200] = 1000.0 * np.abs(samples).max()  # 25 ms in
         for rep_id in ("F_log", "M_log"):
             rep = v.parse_representation(rep_id)
-            clean = v.UtteranceAnalyzer(samples, 48000.0, base=rep.base).base_spectrum(rep)
-            got = v.UtteranceAnalyzer(clicked, 48000.0, base=rep.base).base_spectrum(rep)
+            clean = v.UtteranceAnalyzer(samples, 48000.0).base_spectrum(rep)
+            got = v.UtteranceAnalyzer(clicked, 48000.0).base_spectrum(rep)
             assert got.values.tobytes() == clean.values.tobytes()
 
     def test_cache_does_not_grow_with_duration(self, analyzer_keeps, front_ends):
@@ -379,7 +387,7 @@ class TestWindowOnlyFrontEnds:
                 for seen in front_ends.values():
                     seen.clear()
                 external = v.stft_spectrum(whole) if base == "W" else None
-                analyzer = v.UtteranceAnalyzer(samples, fs, base=base, external_sg=external)
+                analyzer = v.UtteranceAnalyzer(samples, fs, external_sg=external)
                 for rep_id in rep_ids:
                     analyzer.spectrum(v.parse_representation(rep_id))
                 # the averaged spectra and W's cropped window, and no samples,
@@ -387,8 +395,9 @@ class TestWindowOnlyFrontEnds:
                 assert analyzer_keeps(analyzer, samples)
                 # what the front end was handed: the cut, resampled as the whole input is
                 cuts = front_ends[front_end[base]]
+                start = (analyzer._f0_samples() if base == "W" else analyzer.cut(base)).start
                 for cut in cuts:
-                    assert cut.tobytes() == whole[analyzer.cut.start:analyzer.cut.start + cut.size].tobytes()
+                    assert cut.tobytes() == whole[start:start + cut.size].tobytes()
                 held[base] = ([cut.size for cut in cuts],
                               {key: s.values.shape for key, s in analyzer._spectra.items()})
             assert analyzer._external_sg.frames.flags.owndata
@@ -421,12 +430,10 @@ class TestWindowOnlyFrontEnds:
 
     def test_external_window_matches_fourier(self):
         samples = v.synth_vowel(v.vowel_spec("i", 200.0))
-        w_analyzer = v.UtteranceAnalyzer(samples, 48000.0, base="W",
-                                         external_sg=v.stft_spectrum(samples))
-        f_analyzer = v.UtteranceAnalyzer(samples, 48000.0, base="F")
+        analyzer = v.UtteranceAnalyzer(samples, 48000.0, external_sg=v.stft_spectrum(samples))
         for comp in ("log", "0.4"):
-            w = w_analyzer.base_spectrum(v.parse_representation(f"W_{comp}"))
-            f = f_analyzer.base_spectrum(v.parse_representation(f"F_{comp}"))
+            w = analyzer.base_spectrum(v.parse_representation(f"W_{comp}"))
+            f = analyzer.base_spectrum(v.parse_representation(f"F_{comp}"))
             assert w.values.tobytes() == f.values.tobytes()
 
     @pytest.mark.parametrize("rep_id", ["F_log", "M_log"])
@@ -446,17 +453,17 @@ class TestWindowOnlyFrontEnds:
         samples = v.synth_vowel(v.vowel_spec("e", 150.0))[:n_samples]
         rep = v.parse_representation(rep_id)
         if message is None:
-            analyzer = v.UtteranceAnalyzer(samples, 48000.0, base=rep.base)
+            analyzer = v.UtteranceAnalyzer(samples, 48000.0)
             assert analyzer.base_spectrum(rep).axis.channels == 100
         else:
             with pytest.raises(InputError) as info:
-                v.UtteranceAnalyzer(samples, 48000.0, base=rep.base)
+                v.UtteranceAnalyzer(samples, 48000.0, plan=[(rep, None)])
             assert str(info.value) == message
 
     def test_vowel_shorter_than_one_stft_window_rejected(self):
         samples = v.synth_vowel(v.vowel_spec("e", 150.0))[:1000]
         with pytest.raises(InputError, match="averaging window"):
-            v.UtteranceAnalyzer(samples, 48000.0, base="F")
+            v.UtteranceAnalyzer(samples, 48000.0).base_spectrum(v.parse_representation("F_log"))
 
 
 class TestAnalyzeWav:
@@ -492,7 +499,7 @@ class TestAnalyzeWav:
         with pytest.raises(ConfigurationError, match=message):
             v.analyze_wav(pair_corpus_dir / "s01_a.wav", rep_id, h_max=h_max, f0_override=f0)
         with pytest.raises(ConfigurationError, match=message):
-            v.UtteranceAnalyzer(np.zeros(24000), 48000.0, base=rep_id.split("_")[0], f0_override=f0)
+            v.UtteranceAnalyzer(np.zeros(24000), 48000.0, f0_override=f0)
 
 
 class TestCorpusEstimation:
@@ -543,8 +550,8 @@ class TestCorpusEstimation:
         assert str(info.value) == f"{silent}: cannot log-compress all-zero data"
 
     def test_short_utterance_error_names_the_file(self, tmp_path):
-        """The analyzer rejects a vowel shorter than the averaging window
-        when it is built, before any spectrum is asked for."""
+        """A vowel shorter than the averaging window fails its first
+        spectrum, and the error names the file."""
         samples = v.synth_vowel(v.vowel_spec("a", 150.0))
         fileio.write_wav(tmp_path, "long.wav", samples, 48000.0)
         fileio.write_wav(tmp_path, "short.wav", samples[:1000], 48000.0)
@@ -734,8 +741,8 @@ class TestEpSplit:
         serial_corpus, serial = serial_ladder
         _assert_same_estimate(result, serial)
         for key, analyzer in serial_corpus._analyzers.items():
-            np.testing.assert_array_equal(corpus._analyzers[key]._spectra[v.LOG_COMPRESSION].values,
-                                          analyzer._spectra[v.LOG_COMPRESSION].values)
+            np.testing.assert_array_equal(corpus._analyzers[key]._spectra["Ep", v.LOG_COMPRESSION].values,
+                                          analyzer._spectra["Ep", v.LOG_COMPRESSION].values)
         _assert_same_estimate(corpus.estimate("Ep_SSI", 3.5), serial)
         v.hmax_sweep(corpus, "Ep_SSI")
         corpus.estimate("Ep", 3.5, speakers=corpus.speakers[:4])
@@ -778,9 +785,24 @@ class TestEpSplit:
         rep = v.parse_representation("Ep_SSI")
         visited = [(s, vowel) for vowel in corpus.vowels for s in corpus.vowel_speakers(vowel)]
         for key in visited[:len(visited) - missing]:
-            corpus.analyzer(corpus._by_key[key], "Ep").base_spectrum(rep)
+            corpus.analyzer(corpus._by_key[key]).base_spectrum(rep)
         _assert_same_estimate(corpus.estimate(rep, 3.5), serial_ladder[1])
         assert len(forks) == n_forks
+
+    def test_analyzers_built_for_another_base_split(self, default_corpus_dir, serial_ladder, forks, caplog):
+        """An Ep estimate after an F one splits over the analyzers that lack
+        the pattern, and computes in each process only the pattern."""
+        corpus = v.load_corpus(default_corpus_dir / "manifest.csv")
+        corpus.estimate("F_SSI_log", 3.5)
+        assert forks == []
+        with caplog.at_level(logging.DEBUG, logger="vtlest"):
+            result = corpus.estimate("Ep_SSI", 3.5)
+        assert len(forks) == 1
+        assert [r.getMessage() for r in caplog.records] == [
+            "Ep_SSI: 40 spectra split across 2 processes: 20 + 20"]
+        _assert_same_estimate(result, serial_ladder[1])
+        assert all(set(a._spectra) == {("F", v.LOG_COMPRESSION), ("Ep", v.LOG_COMPRESSION)}
+                   for a in corpus._analyzers.values())
 
     @pytest.mark.parametrize("case", ["one CPU", "another thread", "no fork"])
     def test_no_split(self, default_corpus_dir, serial_ladder, forks, monkeypatch, case):
@@ -868,8 +890,8 @@ class TestEpSplit:
         assert len(forks) == len(cpus) - 1
         assert len(corpus._analyzers) == len(corpus.records)
         # the child's analyzers too came back with their path, not samples
-        assert set(corpus._analyzers) == {(r.utterance_id, "Ep") for r in corpus.records}
-        assert all(analyzer_keeps(corpus._analyzers[r.utterance_id, "Ep"], r.path) for r in corpus.records)
+        assert set(corpus._analyzers) == {r.utterance_id for r in corpus.records}
+        assert all(analyzer_keeps(corpus._analyzers[r.utterance_id], r.path) for r in corpus.records)
 
     @pytest.mark.parametrize("cpus", [{0, 1}, {0}])
     @pytest.mark.parametrize("rep_id,h_max,f0", [("Ep", 3.5, None), ("Ep_SSI", 0.0, None),
@@ -881,20 +903,22 @@ class TestEpSplit:
         corpus.estimate(rep_id, h_max)
         assert len(forks) == len(cpus) - 1
         assert len(corpus._analyzers) == len(corpus.records)
-        assert all(analyzer_keeps(corpus._analyzers[r.utterance_id, "Ep"], r.path) for r in corpus.records)
+        assert all(analyzer_keeps(corpus._analyzers[r.utterance_id], r.path) for r in corpus.records)
         if f0 is not None:
             assert {analyzer.f0 for analyzer in corpus._analyzers.values()} == {f0}
 
     def test_unweighted_estimate_keeps_no_samples(self, default_corpus_dir, serial_ladder, forks, analyzer_keeps):
-        """A cold Ep estimate estimates F0 too, in both processes, so a
-        weighted estimate after it is the serial one, with no second fork."""
+        """A cold unweighted Ep estimate estimates no F0, and a weighted
+        estimate after it estimates F0 here, as the serial one does, with no
+        second fork."""
         corpus = v.load_corpus(default_corpus_dir / "manifest.csv")
         corpus.estimate("Ep", 3.5)
         assert len(forks) == 1
-        assert all(analyzer_keeps(corpus._analyzers[r.utterance_id, "Ep"], r.path) for r in corpus.records)
+        assert all(analyzer_keeps(corpus._analyzers[r.utterance_id], r.path) for r in corpus.records)
+        assert {a._f0 for a in corpus._analyzers.values()} == {None}
+        _assert_same_estimate(corpus.estimate("Ep_SSI", 3.5), serial_ladder[1])
         assert {key: a._f0 for key, a in corpus._analyzers.items()} == {
             key: a._f0 for key, a in serial_ladder[0]._analyzers.items()}
-        _assert_same_estimate(corpus.estimate("Ep_SSI", 3.5), serial_ladder[1])
         assert len(forks) == 1
 
     def test_interrupt_kills_and_reaps_the_child(self, default_corpus_dir, forks, monkeypatch):
@@ -924,9 +948,9 @@ def corpus44_dir(tmp_path_factory):
 
 
 class TestPasses:
-    """A pass reads the native samples behind an analyzer's cut once,
-    resamples them once and runs the front end once, for every planned
-    compression and F0."""
+    """A pass reads the native samples behind the span of the cuts it
+    needs once, resamples them once and runs each base's front end once,
+    for every planned base and compression and F0."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
@@ -969,6 +993,34 @@ class TestPasses:
         n = len(fileio.read_manifest(config.manifest))
         assert len(counted["read"]) == n and all(len(sizes) == 1 for sizes in counted["read"].values())
         assert (counted["ensure_rate"], counted["stft_spectrum"]) == (n, n)
+
+    @pytest.mark.filterwarnings("ignore:resampling input")
+    def test_three_bases_read_each_file_once(self, crowd_dir, tmp_path, forks, monkeypatch):
+        """An evaluate of Ep_SSI, F_SSI_log and M_SSI_log on the 160-file
+        44.1 kHz crowd reads, resamples and estimates F0 of each file once:
+        on one CPU all here, and split, half in the child, whose F and M
+        spectra come back with its Ep patterns; the reports are the same."""
+        from vtlest.evaluate import EvalConfig, run_evaluation
+
+        log = tmp_path / "calls"
+        for owner, name in ((fileio.Recording, "read"), (fileio, "ensure_rate"), (pipeline, "estimate_f0")):
+            def wrapper(*args, _name=name, _func=getattr(owner, name)):
+                with open(log, "a") as handle:  # the child's calls too
+                    handle.write(f"{_name} {os.getpid()}\n")
+                return _func(*args)
+            monkeypatch.setattr(owner, name, wrapper)
+        reports = []
+        for cpus, per_process in (({0}, [160]), ({0, 1}, [80, 80])):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, _cpus=cpus: _cpus)
+            log.write_text("")
+            out = tmp_path / str(len(cpus))
+            run_evaluation(EvalConfig(manifest=str(crowd_dir / "manifest.csv"), trials=0, out_dir=str(out),
+                                      representations=("Ep_SSI", "F_SSI_log", "M_SSI_log")))
+            calls = collections.Counter(log.read_text().split("\n")[:-1])
+            for name in ("read", "ensure_rate", "estimate_f0"):
+                assert sorted(n for call, n in calls.items() if call.split()[0] == name) == per_process
+            reports.append((out / "report.csv").read_bytes())
+        assert len(forks) == 1 and reports[0] == reports[1]
 
     def test_unplanned_compression_makes_one_more_pass(self, corpus44_dir, counted):
         """With no plan, the request at hand is the plan: ``F_log`` then
@@ -1022,6 +1074,22 @@ class TestExternalSpectra:
         corpus.estimate("W_log", 3.5)
         corpus.estimate("W_SSI_0.4", 3.5)
         assert sorted(read) == sorted(f"{ext}/{rec.utterance_id}.csv" for rec in records)
+
+    @pytest.mark.parametrize("how", ["planned", "failed"])
+    def test_failing_w_leaves_other_bases_as_a_fresh_corpus(self, pair_corpus_dir, how):
+        """With no external directory W fails, and a plan or a failed
+        estimate holding it changes no other base's estimate."""
+        corpus = v.load_corpus(pair_corpus_dir / "manifest.csv")
+        if how == "planned":
+            corpus.plan([("W_SSI_log", 3.5), ("Ep", 3.5)])
+        else:
+            with pytest.raises(InputError, match="no external spectrogram"):
+                corpus.estimate("W_log", 3.5)
+        for rep_id in ("F_log", "M_SSI_log"):
+            _assert_same_estimate(corpus.estimate(rep_id, 3.5),
+                                  v.load_corpus(pair_corpus_dir / "manifest.csv").estimate(rep_id, 3.5))
+        with pytest.raises(InputError, match="no external spectrogram"):
+            corpus.estimate("W_log", 3.5)
 
     def test_compressed_external_rejected(self, pair_corpus_dir, tmp_path):
         records = fileio.read_manifest(pair_corpus_dir / "manifest.csv")

@@ -31,16 +31,6 @@ def full_acf_f0(signal, fs):
     return fs / (lag_lo + peak)
 
 
-@pytest.fixture(scope="module")
-def crowd_dir(tmp_path_factory):
-    """The benchmark's 32-speaker crowd at 44.1 kHz (``bench/workloads.py``)."""
-    alphas = np.random.default_rng(0).uniform(0.80, 1.25, 32)
-    speakers = [(100.0 + 120.0 * (a - 0.80) / 0.45, a) for a in alphas]
-    out = tmp_path_factory.mktemp("crowd")
-    v.make_corpus(speakers, list("aiueo"), out, fs=44100.0)
-    return out
-
-
 class TestSsiWeight:
     def test_boundary_and_half(self):
         # two channels placed exactly at the half-knee and knee frequencies
@@ -169,7 +159,8 @@ class TestEstimateF0:
         """Computing only the searched lags changes the autocorrelation by
         round-off, and F0 not at all, on every ladder and crowd utterance;
         each analyzer estimates it on the centre 50 ms of the resampled cut
-        it holds, whatever its base."""
+        it holds: sliced from the span of Ep's or F's cut when that spectrum
+        is planned with it, or read alone."""
         records = v.read_manifest(request.getfixturevalue(corpus) / "manifest.csv")
         assert len(records) in (40, 160)
         for rec in records:
@@ -178,8 +169,9 @@ class TestEstimateF0:
             expected = full_acf_f0(resampled, FS)
             assert expected != UNVOICED
             assert v.estimate_f0(resampled) == expected
-            for base in ("Ep", "F", "W"):
-                assert v.UtteranceAnalyzer(samples, fs, base=base).f0 == expected
+            for plan in ([(v.parse_representation("Ep_SSI"), 3.5)],
+                         [(v.parse_representation("F_SSI_log"), 3.5)], ()):
+                assert v.UtteranceAnalyzer(samples, fs, plan=plan).f0 == expected
 
     @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
     def test_searched_lags_match_on_noisy_pulse_trains(self, seed, noise):
@@ -211,7 +203,7 @@ class TestEstimateF0:
         assert v.estimate_f0(x) == expected
 
     def test_analyzer_f0_of_a_short_vowel_rejected(self):
-        analyzer = v.UtteranceAnalyzer(v.synth_vowel(v.vowel_spec("a", 150.0))[:2399], FS, base="W")
+        analyzer = v.UtteranceAnalyzer(v.synth_vowel(v.vowel_spec("a", 150.0))[:2399], FS)
         with pytest.raises(InputError, match=r"need at least 50 ms of signal \(2400 samples\)"):
             analyzer.f0
 
@@ -229,7 +221,7 @@ class TestF0Robustness:
             for rec in pair_corpus.records:
                 samples, fs = v.read_audio(rec.path)
                 analyzers.append(
-                    v.UtteranceAnalyzer(samples, fs, base="Ep", f0_override=rec.f0_hz * scale)
+                    v.UtteranceAnalyzer(samples, fs, f0_override=rec.f0_hz * scale)
                 )
             a = analyzers[0].spectrum(rep, 3.5)
             b = analyzers[1].spectrum(rep, 3.5)
