@@ -165,10 +165,11 @@ def hmax_sweep(corpus: CorpusAnalyzer, rep_id: str, grid=DEFAULT_HMAX_GRID) -> l
     """Evaluate a weighted representation across a grid of taper knees.
 
     A grid value of 0 means "no weighting", so the first point of the default
-    grid is the unweighted baseline.  Every knee is planned first, so each
-    utterance is read, resampled and analysed once for the whole grid.
+    grid is the unweighted baseline.  Every knee is prepared first
+    (:meth:`CorpusAnalyzer.prepare`), so each utterance is read, resampled
+    and analysed once for the whole grid.
     """
-    corpus.plan((rep_id, h) for h in grid)
+    corpus.prepare((rep_id, h) for h in grid)
     return [evaluate_representation(corpus, rep_id, h) for h in grid]
 
 
@@ -292,15 +293,16 @@ def write_trials_csv(path, all_trials: list[TrialsResult]):
 
 def run_evaluation(config: EvalConfig):
     """Estimate every configured representation; write report, scatter, and
-    trial CSVs to the output directory.  Returns the reports.  All are
-    planned first, so the ids of one base read each utterance once."""
+    trial CSVs to the output directory.  Returns the reports.  Every id is
+    prepared first (:meth:`CorpusAnalyzer.prepare`), so each utterance is
+    read, resampled and analysed once for all of them."""
     _check_trials(config.trials)
     corpus = open_corpus(config)
     if config.trials > 0:  # before anything is written
         _check_exclude(corpus, config.exclude)
         _check_seed(config.seed)
     out = Path(config.out_dir)
-    corpus.plan((rep, config.h_max) for rep in config.representations)
+    corpus.prepare((rep, config.h_max) for rep in config.representations)
     results = [corpus.estimate(rep, config.h_max) for rep in config.representations]
     reports = [report_from_estimation(res) for res in results]
     write_reports_csv(out / "report.csv", reports, corpus.vowels)

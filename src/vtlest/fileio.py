@@ -578,4 +578,7 @@ def read_spectrogram_csv(path) -> Spectrogram:
         except (KeyError, ValueError) as exc:
             raise InputError(f"{path}:1: spectrogram metadata lacks frame timing: {exc}") from exc
         rows = _value_rows(handle, path)
-    return Spectrogram(rows.T, frame_period, axis, compression, t0=t0)
+    try:
+        return Spectrogram(rows.T, frame_period, axis, compression, t0=t0)
+    except ConfigurationError as exc:  # its only one: the timing of line 1
+        raise InputError(f"{path}:1: {exc}") from exc

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import _split, fileio
 from .axes import CHANNELS, F_HI, F_LO, AxisKind, FrequencyAxis, make_axis
-from .errors import ConfigurationError, DegenerateFitError, InputError, VtlestError
+from .errors import ConfigurationError, DegenerateFitError, InputError
 from .frontends import (
     EP_AXIS,
     EP_FRAME_N,
@@ -130,8 +131,10 @@ def representation_catalog(include_external: bool = False) -> list[str]:
 
 
 def _check_f0(f0: float | None, where: str = "") -> None:
-    """Reject an F0 override that is negative, infinite or NaN (``None``
-    is no override)."""
+    """Reject an F0 override that is no real number (a bool is none), or is
+    negative, infinite or NaN (``None`` is no override)."""
+    if f0 is not None and (isinstance(f0, bool) or not isinstance(f0, numbers.Real)):
+        raise ConfigurationError(f"f0 must be a real number, got {f0!r}{where}")
     if f0 is not None and not 0.0 <= f0 < math.inf:  # NaN fails every comparison
         raise ConfigurationError(f"f0 must be nonnegative and finite, got {f0}{where}")
 
@@ -339,19 +342,19 @@ class CorpusAnalyzer:
     F0 overrides, one value or a dict by utterance id, must be nonnegative
     and finite, and a dict may name only utterances of ``records``.
 
-    A cold Ep estimate splits its gammatone banks across two processes.
-    When the estimate or the :meth:`plan` holds Ep, :meth:`estimate` lists,
-    in its vowel loop's order and reading no file, the utterances whose
+    :meth:`prepare` brings every utterance's analyzer up to a run's
+    (id, h_max) pairs, in the vowel loop's order and one pass each.  When
+    the pairs hold Ep, it lists, reading no file, the utterances whose
     analyzer is missing or lacks the Ep pattern.  When ``os.fork`` exists,
     no other thread runs, two or more CPUs are available and at least
     ``2 * EP_SPLIT_MIN`` are listed, it brings the first half's analyzers up
-    to the plan here, F and M spectra and F0 too, and the second half's in
+    to the pairs here, F and M spectra and F0 too, and the second half's in
     one forked child (:func:`vtlest._split.split`), also on more CPUs: only
     two processes were measured.  Each process reads and analyses one
-    utterance at a time.  The child's analyzers come back pickled, bit for
-    bit the serial ones, and are cached here; any error is left to the vowel
-    loop, which raises it as before.  So a run that fails, on any number of
-    CPUs, may already have read the WAVs of later vowels.
+    utterance at a time, and the child's analyzers come back pickled, bit
+    for bit the serial ones.  Then one loop here does whatever is not done,
+    so it meets the first error as one process would, and a run that fails
+    may already have read the WAVs of later utterances.
     """
 
     def __init__(self, records, *, f0_overrides=None, external_dir=None):
@@ -385,7 +388,6 @@ class CorpusAnalyzer:
         self._by_key = {(r.speaker_id, r.vowel): r for r in records}
         self._analyzers: dict = {}
         self._matrices: dict = {}
-        self._plan: dict = {}
         vtls = {}
         for r in records:
             if r.speaker_id in vtls and vtls[r.speaker_id] != r.vtl_cm:
@@ -400,45 +402,53 @@ class CorpusAnalyzer:
             return self.f0_overrides.get(record.utterance_id)
         return float(self.f0_overrides)
 
-    def plan(self, pairs) -> None:
-        """Add (representation id, h_max) pairs about to be estimated to the
-        plan, which :meth:`analyzer` computes in one pass per utterance; each
-        estimate plans its own request.  A plan changes no result: a spectrum
-        meets only its own request's error, not another planned pair's."""
-        for rep, h_max in pairs:
-            self._plan[parse_representation(rep) if isinstance(rep, str) else rep, h_max] = None
-
-    def analyzer(self, record) -> UtteranceAnalyzer:
-        """The record's analyzer, built if missing and brought up to the plan in one pass."""
+    def analyzer(self, record, pairs=()) -> UtteranceAnalyzer:
+        """The record's analyzer, built if missing and brought up to the
+        (representation, h_max) ``pairs`` in one pass."""
         analyzer = self._analyzers.get(record.utterance_id)
         if analyzer is None:
             external = None if self.external_dir is None else f"{self.external_dir}/{record.utterance_id}.csv"
             analyzer = self._analyzers[record.utterance_id] = UtteranceAnalyzer(
                 record.path, f0_override=self._f0_for(record), external_sg=external)
-        analyzer.prepare(self._plan)
+        analyzer.prepare(pairs)
         return analyzer
+
+    def prepare(self, pairs) -> None:
+        """Bring every utterance's analyzer up to the (representation id,
+        h_max) ``pairs`` about to be estimated, as the class says."""
+        pairs = [(parse_representation(rep) if isinstance(rep, str) else rep, h_max) for rep, h_max in pairs]
+        for _, h_max in pairs:  # before any file is read
+            check_h_max(h_max)
+        records = [self._by_key[s, vowel] for vowel in self.vowels for s in self._pairable(vowel)]
+        if any(rep.base == "Ep" for rep, _ in pairs):
+            have = {u for u, a in self._analyzers.items() if a.has("Ep", LOG_COMPRESSION)}
+            missing = [r for r in records if r.utterance_id not in have]
+            label = ",".join(dict.fromkeys(rep.id for rep, _ in pairs))
+            analyzers = _split.split(label, missing, lambda r: self.analyzer(r, pairs), "spectra", EP_SPLIT_MIN)
+            self._analyzers.update(zip((r.utterance_id for r in missing), analyzers or ()))  # the child's
+        for record in records:
+            self.analyzer(record, pairs)
 
     def spectrum(self, speaker_id: str, vowel: str, rep: Representation, h_max: float) -> Spectrum:
         record = self._by_key.get((speaker_id, vowel))
         if record is None:
             raise InputError(f"no utterance for speaker {speaker_id}, vowel {vowel!r}")
-        try:
-            analyzer = self.analyzer(record)
-        except VtlestError:  # maybe another planned pair's: the request meets only its own
-            if (analyzer := self._analyzers.get(record.utterance_id)) is None:  # not built
-                raise
-        return analyzer.spectrum(rep, h_max)
+        return self.analyzer(record).spectrum(rep, h_max)
 
     def vowel_speakers(self, vowel: str) -> list[str]:
         return [s for s in self.speakers if (s, vowel) in self._by_key]
 
+    def _pairable(self, vowel: str) -> list[str]:
+        """The vowel's speakers, at least the 2 its lags need."""
+        speakers = self.vowel_speakers(vowel)
+        if len(speakers) < 2:
+            raise InputError(f"vowel {vowel!r} has fewer than 2 speakers")
+        return speakers
+
     def shift_matrix(self, vowel: str, rep: Representation, h_max: float) -> ShiftMatrix:
         key = vowel, rep, h_max if rep.ssi else None
         if key not in self._matrices:
-            speakers = self.vowel_speakers(vowel)
-            if len(speakers) < 2:
-                raise InputError(f"vowel {vowel!r} has fewer than 2 speakers")
-            specs = [self.spectrum(s, vowel, rep, h_max) for s in speakers]
+            specs = [self.spectrum(s, vowel, rep, h_max) for s in self._pairable(vowel)]
             self._matrices[key] = build_shift_matrix(specs)
         return self._matrices[key]
 
@@ -464,23 +474,19 @@ class CorpusAnalyzer:
         if len(included) < 2:
             raise InputError(f"need at least 2 speakers, got {len(included)}")
         l_bar = float(np.mean([self.measured_vtl[s] for s in included]))
-        self.plan([(rep, h_max)])
-        if any(planned.base == "Ep" for planned, _ in self._plan):
-            # the records whose analyzer lacks the Ep pattern, in the vowel loop's order
-            have = {u for u, a in self._analyzers.items() if a.has("Ep", LOG_COMPRESSION)}
-            records = (self._by_key[s, vowel] for vowel in self.vowels for s in self.vowel_speakers(vowel))
-            missing = [r for r in records if r.utterance_id not in have]
-            analyzers = _split.split(rep.id, missing, self.analyzer, "spectra", EP_SPLIT_MIN)
-            self._analyzers.update(zip((r.utterance_id for r in missing), analyzers or ()))  # the child's
+        picked = {}  # every vowel's included speakers, checked before any file is read
+        for vowel in self.vowels:
+            picked[vowel] = [i for i, s in enumerate(self._pairable(vowel)) if s in wanted]
+            if len(picked[vowel]) < 2:
+                raise InputError(f"vowel {vowel!r} has fewer than 2 included speakers")
+        if any((vowel, rep, h_max if rep.ssi else None) not in self._matrices for vowel in self.vowels):
+            self.prepare([(rep, h_max)])
         point_speakers: list[str] = []
         point_vowels: list[str] = []
         shifts = []
-        for vowel in self.vowels:
+        for vowel, idx in picked.items():
             full_speakers = self.vowel_speakers(vowel)
             matrix = self.shift_matrix(vowel, rep, h_max)
-            idx = [i for i, s in enumerate(full_speakers) if s in wanted]
-            if len(idx) < 2:
-                raise InputError(f"vowel {vowel!r} has fewer than 2 included speakers")
             shifts.append(relative_shifts(ShiftMatrix(matrix.values[np.ix_(idx, idx)])))
             point_speakers.extend(full_speakers[i] for i in idx)
             point_vowels.extend([vowel] * len(idx))

@@ -98,7 +98,8 @@ class Spectrogram:
 
     ``t0`` is the time of the first frame's center; it defaults to half a
     frame period (contiguous block averaging from t=0).  A given ``t0`` is
-    kept as it is, negative or not.
+    kept as it is, negative or not, but must be finite, and ``frame_period``
+    positive and finite.
     """
 
     frames: np.ndarray
@@ -111,10 +112,12 @@ class Spectrogram:
         object.__setattr__(self, "frames", np.asarray(self.frames, dtype=float))
         if self.frames.ndim != 2:
             raise InputError(f"frames must be 2-D, got shape {self.frames.shape}")
-        if self.frame_period <= 0:
-            raise ConfigurationError(f"frame_period must be positive, got {self.frame_period}")
+        if not 0.0 < self.frame_period < np.inf:  # NaN fails every comparison
+            raise ConfigurationError(f"frame_period must be positive and finite, got {self.frame_period}")
         if self.t0 is None:
             object.__setattr__(self, "t0", self.frame_period / 2.0)
+        elif not np.isfinite(self.t0):
+            raise ConfigurationError(f"t0 must be finite, got {self.t0}")
         _check_values(self.frames, self.axis, self.compression)
 
 

@@ -246,6 +246,29 @@ class TestEstimateCommand:
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error: ") and f"{bad.name}:1:" in err[0]
 
+    @pytest.mark.parametrize("key,value", [("frame_period", "nan"), ("frame_period", "inf"), ("frame_period", "0"),
+                                           ("t0", "nan"), ("t0", "inf"), ("t0", "-inf")])
+    def test_bad_external_timing_is_one_error_line_naming_the_csv(self, pair_corpus_dir, tmp_path, capsys,
+                                                                  key, value):
+        """NaN timing was once met as an averaging window with no frame
+        centers, infinite timing after a leaked numpy warning, and a zero
+        frame period named no file."""
+        ext = tmp_path / "external"
+        for rec in fileio.read_manifest(pair_corpus_dir / "manifest.csv"):
+            samples, _ = v.read_audio(rec.path)
+            fileio.write_spectrogram_csv(ext / f"{rec.utterance_id}.csv", v.stft_spectrum(samples))
+        bad = sorted(ext.glob("*.csv"))[0]
+        lines = bad.read_text().splitlines()
+        lines[0] = " ".join(f"{key}={value}" if token.startswith(f"{key}=") else token
+                            for token in lines[0].split())
+        bad.write_text("\n".join(lines) + "\n")
+        code = run_cli("estimate", pair_corpus_dir / "manifest.csv", "--rep", "W_log",
+                       "--external-dir", ext, "--out", tmp_path / "out")
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: ") and f"{bad}:1: {key} must be " in err[0]
+        assert not (tmp_path / "out").exists()
+
     def test_external_dir_unused_by_the_representation_is_not_read(self, pair_corpus_dir, tmp_path, capsys):
         ext = tmp_path / "external"
         ext.mkdir()

@@ -3,6 +3,7 @@ import collections
 import inspect
 import logging
 import os
+import re
 import shutil
 import signal
 import threading
@@ -195,7 +196,7 @@ class TestUtteranceAnalyzer:
             assert analyzer_keeps(analyzer, tmp_path / f"{utterance}.wav")
         read.clear()
         corpus = v.load_corpus(tmp_path / "manifest.csv")
-        corpus.plan([("Ep_SSI", 3.5), ("M_log", 3.5)])
+        corpus.prepare([("Ep_SSI", 3.5), ("M_log", 3.5), ("F_SSI_log", 3.5)])
         corpus.estimate("F_SSI_log")
         # one read of each file for all three bases, from Ep's first sample to F's last
         assert [(native.dtype, native.size) for native in read] == [(np.int16, 13680 - 4872)] * 2
@@ -583,6 +584,43 @@ class TestCorpusEstimation:
             v.load_corpus(manifest, f0_overrides=f0)
         v.load_corpus(manifest, f0_overrides={"s01_a": 0.0})  # unvoiced
 
+    @pytest.mark.parametrize("f0", ["120", [120], True, np.bool_(True), 120j])
+    def test_f0_override_of_wrong_type_rejected(self, default_corpus_dir, f0):
+        """Each once ended in a ``TypeError`` traceback, or a bool was read
+        as 1 Hz; numpy integers and floats are numbers."""
+        manifest = default_corpus_dir / "manifest.csv"
+        message = f"^f0 must be a real number, got {re.escape(repr(f0))}"
+        with pytest.raises(ConfigurationError, match=message + "$"):
+            v.load_corpus(manifest, f0_overrides=f0)
+        with pytest.raises(ConfigurationError, match=message + " for utterance 's01_a'$"):
+            v.load_corpus(manifest, f0_overrides={"s01_a": f0})
+        with pytest.raises(ConfigurationError, match=message + "$"):
+            v.UtteranceAnalyzer(np.zeros(24000), 48000.0, f0_override=f0)
+        for number in (np.int64(120), np.float32(120.0)):
+            v.load_corpus(manifest, f0_overrides=number)
+            v.load_corpus(manifest, f0_overrides={"s01_a": number})
+            assert v.UtteranceAnalyzer(np.zeros(24000), 48000.0, f0_override=number).f0 == 120.0
+
+    @pytest.mark.parametrize("rep", ["F_SSI_log", "Ep_SSI"])
+    @pytest.mark.parametrize("kept,speakers,message", [
+        ({"s01"}, None, "fewer than 2 speakers"),
+        ({"s01", "s02"}, ["s01", "s03", "s04"], "fewer than 2 included speakers")])
+    def test_vowel_with_too_few_speakers_rejected_before_any_read(self, default_corpus_dir, forks, monkeypatch,
+                                                                  rep, kept, speakers, message):
+        """/i/ kept for ``kept`` alone: once found after the 8 reads of /a/,
+        and for Ep on 2 CPUs after the fork, whose child read its half."""
+        reads = []
+        read = fileio.Recording.read
+        monkeypatch.setattr(fileio.Recording, "read", lambda *a: reads.append(a) or read(*a))
+        records = fileio.read_manifest(default_corpus_dir / "manifest.csv")
+        corpus = v.CorpusAnalyzer([r for r in records if r.vowel != "i" or r.speaker_id in kept])
+        with pytest.raises(InputError, match=f"^vowel 'i' has {message}$"):
+            corpus.estimate(rep, 3.5, speakers=speakers)
+        if speakers is None:  # a run's preparation too
+            with pytest.raises(InputError, match=f"^vowel 'i' has {message}$"):
+                corpus.prepare([(rep, 3.5)])
+        assert reads == [] and forks == []
+
     def test_duplicate_utterance_rejected(self):
         records = [
             fileio.UtteranceRecord("s1", "a", 100.0, 1.0, 16.0, "x.wav"),
@@ -662,6 +700,8 @@ class TestCorpusEstimation:
         corpus = v.load_corpus(default_corpus_dir / "manifest.csv")
         with pytest.raises(ConfigurationError, match=f"^h_max must be nonnegative and finite, got {h_max}$"):
             corpus.estimate(rep, h_max)
+        with pytest.raises(ConfigurationError, match=f"^h_max must be nonnegative and finite, got {h_max}$"):
+            corpus.prepare([(rep, 3.5), (rep, h_max)])  # as evaluate and sweep do
         assert calls == [] and forks == []
 
     def test_zero_knee_is_unweighted(self, pair_corpus):
@@ -1041,6 +1081,44 @@ class TestPasses:
             f"resampling input {r.path} from 44100 Hz to the canonical 48000 Hz" for r in corpus.records)
 
 
+class TestPrepare:
+    """``CorpusAnalyzer.prepare`` brings every analyzer up to a run's pairs
+    on one path: the split, when it is made, then one serial loop."""
+
+    @pytest.mark.parametrize("position", [0, -1])  # in the parent's share, in the child's
+    def test_bad_wav_raises_as_one_process(self, default_corpus_dir, tmp_path, forks, monkeypatch, position):
+        """Ep_SSI and F_SSI_log over the ladder with one all-zero WAV raise
+        the same error on 2 CPUs as on 1, and leave no child and no open
+        descriptor."""
+        shutil.copytree(default_corpus_dir, tmp_path, dirs_exist_ok=True)
+        manifest = tmp_path / "manifest.csv"
+        corpus = v.load_corpus(manifest)
+        bad = corpus._by_key[(corpus.speakers[position], corpus.vowels[position])].path
+        fileio.write_wav(tmp_path, os.path.basename(bad), np.zeros(24000), 48000.0)
+        errors = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, _cpus=cpus: _cpus)
+            fds = _open_fds()
+            with pytest.raises(DegenerateInputError) as info:
+                v.load_corpus(manifest).prepare([("Ep_SSI", 3.5), ("F_SSI_log", 3.5)])
+            _assert_released(fds)
+            errors.append(str(info.value))
+        assert len(forks) == 1
+        assert errors == [f"{bad}: cannot log-compress all-zero data"] * 2
+
+    def test_exclusion_trials_call_no_analyzer(self, default_corpus_dir, monkeypatch):
+        """Every lag matrix is cached by the first estimate, so the trials,
+        on speaker subsets, neither prepare nor visit an analyzer again."""
+        corpus = v.load_corpus(default_corpus_dir / "manifest.csv")
+        full = corpus.estimate("F_SSI_log", 3.5)
+        calls = []
+        for name in ("prepare", "analyzer"):
+            monkeypatch.setattr(corpus, name, lambda *a, _name=name: calls.append(_name))
+        trials = v.exclusion_trials(corpus, "F_SSI_log", k=3, trials=5, seed=0, h_max=3.5)
+        assert calls == [] and len(trials.trials) == 5
+        _assert_same_estimate(corpus.estimate("F_SSI_log", 3.5), full)
+
+
 class TestExternalSpectra:
     def test_w_representation_from_csv_dir(self, pair_corpus_dir, tmp_path):
         """Externally supplied spectrograms drive the W_* path end to end."""
@@ -1075,15 +1153,15 @@ class TestExternalSpectra:
         corpus.estimate("W_SSI_0.4", 3.5)
         assert sorted(read) == sorted(f"{ext}/{rec.utterance_id}.csv" for rec in records)
 
-    @pytest.mark.parametrize("how", ["planned", "failed"])
+    @pytest.mark.parametrize("how", ["prepared", "failed"])
     def test_failing_w_leaves_other_bases_as_a_fresh_corpus(self, pair_corpus_dir, how):
-        """With no external directory W fails, and a plan or a failed
+        """With no external directory W fails, and a failed preparation or
         estimate holding it changes no other base's estimate."""
         corpus = v.load_corpus(pair_corpus_dir / "manifest.csv")
-        if how == "planned":
-            corpus.plan([("W_SSI_log", 3.5), ("Ep", 3.5)])
-        else:
-            with pytest.raises(InputError, match="no external spectrogram"):
+        with pytest.raises(InputError, match="no external spectrogram"):
+            if how == "prepared":
+                corpus.prepare([("W_SSI_log", 3.5), ("Ep", 3.5)])
+            else:
                 corpus.estimate("W_log", 3.5)
         for rep_id in ("F_log", "M_SSI_log"):
             _assert_same_estimate(corpus.estimate(rep_id, 3.5),

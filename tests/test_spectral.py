@@ -93,6 +93,13 @@ class TestContainers:
         sg = sg_of([[1.0] * 4, [2.0] * 4], small_axis, t0=-0.0025)
         assert sg.t0 == -0.0025
 
+    @pytest.mark.parametrize("timing", [{"frame_period": 0.0}, {"frame_period": float("nan")},
+                                        {"frame_period": float("inf")}, {"t0": float("nan")},
+                                        {"t0": float("inf")}, {"t0": float("-inf")}])
+    def test_timing_that_is_not_finite_rejected(self, small_axis, timing):
+        with pytest.raises(ConfigurationError, match="must be"):
+            sg_of([[1.0] * 4], small_axis, **timing)
+
 
 class TestCenterAverage:
     def test_constant_spectrogram(self, small_axis):
