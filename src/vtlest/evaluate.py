@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -116,8 +117,15 @@ class TrialsResult:
         return float(np.std([t.rms_cm for t in self.trials]))
 
 
+def _check_integer(name: str, value) -> None:
+    """Reject a ``value`` that is no integer (a bool is none)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_exclude(corpus: CorpusAnalyzer, k: int) -> None:
-    """Reject a ``k`` outside 0 to speakers - 2: at least two must stay."""
+    """Reject a ``k`` that is no integer or outside 0 to speakers - 2: two must stay."""
+    _check_integer("the number of speakers to exclude", k)
     if k < 0 or len(corpus.speakers) - k < 2:
         raise ConfigurationError(
             f"cannot exclude {k} of {len(corpus.speakers)} speakers and still estimate"
@@ -125,13 +133,15 @@ def _check_exclude(corpus: CorpusAnalyzer, k: int) -> None:
 
 
 def _check_seed(seed: int) -> None:
-    """Reject a negative ``seed``, which numpy's generator cannot take."""
+    """Reject a ``seed`` that is no integer or negative: numpy's generator takes neither."""
+    _check_integer("seed", seed)
     if seed < 0:
         raise ConfigurationError(f"seed must be at least 0, got {seed}")
 
 
 def _check_trials(trials: int) -> None:
-    """Reject a negative number of trials."""
+    """Reject a number of trials that is no integer or negative."""
+    _check_integer("trials", trials)
     if trials < 0:
         raise ConfigurationError(f"trials must be at least 0, got {trials}")
 

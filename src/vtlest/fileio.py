@@ -212,12 +212,6 @@ def as_float(samples) -> np.ndarray:
     return np.asarray(samples, dtype=float)
 
 
-def read_wav(path):
-    """(float64 samples in [-1, 1], sample rate) of a mono WAV file at any positive rate."""
-    fs, layout, n = _header(path)
-    return as_float(_samples(path, layout, slice(0, n))), fs
-
-
 def write_wav(out_dir, rel_path, samples, fs: float):
     """Write 16-bit PCM mono; samples are clipped to [-1, 1]."""
     out_dir = Path(out_dir)
@@ -335,6 +329,9 @@ class Recording:
                 raise ConfigurationError("an array of samples needs its sample rate fs")
             self.path, self._array = source, None
             self.fs, self._layout, self.native_size = _header(source)
+        elif isinstance(source, (str, os.PathLike)):
+            raise ConfigurationError("a WAV file's rate comes from its header: "
+                                     "fs goes only with an array of samples")
         else:
             self.path, self._array, self._layout = None, np.asarray(source), None
             if self._array.ndim != 1:
@@ -358,8 +355,9 @@ class Recording:
 
 
 def read_audio(path):
-    """:func:`read_wav`, once a :class:`Recording` of the file has accepted
-    its rate, with its errors and warnings."""
+    """(float64 samples in [-1, 1], sample rate) of the whole mono WAV file
+    at ``path``, once a :class:`Recording` of it has accepted its rate, with
+    its errors and warnings."""
     recording = Recording(path)
     return as_float(_samples(path, recording._layout, slice(0, recording.native_size))), recording.fs
 

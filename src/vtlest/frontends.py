@@ -40,7 +40,7 @@ The bank runs on the calling thread.  Both kernels release the interpreter
 lock, but a second thread must take the lock back after each of the 100
 cascade calls: on a 2-CPU machine two threads did not win reliably, and lost
 to one thread when another process kept the other CPU busy.  Processes do
-not share the lock: :meth:`vtlest.pipeline.CorpusAnalyzer.estimate` computes
+not share the lock: :meth:`vtlest.pipeline.CorpusAnalyzer.prepare` computes
 half of a cold corpus's excitation patterns in a forked child.
 """
 from __future__ import annotations

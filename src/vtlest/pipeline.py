@@ -159,19 +159,18 @@ class UtteranceAnalyzer:
     Spectra and F0 come from passes.  A pass reads once the span of the cuts
     it needs, and of the centre 50 ms for F0 (:meth:`fileio.Recording.read`:
     bit for bit whole-input resampling), runs each base's front end on its
-    cut and computes every compression asked for, then F0.  The constructor's
-    pass is for ``plan`` (:meth:`prepare`); a later request outside it makes
-    one more.  A pass meets its bases' errors in plan order, cuts' before
-    front ends', and names a file once in them.
+    cut and computes every compression asked for, then F0.  :meth:`prepare`
+    makes one pass for a plan, and a request outside what is known one
+    more.  A pass meets its bases' errors in plan order, cuts' before front
+    ends', and names a file once in them.
     """
 
-    def __init__(self, source, fs=None, *, f0_override: float | None = None, external_sg=None, plan=()):
+    def __init__(self, source, fs=None, *, f0_override: float | None = None, external_sg=None):
         _check_f0(f0_override)
         self.recording = fileio.Recording(source, fs)
         self._f0 = f0_override
         self._external_sg = external_sg
         self._spectra: dict[tuple[str, Compression], Spectrum] = {}
-        self.prepare(plan)
 
     def prepare(self, plan) -> None:
         """One pass for ``plan``'s (representation, h_max) pairs: each (base,
@@ -267,11 +266,6 @@ class UtteranceAnalyzer:
         self._pass((), True)
         return self._f0
 
-    def base_spectrum(self, rep: Representation) -> Spectrum:
-        """Compressed, time-averaged spectrum on the representation's grid,
-        before any weighting."""
-        return self.spectrum(replace(rep, ssi=False))
-
     def spectrum(self, rep: Representation, h_max: float | None = None) -> Spectrum:
         """The spectrum the estimator correlates; weighted when ``rep.ssi``.
 
@@ -291,7 +285,7 @@ def analyze_wav(path, rep, *, h_max: float | None = None, f0_override: float | N
     if isinstance(rep, str):
         rep = parse_representation(rep)
     check_h_max(DEFAULT_H_MAX if h_max is None else h_max)  # for every id, before the read
-    return UtteranceAnalyzer(path, f0_override=f0_override, plan=[(rep, h_max)]).spectrum(rep, h_max)
+    return UtteranceAnalyzer(path, f0_override=f0_override).spectrum(rep, h_max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -466,6 +460,8 @@ class CorpusAnalyzer:
             rep = parse_representation(rep)
         h_max = DEFAULT_H_MAX if h_max is None else h_max
         check_h_max(h_max)  # for every id, before any file is read
+        if isinstance(speakers, str):  # whose characters are no speaker ids
+            raise ConfigurationError(f"speakers must be a collection of speaker ids, got the string {speakers!r}")
         wanted = dict.fromkeys(self.speakers if speakers is None else speakers)
         unknown = [s for s in wanted if s not in self.measured_vtl]
         if unknown:

@@ -8,6 +8,8 @@ leaves it untouched above, suppressing exactly that harmonic-dominated region.
 """
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .axes import FrequencyAxis
@@ -33,8 +35,11 @@ VOICING_THRESHOLD = 0.3
 
 
 def check_h_max(h_max: float) -> None:
-    """Reject a taper knee that is negative, infinite or NaN; ``0`` is
-    allowed and means "no weighting" to every estimate."""
+    """Reject a taper knee that is no real number (a bool is none), or is
+    negative, infinite or NaN; ``0`` is allowed and means "no weighting" to
+    every estimate."""
+    if isinstance(h_max, bool) or not isinstance(h_max, numbers.Real):
+        raise ConfigurationError(f"h_max must be a real number, got {h_max!r}")
     if not 0.0 <= h_max < np.inf:  # NaN fails every comparison
         raise ConfigurationError(f"h_max must be nonnegative and finite, got {h_max}")
 

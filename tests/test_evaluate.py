@@ -1,5 +1,6 @@
 """Metrics, exclusion trials, weight sweeps, and config-driven runs."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -112,6 +113,21 @@ class TestExclusionTrials:
         """Once returned zero trials, whose mean RMS was NaN."""
         with pytest.raises(ConfigurationError, match="^trials must be at least 0, got -3$"):
             v.exclusion_trials(pair_corpus, "F_log", k=0, trials=-3, seed=0)
+
+    @pytest.mark.parametrize("name,value", [("k", 2.5), ("k", True), ("k", "2"), ("trials", 2.0),
+                                            ("trials", False), ("seed", 1.5), ("seed", True)])
+    def test_argument_that_is_no_integer_rejected(self, default_corpus, name, value):
+        """A float once ended in a ``TypeError`` from numpy's generator or
+        ``range``, and a bool was taken for 1 or 0."""
+        label = "the number of speakers to exclude" if name == "k" else name
+        message = f"^{label} must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(ConfigurationError, match=message):
+            v.exclusion_trials(default_corpus, "F_log", **{"k": 2, "trials": 2, "seed": 0, name: value})
+
+    def test_numpy_integers_are_the_int_ones(self, pair_corpus):
+        expected = v.exclusion_trials(pair_corpus, "F_log", k=0, trials=2, seed=1)
+        assert v.exclusion_trials(pair_corpus, "F_log", k=np.int64(0), trials=np.int32(2),
+                                  seed=np.uint8(1)) == expected
 
 
 class TestHmaxSweep:

@@ -19,7 +19,7 @@ class TestWav:
     def test_int16_round_trip(self, tmp_path):
         x = 0.5 * np.sin(2 * np.pi * 440.0 * np.arange(4800) / 48000.0)
         fileio.write_wav(tmp_path, "t.wav", x, 48000.0)
-        y, fs = fileio.read_wav(tmp_path / "t.wav")
+        y, fs = fileio.read_audio(tmp_path / "t.wav")
         assert fs == 48000.0
         np.testing.assert_allclose(y, x, atol=1.0 / 32767)
 
@@ -28,7 +28,7 @@ class TestWav:
 
         x = np.linspace(-0.25, 0.25, 1000).astype(np.float32)
         wavfile.write(tmp_path / "f.wav", 48000, x)
-        y, fs = fileio.read_wav(tmp_path / "f.wav")
+        y, fs = fileio.read_audio(tmp_path / "f.wav")
         np.testing.assert_allclose(y, x, atol=1e-7)
 
     def test_non_finite_sample_names_file(self, tmp_path):
@@ -38,18 +38,18 @@ class TestWav:
         x[500] = np.nan
         wavfile.write(tmp_path / "nan.wav", 48000, x)
         with pytest.raises(InputError, match="nan.wav"):
-            fileio.read_wav(tmp_path / "nan.wav")
+            fileio.read_audio(tmp_path / "nan.wav")
 
     def test_stereo_rejected(self, tmp_path):
         from scipy.io import wavfile
 
         wavfile.write(tmp_path / "s.wav", 48000, np.zeros((100, 2), dtype=np.int16))
         with pytest.raises(InputError):
-            fileio.read_wav(tmp_path / "s.wav")
+            fileio.read_audio(tmp_path / "s.wav")
 
     def test_zero_sample_rate_names_file(self, zero_rate_wav):
         with pytest.raises(InputError, match=r"zero\.wav: sample rate must be positive, got 0"):
-            fileio.read_wav(zero_rate_wav)
+            fileio.read_audio(zero_rate_wav)
 
     def test_rate_below_twice_the_analysis_range_rejected(self, one_hz_wav, tmp_path):
         with pytest.raises(InputError, match=r"slow\.wav: sample rate 1 Hz is too low for channels up to 8000 Hz"):
@@ -133,10 +133,9 @@ class TestReadCut:
         [native] = read
         assert native.dtype == dtype
         assert native.tobytes() == data[fileio.native_cut(slice(100, 300), 44100.0, 4410)[0]].tobytes()
-        # the conversion read_wav makes, then the whole input resampled
+        # the conversion read_audio makes, then the whole input resampled
         whole = data / scale if scale else data.astype(float)
         assert got.tobytes() == resample_poly(whole, 160, 147)[100:300].tobytes()
-        assert fileio.read_wav(tmp_path / "t.wav")[0].tobytes() == whole.tobytes()
         with pytest.warns(UserWarning, match=r"t\.wav from 44100 Hz") as record:
             assert fileio.read_audio(tmp_path / "t.wav")[0].tobytes() == whole.tobytes()
         assert record[0].filename == __file__
@@ -151,7 +150,7 @@ class TestReadCut:
         STFT frame in F's averaging window, names the file once."""
         fileio.write_wav(tmp_path, "t.wav", np.zeros(100), 48000.0)
         with pytest.raises(InputError) as info:
-            v.UtteranceAnalyzer(tmp_path / "t.wav", plan=[(v.parse_representation("F_log"), None)])
+            v.UtteranceAnalyzer(tmp_path / "t.wav").prepare([(v.parse_representation("F_log"), None)])
         assert str(info.value).startswith(f"{tmp_path / 't.wav'}: averaging window [")
         assert str(info.value).count("t.wav") == 1
 
@@ -171,7 +170,7 @@ class TestReadCut:
         else:
             with pytest.raises(InputError, match=r"t\.wav") as info:
                 if case == "caller's error":  # no STFT frame in the averaging window
-                    v.UtteranceAnalyzer(tmp_path / "t.wav", plan=[(v.parse_representation("F_log"), None)])
+                    v.UtteranceAnalyzer(tmp_path / "t.wav").prepare([(v.parse_representation("F_log"), None)])
                 fileio.Recording(tmp_path / "t.wav").read(slice(0, 20))
             assert info.value.__traceback__ is not None
         assert _open_fds() == fds
@@ -186,7 +185,8 @@ class TestReadCut:
         monkeypatch.setattr(fileio, "_open", lambda path: opened.append(path) or open_(path))
         fds = _open_fds()
         plan = [(v.parse_representation("F_log"), None)]
-        analyzer = v.UtteranceAnalyzer(tmp_path / "t.wav", plan=plan)
+        analyzer = v.UtteranceAnalyzer(tmp_path / "t.wav")
+        analyzer.prepare(plan)
         assert len(opened) == 2 and _open_fds() == fds
         analyzer.spectrum(v.parse_representation("F_0.4"))  # outside the plan
         assert len(opened) == 3 and _open_fds() == fds
@@ -212,6 +212,13 @@ class TestReadCut:
         """It once ended in a ``TypeError`` from the resampling ratio."""
         with pytest.raises(ConfigurationError, match="^an array of samples needs its sample rate fs$"):
             v.UtteranceAnalyzer(np.zeros(24000))
+
+    @pytest.mark.parametrize("make", [fileio.Recording, v.UtteranceAnalyzer])
+    def test_path_with_a_rate_rejected(self, make):
+        """It was once taken for an array of samples, of shape ()."""
+        message = "^a WAV file's rate comes from its header: fs goes only with an array of samples$"
+        with pytest.raises(ConfigurationError, match=message):
+            make("x.wav", 48000.0)
 
     @settings(max_examples=150, deadline=None)
     @given(deep=st.booleans(), edits=st.lists(st.tuples(st.integers(0, 43), st.integers(0, 255)),
@@ -245,7 +252,7 @@ class TestReadCut:
         """A NaN at the start of a 0.5 s float WAV lies outside every
         base's cut, so the file now analyses, as the same file without it
         does; in the centre, inside every cut, it is still an error that
-        names the file.  ``read_wav`` reads, and checks, the whole file."""
+        names the file.  ``read_audio`` reads, and checks, the whole file."""
         from scipy.io import wavfile
 
         x = v.synth_vowel(v.vowel_spec("a", 150.0)).astype(np.float32)
@@ -256,7 +263,7 @@ class TestReadCut:
         wavfile.write(tmp_path / "centre.wav", 48000, x)
         for name in ("edge.wav", "centre.wav"):
             with pytest.raises(InputError, match=rf"{name}: audio holds NaN or infinite samples"):
-                fileio.read_wav(tmp_path / name)
+                fileio.read_audio(tmp_path / name)
         for rep_id in ("Ep_SSI", "F_SSI_log", "M_SSI_log"):
             clean = v.analyze_wav(tmp_path / "clean.wav", rep_id).values
             assert v.analyze_wav(tmp_path / "edge.wav", rep_id).values.tobytes() == clean.tobytes()
@@ -273,7 +280,7 @@ class TestReadCut:
         _wav24(tmp_path / "deep.wav", np.round(x * 2**23).astype(np.int32) << 8)
         whole = wavfile.read(tmp_path / "deep.wav")[1]
         assert whole.dtype == np.int32 and np.abs(whole).max() >= 2**29 and not (whole & 0xFF).any()
-        assert fileio.read_wav(tmp_path / "deep.wav")[0].tobytes() == (whole / 2147483648.0).tobytes()
+        assert fileio.read_audio(tmp_path / "deep.wav")[0].tobytes() == (whole / 2147483648.0).tobytes()
         got = fileio.Recording(tmp_path / "deep.wav").read(slice(100, 300))
         assert got.tobytes() == (whole / 2147483648.0)[100:300].tobytes()
         for rep_id in ("Ep_SSI", "F_SSI_log", "M_SSI_log"):
@@ -293,7 +300,7 @@ class TestReadCut:
         block align 3 was read as 320 wrong 24-bit samples in place of its
         480."""
         _packed_wav(tmp_path / "x.wav", bytes(960), channels=channels, block_align=block_align, bits=16)
-        for read in (fileio.read_wav, lambda path: fileio.Recording(path).read(slice(0, 10))):
+        for read in (fileio.read_audio, lambda path: fileio.Recording(path).read(slice(0, 10))):
             with pytest.raises(InputError) as info:
                 read(tmp_path / "x.wav")
             assert str(info.value) == f"{tmp_path / 'x.wav'}: {message}"
@@ -312,7 +319,7 @@ class TestReadCut:
         assert whole.size == 24000 - 51
         message = rf"short\.wav ends 101 bytes before its samples do; reading the {whole.size} whole samples"
         with pytest.warns(UserWarning, match=message) as record:
-            got, fs = fileio.read_wav(tmp_path / "short.wav")
+            got, fs = fileio.read_audio(tmp_path / "short.wav")
         assert record[0].filename == __file__
         assert got.tobytes() == (whole / 32768.0).tobytes()
         with pytest.warns(UserWarning, match=message):
@@ -334,7 +341,8 @@ class TestReadCut:
             rep = v.parse_representation(rep_id)
             read.clear()
             with pytest.warns(UserWarning, match="resampling input"):
-                from_file = v.UtteranceAnalyzer(tmp_path / "t.wav", plan=[(rep, None)])
+                from_file = v.UtteranceAnalyzer(tmp_path / "t.wav")
+                from_file.prepare([(rep, None)])
             from_array = v.UtteranceAnalyzer(samples, fs)
             [native] = read
             assert native.dtype == np.int16 and native.size
@@ -360,7 +368,8 @@ class TestReadCut:
         plan = [(v.parse_representation(rep_id), h_max)
                 for rep_id, h_max in (("F_log", 3.5), ("F_0.4", 3.5), ("F_SSI_log", 0.0), ("F_SSI_log", 2.0))]
         with pytest.warns(UserWarning, match="resampling input"):
-            analyzer = v.UtteranceAnalyzer(tmp_path / "t.wav", plan=plan)
+            analyzer = v.UtteranceAnalyzer(tmp_path / "t.wav")
+        analyzer.prepare(plan)
         assert (len(calls), len(front_ends["stft_spectrum"]), len(front_ends["estimate_f0"])) == (1, 1, 1)
         for rep, h_max in plan:
             analyzer.spectrum(rep, h_max)
@@ -368,8 +377,8 @@ class TestReadCut:
         analyzer.spectrum(v.parse_representation("F_0.2"))  # outside the plan
         assert (len(calls), len(front_ends["stft_spectrum"]), len(front_ends["estimate_f0"])) == (2, 2, 1)
         with pytest.warns(UserWarning, match="resampling input"):
-            analyzer = v.UtteranceAnalyzer(tmp_path / "t.wav",
-                                           plan=[(v.parse_representation("M_SSI_log"), 0.0)])
+            analyzer = v.UtteranceAnalyzer(tmp_path / "t.wav")
+            analyzer.prepare([(v.parse_representation("M_SSI_log"), 0.0)])
         analyzer.spectrum(v.parse_representation("M_SSI_log"), 0.0)
         assert len(front_ends["estimate_f0"]) == 1
         analyzer.spectrum(v.parse_representation("M_SSI_log"), 3.5)
@@ -462,7 +471,8 @@ class TestResampling:
                     seen.clear()
                 plan = [(v.parse_representation(rep_ids[base]), 3.5)] if base != "W" else []
                 try:
-                    analyzer = v.UtteranceAnalyzer(x, float(fs), plan=plan)
+                    analyzer = v.UtteranceAnalyzer(x, float(fs))
+                    analyzer.prepare(plan)
                     if base == "W":
                         analyzer.f0  # a pass of the F0 window alone
                 except InputError:  # too short for Ep's averaging window, an STFT frame in it or F0
@@ -484,7 +494,7 @@ class TestResampling:
         tone = np.sin(2 * np.pi * 30000.0 * np.arange(48000) / fs)
         # what each base's front end is handed, and F0 too
         for rep_id in ("Ep_SSI", "F_SSI_0.4"):
-            v.UtteranceAnalyzer(tone, fs, plan=[(v.parse_representation(rep_id), 3.5)])
+            v.UtteranceAnalyzer(tone, fs).prepare([(v.parse_representation(rep_id), 3.5)])
         cuts = [cut for seen in front_ends.values() for cut in seen]
         assert len(cuts) == 4 and max(np.abs(x).max() for x in cuts) <= 0.01
 
@@ -507,12 +517,14 @@ class TestResampling:
             fileio.read_audio(tmp_path / "fast.wav")
 
     def test_read_audio_returns_native_samples(self, tmp_path):
+        from scipy.io import wavfile
+
         x = 0.5 * np.sin(2 * np.pi * 440.0 * np.arange(4410) / 44100.0)
         fileio.write_wav(tmp_path, "t.wav", x, 44100.0)
         with pytest.warns(UserWarning, match="44100"):
             samples, fs = fileio.read_audio(tmp_path / "t.wav")
         assert fs == 44100.0
-        assert samples.tobytes() == fileio.read_wav(tmp_path / "t.wav")[0].tobytes()
+        assert samples.tobytes() == (wavfile.read(tmp_path / "t.wav")[1] / 32768.0).tobytes()
 
 
 class TestManifest:

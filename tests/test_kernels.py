@@ -50,7 +50,7 @@ from vtlest import _kernels, fileio
 
 rng = np.random.default_rng(0)
 fileio.write_wav(sys.argv[1], "x.wav", rng.uniform(-1.0, 1.0, 4800), 48000.0)
-samples, fs = fileio.read_wav(f"{sys.argv[1]}/x.wav")
+samples, fs = fileio.read_audio(f"{sys.argv[1]}/x.wav")
 assert "scipy.io" not in sys.modules
 
 import scipy.io
@@ -75,7 +75,8 @@ cuts = []
 stft = vtlest.pipeline.stft_spectrum
 vtlest.pipeline.stft_spectrum = lambda cut: cuts.append(cut) or stft(cut)
 rep = vtlest.parse_representation("F_log")
-analyzer = vtlest.UtteranceAnalyzer(f"{sys.argv[1]}/x.wav", plan=[(rep, None)])
+analyzer = vtlest.UtteranceAnalyzer(f"{sys.argv[1]}/x.wav")
+analyzer.prepare([(rep, None)])
 spectrum = analyzer.spectrum(rep)
 y = fileio.ensure_rate(samples, fs)
 assert "scipy.signal" not in sys.modules and "scipy.special" not in sys.modules
@@ -89,7 +90,8 @@ assert _special_ufuncs is _kernels._load("_special_ufuncs", "scipy.special")
 assert scipy.special.i0 is _special_ufuncs.i0
 assert resample_poly(samples, 160, 147).tobytes() == y.tobytes()
 assert fileio.ensure_rate(samples, fs).tobytes() == y.tobytes()
-again = vtlest.UtteranceAnalyzer(f"{sys.argv[1]}/x.wav", plan=[(rep, None)])
+again = vtlest.UtteranceAnalyzer(f"{sys.argv[1]}/x.wav")
+again.prepare([(rep, None)])
 assert again.spectrum(rep).values.tobytes() == spectrum.values.tobytes()
 assert len(cuts) == 2 and cuts[1].tobytes() == cuts[0].tobytes()
 start = analyzer.cut("F").start

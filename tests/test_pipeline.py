@@ -87,18 +87,18 @@ def analyzer():
 
 class TestUtteranceAnalyzer:
     def test_ep_spectrum_grid_and_tag(self, analyzer):
-        s = analyzer.base_spectrum(v.parse_representation("Ep"))
+        s = analyzer.spectrum(v.parse_representation("Ep"))
         assert s.axis.kind is AxisKind.ERB_LINEAR
         assert s.axis.channels == 100
         assert s.compression == v.LOG_COMPRESSION
 
     def test_fourier_spectrum_grid(self, analyzer):
-        s = analyzer.base_spectrum(v.parse_representation("F_log"))
+        s = analyzer.spectrum(v.parse_representation("F_log"))
         assert s.axis.kind is AxisKind.LOG10_HZ
         assert s.axis.channels == 100
 
     def test_mel_power_spectrum_grid(self, analyzer):
-        s = analyzer.base_spectrum(v.parse_representation("M_0.4"))
+        s = analyzer.spectrum(v.parse_representation("M_0.4"))
         assert s.axis.kind is AxisKind.MEL_LINEAR
         assert s.axis.channels == 100
         assert s.compression.exponent == 0.4
@@ -114,7 +114,7 @@ class TestUtteranceAnalyzer:
 
     def test_hmax_zero_is_unweighted(self, analyzer):
         rep = v.parse_representation("Ep_SSI")
-        unweighted = analyzer.base_spectrum(v.parse_representation("Ep"))
+        unweighted = analyzer.spectrum(v.parse_representation("Ep"))
         weighted_off = analyzer.spectrum(rep, h_max=0.0)
         np.testing.assert_array_equal(weighted_off.values, unweighted.values)
         weighted_on = analyzer.spectrum(rep, h_max=3.5)
@@ -137,15 +137,15 @@ class TestUtteranceAnalyzer:
 
     @pytest.mark.parametrize("f0_override", [None, 0.0, 150.0])
     def test_ep_analyzer_keeps_no_samples(self, monkeypatch, analyzer_keeps, f0_override):
-        """The constructor's pass for a weighted Ep plan computes the
-        pattern, then F0 from the centre 50 ms unless it is overridden, and
-        keeps no samples: only the caller's array, by reference."""
+        """The pass for a weighted Ep plan computes the pattern, then F0
+        from the centre 50 ms unless it is overridden, and keeps no
+        samples: only the caller's array, by reference."""
         samples = v.synth_vowel(v.vowel_spec("o", 120.0))
         estimated = []
         f0 = pipeline.estimate_f0
         monkeypatch.setattr(pipeline, "estimate_f0", lambda x: estimated.append(x) or f0(x))
-        analyzer = v.UtteranceAnalyzer(samples, 48000.0, f0_override=f0_override,
-                                       plan=[(v.parse_representation("Ep_SSI"), 3.5)])
+        analyzer = v.UtteranceAnalyzer(samples, 48000.0, f0_override=f0_override)
+        analyzer.prepare([(v.parse_representation("Ep_SSI"), 3.5)])
         assert analyzer_keeps(analyzer, samples) and len(analyzer._spectra) == 1
         if f0_override is None:
             [window] = estimated
@@ -159,7 +159,7 @@ class TestUtteranceAnalyzer:
 
     def test_w_without_external_data_rejected(self, analyzer):
         with pytest.raises(InputError):
-            analyzer.base_spectrum(v.parse_representation("W_log"))
+            analyzer.spectrum(v.parse_representation("W_log"))
 
     def test_each_base_reads_only_its_cut(self, tmp_path, monkeypatch, analyzer_keeps, front_ends):
         """A 0.5 s vowel's Ep hands samples 4872-13199 to its bank, F and M
@@ -175,8 +175,8 @@ class TestUtteranceAnalyzer:
             for seen in front_ends.values():
                 seen.clear()
             external = v.stft_spectrum(samples) if base == "W" else None
-            analyzer = v.UtteranceAnalyzer(samples, 48000.0, external_sg=external,
-                                           plan=[(v.parse_representation(rep_id), 3.5)])
+            analyzer = v.UtteranceAnalyzer(samples, 48000.0, external_sg=external)
+            analyzer.prepare([(v.parse_representation(rep_id), 3.5)])
             [cut] = front_ends[front_end]
             assert (analyzer._f0_samples() if base == "W" else analyzer.cut(base)).start == start
             assert cut.tobytes() == samples[start:start + size].tobytes()
@@ -191,7 +191,7 @@ class TestUtteranceAnalyzer:
         assert [(native.dtype, native.size) for native in read] == [(np.int16, 3360)] * 2
         for utterance, analyzer, cut in zip(corpus._analyzers, corpus._analyzers.values(),
                                            front_ends["stft_spectrum"]):
-            whole = fileio.read_wav(tmp_path / f"{utterance}.wav")[0]
+            whole = fileio.read_audio(tmp_path / f"{utterance}.wav")[0]
             assert cut.tobytes() == whole[10320:13680].tobytes()
             assert analyzer_keeps(analyzer, tmp_path / f"{utterance}.wav")
         read.clear()
@@ -228,7 +228,7 @@ class TestEpWindowCut:
         samples = v.synth_vowel(v.vowel_spec("e", 150.0, duration=2.0))[:n_samples]
         full = v.gammatone_ep(samples)
         expected = v.compress(v.center_average(full, n_samples / 48000.0 / 2.0), "log")
-        got = v.UtteranceAnalyzer(samples, 48000.0).base_spectrum(v.parse_representation("Ep"))
+        got = v.UtteranceAnalyzer(samples, 48000.0).spectrum(v.parse_representation("Ep"))
         if tolerance_db == 0.0:  # the pre-roll reaches sample 0: nothing is cut
             assert got.values.tobytes() == expected.values.tobytes()
         else:
@@ -238,15 +238,15 @@ class TestEpWindowCut:
     def test_vowel_shorter_than_the_window_rejected(self):
         samples = v.synth_vowel(v.vowel_spec("e", 150.0))[:2352]  # 49 ms
         with pytest.raises(InputError, match="averaging window"):
-            v.UtteranceAnalyzer(samples, 48000.0).base_spectrum(v.parse_representation("Ep"))
+            v.UtteranceAnalyzer(samples, 48000.0).spectrum(v.parse_representation("Ep"))
 
     def test_samples_after_window_end_are_not_read(self):
         samples = v.synth_vowel(v.vowel_spec("o", 120.0))
         rep = v.parse_representation("Ep")
-        clean = v.UtteranceAnalyzer(samples, 48000.0).base_spectrum(rep)
+        clean = v.UtteranceAnalyzer(samples, 48000.0).spectrum(rep)
         tail = samples.copy()
         tail[13200:] = np.nan  # the 0.5 s window ends at 275 ms
-        cut = v.UtteranceAnalyzer(tail, 48000.0).base_spectrum(rep)
+        cut = v.UtteranceAnalyzer(tail, 48000.0).spectrum(rep)
         assert cut.values.tobytes() == clean.values.tobytes()
 
     def test_samples_before_the_preroll_are_not_read(self):
@@ -255,17 +255,17 @@ class TestEpWindowCut:
         window start at 225 ms, to the window end at 275 ms."""
         samples = v.synth_vowel(v.vowel_spec("o", 120.0))
         rep = v.parse_representation("Ep")
-        clean = v.UtteranceAnalyzer(samples, 48000.0).base_spectrum(rep)
+        clean = v.UtteranceAnalyzer(samples, 48000.0).spectrum(rep)
         cut = samples.copy()
         cut[:4872] = np.nan
         cut[13200:] = np.nan
-        got = v.UtteranceAnalyzer(cut, 48000.0).base_spectrum(rep)
+        got = v.UtteranceAnalyzer(cut, 48000.0).spectrum(rep)
         assert got.values.tobytes() == clean.values.tobytes()
         for edge in (4872, 13199):  # both ends of the span are read
             poked = samples.copy()
             poked[edge] = np.nan
             with pytest.raises(InputError, match="finite"):
-                v.UtteranceAnalyzer(poked, 48000.0).base_spectrum(rep)
+                v.UtteranceAnalyzer(poked, 48000.0).spectrum(rep)
 
 
 class TestF0Window:
@@ -290,7 +290,7 @@ class TestF0Window:
     @pytest.mark.filterwarnings("ignore:resampling input")
     def test_one_read_and_one_f0_estimate_per_utterance(self, tmp_path, monkeypatch):
         """At 44.1 kHz a weighted F spectrum resamples once and estimates F0
-        once per utterance, in the analyzer's constructor.  Ep at h_max 0
+        once per utterance, in its analyzer's one pass.  Ep at h_max 0
         estimates none."""
         v.make_corpus(v.pair_demo_speakers(), ["a"], tmp_path, fs=44100.0)
         calls = {"ensure_rate": 0, "estimate_f0": 0}
@@ -341,7 +341,7 @@ class TestWindowOnlyFrontEnds:
         compressed = []
         compress = v.pipeline.compress
         monkeypatch.setattr(v.pipeline, "compress", lambda sg, c: compressed.append(sg) or compress(sg, c))
-        v.UtteranceAnalyzer(samples, 48000.0).base_spectrum(v.parse_representation("F_log"))
+        v.UtteranceAnalyzer(samples, 48000.0).spectrum(v.parse_representation("F_log"))
         [window] = compressed
         assert window.frames.tobytes() == full.frames[43:53].tobytes()
         k = np.arange(10)
@@ -352,17 +352,17 @@ class TestWindowOnlyFrontEnds:
     def test_samples_outside_the_window_span_are_not_read(self, rep_id):
         samples = v.synth_vowel(v.vowel_spec("o", 120.0))
         rep = v.parse_representation(rep_id)
-        clean = v.UtteranceAnalyzer(samples, 48000.0).base_spectrum(rep)
+        clean = v.UtteranceAnalyzer(samples, 48000.0).spectrum(rep)
         cut = samples.copy()
         cut[:10320] = np.nan
         cut[13680:] = np.nan
-        got = v.UtteranceAnalyzer(cut, 48000.0).base_spectrum(rep)
+        got = v.UtteranceAnalyzer(cut, 48000.0).spectrum(rep)
         assert got.values.tobytes() == clean.values.tobytes()
         for edge in (10320, 13679):  # both ends of the span are read
             poked = samples.copy()
             poked[edge] = np.nan
             with pytest.raises(InputError, match="finite"):
-                v.UtteranceAnalyzer(poked, 48000.0).base_spectrum(rep)
+                v.UtteranceAnalyzer(poked, 48000.0).spectrum(rep)
 
     def test_click_before_the_window_leaves_log_spectra_unchanged(self):
         """The log floor is taken over the window's frames, not the file's."""
@@ -371,8 +371,8 @@ class TestWindowOnlyFrontEnds:
         clicked[1200] = 1000.0 * np.abs(samples).max()  # 25 ms in
         for rep_id in ("F_log", "M_log"):
             rep = v.parse_representation(rep_id)
-            clean = v.UtteranceAnalyzer(samples, 48000.0).base_spectrum(rep)
-            got = v.UtteranceAnalyzer(clicked, 48000.0).base_spectrum(rep)
+            clean = v.UtteranceAnalyzer(samples, 48000.0).spectrum(rep)
+            got = v.UtteranceAnalyzer(clicked, 48000.0).spectrum(rep)
             assert got.values.tobytes() == clean.values.tobytes()
 
     def test_cache_does_not_grow_with_duration(self, analyzer_keeps, front_ends):
@@ -433,8 +433,8 @@ class TestWindowOnlyFrontEnds:
         samples = v.synth_vowel(v.vowel_spec("i", 200.0))
         analyzer = v.UtteranceAnalyzer(samples, 48000.0, external_sg=v.stft_spectrum(samples))
         for comp in ("log", "0.4"):
-            w = analyzer.base_spectrum(v.parse_representation(f"W_{comp}"))
-            f = analyzer.base_spectrum(v.parse_representation(f"F_{comp}"))
+            w = analyzer.spectrum(v.parse_representation(f"W_{comp}"))
+            f = analyzer.spectrum(v.parse_representation(f"F_{comp}"))
             assert w.values.tobytes() == f.values.tobytes()
 
     @pytest.mark.parametrize("rep_id", ["F_log", "M_log"])
@@ -455,16 +455,16 @@ class TestWindowOnlyFrontEnds:
         rep = v.parse_representation(rep_id)
         if message is None:
             analyzer = v.UtteranceAnalyzer(samples, 48000.0)
-            assert analyzer.base_spectrum(rep).axis.channels == 100
+            assert analyzer.spectrum(rep).axis.channels == 100
         else:
             with pytest.raises(InputError) as info:
-                v.UtteranceAnalyzer(samples, 48000.0, plan=[(rep, None)])
+                v.UtteranceAnalyzer(samples, 48000.0).prepare([(rep, None)])
             assert str(info.value) == message
 
     def test_vowel_shorter_than_one_stft_window_rejected(self):
         samples = v.synth_vowel(v.vowel_spec("e", 150.0))[:1000]
         with pytest.raises(InputError, match="averaging window"):
-            v.UtteranceAnalyzer(samples, 48000.0).base_spectrum(v.parse_representation("F_log"))
+            v.UtteranceAnalyzer(samples, 48000.0).spectrum(v.parse_representation("F_log"))
 
 
 class TestAnalyzeWav:
@@ -679,13 +679,18 @@ class TestCorpusEstimation:
             default_corpus.estimate("Ep", speakers=default_corpus.speakers[:1])
 
     def test_unknown_speakers_rejected_before_any_read(self, default_corpus_dir, forks, monkeypatch):
-        """Ids that name no speaker were once ignored, and the others estimated."""
+        """Ids that name no speaker were once ignored, and the others
+        estimated; one string, ``"s01"``, was read as the ids ``'s'``,
+        ``'0'`` and ``'1'``."""
         reads = []
         recording = fileio.Recording
         monkeypatch.setattr(fileio, "Recording", lambda *a: reads.append(a) or recording(*a))
         corpus = v.load_corpus(default_corpus_dir / "manifest.csv")
         with pytest.raises(InputError, match="^speakers not in the manifest: 'bogus', 'S01'$"):
             corpus.estimate("Ep_SSI", speakers=["s01", "s02", "bogus", "S01", "bogus"])
+        with pytest.raises(ConfigurationError,
+                           match="^speakers must be a collection of speaker ids, got the string 's01'$"):
+            corpus.estimate("Ep_SSI", speakers="s01")
         assert reads == [] and forks == []
 
     @pytest.mark.parametrize("rep", ["Ep_SSI", "Ep", "F_log"])
@@ -703,6 +708,29 @@ class TestCorpusEstimation:
         with pytest.raises(ConfigurationError, match=f"^h_max must be nonnegative and finite, got {h_max}$"):
             corpus.prepare([(rep, 3.5), (rep, h_max)])  # as evaluate and sweep do
         assert calls == [] and forks == []
+
+    @pytest.mark.parametrize("h_max", ["3.5", True, False, 3.5j, [3.5]])
+    def test_knee_that_is_no_real_number_rejected_before_any_read(self, default_corpus_dir, forks,
+                                                                   monkeypatch, h_max):
+        """A string once ended in a ``TypeError`` from the taper, and a bool
+        was taken for knee 1 or 0 and reported as ``True`` or ``False``."""
+        reads = []
+        recording = fileio.Recording
+        monkeypatch.setattr(fileio, "Recording", lambda *a: reads.append(a) or recording(*a))
+        corpus = v.load_corpus(default_corpus_dir / "manifest.csv")
+        message = f"^h_max must be a real number, got {re.escape(repr(h_max))}$"
+        with pytest.raises(ConfigurationError, match=message):
+            corpus.estimate("F_SSI_log", h_max)
+        with pytest.raises(ConfigurationError, match=message):
+            v.hmax_sweep(corpus, "F_SSI_log", grid=[3.5, h_max])
+        with pytest.raises(ConfigurationError, match=message):
+            v.analyze_wav(default_corpus_dir / "s01_a.wav", "Ep_SSI", h_max=h_max)
+        assert reads == [] and forks == []
+
+    def test_numpy_knee_is_the_float_one(self, pair_corpus):
+        expected = pair_corpus.estimate("F_SSI_log", 3.0).estimated()
+        for h_max in (np.int64(3), np.float32(3.0), np.float64(3.0)):
+            assert pair_corpus.estimate("F_SSI_log", h_max).estimated().tobytes() == expected.tobytes()
 
     def test_zero_knee_is_unweighted(self, pair_corpus):
         weighted, plain = pair_corpus.estimate("F_SSI_log", 0.0), pair_corpus.estimate("F_log")
@@ -825,7 +853,7 @@ class TestEpSplit:
         rep = v.parse_representation("Ep_SSI")
         visited = [(s, vowel) for vowel in corpus.vowels for s in corpus.vowel_speakers(vowel)]
         for key in visited[:len(visited) - missing]:
-            corpus.analyzer(corpus._by_key[key]).base_spectrum(rep)
+            corpus.analyzer(corpus._by_key[key]).spectrum(v.parse_representation("Ep"))
         _assert_same_estimate(corpus.estimate(rep, 3.5), serial_ladder[1])
         assert len(forks) == n_forks
 
@@ -1239,6 +1267,10 @@ def test_default_params_match_canonical_settings():
         assert value.shape == (axes.CHANNELS,) and not value.flags.writeable
     for gone in ("SsiParams", "DEFAULT_MAX_LAG", "DEFAULT_INTERP"):
         assert not any(hasattr(module, gone) for module in (v, ssi, shifts))
+    # one name for each: prepare(plan), spectrum(rep) and read_audio
+    assert "plan" not in inspect.signature(v.UtteranceAnalyzer).parameters
+    assert not hasattr(v.UtteranceAnalyzer, "base_spectrum")
+    assert not hasattr(fileio, "read_wav")
     trials = inspect.signature(v.exclusion_trials).parameters
     for name in ("k", "trials", "seed"):
         assert trials[name].kind is inspect.Parameter.KEYWORD_ONLY
